@@ -24,7 +24,6 @@ import io
 import sys
 
 from .analytics import (
-    MissingDataError,
     build_report,
     report_csv,
     run_scenarios,
@@ -33,7 +32,6 @@ from .analytics import (
 )
 from .fulfillment import Simulation
 from .generator import (
-    ConfigError,
     PRESETS,
     generate,
     parse_config_file,
@@ -43,7 +41,6 @@ from .generator import (
 from .query import (
     InsertWhereQuery,
     QueryEvalError,
-    QuerySyntaxError,
     SelectQuery,
     evaluate,
     evaluate_update,
@@ -261,19 +258,14 @@ def main(argv: list[str] | None = None) -> int:
     except MissingEntityError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return 2
-    except (
-        GraphParseError,
-        QuerySyntaxError,
-        QueryEvalError,
-        ConfigError,
-        MissingDataError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (QueryEvalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

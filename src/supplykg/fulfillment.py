@@ -23,7 +23,10 @@ through the query engine's INSERT template rather than raw writes.
 
 The simulation mutates the graph it is given. Committed capacity is
 tracked per (node, timestep); a missing record means zero load. Nodes
-without a cost property price their allocations at 0.
+without a cost property price their allocations at 0. The ledgers are
+read through the ``schema`` views, so a malformed inventory or capacity
+record, or two capacity records for one node at one step, raise
+``MissingEntityError``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from . import schema
 from . import vocab as v
 from .graph import Graph
 from .query import evaluate_update, parse_query
-from .terms import INTEGER, Iri, Literal, TIMESTEP, Triple, boolean, integer, timestep
+from .terms import Iri, Triple, boolean, integer, timestep
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,12 +78,6 @@ _PLAN_TEMPLATE = parse_query(
 )
 
 
-def _int_of(term, default=0):
-    if isinstance(term, Literal) and term.datatype == INTEGER:
-        return term.value
-    return default
-
-
 class Simulation:
     """Mutable simulation state bound to one graph.
 
@@ -98,18 +95,18 @@ class Simulation:
         self.oem_lead = oem_view.delivery_time
         self.oem_sat = oem_view.saturation
 
-        self._sat: dict[str, int] = {self.oem.name: self.oem_sat}
-        self._lead: dict[str, int] = {self.oem.name: self.oem_lead}
-        self._cost: dict[str, int] = {self.oem.name: _int_of(graph.value(self.oem, v.HAS_COST))}
+        self._sat: dict[str, int] = {}
+        self._lead: dict[str, int] = {}
+        self._cost: dict[str, int] = {}
         self._product_of: dict[str, str] = {}
         self._makers: dict[str, list[str]] = {}
 
         suppliers = sorted(graph.subjects(v.HAS_OEM, self.oem), key=lambda s: s.name)
+        for view in [oem_view, *(schema.node(graph, s) for s in suppliers)]:
+            self._sat[view.id] = view.saturation
+            self._lead[view.id] = view.delivery_time
+            self._cost[view.id] = dict(view.kpis).get(v.HAS_COST.name, 0)
         for s in suppliers:
-            view = schema.node(graph, s)
-            self._sat[s.name] = view.saturation
-            self._lead[s.name] = view.delivery_time
-            self._cost[s.name] = _int_of(graph.value(s, v.HAS_COST))
             for made in graph.objects(s, v.MANUFACTURES):
                 if isinstance(made, Iri):
                     self._makers.setdefault(made.name, []).append(s.name)
@@ -120,45 +117,20 @@ class Simulation:
 
         self._committed: dict[tuple[str, int], int] = {}
         self._cap_iri: dict[tuple[str, int], Iri] = {}
-        for name in self._sat:
-            for record in schema.capacity_records(graph, Iri(name)):
-                self._committed[(name, record.timestep)] = record.quantity
-                self._cap_iri[(name, record.timestep)] = record.iri
-
         self._inventory: dict[tuple[str, str], int] = {}
         self._inv_iri: dict[tuple[str, str], Iri] = {}
         for name in self._sat:
-            node_iri = Iri(name)
-            seen: dict[str, tuple[int, str]] = {}
-            for rec in graph.objects(node_iri, v.HAS_INVENTORY):
-                if not isinstance(rec, Iri):
-                    continue
-                product = graph.value(rec, v.HAS_PRODUCT)
-                ts = graph.value(rec, v.HAS_TIME_STAMP)
-                if not isinstance(product, Iri):
-                    continue
-                at = ts.value if isinstance(ts, Literal) and ts.datatype == TIMESTEP else 0
-                key = (at, rec.name)
-                if product.name not in seen or key > seen[product.name]:
-                    seen[product.name] = key
-                    self._inventory[(name, product.name)] = _int_of(graph.value(rec, v.HAS_QUANTITY))
-                    self._inv_iri[(name, product.name)] = rec
+            for t, record in schema.capacity_by_step(graph, Iri(name)).items():
+                self._committed[(name, t)] = record.quantity
+                self._cap_iri[(name, t)] = record.iri
+            for product, record in schema.current_inventory(graph, Iri(name)).items():
+                self._inventory[(name, product)] = record.quantity
+                self._inv_iri[(name, product)] = record.iri
 
-        self._resolved: set[str] = set()
-        self._due: dict[int, list[schema.OrderView]] = {}
-        priorities: dict[str, int] = {}
-        for order in schema.orders(graph):
-            if order.fulfilled is not None:
-                self._resolved.add(order.id)
-                continue
-            if order.maker not in priorities:
-                prio = graph.value(Iri(order.maker), v.HAS_PRIORITY)
-                if not (isinstance(prio, Literal) and prio.datatype == INTEGER):
-                    raise schema.MissingEntityError(f"{order.maker} has no priority")
-                priorities[order.maker] = prio.value
-            self._due.setdefault(order.delivery_time - self.oem_lead, []).append(order)
-        for due in self._due.values():
-            due.sort(key=lambda o: (-priorities[o.maker], o.id))
+        all_orders = schema.orders(graph)
+        self._resolved = {o.id for o in all_orders if o.fulfilled is not None}
+        pending = [o for o in all_orders if o.fulfilled is None]
+        self._due = schema.due_schedule(graph, pending, self.oem_lead)
 
     # -- bookkeeping that keeps graph and ledgers in lockstep --
 

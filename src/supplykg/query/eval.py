@@ -72,8 +72,9 @@ class MissingParameterError(QueryEvalError):
 
 
 def display_form(term: Term) -> str:
-    """Human-facing cell text: literals show their bare value, IRIs and
-    quoted triples keep their canonical spelling."""
+    """Human-facing cell text, and the string the query function str()
+    yields: literals show their bare value, IRIs and quoted triples keep
+    their canonical spelling."""
     if isinstance(term, Literal):
         if term.datatype == BOOLEAN:
             return "True" if term.value else "False"
@@ -227,11 +228,6 @@ def _regex_match(value: str, pattern: str) -> bool:
     return core in value
 
 
-def str_form(term: Term) -> str:
-    """The string the query function str() yields."""
-    return display_form(term)
-
-
 def eval_expr(expr: ast.Expr, row: dict[str, Term], params: dict[str, Term]) -> Term:
     if isinstance(expr, ast.VarRef):
         try:
@@ -272,7 +268,7 @@ def eval_expr(expr: ast.Expr, row: dict[str, Term], params: dict[str, Term]) -> 
                     raise QueryTypeError(f"REGEX: expected strings, got {format_term(t)}")
             return Literal(_regex_match(value.value, pattern.value), BOOLEAN)
         if expr.func == "STR":
-            return Literal(str_form(eval_expr(expr.args[0], row, params)), STRING)
+            return Literal(display_form(eval_expr(expr.args[0], row, params)), STRING)
     if isinstance(expr, ast.Aggregate):
         raise QueryEvalError("aggregate outside aggregation context")
     raise TypeError(f"not an expression: {expr!r}")

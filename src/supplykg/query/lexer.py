@@ -9,6 +9,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ..terms import MalformedTermError, unescape_string
+
 KEYWORDS = {
     "SELECT",
     "WHERE",
@@ -87,8 +89,11 @@ def tokenize(text: str) -> list[Token]:
         elif kind == "number":
             tokens.append(Token("NUMBER", value, line, col))
         elif kind in ("string", "tag"):
-            s = m.group("string")
-            tokens.append(Token("STRING", s[1:-1], line, col))
+            try:
+                body = unescape_string(m.group("string")[1:-1])
+            except MalformedTermError as exc:
+                raise QueryLexError(str(exc), line, col) from None
+            tokens.append(Token("STRING", body, line, col))
             if m.group("tag"):
                 tokens.append(Token("TAG", m.group("tag"), line, m.start("tag") - line_start + 1))
         elif kind == "qopen":

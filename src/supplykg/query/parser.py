@@ -31,12 +31,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from ..terms import Iri, Literal, MalformedTermError, Variable
+from ..terms import MAX_QUOTE_DEPTH, Iri, Literal, MalformedTermError, Variable, typed_literal
 from . import ast
 from .lexer import QueryLexError, Token, tokenize
-
-_LITERAL_TAGS = ("integer", "decimal", "string", "boolean", "timestep")
-_BOOL_LEXICALS = {"true": True, "false": False}
 
 
 class QuerySyntaxError(ValueError):
@@ -52,6 +49,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.params = params
+        self.depth = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -201,8 +199,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "<<":
             self.take()
+            self.depth += 1
+            if self.depth > MAX_QUOTE_DEPTH:
+                raise QuerySyntaxError(
+                    f"quoted patterns nest deeper than {MAX_QUOTE_DEPTH} levels", tok.line, tok.col
+                )
             inner = self.pattern()
             self.expect(">>")
+            self.depth -= 1
             return ast.collapse_qterm(inner)
         if tok.kind == "IRI":
             self.take()
@@ -251,33 +255,19 @@ class _Parser:
                 text = tok.text
             elif tok.kind == "STRING":
                 self.take()
-                if self.peek().kind == "TAG":
-                    return self.tagged_literal(tok.text, self.take())
-                return Literal(tok.text, "string")
+                tag = self.accept("TAG")
+                if tag is None:
+                    return Literal(tok.text, "string")
+                try:
+                    return typed_literal(tok.text, tag.text)
+                except MalformedTermError as exc:
+                    raise QuerySyntaxError(str(exc), tag.line, tag.col) from None
             else:
                 raise self.fail("expected a literal")
         try:
             return Literal(int(text), "integer")
         except ValueError:
             return Literal(float(text), "decimal")
-
-    def tagged_literal(self, body: str, tag: Token) -> Literal:
-        if tag.text not in _LITERAL_TAGS:
-            raise QuerySyntaxError(f"unknown datatype tag ^^{tag.text}", tag.line, tag.col)
-        try:
-            if tag.text == "integer":
-                return Literal(int(body), "integer")
-            if tag.text == "decimal":
-                return Literal(float(body), "decimal")
-            if tag.text == "boolean":
-                if body.lower() not in _BOOL_LEXICALS:
-                    raise ValueError(f"bad boolean lexical {body!r}")
-                return Literal(_BOOL_LEXICALS[body.lower()], "boolean")
-            if tag.text == "timestep":
-                return Literal(int(body), "timestep")
-            return Literal(body, "string")
-        except (ValueError, MalformedTermError) as exc:
-            raise QuerySyntaxError(str(exc), tag.line, tag.col) from None
 
     # -- expressions ---------------------------------------------------------
 

@@ -10,6 +10,10 @@ domain conventions live:
   ``InventoryView``, ``BomEdge``) materialize one entity each. Every view
   has a ``to_triples`` that reproduces exactly the triples the accessor
   consumed, which makes "view round-trips through the graph" testable.
+* ``due_schedule``, ``current_inventory`` and ``capacity_by_step`` are the
+  one definition of when an order is due and in what order, which
+  inventory record is current, and which capacity record a step books
+  onto. The simulator builds its ledgers from them.
 
 Accessors raise ``MissingEntityError`` when a required entity or property
 is absent, never silently default.
@@ -167,16 +171,20 @@ class NodeView:
 _TIER_RE = re.compile(r"^(?:SupplierTier|CustomerTier)(\d+)$")
 
 
+def tier_index(graph: Graph, iri: Iri) -> int | None:
+    """The number of the tier a node belongs to, or None without one."""
+    term = graph.value(iri, v.BELONGS_TO_TIER)
+    if isinstance(term, Iri):
+        m = _TIER_RE.match(term.name)
+        if m:
+            return int(m.group(1))
+    return None
+
+
 def node(graph: Graph, iri: Iri) -> NodeView:
     kind = node_kind(graph, iri)
     if kind is None or v.NODE not in graph.objects(iri, v.RDF_TYPE):
         raise MissingEntityError(f"{iri.name} is not a typed supply-chain node")
-    tier = None
-    tier_term = graph.value(iri, v.BELONGS_TO_TIER)
-    if isinstance(tier_term, Iri):
-        m = _TIER_RE.match(tier_term.name)
-        if m:
-            tier = int(m.group(1))
     kpis = []
     for pred in v.KPI_PREDICATES:
         value = _opt_int(graph, iri, pred)
@@ -187,7 +195,7 @@ def node(graph: Graph, iri: Iri) -> NodeView:
     return NodeView(
         id=iri.name,
         kind=kind.name,
-        tier=tier,
+        tier=tier_index(graph, iri),
         saturation=_int_value(graph, iri, v.HAS_SATURATION, "node saturation"),
         delivery_time=_int_value(graph, iri, v.HAS_DELIVERY_TIME, "node delivery time"),
         group=_opt_int(graph, iri, v.HAS_GROUP),
@@ -277,22 +285,25 @@ def orders(graph: Graph) -> list[OrderView]:
     return [order(graph, o) for o in found]
 
 
-def orders_due(graph: Graph, t: int, oem_delivery_time: int) -> list[OrderView]:
-    """Orders whose production must start at step ``t``.
+def due_schedule(graph: Graph, views: list[OrderView], oem_delivery_time: int) -> dict[int, list[OrderView]]:
+    """The given orders keyed by the step at which production must start.
 
-    An order is due when its delivery timestep minus the focal node's own
-    delivery time equals ``t``. Ties are broken by the making customer's
-    priority (higher first), then order name.
+    An order is due at its delivery timestep minus the focal node's own
+    delivery time. Within a step, orders are served by the making
+    customer's priority (higher first), then order name.
     """
-    due = [o for o in orders(graph) if o.delivery_time - oem_delivery_time == t]
-
-    def key(o: OrderView):
-        priority = _opt_int(graph, Iri(o.maker), v.HAS_PRIORITY)
-        if priority is None:
-            raise MissingEntityError(f"{o.maker} has no priority")
-        return (-priority, o.id)
-
-    return sorted(due, key=key)
+    priorities: dict[str, int] = {}
+    due: dict[int, list[OrderView]] = {}
+    for o in views:
+        if o.maker not in priorities:
+            priority = _opt_int(graph, Iri(o.maker), v.HAS_PRIORITY)
+            if priority is None:
+                raise MissingEntityError(f"{o.maker} has no priority")
+            priorities[o.maker] = priority
+        due.setdefault(o.delivery_time - oem_delivery_time, []).append(o)
+    for step in due.values():
+        step.sort(key=lambda o: (-priorities[o.maker], o.id))
+    return due
 
 
 @dataclass(frozen=True, slots=True)
@@ -320,19 +331,25 @@ class CapacityView:
         ]
 
 
-def _capacity_view(graph: Graph, node_iri: Iri, record: Iri) -> CapacityView:
+def _product_and_step(graph: Graph, record: Iri) -> tuple[str, int]:
+    """The product and timestep every capacity or inventory record carries."""
     product = graph.value(record, v.HAS_PRODUCT)
     ts = graph.value(record, v.HAS_TIME_STAMP)
     if not isinstance(product, Iri):
         raise MissingEntityError(f"{record.name} has no product")
     if not (isinstance(ts, Literal) and ts.datatype == TIMESTEP):
         raise MissingEntityError(f"{record.name} has no timestep")
+    return product.name, ts.value
+
+
+def capacity_record(graph: Graph, node_iri: Iri, record: Iri) -> CapacityView:
+    product, step = _product_and_step(graph, record)
     return CapacityView(
         id=record.name,
         node=node_iri.name,
-        product=product.name,
+        product=product,
         quantity=_int_value(graph, record, v.HAS_QUANTITY, "committed capacity"),
-        timestep=ts.value,
+        timestep=step,
         cost=_int_value(graph, record, v.HAS_COST, "capacity cost"),
     )
 
@@ -341,17 +358,20 @@ def capacity_records(graph: Graph, node_iri: Iri) -> list[CapacityView]:
     records = []
     for rec in graph.objects(node_iri, v.HAS_CAPACITY):
         if isinstance(rec, Iri):
-            records.append(_capacity_view(graph, node_iri, rec))
+            records.append(capacity_record(graph, node_iri, rec))
     return sorted(records, key=lambda r: (r.timestep, r.id))
 
 
-def capacity_at(graph: Graph, node_iri: Iri, t: int) -> CapacityView | None:
-    hits = [r for r in capacity_records(graph, node_iri) if r.timestep == t]
-    if not hits:
-        return None
-    if len(hits) > 1:
-        raise MissingEntityError(f"{node_iri.name} has {len(hits)} capacity records at step {t}")
-    return hits[0]
+def capacity_by_step(graph: Graph, node_iri: Iri) -> dict[int, CapacityView]:
+    """The node's capacity records keyed by timestep: at most one per step."""
+    by_step: dict[int, CapacityView] = {}
+    for record in capacity_records(graph, node_iri):
+        if record.timestep in by_step:
+            raise MissingEntityError(
+                f"{node_iri.name} has more than one capacity record at step {record.timestep}"
+            )
+        by_step[record.timestep] = record
+    return by_step
 
 
 @dataclass(frozen=True, slots=True)
@@ -377,30 +397,36 @@ class InventoryView:
         ]
 
 
-def inventory(graph: Graph, node_iri: Iri, product: Iri) -> InventoryView:
-    """The node's inventory record for a product (latest timestep wins)."""
-    hits = []
+def _inventory_record(graph: Graph, node_iri: Iri, record: Iri) -> InventoryView:
+    product, step = _product_and_step(graph, record)
+    return InventoryView(
+        id=record.name,
+        node=node_iri.name,
+        product=product,
+        quantity=_int_value(graph, record, v.HAS_QUANTITY, "inventory quantity"),
+        timestep=step,
+    )
+
+
+def current_inventory(graph: Graph, node_iri: Iri) -> dict[str, InventoryView]:
+    """The node's current inventory record per product name: of the records
+    for one product, the latest (timestep, id) wins."""
+    current: dict[str, InventoryView] = {}
     for rec in graph.objects(node_iri, v.HAS_INVENTORY):
-        if not isinstance(rec, Iri):
-            continue
-        if graph.value(rec, v.HAS_PRODUCT) != product:
-            continue
-        ts = graph.value(rec, v.HAS_TIME_STAMP)
-        if not (isinstance(ts, Literal) and ts.datatype == TIMESTEP):
-            raise MissingEntityError(f"{rec.name} has no timestep")
-        hits.append(
-            InventoryView(
-                id=rec.name,
-                node=node_iri.name,
-                product=product.name,
-                quantity=_int_value(graph, rec, v.HAS_QUANTITY, "inventory quantity"),
-                timestep=ts.value,
-            )
-        )
-    if not hits:
+        if isinstance(rec, Iri):
+            view = _inventory_record(graph, node_iri, rec)
+            held = current.get(view.product)
+            if held is None or (view.timestep, view.id) > (held.timestep, held.id):
+                current[view.product] = view
+    return current
+
+
+def inventory(graph: Graph, node_iri: Iri, product: Iri) -> InventoryView:
+    """The node's current inventory record for a product."""
+    view = current_inventory(graph, node_iri).get(product.name)
+    if view is None:
         raise MissingEntityError(f"{node_iri.name} has no inventory record for {product.name}")
-    hits.sort(key=lambda r: (r.timestep, r.id))
-    return hits[-1]
+    return view
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,11 +27,10 @@ import re
 
 from .graph import Graph
 from .terms import (
-    BOOLEAN,
     DECIMAL,
     INTEGER,
+    MAX_QUOTE_DEPTH,
     STRING,
-    TIMESTEP,
     Iri,
     Literal,
     MalformedTermError,
@@ -39,6 +38,8 @@ from .terms import (
     Term,
     Triple,
     format_triple,
+    typed_literal,
+    unescape_string,
 )
 
 
@@ -51,14 +52,9 @@ class GraphParseError(ValueError):
 
 
 def serialize(graph: Graph) -> str:
-    lines = sorted(format_triple(t) for t in graph.triples())
+    # graph.triples() is already in format_triple order
+    lines = [format_triple(t) for t in graph.triples()]
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def serialize_to(graph: Graph, path: str) -> None:
-    from .util import atomic_write_text
-
-    atomic_write_text(path, serialize(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -78,22 +74,6 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
-_ESCAPE = re.compile(r"\\(u[0-9a-fA-F]{4}|.)")
-_ESCAPE_MAP = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-
-
-def _unescape(body: str, line: int) -> str:
-    def repl(m: re.Match) -> str:
-        e = m.group(1)
-        if e.startswith("u"):
-            return chr(int(e[1:], 16))
-        if e in _ESCAPE_MAP:
-            return _ESCAPE_MAP[e]
-        raise GraphParseError(f"unknown escape \\{e} in string", line)
-
-    return _ESCAPE.sub(repl, body)
-
-
 def _tokenize_line(text: str, line: int) -> list[tuple[str, str]]:
     tokens = []
     pos = 0
@@ -105,40 +85,13 @@ def _tokenize_line(text: str, line: int) -> list[tuple[str, str]]:
         kind = m.lastgroup
         if kind == "ws":
             continue
-        if kind == "tag":  # tag group fires together with string; lastgroup picks it
+        if kind in ("string", "tag"):  # lastgroup is "tag" when a tag follows
             tokens.append(("string", m.group("string")))
-            tokens.append(("tag", m.group("tag")))
-            continue
-        if kind == "string" and m.group("tag"):
-            tokens.append(("string", m.group("string")))
-            tokens.append(("tag", m.group("tag")))
+            if m.group("tag"):
+                tokens.append(("tag", m.group("tag")))
             continue
         tokens.append((kind, m.group()))
     return tokens
-
-
-_BOOL_LEXICALS = {"true": True, "false": False}
-
-
-def _typed_literal(body: str, tag: str, line: int) -> Literal:
-    try:
-        if tag == INTEGER:
-            return Literal(int(body), INTEGER)
-        if tag == DECIMAL:
-            return Literal(float(body), DECIMAL)
-        if tag == STRING:
-            return Literal(body, STRING)
-        if tag == BOOLEAN:
-            if body.lower() in _BOOL_LEXICALS:
-                return Literal(_BOOL_LEXICALS[body.lower()], BOOLEAN)
-            raise GraphParseError(f"bad boolean lexical {body!r}", line)
-        if tag == TIMESTEP:
-            return Literal(int(body), TIMESTEP)
-    except GraphParseError:
-        raise
-    except (ValueError, MalformedTermError) as exc:
-        raise GraphParseError(f"bad {tag} literal {body!r}: {exc}", line) from None
-    raise GraphParseError(f"unknown datatype tag ^^{tag}", line)
 
 
 class _LineParser:
@@ -146,6 +99,7 @@ class _LineParser:
         self.tokens = tokens
         self.pos = 0
         self.line = line
+        self.depth = 0
 
     def peek_kind(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -166,9 +120,13 @@ class _LineParser:
         if predicate_position:
             raise GraphParseError(f"predicate must be an IRI, got {text!r}", self.line)
         if kind == "qopen":
+            self.depth += 1
+            if self.depth > MAX_QUOTE_DEPTH:
+                raise GraphParseError(f"quoted triples nest deeper than {MAX_QUOTE_DEPTH} levels", self.line)
             s = self.term()
             p = self.term(predicate_position=True)
             o = self.term()
+            self.depth -= 1
             k, t = self.take()
             if k != "qclose":
                 raise GraphParseError(f"expected >> to close quoted triple, got {t!r}", self.line)
@@ -181,10 +139,12 @@ class _LineParser:
                 return Literal(int(text), INTEGER)
             return Literal(float(text), DECIMAL)
         if kind == "string":
-            body = _unescape(text[1:-1], self.line)
-            if self.peek_kind() == "tag":
-                _, tag = self.take()
-                return _typed_literal(body, tag, self.line)
+            try:
+                body = unescape_string(text[1:-1])
+                if self.peek_kind() == "tag":
+                    return typed_literal(body, self.take()[1])
+            except MalformedTermError as exc:
+                raise GraphParseError(str(exc), self.line) from None
             return Literal(body, STRING)
         raise GraphParseError(f"expected a term, got {text!r}", self.line)
 

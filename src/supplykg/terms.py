@@ -24,6 +24,10 @@ TIMESTEP = "timestep"
 
 _DATATYPES = (INTEGER, DECIMAL, STRING, BOOLEAN, TIMESTEP)
 
+# The deepest ``<< ... >>`` nesting the graph and query parsers accept, far
+# below the depth at which their recursion would exhaust the Python stack.
+MAX_QUOTE_DEPTH = 32
+
 # Stricter than "no whitespace": this charset is what the serializer can
 # round-trip unescaped and what the query lexer can re-read. Must not end
 # with "." or the statement terminator becomes ambiguous.
@@ -84,6 +88,31 @@ def timestep(value: int) -> Literal:
     """A point on the discrete simulation clock. Distinct from plain integers
     so that durations and instants cannot be silently conflated."""
     return Literal(value, TIMESTEP)
+
+
+_BOOL_LEXICALS = {"true": True, "false": False}
+
+
+def typed_literal(body: str, tag: str) -> Literal:
+    """The literal that ``"body"^^tag`` denotes; booleans take either case.
+    Raises ``MalformedTermError`` on an unknown tag or a bad lexical form."""
+    # Each branch stores the module's own datatype constant, not ``tag``: all
+    # literals then share one string per datatype, which saves memory and
+    # lets datatype comparisons succeed on identity.
+    try:
+        if tag == INTEGER:
+            return Literal(int(body), INTEGER)
+        if tag == TIMESTEP:
+            return Literal(int(body), TIMESTEP)
+        if tag == DECIMAL:
+            return Literal(float(body), DECIMAL)
+        if tag == BOOLEAN:
+            return Literal(_BOOL_LEXICALS[body.lower()], BOOLEAN)
+        if tag == STRING:
+            return Literal(body, STRING)
+    except (KeyError, ValueError):
+        raise MalformedTermError(f"bad {tag} literal {body!r}") from None
+    raise MalformedTermError(f"unknown datatype tag ^^{tag}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,6 +236,11 @@ class Solution:
 # canonical text forms
 
 
+# Besides the control characters, str.splitlines() breaks lines at these, so
+# they are escaped too: one serialized triple is always one line.
+_LINE_BREAKS = "\x85\u2028\u2029"
+
+
 def _escape_string(s: str) -> str:
     out = []
     for ch in s:
@@ -220,11 +254,30 @@ def _escape_string(s: str) -> str:
             out.append("\\r")
         elif ch == "\t":
             out.append("\\t")
-        elif ord(ch) < 0x20:
+        elif ord(ch) < 0x20 or ch in _LINE_BREAKS:
             out.append(f"\\u{ord(ch):04x}")
         else:
             out.append(ch)
     return "".join(out)
+
+
+_ESCAPE = re.compile(r"\\(u[0-9a-fA-F]{4}|.)")
+_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+
+
+def unescape_string(body: str) -> str:
+    """Decode the backslash escapes of a string literal's body, the inverse of
+    its canonical form. Raises ``MalformedTermError`` on an unknown escape."""
+
+    def repl(m: re.Match) -> str:
+        e = m.group(1)
+        if e.startswith("u"):
+            return chr(int(e[1:], 16))
+        if e in _UNESCAPES:
+            return _UNESCAPES[e]
+        raise MalformedTermError(f"unknown escape \\{e} in string")
+
+    return _ESCAPE.sub(repl, body)
 
 
 def format_term(term) -> str:

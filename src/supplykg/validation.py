@@ -144,7 +144,7 @@ def _check_records(graph, report):
             continue
         owner = owners[rec][0][0]
         try:
-            view = schema._capacity_view(graph, owner, rec)
+            view = schema.capacity_record(graph, owner, rec)
         except schema.MissingEntityError as exc:
             report.error("bad-record", rec.name, str(exc))
             continue
@@ -183,19 +183,10 @@ def _check_orders(graph, report):
             report.error("bad-order", iri.name, f"maker {view.maker} is not a customer")
 
 
-def _tier_index(graph, iri):
-    term = graph.value(iri, v.BELONGS_TO_TIER)
-    if isinstance(term, Iri):
-        m = schema._TIER_RE.match(term.name)
-        if m:
-            return int(m.group(1))
-    return None
-
-
 def _group_by_tier(graph, kind):
     tiers = {}
     for iri in schema.nodes_of_kind(graph, kind):
-        idx = _tier_index(graph, iri)
+        idx = schema.tier_index(graph, iri)
         if idx is not None:
             tiers.setdefault(idx, set()).add(iri)
     return tiers
@@ -227,7 +218,7 @@ def _check_topology(graph, report):
             for a in tiers[t]:
                 links = [b for b in graph.objects(a, pred) if isinstance(b, Iri)]
                 for b in links:
-                    b_tier = _tier_index(graph, b)
+                    b_tier = schema.tier_index(graph, b)
                     if b_tier is not None and b_tier != t + 1:
                         report.warning(
                             "tier-skip",
@@ -238,7 +229,8 @@ def _check_topology(graph, report):
         for t in sorted(tiers):
             if t < top:
                 for a in tiers[t]:
-                    if not any(_tier_index(graph, b) == t + 1 for b in graph.objects(a, pred) if isinstance(b, Iri)):
+                    links = [b for b in graph.objects(a, pred) if isinstance(b, Iri)]
+                    if not any(schema.tier_index(graph, b) == t + 1 for b in links):
                         report.error(
                             "tier-coverage",
                             a.name,

@@ -1,10 +1,16 @@
 """Command line interface: subcommand wiring, exit codes, file handling."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from supplykg import parse_graph
+import supplykg
+from supplykg import Iri, parse_graph
 from supplykg.cli import main
-from supplykg.schema import nodes_of_kind
+from supplykg.schema import capacity_records, load_graph, nodes_of_kind
 from supplykg import vocab as v
 
 
@@ -80,6 +86,27 @@ def test_simulate_rejects_zero_horizon(graph_file, tmp_path):
 
 def test_simulate_missing_graph(tmp_path):
     assert run("simulate", "--graph", str(tmp_path / "nope.nt"), "--horizon", "5") == 1
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        # a second capacity record for OEM1 at the step of its baseline record
+        ":OEM1 :hasCapacity :CapTwin .\n:CapTwin :hasProduct :Product .\n"
+        ":CapTwin :hasQuantity 1 .\n:CapTwin :hasCost 1 .\n:CapTwin :hasTimeStamp \"{t}\"^^timestep .\n",
+        # an inventory record with no timestep
+        ":OEM1 :hasInventory :InvBare .\n:InvBare :hasProduct :Product .\n:InvBare :hasQuantity 5 .\n",
+    ],
+    ids=["two-capacity-records-at-one-step", "inventory-without-timestep"],
+)
+def test_simulate_rejects_malformed_records(graph_file, tmp_path, capsys, extra):
+    first = capacity_records(load_graph(str(graph_file)), Iri("OEM1"))[0]
+    bad = tmp_path / "bad.nt"
+    bad.write_text(graph_file.read_text() + extra.format(t=first.timestep))
+    out = tmp_path / "r.csv"
+    assert run("simulate", "--graph", str(bad), "--horizon", "10", "--out", str(out)) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- query ---
@@ -201,6 +228,43 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         run("--help")
     assert exc.value.code == 0
+
+
+def test_runs_as_a_module():
+    src = str(Path(supplykg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "supplykg.cli", *argv], capture_output=True, text=True, env=env
+        )
+
+    helped = module("--help")
+    assert helped.returncode == 0
+    assert "usage: supplykg" in helped.stdout
+    misused = module("generate")
+    assert misused.returncode == 1
+    assert "error:" in misused.stderr
+
+
+def _nested(depth):
+    return "<< " * depth + ":s :p :o" + " >> :q :r" * depth
+
+
+def test_deep_quote_nesting_exits_2_without_traceback(tmp_path, capsys):
+    graph = tmp_path / "deep.nt"
+    graph.write_text(_nested(300) + " .\n")
+    assert run("export", "--graph", str(graph)) == 2
+    err = capsys.readouterr().err
+    assert "nest deeper" in err and "Traceback" not in err
+
+    flat = tmp_path / "flat.nt"
+    flat.write_text(":s :p :o .\n")
+    query = tmp_path / "deep.rq"
+    query.write_text("SELECT * WHERE { " + _nested(300).replace(":s", "?s", 1) + " . }")
+    assert run("query", "--graph", str(flat), str(query)) == 2
+    err = capsys.readouterr().err
+    assert "nest deeper" in err and "Traceback" not in err
 
 
 def test_pipeline_is_deterministic(tmp_path):

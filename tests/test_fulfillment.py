@@ -8,7 +8,7 @@ import pytest
 from supplykg import Graph, Iri, Quoted, Triple, boolean, integer, serialize, timestep
 from supplykg.fulfillment import Allocation, Simulation, explode_bom
 from supplykg.generator import automotive, dairy, generate
-from supplykg.schema import capacity_at, inventory, orders
+from supplykg.schema import MissingEntityError, capacity_by_step, inventory, orders
 from supplykg import vocab as v
 
 
@@ -152,8 +152,8 @@ def test_production_path_commits_everything():
     # focal node committed for the remainder, supplier for the components
     assert sim.committed("OEM1", 6) == 6
     assert sim.committed("Sup1", 4) == 12
-    assert capacity_at(g, Iri("OEM1"), 6).quantity == 6
-    assert capacity_at(g, Iri("Sup1"), 4).quantity == 12
+    assert capacity_by_step(g, Iri("OEM1"))[6].quantity == 6
+    assert capacity_by_step(g, Iri("Sup1"))[4].quantity == 12
 
     # the verdict and the full supply plan are in the graph
     assert tr("Order1", "isFulfilled", boolean(True)) in g
@@ -171,8 +171,8 @@ def test_inventory_path_serves_whole_order():
     assert sim.inventory_level("OEM1", "Product") == 0
     # no production was scheduled anywhere
     assert sim.committed("OEM1", 6) == 0
-    assert capacity_at(g, Iri("OEM1"), 6) is None
-    assert capacity_at(g, Iri("Sup1"), 4) is None
+    assert 6 not in capacity_by_step(g, Iri("OEM1"))
+    assert 4 not in capacity_by_step(g, Iri("Sup1"))
     assert plan_line("SPOrder1", "OEM1", "Product", 6, 10, 0) <= set(g.triples())
     assert tr("Order1", "isFulfilled", boolean(True)) in g
 
@@ -337,8 +337,38 @@ def test_run_rejects_empty_horizon():
 def test_missing_priority_is_an_error():
     g = fixture()
     g.remove(tr("Cust1", "hasPriority", integer(2)))
-    from supplykg.schema import MissingEntityError
+    with pytest.raises(MissingEntityError):
+        Simulation(g)
 
+
+def add_capacity(g, record, node, t, qty):
+    g.insert(tr(record, "rdf:type", "Capacity"))
+    g.insert(tr(node, "hasCapacity", record))
+    g.insert(tr(record, "hasProduct", "Comp"))
+    g.insert(tr(record, "hasQuantity", integer(qty)))
+    g.insert(tr(record, "hasTimeStamp", timestep(t)))
+    g.insert(tr(record, "hasCost", integer(30)))
+
+
+def test_two_capacity_records_at_one_step_are_an_error():
+    """Booking onto one of two records would leave the other stale."""
+    g = fixture()
+    add_capacity(g, "CapA", "Sup1", 4, 10)
+    assert Simulation(g).committed("Sup1", 4) == 10
+    add_capacity(g, "CapB", "Sup1", 4, 20)
+    with pytest.raises(MissingEntityError):
+        Simulation(g)
+
+
+@pytest.mark.parametrize(
+    "predicate, value",
+    [("hasTimeStamp", timestep(0)), ("hasQuantity", integer(4)), ("hasProduct", Iri("Product"))],
+)
+def test_incomplete_inventory_record_is_an_error(predicate, value):
+    """A record without a timestep or quantity is not read as 0, nor one
+    without a product skipped."""
+    g = fixture()
+    g.remove(tr("InvOEM1", predicate, value))
     with pytest.raises(MissingEntityError):
         Simulation(g)
 

@@ -15,8 +15,10 @@ from supplykg.query import (
     parse_query,
     print_query,
 )
+from supplykg.graph import Graph
+from supplykg.query import evaluate
 from supplykg.query.ast import query_params
-from supplykg.terms import Iri, Literal, Variable
+from supplykg.terms import MAX_QUOTE_DEPTH, Iri, Literal, Triple, Variable
 
 
 def test_select_star_with_join():
@@ -213,6 +215,35 @@ def test_print_parse_round_trip(text, params):
     assert parse_query(printed, params=params) == q
     # printing is a fixpoint
     assert print_query(parse_query(printed, params=params)) == printed
+
+
+@pytest.mark.parametrize(
+    "escaped, value",
+    [('a\\"b', 'a"b'), ("a\\\\b", "a\\b"), ("a\\nb", "a\nb")],
+    ids=["quote", "backslash", "newline"],
+)
+def test_string_escapes_decode_like_the_graph_format(escaped, value):
+    q = parse_query(f'SELECT ?s WHERE {{ ?s :p "{escaped}" . }}')
+    assert q.patterns[0].object == Literal(value, "string")
+    assert parse_query(print_query(q)) == q
+    g = Graph([Triple(Iri("s"), Iri("p"), Literal(value, "string"))])
+    assert evaluate(q, g).rows == ((Iri("s"),),)
+
+
+def test_unknown_string_escape_is_a_syntax_error():
+    with pytest.raises(QuerySyntaxError, match="escape"):
+        parse_query('SELECT ?s WHERE { ?s :p "a\\qb" . }')
+
+
+def _nested(depth):
+    return "<< " * depth + "?s :p :o" + " >> :q :r" * depth
+
+
+def test_quote_nesting_limit():
+    parse_query("SELECT * WHERE { " + _nested(MAX_QUOTE_DEPTH) + " . }")
+    for depth in (MAX_QUOTE_DEPTH + 1, 300):
+        with pytest.raises(QuerySyntaxError, match="nest deeper"):
+            parse_query("SELECT * WHERE { " + _nested(depth) + " . }")
 
 
 def test_line_and_column_in_errors():

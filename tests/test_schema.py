@@ -3,13 +3,15 @@
 import pytest
 
 from supplykg import Graph, Iri, Quoted, Triple, integer, string, timestep
+from supplykg.fulfillment import Simulation
 from supplykg.generator import automotive
 from supplykg.query import evaluate, parse_query
 from supplykg.schema import (
     MissingEntityError,
     bom,
-    capacity_at,
+    capacity_by_step,
     capacity_records,
+    due_schedule,
     inventory,
     node,
     node_kind,
@@ -17,7 +19,6 @@ from supplykg.schema import (
     normalize,
     order,
     orders,
-    orders_due,
     the_oem,
 )
 from supplykg import vocab as v
@@ -183,9 +184,12 @@ _DUE_QUERY = parse_query(
 
 
 def test_orders_due_matches_query_engine(automotive_graph):
-    """Dual-path oracle: the typed view agrees with the query-language
-    formulation of "orders due at t" for every step that has any."""
+    """Dual-path oracle: the due schedule the simulator runs agrees with the
+    query-language formulation of "orders due at t" for every step that has
+    any."""
     oem = node(automotive_graph, the_oem(automotive_graph))
+    schedule = due_schedule(automotive_graph, orders(automotive_graph), oem.delivery_time)
+    assert Simulation(automotive_graph)._due == schedule
     seen = 0
     for t in range(0, 178):
         table = evaluate(
@@ -194,7 +198,7 @@ def test_orders_due_matches_query_engine(automotive_graph):
             {"LT": integer(oem.delivery_time), "t": integer(t)},
         )
         want = sorted((row[0].name for row in table.rows))
-        got = orders_due(automotive_graph, t, oem.delivery_time)
+        got = schedule.get(t, [])
         assert sorted(o.id for o in got) == want
         # the view's ordering honors priority descending, like the query
         priorities = [
@@ -213,7 +217,7 @@ def test_orders_due_requires_maker_priority():
     g.insert(tr("Order1", "hasQuantity", integer(5)))
     g.insert(tr("Order1", "hasDeliveryTime", timestep(9)))
     with pytest.raises(MissingEntityError):
-        orders_due(g, 6, 3)
+        due_schedule(g, orders(g), 3)
 
 
 def test_orders_due_example():
@@ -224,8 +228,9 @@ def test_orders_due_example():
     g.insert(tr("Order1", "hasProduct", "Product"))
     g.insert(tr("Order1", "hasQuantity", integer(5)))
     g.insert(tr("Order1", "hasDeliveryTime", timestep(10)))
-    assert [o.id for o in orders_due(g, 7, 3)] == ["Order1"]
-    assert orders_due(g, 6, 3) == []
+    schedule = due_schedule(g, orders(g), 3)
+    assert [o.id for o in schedule[7]] == ["Order1"]
+    assert 6 not in schedule
 
 
 # --- capacity and inventory records ---
@@ -237,8 +242,9 @@ def test_capacity_records_sorted_and_lookup(automotive_graph):
         (r.timestep, r.id) for r in records
     )
     first = records[0]
-    assert capacity_at(automotive_graph, Iri("OEM1"), first.timestep) == first
-    assert capacity_at(automotive_graph, Iri("OEM1"), 9999) is None
+    by_step = capacity_by_step(automotive_graph, Iri("OEM1"))
+    assert by_step[first.timestep] == first
+    assert 9999 not in by_step
 
 
 def test_capacity_view_round_trip(automotive_graph):

@@ -5,6 +5,7 @@ from strategies import graphs
 from supplykg.graph import Graph
 from supplykg.serialization import GraphParseError, parse_graph, serialize
 from supplykg.terms import (
+    MAX_QUOTE_DEPTH,
     Iri,
     Quoted,
     Triple,
@@ -87,6 +88,29 @@ def test_string_escapes_round_trip():
     text = serialize(g)
     assert "\x07" not in text  # control characters never appear raw
     assert parse_graph(text).triples() == g.triples()
+
+
+@pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029"])
+def test_unicode_line_breaks_stay_on_one_line(brk):
+    """str.splitlines() breaks at these, so they are written escaped."""
+    g = Graph([Triple(Iri("s"), Iri("p"), string(f"a{brk}b"))])
+    text = serialize(g)
+    assert text == f':s :p "a\\u{ord(brk):04x}b" .\n'
+    assert len(text.splitlines()) == 1
+    assert parse_graph(text).triples() == g.triples()
+
+
+def _nested(depth):
+    return "<< " * depth + ":s :p :o" + " >> :q :r" * depth + " ."
+
+
+def test_quote_nesting_limit():
+    g = parse_graph(_nested(MAX_QUOTE_DEPTH))
+    assert parse_graph(serialize(g)).triples() == g.triples()
+    with pytest.raises(GraphParseError, match="nest deeper"):
+        parse_graph(_nested(MAX_QUOTE_DEPTH + 1))
+    with pytest.raises(GraphParseError, match="nest deeper"):
+        parse_graph(_nested(300))
 
 
 @pytest.mark.parametrize(
