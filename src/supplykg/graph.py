@@ -4,6 +4,11 @@ Set semantics: inserting a triple twice is a no-op. Iteration and pattern
 matching are deterministic, ordered by each triple's canonical text form, so
 two graphs with equal content always behave identically regardless of
 insertion history.
+
+``match`` substitutes the caller's bindings into the pattern before it picks
+an index, so a variable bound by an earlier join step narrows the scan like a
+constant would. Each index bucket is sorted into canonical order once, on
+first use, and that order is cached until a write touches the bucket.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from typing import Iterable, Iterator
 
 from .terms import (
     Iri,
+    MalformedTermError,
     Quoted,
     Solution,
     Term,
@@ -19,13 +25,14 @@ from .terms import (
     TriplePattern,
     Variable,
     format_triple,
+    substitute,
     to_ground,
     unify,
 )
 
 
 class Graph:
-    __slots__ = ("_triples", "_by_subject", "_by_predicate", "_by_object", "_sorted")
+    __slots__ = ("_triples", "_by_subject", "_by_predicate", "_by_object", "_sorted", "_bucket_order")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: set[Triple] = set()
@@ -33,6 +40,9 @@ class Graph:
         self._by_predicate: dict[Iri, set[Triple]] = {}
         self._by_object: dict[Term, set[Triple]] = {}
         self._sorted: list[Triple] | None = None
+        # (position, key) -> that index bucket in canonical order; position
+        # 0, 1, 2 is subject, predicate, object
+        self._bucket_order: dict[tuple[int, Term], list[Triple]] = {}
         for t in triples:
             self.insert(t)
 
@@ -46,7 +56,7 @@ class Graph:
         self._by_subject.setdefault(triple.subject, set()).add(triple)
         self._by_predicate.setdefault(triple.predicate, set()).add(triple)
         self._by_object.setdefault(triple.object, set()).add(triple)
-        self._sorted = None
+        self._forget_order(triple)
         return True
 
     def remove(self, triple: Triple) -> bool:
@@ -63,8 +73,16 @@ class Graph:
             bucket.discard(triple)
             if not bucket:
                 del index[key]
-        self._sorted = None
+        self._forget_order(triple)
         return True
+
+    def _forget_order(self, triple: Triple) -> None:
+        self._sorted = None
+        order = self._bucket_order
+        if order:  # empty while a graph is loaded, so loading hashes no keys
+            order.pop((0, triple.subject), None)
+            order.pop((1, triple.predicate), None)
+            order.pop((2, triple.object), None)
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self._triples
@@ -87,44 +105,63 @@ class Graph:
         g._by_subject = {k: set(v) for k, v in self._by_subject.items()}
         g._by_predicate = {k: set(v) for k, v in self._by_predicate.items()}
         g._by_object = {k: set(v) for k, v in self._by_object.items()}
+        # the cached lists are never mutated, only dropped, so both graphs
+        # can hold them until their own writes drop them
+        g._sorted = self._sorted
+        g._bucket_order = dict(self._bucket_order)
         return g
 
     # -- matching -----------------------------------------------------------
 
-    def _candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
-        # Narrow by the most selective ground position; a variable-free
-        # quoted pattern counts as ground for index purposes.
-        buckets = []
-        for pos, index in (
-            (pattern.subject, self._by_subject),
-            (pattern.predicate, self._by_predicate),
-            (pattern.object, self._by_object),
+    def _candidates(self, pattern: TriplePattern) -> list[Triple]:
+        """A canonically ordered superset of the pattern's matches: the
+        smallest index bucket of a ground position (a variable-free quoted
+        pattern counts as ground), or every triple if no position is."""
+        best = None
+        for pos, term, index in (
+            (0, pattern.subject, self._by_subject),
+            (1, pattern.predicate, self._by_predicate),
+            (2, pattern.object, self._by_object),
         ):
-            if isinstance(pos, Variable):
+            if isinstance(term, Variable):
                 continue
-            if isinstance(pos, TriplePattern):
-                ground = to_ground(pos)
+            if isinstance(term, TriplePattern):
+                ground = to_ground(term)
                 if ground is None:
                     continue
-                pos = Quoted(ground)
-            bucket = index.get(pos)
+                term = Quoted(ground)
+            bucket = index.get(term)
             if bucket is None:
-                return ()
-            buckets.append(bucket)
-        if not buckets:
-            return self._triples
-        return min(buckets, key=len)
+                return []
+            if best is None or len(bucket) < len(best[2]):
+                best = (pos, term, bucket)
+        if best is None:
+            return self.triples()
+        pos, key, bucket = best
+        ordered = self._bucket_order.get((pos, key))
+        if ordered is None:
+            ordered = self._bucket_order[(pos, key)] = sorted(bucket, key=format_triple)
+        return ordered
 
-    def match(self, pattern: TriplePattern, bindings: dict[str, Term] | None = None) -> list[Solution]:
+    def match(
+        self, pattern: TriplePattern, bindings: dict[str, Term] | Solution | None = None
+    ) -> list[Solution]:
         """All solutions of a pattern against the graph, in canonical triple
-        order. Prior bindings constrain the variables they mention."""
+        order. Prior bindings constrain the variables they mention, and the
+        index lookup uses them: a bound variable narrows like a constant."""
         if not isinstance(pattern, TriplePattern):
             raise TypeError(f"match expects a TriplePattern, got {pattern!r}")
+        narrowed = pattern
+        if bindings:
+            try:
+                narrowed = substitute(pattern, bindings)
+            except MalformedTermError:
+                return []  # e.g. a literal bound in subject position
         out = []
-        for t in sorted(self._candidates(pattern), key=format_triple):
+        for t in self._candidates(narrowed):
             got = unify(pattern, t, bindings)
             if got is not None:
-                out.append(Solution(got))
+                out.append(Solution._adopt(got))
         return out
 
     def subjects(self, predicate: Iri, obj: Term) -> list[Term]:

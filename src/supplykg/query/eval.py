@@ -3,7 +3,11 @@
 Semantics in brief:
 
 * WHERE is a conjunctive join of patterns, evaluated left to right against
-  the graph's canonical triple order, so results are deterministic.
+  the graph's canonical triple order, so results are deterministic. Each
+  step hands every row so far to ``Graph.match`` as its bindings; variables
+  the row binds narrow the index lookup like constants, so a step scans the
+  smallest index bucket its bound positions allow, not the whole bucket of
+  the pattern's predicate.
 * FILTER expressions see one candidate row at a time. An expression error
   inside a filter (type mismatch, division by zero) drops the row instead of
   aborting the query; errors in projection or aggregate expressions raise.
@@ -31,6 +35,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from typing import Union
 
 from ..graph import Graph
 from ..terms import (
@@ -43,6 +48,7 @@ from ..terms import (
     Literal,
     MalformedTermError,
     Quoted,
+    Solution,
     Term,
     Triple,
     TriplePattern,
@@ -50,6 +56,10 @@ from ..terms import (
     format_term,
 )
 from . import ast
+
+
+# A binding row: a ``Solution`` from ``Graph.match``, or a plain dict.
+Row = Union[Solution, dict[str, Term]]
 
 
 class QueryEvalError(Exception):
@@ -228,7 +238,7 @@ def _regex_match(value: str, pattern: str) -> bool:
     return core in value
 
 
-def eval_expr(expr: ast.Expr, row: dict[str, Term], params: dict[str, Term]) -> Term:
+def eval_expr(expr: ast.Expr, row: Row, params: dict[str, Term]) -> Term:
     if isinstance(expr, ast.VarRef):
         try:
             return row[expr.name]
@@ -282,16 +292,18 @@ def _solve(
     filters: tuple[ast.Expr, ...],
     graph: Graph,
     params: dict[str, Term],
-) -> list[dict[str, Term]]:
-    rows: list[dict[str, Term]] = [{}]
+) -> list[Solution]:
+    """The rows of the WHERE group: each pattern's matches under each row so
+    far, then the filters. ``Graph.match`` returns each row once, as a fresh
+    ``Solution``, and the next join step and every later stage read it as is."""
+    rows: list[Solution] = [Solution({})]
     for qp in patterns:
         resolved = _resolve_pattern(qp, params)
         if resolved is None:
             return []
-        next_rows: list[dict[str, Term]] = []
+        next_rows: list[Solution] = []
         for row in rows:
-            for sol in graph.match(resolved, row):
-                next_rows.append(sol.as_dict())
+            next_rows.extend(graph.match(resolved, row))
         rows = next_rows
         if not rows:
             return []
@@ -328,7 +340,7 @@ def _aggregate(func: str, values: list[Term]) -> Literal:
 
 
 def _eval_with_aggregates(
-    expr: ast.Expr, group: list[dict[str, Term]], params: dict[str, Term]
+    expr: ast.Expr, group: list[Row], params: dict[str, Term]
 ) -> Term:
     """Evaluate a projection expression over a whole group: aggregates see
     every row, the rest is evaluated against the group's key bindings."""
@@ -389,7 +401,7 @@ def evaluate(query: ast.SelectQuery, graph: Graph, params: dict[str, Term] | Non
                 key_vars = [query.group_by]
             else:
                 key_vars = [i.expr.name for i in items if isinstance(i.expr, ast.VarRef)]
-            groups: dict[tuple, list[dict[str, Term]]] = {}
+            groups: dict[tuple, list[Solution]] = {}
             for r in rows:
                 key = tuple(r[v] for v in key_vars)
                 groups.setdefault(key, []).append(r)
@@ -418,7 +430,7 @@ def _column_name(item: ast.ProjItem) -> str:
 # -- updates ---------------------------------------------------------------------
 
 
-def _instantiate(qp: ast.QPattern, row: dict[str, Term], params: dict[str, Term]) -> Triple:
+def _instantiate(qp: ast.QPattern, row: Row, params: dict[str, Term]) -> Triple:
     def conv(t: ast.QTerm) -> Term:
         if isinstance(t, Variable):
             if t.name not in row:

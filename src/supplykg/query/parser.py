@@ -19,6 +19,10 @@ Grammar (keywords case-insensitive):
     primary      = literal | var | ident | call | "(" expr ")"
     call         = (SUM|AVG|IF|REGEX|STR) "(" expr {"," expr} ")"
 
+Parentheses, call arguments and unary minus nest at most MAX_EXPR_DEPTH
+levels deep, and quoted patterns at most MAX_QUOTE_DEPTH; deeper input is a
+syntax error, not a stack overflow.
+
 Free identifiers are runtime parameters and must be declared to parse_query;
 anything undeclared is a syntax error with its position. Structural checks
 enforced here: every variable used in projection, filters, GROUP BY, or
@@ -36,6 +40,13 @@ from . import ast
 from .lexer import QueryLexError, Token, tokenize
 
 
+# The deepest nesting of expressions the parser accepts: parentheses, call
+# and aggregate arguments and unary minus each add a level. Every level
+# costs the parser about ten stack frames, so this stays far below the
+# depth at which the recursion would exhaust the Python stack.
+MAX_EXPR_DEPTH = 64
+
+
 class QuerySyntaxError(ValueError):
     def __init__(self, message: str, line: int = 0, col: int = 0):
         where = f"line {line}, column {col}: " if line else ""
@@ -50,6 +61,7 @@ class _Parser:
         self.pos = 0
         self.params = params
         self.depth = 0
+        self.expr_depth = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -274,6 +286,16 @@ class _Parser:
     def expr(self) -> ast.Expr:
         return self.or_expr()
 
+    def nested(self, parse) -> ast.Expr:
+        """Run ``parse`` for an expression nested one level deeper."""
+        tok = self.peek()
+        self.expr_depth += 1
+        if self.expr_depth > MAX_EXPR_DEPTH:
+            raise QuerySyntaxError(f"expressions nest deeper than {MAX_EXPR_DEPTH} levels", tok.line, tok.col)
+        inner = parse()
+        self.expr_depth -= 1
+        return inner
+
     def or_expr(self) -> ast.Expr:
         left = self.and_expr()
         while self.accept("||"):
@@ -311,7 +333,7 @@ class _Parser:
         if self.peek().kind == "-" and self.peek(1).kind != "NUMBER":
             self.take()
             zero = ast.Const(Literal(0, "integer"))
-            return ast.Binary("-", zero, self.unary())
+            return ast.Binary("-", zero, self.nested(self.unary))
         return self.primary()
 
     def primary(self) -> ast.Expr:
@@ -330,15 +352,15 @@ class _Parser:
         if tok.kind in ("SUM", "AVG"):
             self.take()
             self.expect("(")
-            arg = self.expr()
+            arg = self.nested(self.expr)
             self.expect(")")
             return ast.Aggregate(tok.kind, arg)
         if tok.kind in ("IF", "REGEX", "STR"):
             self.take()
             self.expect("(")
-            args = [self.expr()]
+            args = [self.nested(self.expr)]
             while self.accept(","):
-                args.append(self.expr())
+                args.append(self.nested(self.expr))
             self.expect(")")
             want = {"IF": 3, "REGEX": 2, "STR": 1}[tok.kind]
             if len(args) != want:
@@ -349,7 +371,7 @@ class _Parser:
                 )
             return ast.Call(tok.kind, tuple(args))
         if self.accept("("):
-            inner = self.expr()
+            inner = self.nested(self.expr)
             self.expect(")")
             return inner
         raise self.fail(f"expected an expression, got {tok.text or 'end of query'!r}")

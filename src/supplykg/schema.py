@@ -13,7 +13,9 @@ domain conventions live:
 * ``due_schedule``, ``current_inventory`` and ``capacity_by_step`` are the
   one definition of when an order is due and in what order, which
   inventory record is current, and which capacity record a step books
-  onto. The simulator builds its ledgers from them.
+  onto. The simulator builds its ledgers from them, and ``validation``
+  reads records through ``capacity_record``, ``inventory_record`` and
+  ``capacity_by_step``, so it flags every record they reject.
 
 Accessors raise ``MissingEntityError`` when a required entity or property
 is absent, never silently default.
@@ -397,7 +399,7 @@ class InventoryView:
         ]
 
 
-def _inventory_record(graph: Graph, node_iri: Iri, record: Iri) -> InventoryView:
+def inventory_record(graph: Graph, node_iri: Iri, record: Iri) -> InventoryView:
     product, step = _product_and_step(graph, record)
     return InventoryView(
         id=record.name,
@@ -414,7 +416,7 @@ def current_inventory(graph: Graph, node_iri: Iri) -> dict[str, InventoryView]:
     current: dict[str, InventoryView] = {}
     for rec in graph.objects(node_iri, v.HAS_INVENTORY):
         if isinstance(rec, Iri):
-            view = _inventory_record(graph, node_iri, rec)
+            view = inventory_record(graph, node_iri, rec)
             held = current.get(view.product)
             if held is None or (view.timestep, view.id) > (held.timestep, held.id):
                 current[view.product] = view

@@ -204,6 +204,13 @@ class Solution:
     def __init__(self, bindings: dict[str, Term]):
         self._bindings = dict(bindings)
 
+    @classmethod
+    def _adopt(cls, bindings: dict[str, Term]) -> "Solution":
+        """Wrap a fresh dict without copying it; the caller must not keep it."""
+        solution = cls.__new__(cls)
+        solution._bindings = bindings
+        return solution
+
     def __getitem__(self, name: str) -> Term:
         return self._bindings[name]
 
@@ -347,9 +354,13 @@ def unify_term(pattern: PatternTerm, term: Term, bindings: dict[str, Term]) -> b
     return pattern == term
 
 
-def unify(pattern: TriplePattern, triple: Triple, bindings: dict[str, Term] | None = None) -> dict[str, Term] | None:
+def unify(
+    pattern: TriplePattern, triple: Triple, bindings: dict[str, Term] | Solution | None = None
+) -> dict[str, Term] | None:
     """Unify a pattern with a ground triple under optional prior bindings.
-    Returns the extended bindings dict, or None on mismatch."""
+    Returns the extended bindings as a new dict, or None on mismatch."""
+    if isinstance(bindings, Solution):
+        bindings = bindings._bindings
     work = dict(bindings) if bindings else {}
     if (
         unify_term(pattern.subject, triple.subject, work)

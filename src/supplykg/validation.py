@@ -138,6 +138,9 @@ def _check_records(graph, report):
         if t.predicate == v.HAS_INVENTORY and isinstance(t.object, Iri):
             owners.setdefault(t.object, []).append((t.subject, "inventory"))
 
+    # nodes whose capacity records all read cleanly, each checked below for
+    # two records at one step
+    booked, unreadable = set(), set()
     for rec in schema.nodes_of_kind(graph, v.CAPACITY):
         if rec not in owners:
             report.error("orphan-record", rec.name, "capacity record has no owning node")
@@ -147,7 +150,9 @@ def _check_records(graph, report):
             view = schema.capacity_record(graph, owner, rec)
         except schema.MissingEntityError as exc:
             report.error("bad-record", rec.name, str(exc))
+            unreadable.add(owner)
             continue
+        booked.add(owner)
         if view.quantity < 0:
             report.error("bad-record", rec.name, "committed capacity is negative")
         if view.cost < 0:
@@ -160,12 +165,22 @@ def _check_records(graph, report):
                 f"committed {view.quantity} exceeds saturation {sat.value} of {owner.name}",
             )
 
+    for owner in booked - unreadable:
+        try:
+            schema.capacity_by_step(graph, owner)
+        except schema.MissingEntityError as exc:
+            report.error("bad-record", owner.name, str(exc))
+
     for rec in schema.nodes_of_kind(graph, v.INVENTORY):
         if rec not in owners:
             report.error("orphan-record", rec.name, "inventory record has no owning node")
             continue
-        qty = graph.value(rec, v.HAS_QUANTITY)
-        if not (isinstance(qty, Literal) and qty.datatype == INTEGER and qty.value >= 0):
+        try:
+            view = schema.inventory_record(graph, owners[rec][0][0], rec)
+        except schema.MissingEntityError as exc:
+            report.error("bad-record", rec.name, str(exc))
+            continue
+        if view.quantity < 0:
             report.error("bad-record", rec.name, "inventory quantity must be an integer >= 0")
 
 

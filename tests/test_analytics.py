@@ -19,8 +19,11 @@ from supplykg.analytics import (
     scenario_csv,
     scenario_plot_data,
 )
+from supplykg import graph as graph_module
 from supplykg.fulfillment import Simulation
 from supplykg.generator import automotive, dairy, generate
+from supplykg.schema import load_graph
+from supplykg.serialization import serialize
 from supplykg import vocab as v
 
 
@@ -195,6 +198,32 @@ def test_report_without_timestep_skips_utilization_block(simulated_automotive):
     assert report.t is None
     assert report.utilization_at == ()
     assert "utilization_percent_at" not in report_csv(report)
+
+
+@pytest.mark.parametrize("preset", [automotive, dairy])
+def test_report_formats_each_triple_at_most_once(preset, tmp_path, monkeypatch):
+    """Complexity guard: the report's joins read index buckets narrowed by
+    their row bindings, and each bucket's order is sorted once and cached,
+    so building the report formats fewer triples than the graph holds.
+    Re-sorting a bucket per joined row costs tens of calls per triple."""
+    config = preset()
+    graph = generate(config)
+    Simulation(graph).run(config.horizon)
+    path = tmp_path / "final.nt"
+    path.write_text(serialize(graph), encoding="utf-8")
+    loaded = load_graph(path)
+
+    calls = 0
+    real = graph_module.format_triple
+
+    def counting(triple):
+        nonlocal calls
+        calls += 1
+        return real(triple)
+
+    monkeypatch.setattr(graph_module, "format_triple", counting)
+    build_report(loaded, 0)
+    assert 0 < calls <= len(loaded)
 
 
 # --- scenario sweeps ---

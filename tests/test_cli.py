@@ -267,6 +267,21 @@ def test_deep_quote_nesting_exits_2_without_traceback(tmp_path, capsys):
     assert "nest deeper" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "deep_filter",
+    ["(" * 300 + "?o = :o" + ")" * 300, "-" * 2000 + "?o = 1"],
+    ids=["300-parens", "2000-unary-minus"],
+)
+def test_deep_expression_nesting_exits_2_without_traceback(tmp_path, capsys, deep_filter):
+    flat = tmp_path / "flat.nt"
+    flat.write_text(":s :p :o .\n")
+    query = tmp_path / "deep.rq"
+    query.write_text("SELECT * WHERE { ?s :p ?o . FILTER " + deep_filter + " }")
+    assert run("query", "--graph", str(flat), str(query)) == 2
+    err = capsys.readouterr().err
+    assert "nest deeper" in err and "Traceback" not in err
+
+
 def test_pipeline_is_deterministic(tmp_path):
     outputs = []
     for tag in ("a", "b"):

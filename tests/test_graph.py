@@ -129,16 +129,95 @@ def test_index_coherence_under_churn(triples, removal_picks):
         assert g.match(TriplePattern(x.subject, x.predicate, x.object)) != []
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(_triples, max_size=25),
-    st.one_of(_iris, st.just(Variable("s"))),
-    st.one_of(_iris, st.just(Variable("p"))),
-    st.one_of(_objects, st.just(Variable("o"))),
+# Pattern positions share two variable names so repeats (?x :p ?x) occur;
+# quoted patterns put variables inside << >>.
+_vars = st.sampled_from([Variable("x"), Variable("y")])
+_plain_pattern = st.builds(TriplePattern, st.one_of(_iris, _vars), st.one_of(_iris, _vars), st.one_of(_objects, _vars))
+_subject_pos = st.one_of(_iris, _vars, _plain_pattern, _plain.map(Quoted))
+_object_pos = st.one_of(_objects, _vars, _plain_pattern)
+_patterns = st.builds(TriplePattern, _subject_pos, st.one_of(_iris, _vars), _object_pos)
+# Bound values include literals, which are ill-typed for a subject or
+# predicate variable, and quoted triples; "z" occurs in no pattern.
+_bindings = st.one_of(
+    st.none(),
+    st.dictionaries(st.sampled_from(["x", "y", "z"]), st.one_of(_objects, _plain.map(Quoted)), max_size=3),
 )
-def test_match_agrees_with_full_scan(triples, s, p, o):
+
+
+def _full_scan(pattern, triples, bindings):
+    return [b for x in sorted(set(triples), key=format_triple) if (b := unify(pattern, x, bindings)) is not None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_triples, max_size=25), _patterns, _bindings)
+def test_match_agrees_with_full_scan(triples, pat, bindings):
     g = Graph(triples)
-    pat = TriplePattern(s, p, o)
-    via_match = g.match(pat)
-    via_scan = [b for x in sorted(set(triples), key=format_triple) if (b := unify(pat, x)) is not None]
-    assert [r.as_dict() for r in via_match] == via_scan
+    via_match = g.match(pat, bindings)
+    assert [r.as_dict() for r in via_match] == _full_scan(pat, triples, bindings)
+
+
+def _probes(triple):
+    """One pattern per position of the triple, the others left open, so that
+    each of the three index buckets the triple sits in gets read, and one
+    with every position open, which reads the whole graph's order."""
+    s, p, o = Variable("s"), Variable("p"), Variable("o")
+    return [
+        TriplePattern(triple.subject, p, o),
+        TriplePattern(s, triple.predicate, o),
+        TriplePattern(s, p, triple.object),
+        TriplePattern(s, p, o),
+    ]
+
+
+_ops = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 1), _triples),
+    st.tuples(st.just("remove"), st.integers(0, 1), st.integers(0, 2**30)),
+    st.tuples(st.just("copy"), st.integers(0, 1)),
+    st.tuples(st.just("match"), st.integers(0, 1), _patterns, _bindings),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_triples, max_size=15), st.lists(_ops, max_size=30))
+def test_match_after_churn_on_a_graph_and_its_copy(initial, ops):
+    """The cached bucket order must follow every write, in the graph that
+    was written and in no other. Each write is surrounded by reads of the
+    buckets it touches, first in the graph written, then in the other one,
+    so a stale or shared cache entry shows."""
+    graphs = [Graph(initial), None]
+    graphs[1] = graphs[0].copy()
+    contents = [set(initial), set(initial)]
+
+    def check(i, pat, bindings=None):
+        expected = _full_scan(pat, contents[i], bindings)
+        assert [r.as_dict() for r in graphs[i].match(pat, bindings)] == expected
+
+    for op, i, *args in ops:
+        g, content = graphs[i], contents[i]
+        if op == "match":
+            check(i, *args)
+            continue
+        if op == "copy":
+            graphs[1 - i] = g.copy()
+            contents[1 - i] = set(content)
+            continue
+        if op == "insert":
+            target = args[0]
+        elif content:
+            target = sorted(content, key=format_triple)[args[0] % len(content)]
+        else:
+            continue
+        for pat in _probes(target):
+            check(i, pat)
+            check(1 - i, pat)
+        if op == "insert":
+            assert g.insert(target) is (target not in content)
+            content.add(target)
+        else:
+            assert g.remove(target) is True
+            content.discard(target)
+        for pat in _probes(target):
+            check(i, pat)
+            check(1 - i, pat)
+    for g, content in zip(graphs, contents):
+        assert g.triples() == sorted(content, key=format_triple)

@@ -18,6 +18,7 @@ from supplykg.query import (
 from supplykg.graph import Graph
 from supplykg.query import evaluate
 from supplykg.query.ast import query_params
+from supplykg.query.parser import MAX_EXPR_DEPTH
 from supplykg.terms import MAX_QUOTE_DEPTH, Iri, Literal, Triple, Variable
 
 
@@ -244,6 +245,27 @@ def test_quote_nesting_limit():
     for depth in (MAX_QUOTE_DEPTH + 1, 300):
         with pytest.raises(QuerySyntaxError, match="nest deeper"):
             parse_query("SELECT * WHERE { " + _nested(depth) + " . }")
+
+
+def _deep_parens(depth):
+    return "SELECT ?a WHERE { ?a :p ?b . FILTER " + "(" * depth + "?b != 0" + ")" * depth + " }"
+
+
+def _deep_minus(depth):
+    return "SELECT ?a WHERE { ?a :p ?b . FILTER " + "-" * depth + "?b != 0 }"
+
+
+def _deep_calls(depth):
+    return "SELECT ?a WHERE { ?a :p ?b . FILTER REGEX(" + "STR(" * (depth - 1) + "?b" + ")" * (depth - 1) + ', "1") }'
+
+
+@pytest.mark.parametrize("nested", [_deep_parens, _deep_minus, _deep_calls], ids=["parens", "unary-minus", "call-args"])
+def test_expression_nesting_limit(nested):
+    g = Graph([Triple(Iri("a"), Iri("p"), Literal(1, "integer"))])
+    assert evaluate(parse_query(nested(MAX_EXPR_DEPTH)), g).rows == ((Iri("a"),),)
+    for depth in (MAX_EXPR_DEPTH + 1, 300, 2000):
+        with pytest.raises(QuerySyntaxError, match="nest deeper"):
+            parse_query(nested(depth))
 
 
 def test_line_and_column_in_errors():

@@ -6,6 +6,7 @@ import pytest
 from supplykg import Graph, Iri, Quoted, Triple, boolean, integer, string, timestep
 from supplykg.fulfillment import Simulation
 from supplykg.generator import automotive, dairy, generate
+from supplykg.schema import CapacityView, MissingEntityError, capacity_records
 from supplykg.validation import validate
 
 
@@ -119,6 +120,31 @@ def test_negative_inventory(automotive_graph):
     drop(automotive_graph, Iri("InvOEM1"), Iri("hasQuantity"))
     automotive_graph.insert(tr("InvOEM1", "hasQuantity", integer(-1)))
     assert "bad-record" in codes(errors(validate(automotive_graph)))
+
+
+@pytest.mark.parametrize("predicate", ["hasProduct", "hasTimeStamp"])
+def test_incomplete_inventory_record_is_an_error(automotive_graph, predicate):
+    """The simulator rejects an inventory record with no product or no
+    timestep, so validation must too."""
+    drop(automotive_graph, Iri("InvOEM1"), Iri(predicate))
+    with pytest.raises(MissingEntityError):
+        Simulation(automotive_graph)
+    found = errors(validate(automotive_graph))
+    assert [(x.code, x.subject) for x in found] == [("bad-record", "InvOEM1")]
+
+
+def test_two_capacity_records_at_one_step_are_an_error(automotive_graph):
+    """The simulator rejects a node with two capacity records at one step,
+    so validation must too."""
+    first = capacity_records(automotive_graph, Iri("OEM1"))[0]
+    twin = CapacityView("CapTwin", "OEM1", first.product, 1, first.timestep, 1)
+    for triple in twin.to_triples():
+        automotive_graph.insert(triple)
+    with pytest.raises(MissingEntityError):
+        Simulation(automotive_graph)
+    found = errors(validate(automotive_graph))
+    assert [(x.code, x.subject) for x in found] == [("bad-record", "OEM1")]
+    assert f"more than one capacity record at step {first.timestep}" in found[0].message
 
 
 # --- order invariants ---
