@@ -17,7 +17,6 @@ from typing import Iterable, Iterator
 
 from .terms import (
     Iri,
-    MalformedTermError,
     Quoted,
     Solution,
     Term,
@@ -115,8 +114,10 @@ class Graph:
 
     def _candidates(self, pattern: TriplePattern) -> list[Triple]:
         """A canonically ordered superset of the pattern's matches: the
-        smallest index bucket of a ground position (a variable-free quoted
-        pattern counts as ground), or every triple if no position is."""
+        smallest index bucket of a ground position (a quoted pattern that
+        spells a ground triple counts as ground), or every triple if no
+        position is. A position no bucket is keyed by, such as a literal
+        subject, has no candidates."""
         best = None
         for pos, term, index in (
             (0, pattern.subject, self._by_subject),
@@ -151,12 +152,7 @@ class Graph:
         index lookup uses them: a bound variable narrows like a constant."""
         if not isinstance(pattern, TriplePattern):
             raise TypeError(f"match expects a TriplePattern, got {pattern!r}")
-        narrowed = pattern
-        if bindings:
-            try:
-                narrowed = substitute(pattern, bindings)
-            except MalformedTermError:
-                return []  # e.g. a literal bound in subject position
+        narrowed = substitute(pattern, bindings) if bindings else pattern
         out = []
         for t in self._candidates(narrowed):
             got = unify(pattern, t, bindings)

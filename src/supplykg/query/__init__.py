@@ -10,7 +10,6 @@ from .ast import (
     InsertWhereQuery,
     ParamRef,
     ProjItem,
-    QPattern,
     SelectQuery,
     VarRef,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "MissingParameterError",
     "ParamRef",
     "ProjItem",
-    "QPattern",
     "QueryEvalError",
     "QuerySyntaxError",
     "QueryTypeError",

@@ -1,11 +1,11 @@
 """Query AST.
 
 Two query forms: SelectQuery and InsertWhereQuery. Both share the WHERE part
-(a conjunction of triple patterns plus filter expressions). Pattern positions
-hold core terms, Variables, ParamRefs (free identifiers supplied at
-evaluation time, like the clock value ``t``), or nested QPatterns for quoted
-triples. Everything is frozen so parse(print(q)) == q is a meaningful
-equality.
+(a conjunction of triple patterns plus filter expressions). Patterns are
+``terms.TriplePattern``: positions hold core terms, Variables, ParamRefs
+(free identifiers supplied at evaluation time, like the clock value ``t``),
+or nested patterns for quoted triples. Everything is frozen so
+parse(print(q)) == q is a meaningful equality.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..terms import Iri, Literal, MalformedTermError, Quoted, Triple, Variable
+from ..terms import Iri, Literal, ParamRef, Quoted, TriplePattern
 
 # -- expressions -------------------------------------------------------------
 
@@ -26,11 +26,6 @@ CONNECTIVES = ("&&", "||")
 
 @dataclass(frozen=True)
 class VarRef:
-    name: str
-
-
-@dataclass(frozen=True)
-class ParamRef:
     name: str
 
 
@@ -77,71 +72,6 @@ def has_aggregate(expr: Expr) -> bool:
     return any(isinstance(e, Aggregate) for e in walk_expr(expr))
 
 
-# -- patterns ----------------------------------------------------------------
-
-QTerm = Union[Iri, Literal, Quoted, Variable, ParamRef, "QPattern"]
-
-
-@dataclass(frozen=True)
-class QPattern:
-    """A triple pattern as written in query text; may appear nested, which
-    matches quoted triples."""
-
-    subject: QTerm
-    predicate: Union[Iri, Variable, ParamRef]
-    object: QTerm
-
-    def variables(self) -> list[str]:
-        seen: list[str] = []
-
-        def walk(t: QTerm) -> None:
-            if isinstance(t, Variable):
-                if t.name not in seen:
-                    seen.append(t.name)
-            elif isinstance(t, QPattern):
-                walk(t.subject)
-                walk(t.predicate)
-                walk(t.object)
-
-        walk(self.subject)
-        walk(self.predicate)
-        walk(self.object)
-        return seen
-
-    def params(self) -> set[str]:
-        found: set[str] = set()
-
-        def walk(t: QTerm) -> None:
-            if isinstance(t, ParamRef):
-                found.add(t.name)
-            elif isinstance(t, QPattern):
-                walk(t.subject)
-                walk(t.predicate)
-                walk(t.object)
-
-        walk(self.subject)
-        walk(self.predicate)
-        walk(self.object)
-        return found
-
-
-def collapse_qterm(t: QTerm) -> QTerm:
-    """Canonical form for pattern positions: a variable-free quoted pattern
-    becomes a plain Quoted term. Quoted patterns that could never be real
-    triples (say, a literal subject) stay patterns and simply match nothing."""
-    if not isinstance(t, QPattern):
-        return t
-    s = collapse_qterm(t.subject)
-    o = collapse_qterm(t.object)
-    collapsed = QPattern(s, t.predicate, o)
-    if all(isinstance(x, (Iri, Literal, Quoted)) for x in (s, t.predicate, o)):
-        try:
-            return Quoted(Triple(s, t.predicate, o))
-        except MalformedTermError:
-            return collapsed
-    return collapsed
-
-
 # -- queries -----------------------------------------------------------------
 
 
@@ -154,7 +84,7 @@ class ProjItem:
 @dataclass(frozen=True)
 class SelectQuery:
     projection: Optional[tuple[ProjItem, ...]]  # None means SELECT *
-    patterns: tuple[QPattern, ...]
+    patterns: tuple[TriplePattern, ...]
     filters: tuple[Expr, ...] = ()
     group_by: Optional[str] = None
     order_by: Optional[tuple[str, bool]] = None  # (variable, descending)
@@ -170,8 +100,8 @@ class SelectQuery:
 
 @dataclass(frozen=True)
 class InsertWhereQuery:
-    template: tuple[QPattern, ...]
-    patterns: tuple[QPattern, ...]
+    template: tuple[TriplePattern, ...]
+    patterns: tuple[TriplePattern, ...]
     filters: tuple[Expr, ...] = ()
 
 
@@ -185,7 +115,7 @@ def query_params(query: Query) -> set[str]:
     if isinstance(query, InsertWhereQuery):
         pats += list(query.template)
     for p in pats:
-        names |= p.params()
+        names |= {t.name for t in p.leaves() if isinstance(t, ParamRef)}
     exprs = list(query.filters)
     if isinstance(query, SelectQuery) and query.projection is not None:
         exprs += [item.expr for item in query.projection]

@@ -7,7 +7,9 @@ Semantics in brief:
   step hands every row so far to ``Graph.match`` as its bindings; variables
   the row binds narrow the index lookup like constants, so a step scans the
   smallest index bucket its bound positions allow, not the whole bucket of
-  the pattern's predicate.
+  the pattern's predicate. Parameters are substituted into each pattern
+  first. A pattern no triple can satisfy, such as one with a literal
+  subject, matches nothing.
 * FILTER expressions see one candidate row at a time. An expression error
   inside a filter (type mismatch, division by zero) drops the row instead of
   aborting the query; errors in projection or aggregate expressions raise.
@@ -47,6 +49,8 @@ from ..terms import (
     Iri,
     Literal,
     MalformedTermError,
+    ParamRef,
+    PatternTerm,
     Quoted,
     Solution,
     Term,
@@ -54,6 +58,7 @@ from ..terms import (
     TriplePattern,
     Variable,
     format_term,
+    substitute,
 )
 from . import ast
 
@@ -115,34 +120,13 @@ class ResultTable:
         return self.rows[0][0]
 
 
-# -- parameter and pattern resolution -----------------------------------------
+# -- parameters ---------------------------------------------------------------
 
 
 def _check_params(query: ast.Query, params: dict[str, Term]) -> None:
     missing = sorted(ast.query_params(query) - set(params))
     if missing:
         raise MissingParameterError(f"no value for parameter(s): {', '.join(missing)}")
-
-
-def _resolve(qterm: ast.QTerm, params: dict[str, Term]):
-    if isinstance(qterm, ast.ParamRef):
-        return params[qterm.name]
-    if isinstance(qterm, ast.QPattern):
-        return TriplePattern(
-            _resolve(qterm.subject, params),
-            _resolve(qterm.predicate, params),
-            _resolve(qterm.object, params),
-        )
-    return qterm
-
-
-def _resolve_pattern(p: ast.QPattern, params: dict[str, Term]) -> TriplePattern | None:
-    """QPattern -> TriplePattern with parameters substituted. Returns None for
-    patterns that can never match (e.g. a literal in subject position)."""
-    try:
-        return _resolve(p, params)
-    except MalformedTermError:
-        return None
 
 
 # -- expression evaluation -----------------------------------------------------
@@ -288,7 +272,7 @@ def eval_expr(expr: ast.Expr, row: Row, params: dict[str, Term]) -> Term:
 
 
 def _solve(
-    patterns: tuple[ast.QPattern, ...],
+    patterns: tuple[TriplePattern, ...],
     filters: tuple[ast.Expr, ...],
     graph: Graph,
     params: dict[str, Term],
@@ -297,13 +281,11 @@ def _solve(
     far, then the filters. ``Graph.match`` returns each row once, as a fresh
     ``Solution``, and the next join step and every later stage read it as is."""
     rows: list[Solution] = [Solution({})]
-    for qp in patterns:
-        resolved = _resolve_pattern(qp, params)
-        if resolved is None:
-            return []
+    for pattern in patterns:
+        pattern = substitute(pattern, {}, params)
         next_rows: list[Solution] = []
         for row in rows:
-            next_rows.extend(graph.match(resolved, row))
+            next_rows.extend(graph.match(pattern, row))
         rows = next_rows
         if not rows:
             return []
@@ -430,20 +412,20 @@ def _column_name(item: ast.ProjItem) -> str:
 # -- updates ---------------------------------------------------------------------
 
 
-def _instantiate(qp: ast.QPattern, row: Row, params: dict[str, Term]) -> Triple:
-    def conv(t: ast.QTerm) -> Term:
+def _instantiate(template: TriplePattern, row: Row, params: dict[str, Term]) -> Triple:
+    def conv(t: PatternTerm) -> Term:
         if isinstance(t, Variable):
             if t.name not in row:
                 raise UnboundVariableError(f"template variable ?{t.name} is unbound")
             return row[t.name]
-        if isinstance(t, ast.ParamRef):
+        if isinstance(t, ParamRef):
             return params[t.name]
-        if isinstance(t, ast.QPattern):
+        if isinstance(t, TriplePattern):
             return Quoted(_instantiate(t, row, params))
         return t
 
     try:
-        return Triple(conv(qp.subject), conv(qp.predicate), conv(qp.object))
+        return Triple(conv(template.subject), conv(template.predicate), conv(template.object))
     except MalformedTermError as exc:
         raise QueryTypeError(f"template instantiation produced an invalid triple: {exc}") from None
 
@@ -459,8 +441,8 @@ def evaluate_update(query: ast.InsertWhereQuery, graph: Graph, params: dict[str,
     rows = _solve(query.patterns, query.filters, graph, params)
     staged: list[Triple] = []
     for row in rows:
-        for qp in query.template:
-            staged.append(_instantiate(qp, row, params))
+        for template in query.template:
+            staged.append(_instantiate(template, row, params))
     added = 0
     for t in staged:
         if graph.insert(t):

@@ -1,7 +1,8 @@
 """Query lexer. Produces a flat token list with line/column positions.
 
-Identifier charset has no hyphen: ``?dt-lt`` is three tokens (?dt, -, lt),
-which is what makes filter arithmetic like ``?dt - lt = t`` work unquoted.
+Variables and identifiers share ``terms.VAR_NAME``, which has no hyphen:
+``?dt-lt`` is three tokens (?dt, -, lt), which is what makes filter
+arithmetic like ``?dt - lt = t`` work unquoted. IRIs are ``terms.IRI_NAME``.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..terms import MalformedTermError, unescape_string
+from ..terms import IRI_NAME, VAR_NAME, MalformedTermError, unescape_string
 
 KEYWORDS = {
     "SELECT",
@@ -46,17 +47,17 @@ class QueryLexError(ValueError):
 
 
 _SPEC = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
   | (?P<qopen><<)
   | (?P<qclose>>>)
   | (?P<string>"(?:[^"\\\n]|\\.)*")(?:\^\^(?P<tag>[a-z]+))?
   | (?P<number>\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+)
-  | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<iri>:[A-Za-z_](?:[A-Za-z0-9_.:-]*[A-Za-z0-9_:-])?|rdf:type)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><=|>=|!=|&&|\|\||[=<>+\-*/(){},.])
+  | (?P<var>\?{VAR_NAME})
+  | (?P<iri>:{IRI_NAME}|rdf:type)
+  | (?P<ident>{VAR_NAME})
+  | (?P<op><=|>=|!=|&&|\|\||[=<>+\-*/(){{}},.])
     """,
     re.VERBOSE,
 )

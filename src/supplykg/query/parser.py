@@ -19,9 +19,11 @@ Grammar (keywords case-insensitive):
     primary      = literal | var | ident | call | "(" expr ")"
     call         = (SUM|AVG|IF|REGEX|STR) "(" expr {"," expr} ")"
 
-Parentheses, call arguments and unary minus nest at most MAX_EXPR_DEPTH
-levels deep, and quoted patterns at most MAX_QUOTE_DEPTH; deeper input is a
-syntax error, not a stack overflow.
+An expression tree is at most MAX_EXPR_DEPTH levels deep: every operator
+(unary minus included), call and aggregate is one level above its operands,
+so a chain of n binary operators is n levels deep. Parentheses and argument
+lists nest at most MAX_EXPR_DEPTH deep too, and quoted patterns at most
+MAX_QUOTE_DEPTH; deeper input is a syntax error, not a stack overflow.
 
 Free identifiers are runtime parameters and must be declared to parse_query;
 anything undeclared is a syntax error with its position. Structural checks
@@ -35,16 +37,32 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from ..terms import MAX_QUOTE_DEPTH, Iri, Literal, MalformedTermError, Variable, typed_literal
+from ..terms import (
+    MAX_QUOTE_DEPTH,
+    Iri,
+    Literal,
+    MalformedTermError,
+    ParamRef,
+    PatternTerm,
+    Quoted,
+    TriplePattern,
+    Variable,
+    to_ground,
+    typed_literal,
+)
 from . import ast
 from .lexer import QueryLexError, Token, tokenize
 
 
-# The deepest nesting of expressions the parser accepts: parentheses, call
-# and aggregate arguments and unary minus each add a level. Every level
-# costs the parser about ten stack frames, so this stays far below the
-# depth at which the recursion would exhaust the Python stack.
+# The deepest expression tree the parser builds, and the deepest nesting of
+# brackets and unary minus it reads. Every bracket level costs the parser
+# about ten stack frames, so this stays far below the depth at which the
+# recursion would exhaust the Python stack; the tree bound keeps recursive
+# walks of a parsed expression (check, evaluate, print) as shallow.
 MAX_EXPR_DEPTH = 64
+
+# binary operators by precedence, loosest first
+_PRECEDENCE = (("||",), ("&&",), ast.COMPARISONS, ("+", "-"), ("*", "/"))
 
 
 class QuerySyntaxError(ValueError):
@@ -179,9 +197,9 @@ class _Parser:
 
     # -- where group ---------------------------------------------------------
 
-    def group(self) -> tuple[list[ast.QPattern], list[ast.Expr]]:
+    def group(self) -> tuple[list[TriplePattern], list[ast.Expr]]:
         self.expect("{")
-        patterns: list[ast.QPattern] = []
+        patterns: list[TriplePattern] = []
         filters: list[ast.Expr] = []
         while not self.accept("}"):
             if self.peek().kind == "EOF":
@@ -201,13 +219,13 @@ class _Parser:
             raise self.fail("WHERE group has no triple patterns")
         return patterns, filters
 
-    def pattern(self) -> ast.QPattern:
+    def pattern(self) -> TriplePattern:
         s = self.pattern_term()
         p = self.predicate_term()
         o = self.pattern_term()
-        return ast.QPattern(s, p, o)
+        return TriplePattern(s, p, o)
 
-    def pattern_term(self) -> ast.QTerm:
+    def pattern_term(self) -> PatternTerm:
         tok = self.peek()
         if tok.kind == "<<":
             self.take()
@@ -219,7 +237,8 @@ class _Parser:
             inner = self.pattern()
             self.expect(">>")
             self.depth -= 1
-            return ast.collapse_qterm(inner)
+            ground = to_ground(inner)
+            return inner if ground is None else Quoted(ground)
         if tok.kind == "IRI":
             self.take()
             return Iri(tok.text)
@@ -233,7 +252,7 @@ class _Parser:
             return self.literal()
         raise self.fail(f"expected a pattern term, got {tok.text or 'end of query'!r}")
 
-    def predicate_term(self) -> Union[Iri, Variable, ast.ParamRef]:
+    def predicate_term(self) -> Union[Iri, Variable, ParamRef]:
         tok = self.peek()
         if tok.kind == "IRI":
             self.take()
@@ -249,12 +268,12 @@ class _Parser:
             return self.param_ref(tok)
         raise self.fail(f"expected a predicate, got {tok.text or 'end of query'!r}")
 
-    def param_ref(self, tok: Token) -> ast.ParamRef:
+    def param_ref(self, tok: Token) -> ParamRef:
         if tok.text not in self.params:
             raise QuerySyntaxError(
                 f"unknown identifier {tok.text!r} (not a declared parameter)", tok.line, tok.col
             )
-        return ast.ParamRef(tok.text)
+        return ParamRef(tok.text)
 
     def literal(self) -> Literal:
         if self.accept("-"):
@@ -284,83 +303,73 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def expr(self) -> ast.Expr:
-        return self.or_expr()
+        return self.binary()[0]
 
-    def nested(self, parse) -> ast.Expr:
-        """Run ``parse`` for an expression nested one level deeper."""
-        tok = self.peek()
-        self.expr_depth += 1
-        if self.expr_depth > MAX_EXPR_DEPTH:
-            raise QuerySyntaxError(f"expressions nest deeper than {MAX_EXPR_DEPTH} levels", tok.line, tok.col)
+    # Each expression method below returns the expression and the depth of
+    # its tree, a leaf being 0 levels deep.
+
+    def nested(self, parse) -> tuple[ast.Expr, int]:
+        """Run ``parse`` for an expression one bracket level deeper."""
+        self.expr_depth = self.level(self.peek(), self.expr_depth)
         inner = parse()
         self.expr_depth -= 1
         return inner
 
-    def or_expr(self) -> ast.Expr:
-        left = self.and_expr()
-        while self.accept("||"):
-            left = ast.Binary("||", left, self.and_expr())
-        return left
+    def level(self, tok: Token, *below: int) -> int:
+        """The level one above the deepest of ``below``."""
+        depth = 1 + max(below)
+        if depth > MAX_EXPR_DEPTH:
+            raise QuerySyntaxError(f"expressions nest deeper than {MAX_EXPR_DEPTH} levels", tok.line, tok.col)
+        return depth
 
-    def and_expr(self) -> ast.Expr:
-        left = self.cmp_expr()
-        while self.accept("&&"):
-            left = ast.Binary("&&", left, self.cmp_expr())
-        return left
+    def binary(self, precedence: int = 0) -> tuple[ast.Expr, int]:
+        """Operators of this precedence or tighter, folded to the left. A
+        comparison takes no second comparison as its left operand."""
+        if precedence == len(_PRECEDENCE):
+            return self.unary()
+        ops = _PRECEDENCE[precedence]
+        left, depth = self.binary(precedence + 1)
+        while self.peek().kind in ops:
+            tok = self.take()
+            right, right_depth = self.binary(precedence + 1)
+            left, depth = ast.Binary(tok.kind, left, right), self.level(tok, depth, right_depth)
+            if ops is ast.COMPARISONS:
+                break
+        return left, depth
 
-    def cmp_expr(self) -> ast.Expr:
-        left = self.add_expr()
-        if self.peek().kind in ast.COMPARISONS:
-            op = self.take().kind
-            return ast.Binary(op, left, self.add_expr())
-        return left
-
-    def add_expr(self) -> ast.Expr:
-        left = self.mul_expr()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            left = ast.Binary(op, left, self.mul_expr())
-        return left
-
-    def mul_expr(self) -> ast.Expr:
-        left = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.take().kind
-            left = ast.Binary(op, left, self.unary())
-        return left
-
-    def unary(self) -> ast.Expr:
-        if self.peek().kind == "-" and self.peek(1).kind != "NUMBER":
+    def unary(self) -> tuple[ast.Expr, int]:
+        tok = self.peek()
+        if tok.kind == "-" and self.peek(1).kind != "NUMBER":
             self.take()
-            zero = ast.Const(Literal(0, "integer"))
-            return ast.Binary("-", zero, self.nested(self.unary))
+            operand, depth = self.nested(self.unary)
+            return ast.Binary("-", ast.Const(Literal(0, "integer")), operand), self.level(tok, depth)
         return self.primary()
 
-    def primary(self) -> ast.Expr:
+    def primary(self) -> tuple[ast.Expr, int]:
         tok = self.peek()
         if tok.kind in ("NUMBER", "STRING", "-"):
-            return ast.Const(self.literal())
+            return ast.Const(self.literal()), 0
         if tok.kind == "IRI":
             self.take()
-            return ast.Const(Iri(tok.text))
+            return ast.Const(Iri(tok.text)), 0
         if tok.kind == "VAR":
             self.take()
-            return ast.VarRef(tok.text)
+            return ast.VarRef(tok.text), 0
         if tok.kind == "IDENT":
             self.take()
-            return self.param_ref(tok)
+            return self.param_ref(tok), 0
         if tok.kind in ("SUM", "AVG"):
             self.take()
             self.expect("(")
-            arg = self.nested(self.expr)
+            arg, depth = self.nested(self.binary)
             self.expect(")")
-            return ast.Aggregate(tok.kind, arg)
+            return ast.Aggregate(tok.kind, arg), self.level(tok, depth)
         if tok.kind in ("IF", "REGEX", "STR"):
             self.take()
             self.expect("(")
-            args = [self.nested(self.expr)]
+            args = [self.nested(self.binary)]
             while self.accept(","):
-                args.append(self.nested(self.expr))
+                args.append(self.nested(self.binary))
             self.expect(")")
             want = {"IF": 3, "REGEX": 2, "STR": 1}[tok.kind]
             if len(args) != want:
@@ -369,9 +378,10 @@ class _Parser:
                     tok.line,
                     tok.col,
                 )
-            return ast.Call(tok.kind, tuple(args))
+            call = ast.Call(tok.kind, tuple(arg for arg, _ in args))
+            return call, self.level(tok, *(depth for _, depth in args))
         if self.accept("("):
-            inner = self.nested(self.expr)
+            inner = self.nested(self.binary)
             self.expect(")")
             return inner
         raise self.fail(f"expected an expression, got {tok.text or 'end of query'!r}")
@@ -411,7 +421,7 @@ class _Parser:
         elif q.group_by is not None:
             raise QuerySyntaxError("GROUP BY without aggregates in the projection")
 
-    def check_where_exprs(self, filters: Iterable[ast.Expr], patterns: tuple[ast.QPattern, ...]) -> None:
+    def check_where_exprs(self, filters: Iterable[ast.Expr], patterns: tuple[TriplePattern, ...]) -> None:
         pattern_vars: set[str] = set()
         for p in patterns:
             pattern_vars |= set(p.variables())

@@ -1,8 +1,13 @@
-"""Canonical query text. parse_query(print_query(q), params) == q."""
+"""Canonical query text. parse_query(print_query(q), params) == q.
+
+Every operator, call and aggregate prints as one bracket level and a FILTER
+adds none, so the text nests no deeper than the expression tree, which the
+parser bounds.
+"""
 
 from __future__ import annotations
 
-from ..terms import format_term
+from ..terms import format_pattern, format_term
 from . import ast
 
 
@@ -23,35 +28,15 @@ def print_expr(expr: ast.Expr) -> str:
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _qterm(t: ast.QTerm) -> str:
-    if isinstance(t, ast.ParamRef):
-        return t.name
-    if isinstance(t, ast.QPattern):
-        return f"<< {_qterm(t.subject)} {_pred(t.predicate)} {_qterm(t.object)} >>"
-    return format_term(t)
-
-
-def _pred(p) -> str:
-    from ..terms import Iri
-
-    if isinstance(p, Iri) and p.name == "rdf:type":
-        return "a"
-    return _qterm(p)
-
-
-def print_pattern(p: ast.QPattern) -> str:
-    return f"{_qterm(p.subject)} {_pred(p.predicate)} {_qterm(p.object)} ."
-
-
 def _where(patterns, filters) -> str:
-    parts = [print_pattern(p) for p in patterns]
-    parts += [f"FILTER ({print_expr(f)}) ." for f in filters]
+    parts = [format_pattern(p) for p in patterns]
+    parts += [f"FILTER {print_expr(f)} ." for f in filters]
     return "{ " + " ".join(parts) + " }"
 
 
 def print_query(q: ast.Query) -> str:
     if isinstance(q, ast.InsertWhereQuery):
-        template = " ".join(print_pattern(p) for p in q.template)
+        template = " ".join(format_pattern(p) for p in q.template)
         return f"INSERT {{ {template} }} WHERE {_where(q.patterns, q.filters)}"
     if q.projection is None:
         head = "*"
@@ -61,7 +46,9 @@ def print_query(q: ast.Query) -> str:
             if item.alias is not None:
                 items.append(f"({print_expr(item.expr)} AS ?{item.alias})")
             else:
-                items.append(print_expr(item.expr))
+                # a negative number would read as subtraction from the item before
+                text = print_expr(item.expr)
+                items.append(f"({text})" if text.startswith("-") else text)
         head = " ".join(items)
     text = f"SELECT {head} WHERE {_where(q.patterns, q.filters)}"
     if q.group_by is not None:

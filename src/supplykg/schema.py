@@ -423,14 +423,6 @@ def current_inventory(graph: Graph, node_iri: Iri) -> dict[str, InventoryView]:
     return current
 
 
-def inventory(graph: Graph, node_iri: Iri, product: Iri) -> InventoryView:
-    """The node's current inventory record for a product."""
-    view = current_inventory(graph, node_iri).get(product.name)
-    if view is None:
-        raise MissingEntityError(f"{node_iri.name} has no inventory record for {product.name}")
-    return view
-
-
 @dataclass(frozen=True, slots=True)
 class BomEdge:
     parent: str

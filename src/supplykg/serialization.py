@@ -29,6 +29,8 @@ from .graph import Graph
 from .terms import (
     DECIMAL,
     INTEGER,
+    IRI_CHAR,
+    IRI_NAME,
     MAX_QUOTE_DEPTH,
     STRING,
     Iri,
@@ -61,14 +63,14 @@ def serialize(graph: Graph) -> str:
 # parsing
 
 _TOKEN = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<qopen><<)
   | (?P<qclose>>>)
   | (?P<string>"(?:[^"\\]|\\.)*")(?:\^\^(?P<tag>[a-z]+))?
   | (?P<number>[+-]?(?:\d+\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+))
-  | (?P<iri>:[A-Za-z_](?:[A-Za-z0-9_.:-]*[A-Za-z0-9_:-])?|rdf:type)
-  | (?P<kw>a)(?![A-Za-z0-9_.:-])
+  | (?P<iri>:{IRI_NAME}|rdf:type)
+  | (?P<kw>a)(?!{IRI_CHAR})
   | (?P<dot>\.)
     """,
     re.VERBOSE,

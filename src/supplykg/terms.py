@@ -3,9 +3,11 @@
 Terms come in four kinds: IRIs (named resources), literals (typed values),
 variables (query placeholders), and quoted triples (a whole triple used as a
 term, so statements can be made about statements). Ground triples may not
-contain variables; patterns may. All term types are immutable and hashable,
-and every term has a canonical text form (``format_term``) which doubles as
-the deterministic sort key used across the package.
+contain variables; patterns may, and parameters (``ParamRef``, named values
+a query is given when it runs) and nested patterns too. All term types are
+immutable and hashable, and every term has a canonical text form
+(``format_term``) which doubles as the deterministic sort key used across
+the package.
 """
 
 from __future__ import annotations
@@ -28,11 +30,16 @@ _DATATYPES = (INTEGER, DECIMAL, STRING, BOOLEAN, TIMESTEP)
 # below the depth at which their recursion would exhaust the Python stack.
 MAX_QUOTE_DEPTH = 32
 
-# Stricter than "no whitespace": this charset is what the serializer can
-# round-trip unescaped and what the query lexer can re-read. Must not end
-# with "." or the statement terminator becomes ambiguous.
-_IRI_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.:-]*")
-_VAR_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Name syntax, shared by the term constructors and both tokenizers. An IRI
+# name is stricter than "no whitespace": it is what the serializer can
+# round-trip unescaped and what the query lexer can re-read. It never ends
+# with "." or the statement terminator would become ambiguous. Variable and
+# parameter names have no hyphen, so ``?dt-lt`` reads as ``?dt - lt``.
+IRI_CHAR = r"[A-Za-z0-9_.:-]"
+IRI_NAME = rf"[A-Za-z_]{IRI_CHAR}*(?<!\.)"
+VAR_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_IRI_NAME = re.compile(IRI_NAME)
+_VAR_NAME = re.compile(VAR_NAME)
 
 
 class MalformedTermError(ValueError):
@@ -44,7 +51,7 @@ class Iri:
     name: str
 
     def __post_init__(self) -> None:
-        if not _IRI_NAME.fullmatch(self.name) or self.name.endswith("."):
+        if not _IRI_NAME.fullmatch(self.name):
             raise MalformedTermError(f"invalid IRI name: {self.name!r}")
 
 
@@ -125,6 +132,13 @@ class Variable:
 
 
 @dataclass(frozen=True, slots=True)
+class ParamRef:
+    """A named parameter, replaced by the value a query is evaluated with."""
+
+    name: str
+
+
+@dataclass(frozen=True, slots=True)
 class Quoted:
     """A ground triple used as a term."""
 
@@ -156,44 +170,45 @@ class Triple:
             raise MalformedTermError(f"triple object must be a term, got {self.object!r}")
 
 
-# Pattern positions additionally admit variables and nested patterns
-# (a TriplePattern in subject/object position matches quoted triples).
-PatternTerm = Union[Iri, Literal, Quoted, Variable, "TriplePattern"]
+# Pattern positions additionally admit variables, parameters and nested
+# patterns (a TriplePattern in subject/object position matches quoted
+# triples).
+PatternTerm = Union[Iri, Literal, Quoted, Variable, ParamRef, "TriplePattern"]
 
 
 @dataclass(frozen=True, slots=True)
 class TriplePattern:
+    """A triple pattern. Any pattern term may stand in any position; one that
+    no triple can hold there, such as a literal subject, matches nothing."""
+
     subject: PatternTerm
-    predicate: Union[Iri, Variable]
+    predicate: PatternTerm
     object: PatternTerm
 
     def __post_init__(self) -> None:
-        for pos, kinds in (
-            (self.subject, (Iri, Quoted, Variable, TriplePattern)),
-            (self.predicate, (Iri, Variable)),
-            (self.object, (Iri, Literal, Quoted, Variable, TriplePattern)),
-        ):
-            if not isinstance(pos, kinds):
+        for pos in (self.subject, self.predicate, self.object):
+            if not isinstance(pos, _PATTERN_KINDS):
                 raise MalformedTermError(f"invalid pattern position: {pos!r}")
 
+    def leaves(self):
+        """The positions' terms in subject, predicate, object order, each
+        nested pattern replaced by its own leaves."""
+        for t in (self.subject, self.predicate, self.object):
+            if isinstance(t, TriplePattern):
+                yield from t.leaves()
+            else:
+                yield t
+
     def variables(self) -> list[str]:
-        """Variable names in first-appearance order (subject, predicate, object,
-        recursing into quoted patterns)."""
+        """Variable names in first-appearance order."""
         seen: list[str] = []
-
-        def walk(t: PatternTerm) -> None:
-            if isinstance(t, Variable):
-                if t.name not in seen:
-                    seen.append(t.name)
-            elif isinstance(t, TriplePattern):
-                walk(t.subject)
-                walk(t.predicate)
-                walk(t.object)
-
-        walk(self.subject)
-        walk(self.predicate)
-        walk(self.object)
+        for t in self.leaves():
+            if isinstance(t, Variable) and t.name not in seen:
+                seen.append(t.name)
         return seen
+
+
+_PATTERN_KINDS = (Iri, Literal, Quoted, Variable, ParamRef, TriplePattern)
 
 
 class Solution:
@@ -310,6 +325,8 @@ def format_term(term) -> str:
             return f'"{"True" if v else "False"}"^^boolean'
         if dt == TIMESTEP:
             return f'"{v}"^^timestep'
+    if isinstance(term, ParamRef):
+        return term.name
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -371,21 +388,27 @@ def unify(
     return None
 
 
-def substitute(pattern: TriplePattern, bindings: dict[str, Term]) -> TriplePattern:
-    """Replace bound variables in a pattern; unbound ones stay."""
+def substitute(
+    pattern: TriplePattern, bindings: dict[str, Term] | Solution, params: dict[str, Term] | None = None
+) -> TriplePattern:
+    """Replace bound variables in a pattern, and parameters with their values
+    in ``params``; the rest stay."""
 
     def sub(t: PatternTerm) -> PatternTerm:
         if isinstance(t, Variable):
             return bindings.get(t.name, t)
         if isinstance(t, TriplePattern):
             return TriplePattern(sub(t.subject), sub(t.predicate), sub(t.object))
+        if params is not None and isinstance(t, ParamRef):
+            return params.get(t.name, t)
         return t
 
     return TriplePattern(sub(pattern.subject), sub(pattern.predicate), sub(pattern.object))
 
 
 def to_ground(pattern: TriplePattern) -> Triple | None:
-    """Convert a variable-free pattern to a ground Triple, else None."""
+    """The ground Triple a pattern with no variables or parameters spells,
+    or None if it has some or no triple can hold its terms."""
 
     def conv(t: PatternTerm):
         if isinstance(t, Variable):

@@ -270,27 +270,33 @@ def _check_bom(graph, report):
         if t.predicate == v.NEEDS_PRODUCT and isinstance(t.subject, Iri) and isinstance(t.object, Iri):
             edges.setdefault(t.subject, []).append(t.object)
 
-    state = {}
-
-    def visit(node, stack):
-        state[node] = 1
-        stack.append(node)
-        for child in edges.get(node, ()):
-            if state.get(child) == 1:
-                cycle = stack[stack.index(child):] + [child]
-                report.error(
-                    "bom-cycle",
-                    node.name,
-                    "bill of materials contains a cycle: " + " -> ".join(n.name for n in cycle),
-                )
-            elif state.get(child) is None:
-                visit(child, stack)
-        stack.pop()
-        state[node] = 2
-
+    # Depth-first search with an explicit stack, so a long chain cannot
+    # exhaust the Python stack: ``path`` holds the products being visited
+    # and ``children`` an iterator over the unvisited children of each.
+    state = {}  # product -> 1 while on the path, 2 once done
     for root in sorted(edges, key=lambda i: i.name):
-        if state.get(root) is None:
-            visit(root, [])
+        if root in state:
+            continue
+        state[root] = 1
+        path = [root]
+        children = [iter(edges[root])]
+        while path:
+            for child in children[-1]:
+                if state.get(child) == 1:
+                    cycle = path[path.index(child):] + [child]
+                    report.error(
+                        "bom-cycle",
+                        path[-1].name,
+                        "bill of materials contains a cycle: " + " -> ".join(n.name for n in cycle),
+                    )
+                elif child not in state:
+                    state[child] = 1
+                    path.append(child)
+                    children.append(iter(edges.get(child, ())))
+                    break
+            else:
+                state[path.pop()] = 2
+                children.pop()
 
 
 _SEVERITY_RANK = {"error": 0, "warning": 1}

@@ -3,8 +3,11 @@
 The generator builds query ASTs that satisfy the parser's structural rules,
 then round-trips them through print_query/parse_query so the text pipeline is
 exercised too, and finally compares the indexed engine against the
-brute-force reference on every case. All randomness flows from SplitMix64,
-so a given seed always produces the same cases.
+brute-force reference on every case, both given the same parameter values.
+Parameters stand in pattern positions, quoted patterns and predicates
+included, and are now and then bound to a literal, so subjects and
+predicates no triple can hold get tried. All randomness flows from
+SplitMix64, so a given seed always produces the same cases.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from supplykg.query import ast, evaluate, evaluate_update, parse_query, print_qu
 from supplykg.query.eval import QueryEvalError
 from supplykg.rng import SplitMix64
 from supplykg.serialization import serialize
-from supplykg.terms import Iri, Literal, Quoted, Triple, Variable
+from supplykg.terms import Iri, Literal, ParamRef, Quoted, Term, Triple, TriplePattern, Variable, to_ground
 
 _IRIS = [Iri(f"n{i}") for i in range(8)] + [Iri("OEM1"), Iri("Product")]
 _PREDICATES = [Iri(f"p{i}") for i in range(5)] + [Iri("rdf:type"), Iri("hasQuantity")]
@@ -62,12 +65,21 @@ def random_graph(rng: SplitMix64, size: int) -> Graph:
 # -- pattern construction ------------------------------------------------------
 
 
+def _quoted(pattern: TriplePattern):
+    """A quoted pattern as the parser reads it: the quoted triple it spells
+    when it is ground, else the pattern."""
+    ground = to_ground(pattern)
+    return pattern if ground is None else Quoted(ground)
+
+
 class _CaseBuilder:
-    def __init__(self, rng: SplitMix64, graph: Graph):
+    def __init__(self, rng: SplitMix64, graph: Graph, param_rng: SplitMix64):
         self.rng = rng
+        self.param_rng = param_rng
         self.graph = graph
         self.vars: list[str] = []
         self.counter = 0
+        self.params: dict[str, Term] = {}
 
     def fresh_var(self) -> Variable:
         name = f"v{self.counter}"
@@ -75,14 +87,23 @@ class _CaseBuilder:
         self.vars.append(name)
         return Variable(name)
 
+    def _maybe_param(self, term):
+        """The term, or now and then a parameter bound to it or, so that
+        literal subjects and predicates get tried, to a random literal."""
+        if self.param_rng.randint(0, 3) > 0:
+            return term
+        name = f"k{len(self.params)}"
+        self.params[name] = term if self.param_rng.randint(0, 2) > 0 else _random_literal(self.param_rng)
+        return ParamRef(name)
+
     def _abstract(self, term, may_nest: bool = True):
-        """Turn a ground term into a pattern position: variable, constant, or
-        (for quoted terms) a nested pattern."""
+        """Turn a ground term into a pattern position: variable, constant,
+        parameter, or (for quoted terms) a nested pattern."""
         roll = self.rng.randint(0, 9)
         if isinstance(term, Quoted) and may_nest and roll < 5:
             inner = term.triple
-            return ast.collapse_qterm(
-                ast.QPattern(
+            return _quoted(
+                TriplePattern(
                     self._abstract(inner.subject, may_nest=False),
                     self._abstract_predicate(inner.predicate),
                     self._abstract(inner.object, may_nest=False),
@@ -92,30 +113,30 @@ class _CaseBuilder:
             return self.fresh_var()
         if roll < 7 and self.vars and self.rng.randint(0, 1) == 0:
             return Variable(self.rng.choice(self.vars))
-        return term
+        return self._maybe_param(term)
 
     def _abstract_predicate(self, predicate: Iri):
         if self.rng.randint(0, 9) < 3:
             return self.fresh_var()
-        return predicate
+        return self._maybe_param(predicate)
 
-    def seed_pattern(self, anchored: bool) -> ast.QPattern:
+    def seed_pattern(self, anchored: bool) -> TriplePattern:
         """Pattern derived from a concrete triple so it usually matches.
         anchored=True keeps at least one constant position."""
         triples = self.graph.triples()
         if not triples:
-            return ast.QPattern(self.fresh_var(), rng_choice_pred(self.rng), self.fresh_var())
+            return TriplePattern(self.fresh_var(), rng_choice_pred(self.rng), self.fresh_var())
         base = self.rng.choice(triples)
-        p = ast.QPattern(
+        p = TriplePattern(
             self._abstract(base.subject),
             self._abstract_predicate(base.predicate),
             self._abstract(base.object),
         )
         if anchored and not _has_constant(p):
-            return ast.QPattern(base.subject, p.predicate, p.object)
+            return TriplePattern(base.subject, p.predicate, p.object)
         return p
 
-    def join_pattern(self) -> ast.QPattern:
+    def join_pattern(self) -> TriplePattern:
         """Pattern that shares an existing variable, so joins stay bounded."""
         triples = self.graph.triples()
         if not triples or not self.vars:
@@ -125,14 +146,14 @@ class _CaseBuilder:
         slot = self.rng.randint(0, 1)
         subject = shared if slot == 0 else self._abstract(base.subject)
         obj = shared if slot == 1 else self._abstract(base.object)
-        return ast.QPattern(subject, self._abstract_predicate(base.predicate), obj)
+        return TriplePattern(subject, self._abstract_predicate(base.predicate), obj)
 
 
 def rng_choice_pred(rng: SplitMix64) -> Iri:
     return rng.choice(_PREDICATES)
 
 
-def _has_constant(p: ast.QPattern) -> bool:
+def _has_constant(p: TriplePattern) -> bool:
     return any(not isinstance(x, Variable) for x in (p.subject, p.predicate, p.object))
 
 
@@ -194,8 +215,13 @@ def _pattern_vars(patterns) -> list[str]:
     return seen
 
 
-def random_select(rng: SplitMix64, graph: Graph) -> ast.SelectQuery:
-    b = _CaseBuilder(rng, graph)
+def random_select(
+    rng: SplitMix64, graph: Graph, param_rng: SplitMix64
+) -> tuple[ast.SelectQuery, dict[str, Term]]:
+    """A random SELECT and the parameter values it is to run with. Parameters
+    are drawn from ``param_rng``, so they leave the rest of the case as it
+    would be without them."""
+    b = _CaseBuilder(rng, graph, param_rng)
     big = len(graph) > 100
     n_patterns = rng.randint(1, 2 if big else 3)
     patterns = [b.seed_pattern(anchored=big)]
@@ -235,11 +261,14 @@ def random_select(rng: SplitMix64, graph: Graph) -> ast.SelectQuery:
     order_by = None
     if b.vars and rng.randint(0, 9) < 3:
         order_by = (rng.choice(b.vars), rng.randint(0, 1) == 1)
-    return ast.SelectQuery(projection, tuple(patterns), tuple(filters), group_by, order_by)
+    return ast.SelectQuery(projection, tuple(patterns), tuple(filters), group_by, order_by), b.params
 
 
-def random_insert(rng: SplitMix64, graph: Graph) -> ast.InsertWhereQuery:
-    b = _CaseBuilder(rng, graph)
+def random_insert(
+    rng: SplitMix64, graph: Graph, param_rng: SplitMix64
+) -> tuple[ast.InsertWhereQuery, dict[str, Term]]:
+    """A random INSERT-WHERE and the parameter values it is to run with."""
+    b = _CaseBuilder(rng, graph, param_rng)
     patterns = [b.seed_pattern(anchored=len(graph) > 100)]
     if rng.randint(0, 1) == 1:
         patterns.append(b.join_pattern())
@@ -261,13 +290,11 @@ def random_insert(rng: SplitMix64, graph: Graph) -> ast.InsertWhereQuery:
     template = []
     for _ in range(rng.randint(1, 2)):
         if rng.randint(0, 3) == 0:
-            inner = ast.collapse_qterm(
-                ast.QPattern(template_term(), rng.choice(_PREDICATES), template_term())
-            )
-            template.append(ast.QPattern(inner, rng.choice(_PREDICATES), template_term()))
+            inner = _quoted(TriplePattern(template_term(), rng.choice(_PREDICATES), template_term()))
+            template.append(TriplePattern(inner, rng.choice(_PREDICATES), template_term()))
         else:
-            template.append(ast.QPattern(template_term(), rng.choice(_PREDICATES), template_term()))
-    return ast.InsertWhereQuery(tuple(template), tuple(patterns), tuple(filters))
+            template.append(TriplePattern(template_term(), rng.choice(_PREDICATES), template_term()))
+    return ast.InsertWhereQuery(tuple(template), tuple(patterns), tuple(filters)), b.params
 
 
 # -- differential execution ----------------------------------------------------------
@@ -306,49 +333,76 @@ def _graph_sizes(rng: SplitMix64, count: int) -> list[int]:
 def run_differential_sweep(num_graphs: int = 110, seed: int = 20260816, queries_per_graph: int = 2):
     """Raises AssertionError on the first divergence. Returns counters."""
     rng = SplitMix64(seed)
-    stats = {"graphs": 0, "selects": 0, "inserts": 0, "nonempty": 0, "errors": 0, "max_size": 0}
+    param_rng = SplitMix64(seed + 1)
+    stats = {
+        "graphs": 0,
+        "selects": 0,
+        "inserts": 0,
+        "nonempty": 0,
+        "errors": 0,
+        "max_size": 0,
+        "with_params": 0,
+        "literal_subject_or_predicate_params": 0,
+    }
     for size in _graph_sizes(rng, num_graphs):
         graph = random_graph(rng, size)
         stats["graphs"] += 1
         stats["max_size"] = max(stats["max_size"], len(graph))
         for _ in range(queries_per_graph):
-            query = random_select(rng, graph)
+            query, params = random_select(rng, graph, param_rng)
             # text round trip: the engine consumes what the printer emitted
-            reparsed = parse_query(print_query(query))
+            reparsed = parse_query(print_query(query), params)
             assert reparsed == query, f"print/parse mismatch:\n{print_query(query)}"
-            got = _engine_outcome(reparsed, graph, {})
-            want = _reference_outcome(query, graph, {})
-            assert got == want, _explain(query, graph, got, want)
+            got = _engine_outcome(reparsed, graph, params)
+            want = _reference_outcome(query, graph, params)
+            assert got == want, _explain(query, graph, got, want, params)
             stats["selects"] += 1
+            _count_params(stats, query, params)
             if got[0] == "ok" and got[2]:
                 stats["nonempty"] += 1
             if got[0] == "error":
                 stats["errors"] += 1
         # one insert-where case per graph
-        query = random_insert(rng, graph)
-        reparsed = parse_query(print_query(query))
+        query, params = random_insert(rng, graph, param_rng)
+        reparsed = parse_query(print_query(query), params)
         assert reparsed == query, f"print/parse mismatch:\n{print_query(query)}"
         g1, g2 = graph.copy(), graph.copy()
         try:
-            n1 = evaluate_update(query, g1, {})
+            n1 = evaluate_update(query, g1, params)
             eng = ("ok", n1, serialize(g1))
         except QueryEvalError as exc:
             eng = ("error", type(exc).__name__, serialize(g1))
         try:
-            n2 = ref_update(query, g2, {})
+            n2 = ref_update(query, g2, params)
             ref = ("ok", n2, serialize(g2))
         except QueryEvalError as exc:
             ref = ("error", type(exc).__name__, serialize(g2))
-        assert eng == ref, _explain(query, graph, eng[:2], ref[:2])
+        assert eng == ref, _explain(query, graph, eng[:2], ref[:2], params)
         if eng[0] == "error":
             # both sides must have left the graph untouched
             assert eng[2] == serialize(graph)
         stats["inserts"] += 1
+        _count_params(stats, query, params)
     return stats
 
 
-def _explain(query, graph, got, want):
+def _count_params(stats, query, params):
+    if params:
+        stats["with_params"] += 1
+    if any(isinstance(params[name], Literal) for name in _subject_or_predicate_params(query.patterns)):
+        stats["literal_subject_or_predicate_params"] += 1
+
+
+def _subject_or_predicate_params(patterns):
+    for p in patterns:
+        for t in (p.subject, p.predicate):
+            if isinstance(t, ParamRef):
+                yield t.name
+        yield from _subject_or_predicate_params(t for t in (p.subject, p.object) if isinstance(t, TriplePattern))
+
+
+def _explain(query, graph, got, want, params):
     return (
-        f"engine and reference disagree\nquery: {print_query(query)}\n"
+        f"engine and reference disagree\nquery: {print_query(query)}\nparams: {params!r}\n"
         f"graph size: {len(graph)}\nengine: {got!r}\nreference: {want!r}"
     )

@@ -18,6 +18,7 @@ from supplykg.terms import (
     Literal,
     Quoted,
     Triple,
+    TriplePattern,
     Variable,
     format_term,
 )
@@ -35,7 +36,7 @@ def ref_unify(qterm, term, binding, params):
         nb = dict(binding)
         nb[qterm.name] = term
         return True, nb
-    if isinstance(qterm, ast.QPattern):
+    if isinstance(qterm, TriplePattern):
         if not isinstance(term, Quoted):
             return False, binding
         inner = term.triple
@@ -349,7 +350,7 @@ def _ref_ground(tpl, binding, params):
             if x.name not in binding:
                 raise UnboundVariableError(x.name)
             return binding[x.name]
-        if isinstance(x, ast.QPattern):
+        if isinstance(x, TriplePattern):
             return Quoted(_ref_ground(x, binding, params))
         return x
 

@@ -126,6 +126,23 @@ def test_query_with_parameters(graph_file, tmp_path, capsys):
     assert ":SupplierNode1.1" in out and ":SupplierNode1.2" in out
 
 
+@pytest.mark.parametrize(
+    "text, params",
+    [
+        ("SELECT ?p ?o WHERE { 1 ?p ?o . }", []),
+        ("SELECT ?s ?o WHERE { ?s pr ?o . }", ["--param", "pr=5"]),
+        ("SELECT ?p ?q WHERE { << 1 :needsProduct ?p >> :needsQuantity ?q . }", []),
+    ],
+    ids=["literal-subject", "literal-predicate-parameter", "quoted-literal-subject"],
+)
+def test_pattern_no_triple_can_satisfy_gives_header_only(graph_file, tmp_path, capsys, text, params):
+    qf = tmp_path / "q.rq"
+    qf.write_text(text)
+    assert run("query", "--graph", str(graph_file), str(qf), *params) == 0
+    columns = text.split(" WHERE")[0].replace("SELECT ?", "").split(" ?")
+    assert capsys.readouterr().out == ",".join(columns) + "\n"
+
+
 def test_query_insert_requires_out(graph_file, tmp_path):
     q = tmp_path / "i.rq"
     q.write_text("INSERT { ?n :hasSCORKPI :X . } WHERE { ?n a :OEM . }")
@@ -183,6 +200,21 @@ def test_sweep_rejects_sectionless_file(tmp_path):
 def test_validate_clean_graph(graph_file, capsys):
     assert run("validate", "--graph", str(graph_file)) == 0
     assert "0 errors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cycle", [False, True], ids=["chain", "cycle-at-the-end"])
+def test_validate_long_bom_chain_without_traceback(tmp_path, capsys, cycle):
+    lines = [f":P{i} :needsProduct :P{i + 1} ." for i in range(1500)]
+    if cycle:
+        lines.append(":P1500 :needsProduct :P1497 .")
+    graph = tmp_path / "chain.nt"
+    graph.write_text("\n".join(lines) + "\n")
+    assert run("validate", "--graph", str(graph)) == 2  # no OEM node
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    cycles = [line for line in captured.out.splitlines() if "bom-cycle" in line]
+    want = ["error bom-cycle P1500: bill of materials contains a cycle: P1497 -> P1498 -> P1499 -> P1500 -> P1497"]
+    assert cycles == (want if cycle else [])
 
 
 def test_validate_reports_errors(graph_file, tmp_path, capsys):
@@ -267,10 +299,38 @@ def test_deep_quote_nesting_exits_2_without_traceback(tmp_path, capsys):
     assert "nest deeper" in err and "Traceback" not in err
 
 
+def _or_chain(alternatives):
+    return "(" + " || ".join(["?o = -1"] * alternatives) + ")"
+
+
+def _unary_minus(signs):
+    return "(" + "-" * signs + "?o = 1)"
+
+
 @pytest.mark.parametrize(
     "deep_filter",
-    ["(" * 300 + "?o = :o" + ")" * 300, "-" * 2000 + "?o = 1"],
-    ids=["300-parens", "2000-unary-minus"],
+    [_or_chain(64), _unary_minus(63)],
+    ids=["64-alternatives", "63-unary-minus"],
+)
+def test_expression_at_the_nesting_limit_runs(tmp_path, capsys, deep_filter):
+    flat = tmp_path / "flat.nt"
+    flat.write_text(":s :p -1 .\n")
+    query = tmp_path / "limit.rq"
+    query.write_text("SELECT * WHERE { ?s :p ?o . FILTER " + deep_filter + " }")
+    assert run("query", "--graph", str(flat), str(query)) == 0
+    assert capsys.readouterr().out == "s,o\n:s,-1\n"
+
+
+@pytest.mark.parametrize(
+    "deep_filter",
+    [
+        "(" * 300 + "?o = :o" + ")" * 300,
+        "-" * 2000 + "?o = 1",
+        _unary_minus(64),
+        _or_chain(65),
+        _or_chain(2000),
+    ],
+    ids=["300-parens", "2000-unary-minus", "64-unary-minus", "65-alternatives", "2000-alternatives"],
 )
 def test_deep_expression_nesting_exits_2_without_traceback(tmp_path, capsys, deep_filter):
     flat = tmp_path / "flat.nt"
@@ -280,6 +340,31 @@ def test_deep_expression_nesting_exits_2_without_traceback(tmp_path, capsys, dee
     assert run("query", "--graph", str(flat), str(query)) == 2
     err = capsys.readouterr().err
     assert "nest deeper" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["export", "--graph"], ":s :p :o .\n"),
+        (["query", "--graph", "FLAT"], "SELECT * WHERE { ?s :p ?o . }"),
+        (["generate", "--config"], "preset = automotive\n"),
+        (["sweep", "--scenarios"], "preset = automotive\n[S1]\ndemand_frequency = 2\n"),
+    ],
+    ids=["graph", "query", "config", "scenarios"],
+)
+def test_byte_order_mark_is_rejected(tmp_path, capsys, command, text):
+    flat = tmp_path / "flat.nt"
+    flat.write_text(":s :p :o .\n")
+    argv = [str(flat) if arg == "FLAT" else arg for arg in command]
+    plain = tmp_path / "plain"
+    plain.write_text(text)
+    assert run(*argv, str(plain)) == 0
+    marked = tmp_path / "marked"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    capsys.readouterr()
+    assert run(*argv, str(marked)) == 2
+    err = capsys.readouterr().err
+    assert "\\ufeff" in err and "Traceback" not in err
 
 
 def test_pipeline_is_deterministic(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from supplykg import Graph, Iri, Quoted, Triple, boolean, integer, serialize, timestep
 from supplykg.fulfillment import Allocation, Simulation, explode_bom
 from supplykg.generator import automotive, dairy, generate
-from supplykg.schema import MissingEntityError, capacity_by_step, inventory, orders
+from supplykg.schema import MissingEntityError, capacity_by_step, current_inventory, orders
 from supplykg import vocab as v
 
 
@@ -145,7 +145,7 @@ def test_production_path_commits_everything():
 
     # stock drained to zero, in ledger and graph record alike
     assert sim.inventory_level("OEM1", "Product") == 0
-    record = inventory(g, Iri("OEM1"), Iri("Product"))
+    record = current_inventory(g, Iri("OEM1"))["Product"]
     assert record.quantity == 0
     assert record.timestep == 6
 

@@ -9,3 +9,7 @@ def test_engine_matches_reference_on_random_cases():
     # the sweep must exercise real results, not just empty tables and errors
     assert stats["nonempty"] >= 10
     assert stats["errors"] >= 1
+    # parameters stand in pattern positions, some bound to literals where no
+    # triple holds one (subject, predicate)
+    assert stats["with_params"] >= 20
+    assert stats["literal_subject_or_predicate_params"] >= 5

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supplykg.query import (
     Aggregate,
@@ -8,7 +10,6 @@ from supplykg.query import (
     InsertWhereQuery,
     ParamRef,
     ProjItem,
-    QPattern,
     QuerySyntaxError,
     SelectQuery,
     VarRef,
@@ -19,7 +20,7 @@ from supplykg.graph import Graph
 from supplykg.query import evaluate
 from supplykg.query.ast import query_params
 from supplykg.query.parser import MAX_EXPR_DEPTH
-from supplykg.terms import MAX_QUOTE_DEPTH, Iri, Literal, Triple, Variable
+from supplykg.terms import MAX_QUOTE_DEPTH, Iri, Literal, Triple, TriplePattern, Variable
 
 
 def test_select_star_with_join():
@@ -27,8 +28,8 @@ def test_select_star_with_join():
     assert isinstance(q, SelectQuery)
     assert q.projection is None
     assert q.patterns == (
-        QPattern(Variable("customer"), Iri("makes"), Variable("order")),
-        QPattern(Variable("order"), Iri("hasQuantity"), Variable("q")),
+        TriplePattern(Variable("customer"), Iri("makes"), Variable("order")),
+        TriplePattern(Variable("order"), Iri("hasQuantity"), Variable("q")),
     )
     assert q.pattern_variables() == ["customer", "order", "q"]
 
@@ -53,7 +54,7 @@ def test_a_is_rdf_type_only_in_predicate_position():
 def test_quoted_pattern_nesting():
     q = parse_query('SELECT * WHERE { << :Product :needsProduct ?p >> :needsQuantity ?q . }')
     pat = q.patterns[0]
-    assert pat.subject == QPattern(Iri("Product"), Iri("needsProduct"), Variable("p"))
+    assert pat.subject == TriplePattern(Iri("Product"), Iri("needsProduct"), Variable("p"))
     assert pat.object == Variable("q")
 
 
@@ -127,7 +128,7 @@ def test_insert_where_with_quoted_template():
         params=["nd", "qy", "ord"],
     )
     assert isinstance(q, InsertWhereQuery)
-    assert q.template[0].subject == QPattern(Variable("sp"), Iri("needsNode"), ParamRef("nd"))
+    assert q.template[0].subject == TriplePattern(Variable("sp"), Iri("needsNode"), ParamRef("nd"))
     assert query_params(q) == {"nd", "qy", "ord"}
 
 
@@ -252,20 +253,69 @@ def _deep_parens(depth):
 
 
 def _deep_minus(depth):
-    return "SELECT ?a WHERE { ?a :p ?b . FILTER " + "-" * depth + "?b != 0 }"
+    return "SELECT ?a WHERE { ?a :p ?b . FILTER (" + "-" * (depth - 1) + "?b != 0) }"
 
 
 def _deep_calls(depth):
     return "SELECT ?a WHERE { ?a :p ?b . FILTER REGEX(" + "STR(" * (depth - 1) + "?b" + ")" * (depth - 1) + ', "1") }'
 
 
-@pytest.mark.parametrize("nested", [_deep_parens, _deep_minus, _deep_calls], ids=["parens", "unary-minus", "call-args"])
+def _or_chain(depth):
+    return "SELECT ?a WHERE { ?a :p ?b . FILTER (" + " || ".join(["?b = 1"] * depth) + ") }"
+
+
+def _projected_chain(depth):
+    return "SELECT ?a (" + " + ".join(["?b"] * (depth + 1)) + " AS ?s) WHERE { ?a :p ?b . }"
+
+
+@pytest.mark.parametrize(
+    "nested",
+    [_deep_parens, _deep_minus, _deep_calls, _or_chain, _projected_chain],
+    ids=["parens", "unary-minus", "call-args", "or-chain", "projected-chain"],
+)
 def test_expression_nesting_limit(nested):
     g = Graph([Triple(Iri("a"), Iri("p"), Literal(1, "integer"))])
-    assert evaluate(parse_query(nested(MAX_EXPR_DEPTH)), g).rows == ((Iri("a"),),)
+    q = parse_query(nested(MAX_EXPR_DEPTH))
+    assert evaluate(q, g).rows[0][0] == Iri("a")
+    # the printer nests no deeper than the tree, so the text reads back
+    assert parse_query(print_query(q)) == q
     for depth in (MAX_EXPR_DEPTH + 1, 300, 2000):
         with pytest.raises(QuerySyntaxError, match="nest deeper"):
             parse_query(nested(depth))
+
+
+_OPERATORS = ["||", "&&", "=", "<", "+", "-", "*", "/"]
+
+# Expression text built to land near the depth limit: long operator chains,
+# runs of unary minus and redundant parentheses, calls, and negative numbers.
+_expression_texts = st.recursive(
+    st.sampled_from(["?b", "1", "-2", "2.5", '"x"', "t", ":n"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(_OPERATORS), st.integers(1, 40)).map(
+            lambda a: f" {a[1]} ".join([a[0]] * a[2])
+        ),
+        st.tuples(inner, st.integers(1, 40)).map(lambda a: "(" * a[1] + a[0] + ")" * a[1]),
+        st.tuples(inner, st.integers(1, 40)).map(lambda a: "-" * a[1] + " " + a[0]),
+        st.tuples(inner, inner, inner).map(lambda a: f"IF({a[0]}, {a[1]}, {a[2]})"),
+        inner.map(lambda s: f"STR({s})"),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expression_texts, st.sampled_from(["filter", "alias", "item"]))
+def test_every_accepted_expression_prints_as_text_that_reads_back(text, place):
+    query = {
+        "filter": "SELECT ?a WHERE { ?a :p ?b . FILTER (" + text + ") }",
+        "alias": "SELECT ?a (" + text + " AS ?x) WHERE { ?a :p ?b . }",
+        "item": "SELECT ?a (" + text + ") WHERE { ?a :p ?b . }",
+    }[place]
+    try:
+        q = parse_query(query, params=["t"])
+    except QuerySyntaxError:
+        return
+    assert parse_query(print_query(q), params=["t"]) == q
 
 
 def test_line_and_column_in_errors():

@@ -11,8 +11,8 @@ from supplykg.schema import (
     bom,
     capacity_by_step,
     capacity_records,
+    current_inventory,
     due_schedule,
-    inventory,
     node,
     node_kind,
     nodes_of_kind,
@@ -261,15 +261,15 @@ def test_inventory_latest_record_wins():
         g.insert(tr(name, "hasProduct", "Product"))
         g.insert(tr(name, "hasQuantity", integer(qty)))
         g.insert(tr(name, "hasTimeStamp", timestep(ts)))
-    view = inventory(g, Iri("OEM1"), Iri("Product"))
+    view = current_inventory(g, Iri("OEM1"))["Product"]
     assert view.id == "InvB"
     assert view.quantity == 7
     assert view.timestep == 5
 
 
 def test_inventory_missing(automotive_graph):
-    with pytest.raises(MissingEntityError):
-        inventory(automotive_graph, Iri("OEM1"), Iri("NoSuchProduct"))
+    held = current_inventory(automotive_graph, Iri("OEM1"))
+    assert held and "NoSuchProduct" not in held
 
 
 # --- bill of materials ---

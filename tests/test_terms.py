@@ -1,15 +1,18 @@
 import pytest
 
+from supplykg.graph import Graph
 from supplykg.terms import (
     Iri,
     Literal,
     MalformedTermError,
+    ParamRef,
     Quoted,
     Triple,
     TriplePattern,
     Variable,
     boolean,
     decimal,
+    format_pattern,
     format_term,
     format_triple,
     integer,
@@ -73,8 +76,12 @@ def test_pattern_allows_variables_anywhere():
     v = Variable("x")
     TriplePattern(v, v, v)
     TriplePattern(TriplePattern(v, Iri("p"), v), Iri("q"), integer(3))
+    # a literal predicate builds a pattern that matches nothing
+    literal_predicate = TriplePattern(Iri("s"), integer(1), Iri("o"))
+    assert Graph([Triple(Iri("s"), Iri("p"), Iri("o"))]).match(literal_predicate) == []
+    # a position that is no pattern term at all is still rejected
     with pytest.raises(MalformedTermError):
-        TriplePattern(Iri("s"), integer(1), Iri("o"))
+        TriplePattern(Iri("s"), "p", Iri("o"))
 
 
 def test_format_term_canonical_forms():
@@ -138,9 +145,25 @@ def test_substitute_and_to_ground():
     nested = TriplePattern(TriplePattern(Variable("s"), Iri("p"), Iri("o")), Iri("q"), integer(2))
     g = to_ground(substitute(nested, {"s": Iri("a")}))
     assert g == Triple(Quoted(Triple(Iri("a"), Iri("p"), Iri("o"))), Iri("q"), integer(2))
-    # substitution cannot build an illegal pattern: literal subjects are rejected
-    with pytest.raises(MalformedTermError):
-        substitute(pat, {"s": integer(9), "o": integer(1)})
+    # a literal subject builds a pattern that matches nothing
+    literal_subject = substitute(pat, {"s": integer(9), "o": integer(1)})
+    assert literal_subject == TriplePattern(integer(9), Iri("p"), integer(1))
+    assert to_ground(literal_subject) is None
+    assert Graph([Triple(Iri("a"), Iri("p"), integer(1))]).match(literal_subject) == []
+
+
+def test_parameters_are_pattern_terms():
+    from supplykg import query
+    from supplykg.query import ast
+
+    assert query.ParamRef is ParamRef and ast.ParamRef is ParamRef
+    pat = TriplePattern(ParamRef("n"), ParamRef("p"), TriplePattern(Variable("s"), Iri("q"), ParamRef("o")))
+    assert format_pattern(pat) == "n p << ?s :q o >> ."
+    assert pat.variables() == ["s"]
+    assert substitute(pat, {}) == pat  # without values, parameters stay
+    bound = substitute(pat, {"s": Iri("a")}, {"n": Iri("b"), "p": Iri("rdf:type"), "o": integer(1)})
+    assert format_pattern(bound) == ":b a << :a :q 1 >> ."
+    assert to_ground(bound) == Triple(Iri("b"), Iri("rdf:type"), Quoted(Triple(Iri("a"), Iri("q"), integer(1))))
 
 
 def test_variables_first_appearance_order():

@@ -213,6 +213,17 @@ def test_bom_cycle_detected():
     assert "bom-cycle" in codes(errors(validate(g)))
 
 
+def test_bom_cycles_report_their_paths_in_visiting_order():
+    g = Graph()
+    for parent, child in [("A", "B"), ("B", "C"), ("C", "A"), ("B", "D"), ("D", "B")]:
+        g.insert(tr(parent, "needsProduct", child))
+    cycles = [(x.subject, x.message) for x in validate(g) if x.code == "bom-cycle"]
+    assert cycles == [
+        ("C", "bill of materials contains a cycle: A -> B -> C -> A"),
+        ("D", "bill of materials contains a cycle: B -> D -> B"),
+    ]
+
+
 def test_violations_are_sorted_and_deduped(automotive_graph):
     automotive_graph.insert(tr("OEM1", "hasColor", string("blue")))
     automotive_graph.insert(tr("OEM1", "hasColor", string("red")))
