@@ -268,15 +268,24 @@ def _projected_chain(depth):
     return "SELECT ?a (" + " + ".join(["?b"] * (depth + 1)) + " AS ?s) WHERE { ?a :p ?b . }"
 
 
+_A = ((Iri("a"),),)
+
+
 @pytest.mark.parametrize(
-    "nested",
-    [_deep_parens, _deep_minus, _deep_calls, _or_chain, _projected_chain],
+    "nested, rows",
+    [
+        (_deep_parens, _A),
+        (_deep_minus, _A),
+        (_deep_calls, _A),
+        (_or_chain, _A),
+        (_projected_chain, ((Iri("a"), Literal(MAX_EXPR_DEPTH + 1, "integer")),)),
+    ],
     ids=["parens", "unary-minus", "call-args", "or-chain", "projected-chain"],
 )
-def test_expression_nesting_limit(nested):
+def test_expression_nesting_limit(nested, rows):
     g = Graph([Triple(Iri("a"), Iri("p"), Literal(1, "integer"))])
     q = parse_query(nested(MAX_EXPR_DEPTH))
-    assert evaluate(q, g).rows[0][0] == Iri("a")
+    assert evaluate(q, g).rows == rows
     # the printer nests no deeper than the tree, so the text reads back
     assert parse_query(print_query(q)) == q
     for depth in (MAX_EXPR_DEPTH + 1, 300, 2000):
