@@ -21,17 +21,18 @@ verdict are written back into the graph as they happen, so a serialized
 final graph carries the complete outcome. Supply-plan lines are inserted
 through the query engine's INSERT template rather than raw writes.
 
-The simulation mutates the graph it is given. Committed capacity is
-tracked per (node, timestep); a missing record means zero load. Nodes
-without a cost property price their allocations at 0. The ledgers are
-read through the ``schema`` views, so a malformed inventory or capacity
-record, or two capacity records for one node at one step, raise
-``MissingEntityError``.
+The simulation mutates the graph it is given. Its two ledgers hold
+``schema`` views: the capacity record per (node, timestep), a missing one
+meaning zero load, and the current inventory record per (node, product).
+A booking or drain writes the triples that differ between a record's old
+and new view. Nodes without a cost property price their allocations at 0.
+A malformed inventory or capacity record, two capacity records for one
+node at one step, or an OEM with no product raise ``MissingEntityError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import schema
 from . import vocab as v
@@ -79,15 +80,10 @@ _PLAN_TEMPLATE = parse_query(
 
 
 class Simulation:
-    """Mutable simulation state bound to one graph.
+    """Mutable simulation state bound to one graph."""
 
-    ``replenish``, when given, is called as ``replenish(sim, t)`` at the
-    start of every step; the default is no replenishment.
-    """
-
-    def __init__(self, graph: Graph, replenish=None):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self._replenish = replenish
         self._inserted = 0
 
         self.oem = schema.the_oem(graph)
@@ -111,21 +107,13 @@ class Simulation:
                 if isinstance(made, Iri):
                     self._makers.setdefault(made.name, []).append(s.name)
                     self._product_of.setdefault(s.name, made.name)
-        made = graph.value(self.oem, v.MANUFACTURES)
-        if isinstance(made, Iri):
-            self._product_of[self.oem.name] = made.name
+        self._product_of[self.oem.name] = schema.manufactured_product(graph, self.oem)
 
-        self._committed: dict[tuple[str, int], int] = {}
-        self._cap_iri: dict[tuple[str, int], Iri] = {}
-        self._inventory: dict[tuple[str, str], int] = {}
-        self._inv_iri: dict[tuple[str, str], Iri] = {}
+        self._capacity: dict[tuple[str, int], schema.CapacityView] = {}
+        self._stock: dict[tuple[str, str], schema.InventoryView] = {}
         for name in self._sat:
-            for t, record in schema.capacity_by_step(graph, Iri(name)).items():
-                self._committed[(name, t)] = record.quantity
-                self._cap_iri[(name, t)] = record.iri
-            for product, record in schema.current_inventory(graph, Iri(name)).items():
-                self._inventory[(name, product)] = record.quantity
-                self._inv_iri[(name, product)] = record.iri
+            self._capacity.update(((name, t), r) for t, r in schema.capacity_by_step(graph, Iri(name)).items())
+            self._stock.update(((name, p), r) for p, r in schema.current_inventory(graph, Iri(name)).items())
 
         all_orders = schema.orders(graph)
         self._resolved = {o.id for o in all_orders if o.fulfilled is not None}
@@ -138,43 +126,44 @@ class Simulation:
         if self.graph.insert(triple):
             self._inserted += 1
 
-    def _replace_value(self, subject: Iri, predicate: Iri, term) -> None:
-        old = self.graph.value(subject, predicate)
-        if old is not None:
-            self.graph.remove(Triple(subject, predicate, old))
-        self._count_insert(Triple(subject, predicate, term))
+    def _write(self, old, new) -> None:
+        """Rewrite a record from its old view (None for a new record) to its
+        new one: remove the triples only the old view has, insert those only
+        the new view has."""
+        before = set(old.to_triples()) if old is not None else set()
+        after = new.to_triples()
+        for triple in before.difference(after):
+            self.graph.remove(triple)
+        for triple in after:
+            if triple not in before:
+                self._count_insert(triple)
 
     def committed(self, node: str, t: int) -> int:
-        return self._committed.get((node, t), 0)
+        record = self._capacity.get((node, t))
+        return 0 if record is None else record.quantity
 
     def inventory_level(self, node: str, product: str) -> int:
-        return self._inventory.get((node, product), 0)
+        record = self._stock.get((node, product))
+        return 0 if record is None else record.quantity
 
     def _commit(self, node: str, t: int, quantity: int) -> None:
         key = (node, t)
-        total = self._committed.get(key, 0) + quantity
-        self._committed[key] = total
-        record = self._cap_iri.get(key)
-        if record is None:
-            record = Iri(f"Cap{node}T{t}")
-            self._cap_iri[key] = record
-            node_iri = Iri(node)
-            self._count_insert(Triple(record, v.RDF_TYPE, v.CAPACITY))
-            self._count_insert(Triple(node_iri, v.HAS_CAPACITY, record))
-            if node in self._product_of:
-                self._count_insert(Triple(record, v.HAS_PRODUCT, Iri(self._product_of[node])))
-            self._count_insert(Triple(record, v.HAS_QUANTITY, integer(total)))
-            self._count_insert(Triple(record, v.HAS_TIME_STAMP, timestep(t)))
-            self._count_insert(Triple(record, v.HAS_COST, integer(self._cost.get(node, 0))))
+        old = self._capacity.get(key)
+        if old is None:
+            new = schema.CapacityView(
+                schema.capacity_iri(node, t).name, node, self._product_of[node], quantity, t, self._cost[node]
+            )
         else:
-            self._replace_value(record, v.HAS_QUANTITY, integer(total))
+            new = replace(old, quantity=old.quantity + quantity)
+        self._write(old, new)
+        self._capacity[key] = new
 
     def _drain(self, node: str, product: str, new_level: int, t: int) -> None:
         key = (node, product)
-        self._inventory[key] = new_level
-        record = self._inv_iri[key]
-        self._replace_value(record, v.HAS_QUANTITY, integer(new_level))
-        self._replace_value(record, v.HAS_TIME_STAMP, timestep(t))
+        old = self._stock[key]
+        new = replace(old, quantity=new_level, timestep=t)
+        self._write(old, new)
+        self._stock[key] = new
 
     def _write_plan_line(self, order_id: str, allocation: Allocation) -> None:
         self._inserted += evaluate_update(
@@ -268,8 +257,6 @@ class Simulation:
 
     def step(self, t: int) -> StepReport:
         self._inserted = 0
-        if self._replenish is not None:
-            self._replenish(self, t)
         due = self.due_orders(t)
         from_stock = produced = unfulfilled = 0
         for order in due:

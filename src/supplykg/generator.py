@@ -41,7 +41,8 @@ from dataclasses import dataclass, fields
 from . import vocab as v
 from .graph import Graph
 from .rng import SplitMix64
-from .terms import Iri, Quoted, Triple, integer, string, timestep
+from .schema import BomEdge, CapacityView, InventoryView, NodeView, OrderView, capacity_iri
+from .terms import Iri, Triple, string
 
 
 class ConfigError(ValueError):
@@ -170,38 +171,32 @@ def generate(config: GeneratorConfig) -> Graph:
     def add(s, p, o):
         g.insert(Triple(s, p, o))
 
-    def emit_node(name, kind, tier_iri, *, customer=False, group_count=None, product_of=None):
-        """Create one node; returns (iri, saturation, delivery time, product)."""
+    def put(view):
+        for triple in view.to_triples():
+            g.insert(triple)
+
+    def emit_node(name, kind, tier, *, customer=False, group_count=None, product_of=None):
+        """Create one node; returns (iri, delivery time)."""
         n = Iri(name)
         over = node_overrides.get(name, {})
 
         def pick(prop, drawn):
             return over.get(prop, drawn)
 
-        add(n, v.RDF_TYPE, v.NODE)
-        add(n, v.RDF_TYPE, kind)
-        if tier_iri is not None:
-            add(n, v.BELONGS_TO_TIER, tier_iri)
         sat = pick(v.HAS_SATURATION.name, rng.randint(*config.saturation_range))
-        add(n, v.HAS_SATURATION, integer(sat))
         lead = pick(v.HAS_DELIVERY_TIME.name, rng.randint(*config.delivery_time_range))
-        add(n, v.HAS_DELIVERY_TIME, integer(lead))
-        group = None
-        if group_count is not None:
-            group = pick(v.HAS_GROUP.name, rng.randint(1, group_count))
-            add(n, v.HAS_GROUP, integer(group))
-        if customer:
-            add(n, v.HAS_PRIORITY, integer(pick(v.HAS_PRIORITY.name, rng.randint(*config.priority_range))))
+        group = pick(v.HAS_GROUP.name, rng.randint(1, group_count)) if group_count is not None else None
+        priority = pick(v.HAS_PRIORITY.name, rng.randint(*config.priority_range)) if customer else None
         kpis = {}
         for pred in v.KPI_PREDICATES:
             lo, hi = kpi_ranges.get(pred.name, config.kpi_range)
             kpis[pred] = pick(pred.name, rng.randint(lo, hi))
-            add(n, pred, integer(kpis[pred]))
-        add(n, v.HAS_CO2, integer(pick(v.HAS_CO2.name, rng.randint(*config.co2_range))))
-        add(n, v.HAS_LONGITUDE, integer(pick(v.HAS_LONGITUDE.name, rng.randint(*config.longitude_range))))
-        add(n, v.HAS_LATITUDE, integer(pick(v.HAS_LATITUDE.name, rng.randint(*config.latitude_range))))
-        mode = pick(v.HAS_TRANSPORT_MODE.name, rng.choice(v.TRANSPORT_MODES))
-        add(n, v.HAS_TRANSPORT_MODE, string(str(mode)))
+        co2 = pick(v.HAS_CO2.name, rng.randint(*config.co2_range))
+        lon = pick(v.HAS_LONGITUDE.name, rng.randint(*config.longitude_range))
+        lat = pick(v.HAS_LATITUDE.name, rng.randint(*config.latitude_range))
+        mode = str(pick(v.HAS_TRANSPORT_MODE.name, rng.choice(v.TRANSPORT_MODES)))
+        kpi_values = tuple(sorted((pred.name, value) for pred, value in kpis.items()))
+        put(NodeView(name, kind.name, tier, sat, lead, group, priority, kpi_values, co2, lon, lat, mode))
         process = Iri("Prcs" + name)
         add(n, v.HAS_PROCESS, process)
         add(process, v.RDF_TYPE, v.PROCESS)
@@ -209,28 +204,17 @@ def generate(config: GeneratorConfig) -> Graph:
         for pred in v.KPI_PREDICATES:
             add(n, v.HAS_SCOR_KPI, string(f"{v.KPI_LABELS[pred]}: {kpis[pred]}"))
 
-        product = None
         if product_of is not None:
             product = product_of(group)
             inv_qty = pick("inventory", rng.randint(*config.inventory_range))
             add(n, v.MANUFACTURES, product)
-            cap = Iri(f"Cap{name}T0")
-            add(cap, v.RDF_TYPE, v.CAPACITY)
-            add(n, v.HAS_CAPACITY, cap)
-            add(cap, v.HAS_PRODUCT, product)
-            add(cap, v.HAS_QUANTITY, integer(config.initial_capacity))
-            add(cap, v.HAS_TIME_STAMP, timestep(0))
-            add(cap, v.HAS_COST, integer(kpis[v.HAS_COST]))
-            inv = Iri(f"Inv{name}")
-            add(inv, v.RDF_TYPE, v.INVENTORY)
-            add(n, v.HAS_INVENTORY, inv)
-            add(inv, v.HAS_PRODUCT, product)
-            add(inv, v.HAS_QUANTITY, integer(int(inv_qty)))
-            add(inv, v.HAS_TIME_STAMP, timestep(0))
-        return n, sat, lead, product
+            cap = capacity_iri(name, 0).name
+            put(CapacityView(cap, name, product.name, config.initial_capacity, 0, kpis[v.HAS_COST]))
+            put(InventoryView(f"Inv{name}", name, product.name, int(inv_qty), 0))
+        return n, lead
 
     finished = Iri("Product")
-    oem, _, oem_lead, _ = emit_node("OEM1", v.OEM, None, product_of=lambda _: finished)
+    oem, oem_lead = emit_node("OEM1", v.OEM, None, product_of=lambda _: finished)
 
     supplier_tiers: list[list[Iri]] = []
     supplier_leads: dict[Iri, int] = {}
@@ -241,10 +225,10 @@ def generate(config: GeneratorConfig) -> Graph:
             add(Iri(f"SupplierTier{t - 1}"), v.HAS_UPSTREAM_TIER, tier_iri)
         tier_nodes = []
         for m in range(1, count + 1):
-            n, _, lead, _ = emit_node(
+            n, lead = emit_node(
                 supplier_name(t, m),
                 v.SUPPLIER,
-                tier_iri,
+                t,
                 group_count=config.supplier_groups[t - 1],
                 product_of=lambda grp, t=t: Iri(product_name(t, grp)),
             )
@@ -260,7 +244,7 @@ def generate(config: GeneratorConfig) -> Graph:
             add(Iri(f"CustomerTier{t - 1}"), v.HAS_DOWNSTREAM_TIER, tier_iri)
         tier_nodes = []
         for m in range(1, count + 1):
-            n, _, _, _ = emit_node(customer_name(t, m), v.CUSTOMER, tier_iri, customer=True)
+            n, _ = emit_node(customer_name(t, m), v.CUSTOMER, t, customer=True)
             tier_nodes.append(n)
         customer_tiers.append(tier_nodes)
 
@@ -275,10 +259,7 @@ def generate(config: GeneratorConfig) -> Graph:
     for t in range(1, len(product_levels)):
         for parent in product_levels[t - 1]:
             for child in product_levels[t]:
-                qty = rng.randint(*config.bom_quantity_range)
-                inner = Triple(parent, v.NEEDS_PRODUCT, child)
-                add(parent, v.NEEDS_PRODUCT, child)
-                add(Quoted(inner), v.NEEDS_QUANTITY, integer(qty))
+                put(BomEdge(parent.name, child.name, rng.randint(*config.bom_quantity_range)))
 
     def link_tiers(lower, upper, pred, invert):
         """Connect adjacent tiers so both sides are fully covered.
@@ -312,7 +293,6 @@ def generate(config: GeneratorConfig) -> Graph:
 
     # demand stream from the most-downstream customers
     max_lead = max(supplier_leads.values())
-    ordered_product = Iri(config.order_product)
     number = 0
     for window in range(0, config.horizon, 10):
         for c in customer_tiers[-1]:
@@ -322,15 +302,9 @@ def generate(config: GeneratorConfig) -> Graph:
                 if issue >= config.horizon or due >= config.horizon:
                     continue
                 number += 1
-                order = Iri(f"Order{number}")
-                plan = Iri(f"SPOrder{number}")
-                add(c, v.MAKES, order)
-                add(order, v.RDF_TYPE, v.ORDER)
-                add(order, v.HAS_PRODUCT, ordered_product)
-                add(order, v.HAS_QUANTITY, integer(config.order_quantity))
-                add(order, v.HAS_DELIVERY_TIME, timestep(due))
-                add(order, v.HAS_SUPPLY_PLAN, plan)
-                add(plan, v.RDF_TYPE, v.SUPPLY_PLAN)
+                plan = f"SPOrder{number}"
+                put(OrderView(f"Order{number}", c.name, config.order_product, config.order_quantity, due, None, plan))
+                add(Iri(plan), v.RDF_TYPE, v.SUPPLY_PLAN)
     return g
 
 

@@ -18,10 +18,11 @@ from ..terms import Iri, Literal, ParamRef, Quoted, TriplePattern
 # -- expressions -------------------------------------------------------------
 
 AGGREGATE_FUNCS = ("SUM", "AVG")
-CALL_FUNCS = ("IF", "REGEX", "STR")
+# function name -> number of arguments
+CALL_FUNCS = {"IF": 3, "REGEX": 2, "STR": 1}
 COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
-ARITHMETIC = ("+", "-", "*", "/")
-CONNECTIVES = ("&&", "||")
+# binary operators by precedence, loosest first
+PRECEDENCE = (("||",), ("&&",), COMPARISONS, ("+", "-"), ("*", "/"))
 
 
 @dataclass(frozen=True)
@@ -43,13 +44,13 @@ class Binary:
 
 @dataclass(frozen=True)
 class Call:
-    func: str  # IF, REGEX, STR
+    func: str  # a CALL_FUNCS name
     args: tuple["Expr", ...]
 
 
 @dataclass(frozen=True)
 class Aggregate:
-    func: str  # SUM, AVG
+    func: str  # an AGGREGATE_FUNCS name
     arg: "Expr"
 
 

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 
 from ..terms import IRI_NAME, VAR_NAME, MalformedTermError, unescape_string
+from .ast import AGGREGATE_FUNCS, CALL_FUNCS
 
 KEYWORDS = {
     "SELECT",
@@ -23,11 +24,8 @@ KEYWORDS = {
     "ASC",
     "DESC",
     "AS",
-    "SUM",
-    "AVG",
-    "IF",
-    "REGEX",
-    "STR",
+    *AGGREGATE_FUNCS,
+    *CALL_FUNCS,
 }
 
 

@@ -61,9 +61,6 @@ from .lexer import QueryLexError, Token, tokenize
 # walks of a parsed expression (check, evaluate, print) as shallow.
 MAX_EXPR_DEPTH = 64
 
-# binary operators by precedence, loosest first
-_PRECEDENCE = (("||",), ("&&",), ast.COMPARISONS, ("+", "-"), ("*", "/"))
-
 
 class QuerySyntaxError(ValueError):
     def __init__(self, message: str, line: int = 0, col: int = 0):
@@ -325,9 +322,9 @@ class _Parser:
     def binary(self, precedence: int = 0) -> tuple[ast.Expr, int]:
         """Operators of this precedence or tighter, folded to the left. A
         comparison takes no second comparison as its left operand."""
-        if precedence == len(_PRECEDENCE):
+        if precedence == len(ast.PRECEDENCE):
             return self.unary()
-        ops = _PRECEDENCE[precedence]
+        ops = ast.PRECEDENCE[precedence]
         left, depth = self.binary(precedence + 1)
         while self.peek().kind in ops:
             tok = self.take()
@@ -358,20 +355,20 @@ class _Parser:
         if tok.kind == "IDENT":
             self.take()
             return self.param_ref(tok), 0
-        if tok.kind in ("SUM", "AVG"):
+        if tok.kind in ast.AGGREGATE_FUNCS:
             self.take()
             self.expect("(")
             arg, depth = self.nested(self.binary)
             self.expect(")")
             return ast.Aggregate(tok.kind, arg), self.level(tok, depth)
-        if tok.kind in ("IF", "REGEX", "STR"):
+        if tok.kind in ast.CALL_FUNCS:
             self.take()
             self.expect("(")
             args = [self.nested(self.binary)]
             while self.accept(","):
                 args.append(self.nested(self.binary))
             self.expect(")")
-            want = {"IF": 3, "REGEX": 2, "STR": 1}[tok.kind]
+            want = ast.CALL_FUNCS[tok.kind]
             if len(args) != want:
                 raise QuerySyntaxError(
                     f"{tok.kind} takes {want} argument{'s' if want > 1 else ''}, got {len(args)}",

@@ -8,8 +8,9 @@ domain conventions live:
   "100 unit") into plain integers, so downstream code sees one spelling.
 * The view dataclasses (``NodeView``, ``OrderView``, ``CapacityView``,
   ``InventoryView``, ``BomEdge``) materialize one entity each. Every view
-  has a ``to_triples`` that reproduces exactly the triples the accessor
-  consumed, which makes "view round-trips through the graph" testable.
+  has a ``to_triples`` that gives exactly the triples the accessor
+  consumed, and the generator and simulator write records only through
+  it; ``capacity_iri`` names the capacity records they create.
 * ``due_schedule``, ``current_inventory`` and ``capacity_by_step`` are the
   one definition of when an order is due and in what order, which
   inventory record is current, and which capacity record a step books
@@ -18,7 +19,8 @@ domain conventions live:
   ``capacity_by_step``, so it flags every record they reject.
 
 Accessors raise ``MissingEntityError`` when a required entity or property
-is absent, never silently default.
+is absent or out of range (an order quantity below 1), never silently
+default.
 """
 
 from __future__ import annotations
@@ -221,6 +223,14 @@ def the_oem(graph: Graph) -> Iri:
     return oems[0]
 
 
+def manufactured_product(graph: Graph, iri: Iri) -> str:
+    """The name of the one product a node manufactures."""
+    made = graph.value(iri, v.MANUFACTURES)
+    if not isinstance(made, Iri):
+        raise MissingEntityError(f"{iri.name} manufactures no product")
+    return made.name
+
+
 @dataclass(frozen=True, slots=True)
 class OrderView:
     id: str
@@ -269,12 +279,15 @@ def order(graph: Graph, iri: Iri) -> OrderView:
     fulfilled = None
     if verdicts and isinstance(verdicts[0], Literal) and verdicts[0].datatype == BOOLEAN:
         fulfilled = verdicts[0].value
+    quantity = _int_value(graph, iri, v.HAS_QUANTITY, "order quantity")
+    if quantity < 1:
+        raise MissingEntityError(f"{iri.name} order quantity must be >= 1, got {quantity}")
     plan = graph.value(iri, v.HAS_SUPPLY_PLAN)
     return OrderView(
         id=iri.name,
         maker=makers[0].name,
         product=product.name,
-        quantity=_int_value(graph, iri, v.HAS_QUANTITY, "order quantity"),
+        quantity=quantity,
         delivery_time=due.value,
         fulfilled=fulfilled,
         supply_plan=plan.name if isinstance(plan, Iri) else None,
@@ -306,6 +319,11 @@ def due_schedule(graph: Graph, views: list[OrderView], oem_delivery_time: int) -
     for step in due.values():
         step.sort(key=lambda o: (-priorities[o.maker], o.id))
     return due
+
+
+def capacity_iri(node_id: str, t: int) -> Iri:
+    """The name of the capacity record created for a node at step t."""
+    return Iri(f"Cap{node_id}T{t}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,7 +24,14 @@ STRING = "string"
 BOOLEAN = "boolean"
 TIMESTEP = "timestep"
 
-_DATATYPES = (INTEGER, DECIMAL, STRING, BOOLEAN, TIMESTEP)
+# literal datatype -> the test its value passes
+_VALUE_CHECKS = {
+    INTEGER: lambda v: type(v) is int,
+    DECIMAL: lambda v: type(v) is float and math.isfinite(v),
+    STRING: lambda v: type(v) is str,
+    BOOLEAN: lambda v: type(v) is bool,
+    TIMESTEP: lambda v: type(v) is int and v >= 0,
+}
 
 # The deepest ``<< ... >>`` nesting the graph and query parsers accept, far
 # below the depth at which their recursion would exhaust the Python stack.
@@ -61,18 +68,11 @@ class Literal:
     datatype: str
 
     def __post_init__(self) -> None:
-        if self.datatype not in _DATATYPES:
+        check = _VALUE_CHECKS.get(self.datatype)
+        if check is None:
             raise MalformedTermError(f"unknown datatype: {self.datatype!r}")
-        v = self.value
-        ok = {
-            INTEGER: lambda: type(v) is int,
-            DECIMAL: lambda: type(v) is float and math.isfinite(v),
-            STRING: lambda: type(v) is str,
-            BOOLEAN: lambda: type(v) is bool,
-            TIMESTEP: lambda: type(v) is int and v >= 0,
-        }[self.datatype]()
-        if not ok:
-            raise MalformedTermError(f"bad {self.datatype} literal value: {v!r}")
+        if not check(self.value):
+            raise MalformedTermError(f"bad {self.datatype} literal value: {self.value!r}")
 
 
 def integer(value: int) -> Literal:

@@ -191,8 +191,6 @@ def _check_orders(graph, report):
         except schema.MissingEntityError as exc:
             report.error("bad-order", iri.name, str(exc))
             continue
-        if view.quantity <= 0:
-            report.error("bad-order", iri.name, "order quantity must be positive")
         maker = Iri(view.maker)
         if schema.node_kind(graph, maker) != v.CUSTOMER:
             report.error("bad-order", iri.name, f"maker {view.maker} is not a customer")
@@ -213,6 +211,12 @@ def _check_topology(graph, report):
     except schema.MissingEntityError as exc:
         report.error("oem-count", "", str(exc))
         return
+    try:
+        schema.manufactured_product(graph, oem)
+    except schema.MissingEntityError as exc:
+        report.error("missing-product", oem.name, str(exc))
+    except ValueError:
+        report.error("multi-valued", oem.name, f"{v.MANUFACTURES.name} must have a single value")
 
     sup = _group_by_tier(graph, v.SUPPLIER)
     cust = _group_by_tier(graph, v.CUSTOMER)

@@ -120,8 +120,8 @@ def test_6_engine_reference_equivalence():
 
 
 def _check_conserved(graph, sim):
-    for level in sim._inventory.values():
-        assert level >= 0
+    for record in sim._stock.values():
+        assert record.quantity >= 0
     for record in graph.subjects(v.RDF_TYPE, v.INVENTORY):
         quantity = graph.value(record, v.HAS_QUANTITY)
         assert quantity is not None and quantity.value >= 0

@@ -109,6 +109,54 @@ def test_simulate_rejects_malformed_records(graph_file, tmp_path, capsys, extra)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "second, finding, message",
+    [
+        ("", "missing-product OEM1: OEM1 manufactures no product", "OEM1 manufactures no product"),
+        (
+            ":OEM1 :manufactures :Product .\n:OEM1 :manufactures :Product1.1 .\n",
+            "multi-valued OEM1: manufactures must have a single value",
+            "multiple values",
+        ),
+    ],
+    ids=["no-product", "two-products"],
+)
+def test_oem_needs_exactly_one_product(graph_file, tmp_path, capsys, second, finding, message):
+    """simulate rejects an OEM that makes no product or two, so validate
+    does too."""
+    text = graph_file.read_text()
+    assert ":OEM1 :manufactures :Product .\n" in text
+    bad = tmp_path / "bad.nt"
+    bad.write_text(text.replace(":OEM1 :manufactures :Product .\n", second))
+    assert run("validate", "--graph", str(bad)) == 2
+    assert f"error {finding}\n" in capsys.readouterr().out
+    out = tmp_path / "r.csv"
+    assert run("simulate", "--graph", str(bad), "--horizon", "178", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("quantity, stock", [(0, False), (-5, True)], ids=["zero-without-stock", "negative"])
+def test_order_quantity_below_one_is_rejected(graph_file, tmp_path, capsys, quantity, stock):
+    text = graph_file.read_text()
+    assert ":Order1 :hasQuantity 100000 .\n" in text
+    text = text.replace(":Order1 :hasQuantity 100000 .\n", f":Order1 :hasQuantity {quantity} .\n")
+    if not stock:  # the OEM holds no inventory record at all
+        text = "".join(line for line in text.splitlines(keepends=True) if "InvOEM1" not in line)
+    bad = tmp_path / "bad.nt"
+    bad.write_text(text)
+    assert run("validate", "--graph", str(bad)) == 2
+    assert f"error bad-order Order1: Order1 order quantity must be >= 1, got {quantity}\n" in capsys.readouterr().out
+    out = tmp_path / "r.csv"
+    final = tmp_path / "final.nt"
+    code = run("simulate", "--graph", str(bad), "--horizon", "178", "--out", str(out), "--final-graph", str(final))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Order1 order quantity must be >= 1" in err and "Traceback" not in err
+    assert not out.exists() and not final.exists()
+
+
 # --- query ---
 
 def test_query_select_to_csv(graph_file, tmp_path, capsys):

@@ -317,18 +317,6 @@ def test_equal_priority_breaks_ties_by_order_name():
 
 # --- hooks and guards ---
 
-def test_replenish_hook_runs_before_each_step():
-    g = fixture(oem_stock=0)
-
-    def refill(sim, t):
-        if t == 6:
-            sim._drain("OEM1", "Product", 10, t)  # set stock, timestamped t
-
-    sim = Simulation(g, replenish=refill)
-    reports = sim.run(7)
-    assert reports[6].from_stock == 1
-
-
 def test_run_rejects_empty_horizon():
     with pytest.raises(ValueError):
         Simulation(fixture()).run(0)
@@ -394,9 +382,9 @@ def test_conservation_through_every_step():
     sats = dict(sim._sat)
     for t in range(config.horizon):
         sim.step(t)
-        assert all(q >= 0 for q in sim._inventory.values())
-        for (node, _), q in sim._committed.items():
-            assert 0 <= q <= sats[node]
+        assert all(record.quantity >= 0 for record in sim._stock.values())
+        for (node, _), record in sim._capacity.items():
+            assert 0 <= record.quantity <= sats[node]
 
 
 def test_plan_arithmetic_on_generated_run(simulated_automotive):

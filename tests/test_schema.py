@@ -4,7 +4,7 @@ import pytest
 
 from supplykg import Graph, Iri, Quoted, Triple, integer, string, timestep
 from supplykg.fulfillment import Simulation
-from supplykg.generator import automotive
+from supplykg.generator import automotive, dairy, generate
 from supplykg.query import evaluate, parse_query
 from supplykg.schema import (
     MissingEntityError,
@@ -13,6 +13,7 @@ from supplykg.schema import (
     capacity_records,
     current_inventory,
     due_schedule,
+    inventory_record,
     node,
     node_kind,
     nodes_of_kind,
@@ -26,6 +27,26 @@ from supplykg import vocab as v
 
 def tr(s, p, o):
     return Triple(Iri(s), Iri(p), o if not isinstance(o, str) else Iri(o))
+
+
+@pytest.fixture(scope="module")
+def preset_graphs(simulated_automotive):
+    """Both presets as generated and after a full simulation; read-only."""
+    simulated_dairy = generate(dairy())
+    Simulation(simulated_dairy).run(dairy().horizon)
+    return {
+        "automotive": generate(automotive()),
+        "simulated automotive": simulated_automotive[0],
+        "dairy": generate(dairy()),
+        "simulated dairy": simulated_dairy,
+    }
+
+
+def triples_by_subject(graph):
+    out = {}
+    for t in graph.triples():
+        out.setdefault(t.subject, set()).add(t)
+    return out
 
 
 # --- normalization ---
@@ -99,17 +120,18 @@ def test_node_view_fields_on_generated_graph(automotive_graph):
     assert cust.priority is not None
 
 
-def test_node_view_round_trip(automotive_graph):
+def test_node_view_round_trip(preset_graphs):
     """to_triples() is a faithful projection: subset of the graph, and
     parsing it back yields an identical view."""
-    for kind in (v.OEM, v.SUPPLIER, v.CUSTOMER):
-        for iri in nodes_of_kind(automotive_graph, kind):
-            view = node(automotive_graph, iri)
-            rebuilt = Graph()
-            for t in view.to_triples():
-                assert t in automotive_graph
-                rebuilt.insert(t)
-            assert node(rebuilt, iri) == view
+    for graph in preset_graphs.values():
+        for kind in (v.OEM, v.SUPPLIER, v.CUSTOMER):
+            for iri in nodes_of_kind(graph, kind):
+                view = node(graph, iri)
+                rebuilt = Graph()
+                for t in view.to_triples():
+                    assert t in graph
+                    rebuilt.insert(t)
+                assert node(rebuilt, iri) == view
 
 
 def test_node_kind_and_missing_node(automotive_graph):
@@ -129,14 +151,18 @@ def test_the_oem_requires_exactly_one(automotive_graph):
 
 # --- order views ---
 
-def test_order_view_round_trip(automotive_graph):
-    for view in orders(automotive_graph):
-        rebuilt = Graph()
-        for t in view.to_triples():
-            assert t in automotive_graph
-            rebuilt.insert(t)
-        # the maker's priority lives on the node, not the order
-        assert order(rebuilt, view.iri) == view
+def test_order_view_round_trip(preset_graphs):
+    """An order's own triples plus its maker's link are exactly the view's
+    triples, and parsing those back yields an identical view."""
+    for label, graph in preset_graphs.items():
+        by_subject = triples_by_subject(graph)
+        found = orders(graph)
+        assert found and (label.startswith("simulated") == all(o.fulfilled is not None for o in found))
+        for view in found:
+            link = Triple(Iri(view.maker), v.MAKES, view.iri)
+            assert by_subject[view.iri] | {link} == set(view.to_triples())
+            # the maker's priority lives on the node, not the order
+            assert order(Graph(view.to_triples()), view.iri) == view
 
 
 def test_order_view_errors():
@@ -247,10 +273,32 @@ def test_capacity_records_sorted_and_lookup(automotive_graph):
     assert 9999 not in by_step
 
 
-def test_capacity_view_round_trip(automotive_graph):
-    for r in capacity_records(automotive_graph, Iri("OEM1")):
-        for t in r.to_triples():
-            assert t in automotive_graph
+def test_capacity_view_round_trip(preset_graphs):
+    """Every capacity record's own triples plus its owner's link are
+    exactly the view's triples."""
+    for label, graph in preset_graphs.items():
+        by_subject = triples_by_subject(graph)
+        records = [r for n in nodes_of_kind(graph, v.NODE) for r in capacity_records(graph, n)]
+        assert records
+        assert label.startswith("simulated") == any(r.timestep > 0 for r in records)
+        for r in records:
+            link = Triple(Iri(r.node), v.HAS_CAPACITY, r.iri)
+            assert by_subject[r.iri] | {link} == set(r.to_triples())
+
+
+def test_inventory_view_round_trip(preset_graphs):
+    """Every inventory record's own triples plus its owner's link are
+    exactly the view's triples."""
+    for graph in preset_graphs.values():
+        by_subject = triples_by_subject(graph)
+        checked = 0
+        for n in nodes_of_kind(graph, v.NODE):
+            for record in graph.objects(n, v.HAS_INVENTORY):
+                view = inventory_record(graph, n, record)
+                link = Triple(n, v.HAS_INVENTORY, record)
+                assert by_subject[record] | {link} == set(view.to_triples())
+                checked += 1
+        assert checked
 
 
 def test_inventory_latest_record_wins():
