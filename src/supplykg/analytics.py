@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from . import schema
 from . import vocab as v
 from .fulfillment import Simulation
-from .generator import GeneratorConfig, generate
+from .generator import generate
 from .graph import Graph
 from .query import evaluate, parse_query
 from .terms import INTEGER, STRING, Iri, Literal, timestep

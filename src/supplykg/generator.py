@@ -38,6 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 
+from . import schema
 from . import vocab as v
 from .graph import Graph
 from .rng import SplitMix64
@@ -66,7 +67,6 @@ class GeneratorConfig:
     latitude_range: tuple[int, int] = (0, 90)
     bom_quantity_range: tuple[int, int] = (1, 4)
     demand_frequency: int = 2
-    order_product: str = "Product"
     order_quantity: int = 100_000
     horizon: int = 178
     kpi_range_overrides: tuple[tuple[str, tuple[int, int]], ...] = ()
@@ -110,34 +110,12 @@ def check_config(config: GeneratorConfig) -> None:
         bad("supplier_groups must have one entry per supplier tier")
     if any(gcount < 1 for gcount in config.supplier_groups):
         bad("supplier group counts must be >= 1")
-    for name in (
-        "priority_range",
-        "saturation_range",
-        "delivery_time_range",
-        "inventory_range",
-        "kpi_range",
-        "co2_range",
-        "longitude_range",
-        "latitude_range",
-        "bom_quantity_range",
-    ):
+    for name in _RANGE_FIELDS:
         lo, hi = getattr(config, name)
         if lo > hi:
             bad(f"{name} is empty: [{lo}, {hi}]")
-    if config.saturation_range[0] < 1:
-        bad("saturation must be positive")
-    if config.delivery_time_range[0] < 1:
-        bad("delivery time must be >= 1")
-    if config.inventory_range[0] < 0:
-        bad("inventory cannot be negative")
-    if config.bom_quantity_range[0] < 1:
-        bad("bill-of-materials quantities must be >= 1")
-    if config.initial_capacity < 0:
-        bad("initial_capacity cannot be negative")
     if config.demand_frequency < 1:
         bad("demand_frequency must be >= 1")
-    if config.order_quantity < 1:
-        bad("order_quantity must be >= 1")
     if config.horizon < 1:
         bad("horizon must be >= 1")
     for name, (lo, hi) in config.kpi_range_overrides:
@@ -145,6 +123,31 @@ def check_config(config: GeneratorConfig) -> None:
             bad(f"kpi_range_overrides names unknown indicator {name}")
         if lo > hi:
             bad(f"kpi_range_overrides.{name} is empty: [{lo}, {hi}]")
+
+    # every value the generator writes must read back through the schema
+    bounds = {pred.name: (lo, hi) for pred, (lo, hi, _) in schema.NODE_INTS.items()}
+    bounds["inventory"] = (schema.MIN_RECORD_VALUE, None)
+    checks = [
+        ("saturation_range", config.saturation_range, bounds[v.HAS_SATURATION.name]),
+        ("delivery_time_range", config.delivery_time_range, bounds[v.HAS_DELIVERY_TIME.name]),
+        ("priority_range", config.priority_range, bounds[v.HAS_PRIORITY.name]),
+        *(("kpi_range", config.kpi_range, bounds[pred.name]) for pred in v.KPI_PREDICATES),
+        *((f"kpi_range_overrides.{name}", span, bounds[name]) for name, span in config.kpi_range_overrides),
+        ("inventory_range", config.inventory_range, bounds["inventory"]),
+        ("initial_capacity", [config.initial_capacity], (schema.MIN_RECORD_VALUE, None)),
+        ("bom_quantity_range", config.bom_quantity_range, (schema.MIN_BOM_QUANTITY, None)),
+        ("order_quantity", [config.order_quantity], (schema.MIN_ORDER_QUANTITY, None)),
+        *(
+            (f"per_node_overrides.{node_id}.{prop}", [value], bounds[prop])
+            for node_id, prop, value in config.per_node_overrides
+            if prop in bounds
+        ),
+    ]
+    for name, values, (lo, hi) in checks:
+        for value in values:
+            rule = schema.outside(value, lo, hi) if isinstance(value, int) else "must be an integer"
+            if rule is not None:
+                bad(f"{name} {rule}, got {value}")
 
 
 def supplier_name(tier: int, index: int) -> str:
@@ -303,7 +306,7 @@ def generate(config: GeneratorConfig) -> Graph:
                     continue
                 number += 1
                 plan = f"SPOrder{number}"
-                put(OrderView(f"Order{number}", c.name, config.order_product, config.order_quantity, due, None, plan))
+                put(OrderView(f"Order{number}", c.name, finished.name, config.order_quantity, due, None, plan))
                 add(Iri(plan), v.RDF_TYPE, v.SUPPLY_PLAN)
     return g
 
@@ -317,9 +320,7 @@ _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_.-]*)\]$")
 
 _FIELD_TYPES = {f.name: f.type for f in fields(GeneratorConfig)}
 _LIST_FIELDS = {"supplier_tier_nodes", "customer_tier_nodes", "supplier_groups"}
-_RANGE_FIELDS = {name for name in _FIELD_TYPES if name.endswith("_range")}
-_INT_FIELDS = {"seed", "initial_capacity", "demand_frequency", "order_quantity", "horizon"}
-_STR_FIELDS = {"order_product"}
+_RANGE_FIELDS = tuple(name for name in _FIELD_TYPES if name.endswith("_range"))
 
 
 def _parse_value(raw, lineno):
@@ -384,14 +385,10 @@ class _Builder:
             if not isinstance(value, list):
                 raise ConfigError(f"line {lineno}: {key} needs a [..] list value")
             self.kwargs[key] = tuple(value)
-        elif key in _INT_FIELDS:
+        else:  # seed, initial_capacity, demand_frequency, order_quantity, horizon
             if not isinstance(value, int):
                 raise ConfigError(f"line {lineno}: {key} needs an integer value")
             self.kwargs[key] = value
-        elif key in _STR_FIELDS:
-            self.kwargs[key] = str(value)
-        else:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
 
     def build(self) -> GeneratorConfig:
         self.kwargs["kpi_range_overrides"] = tuple(sorted(self.kpi_overrides.items()))
@@ -408,7 +405,7 @@ def _base_from_items(items):
     rest = []
     for key, value, lineno in items:
         if key == "preset":
-            if value not in PRESETS:
+            if not (isinstance(value, str) and value in PRESETS):
                 raise ConfigError(f"line {lineno}: unknown preset {value!r}")
             preset = value
         else:

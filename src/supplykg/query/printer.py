@@ -7,7 +7,7 @@ parser bounds.
 
 from __future__ import annotations
 
-from ..terms import format_pattern, format_term
+from ..terms import format_term, format_triple
 from . import ast
 
 
@@ -29,14 +29,14 @@ def print_expr(expr: ast.Expr) -> str:
 
 
 def _where(patterns, filters) -> str:
-    parts = [format_pattern(p) for p in patterns]
+    parts = [format_triple(p) for p in patterns]
     parts += [f"FILTER {print_expr(f)} ." for f in filters]
     return "{ " + " ".join(parts) + " }"
 
 
 def print_query(q: ast.Query) -> str:
     if isinstance(q, ast.InsertWhereQuery):
-        template = " ".join(format_pattern(p) for p in q.template)
+        template = " ".join(format_triple(p) for p in q.template)
         return f"INSERT {{ {template} }} WHERE {_where(q.patterns, q.filters)}"
     if q.projection is None:
         head = "*"

@@ -14,13 +14,16 @@ domain conventions live:
 * ``due_schedule``, ``current_inventory`` and ``capacity_by_step`` are the
   one definition of when an order is due and in what order, which
   inventory record is current, and which capacity record a step books
-  onto. The simulator builds its ledgers from them, and ``validation``
-  reads records through ``capacity_record``, ``inventory_record`` and
-  ``capacity_by_step``, so it flags every record they reject.
+  onto. The simulator builds its ledgers from them.
+* The readers hold every value rule: ``NODE_INTS`` bounds each integer
+  node property and says which node classes must carry it, the ``MIN_*``
+  constants bound record, edge and order quantities, and every integer
+  is read through one reader. ``validation`` reports what the readers
+  raise, and the generator's config check uses the same bounds.
 
 Accessors raise ``MissingEntityError`` when a required entity or property
-is absent or out of range (an order quantity below 1), never silently
-default.
+is absent, has more than one value, is not an integer or is out of range,
+never silently default.
 """
 
 from __future__ import annotations
@@ -41,17 +44,20 @@ from .terms import (
     Quoted,
     Triple,
     boolean,
+    format_term,
     integer,
     timestep,
 )
 
 
 class MissingEntityError(KeyError):
-    """An entity or required property was not found in the graph."""
+    """A required entity or property is absent, or a value breaks a rule
+    (``problem`` names which)."""
 
-    def __init__(self, message):
+    def __init__(self, message, problem=None):
         super().__init__(message)
         self.message = message
+        self.problem = problem
 
     def __str__(self):
         return self.message
@@ -94,20 +100,61 @@ def load_graph(path) -> Graph:
     return normalize(parse_graph_file(path))
 
 
-def _int_value(graph, subject, predicate, what):
-    term = graph.value(subject, predicate)
-    if term is None:
-        raise MissingEntityError(f"{subject.name} has no {predicate.name} ({what})")
-    if not (isinstance(term, Literal) and term.datatype == INTEGER):
-        raise MissingEntityError(f"{subject.name} {predicate.name} is not an integer")
-    return term.value
-
-
-def _opt_int(graph, subject, predicate):
-    term = graph.value(subject, predicate)
-    if isinstance(term, Literal) and term.datatype == INTEGER:
-        return term.value
+def outside(value: int, lo: int | None, hi: int | None) -> str | None:
+    """The rule ``value`` breaks, e.g. "must be >= 1", or None when it lies in lo..hi."""
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        return f"must be >= {lo}" if hi is None else f"must be in {lo}..{hi}"
     return None
+
+
+def _int_value(graph, subject, predicate, lo=None, hi=None, required=True):
+    """The one integer value of ``subject``'s ``predicate``, within the
+    inclusive bounds ``lo``..``hi`` (None leaves a side open), or None when
+    it is absent and not ``required``. The error's ``problem`` names the
+    rule broken: "missing", "multi-valued", "not-integer" or "out-of-range"."""
+    values = graph.objects(subject, predicate)
+    if not values and not required:
+        return None
+    if len(values) == 1 and isinstance(values[0], Literal) and values[0].datatype == INTEGER:
+        rule = outside(values[0].value, lo, hi)
+        if rule is None:
+            return values[0].value
+        problem, fault = "out-of-range", f"{predicate.name} {rule}, got {values[0].value}"
+    elif not values:
+        problem, fault = "missing", f"has no {predicate.name}"
+    elif len(values) > 1:
+        problem, fault = "multi-valued", f"{predicate.name} must have a single value"
+    else:
+        problem, fault = "not-integer", f"{predicate.name} is not an integer"
+    name = subject.name if isinstance(subject, Iri) else format_term(subject)
+    raise MissingEntityError(f"{name} {fault}", problem)
+
+
+# Each integer node property: its inclusive bounds (None leaves a side
+# open) and the node classes that must carry it.
+NODE_INTS = {
+    v.HAS_SATURATION: (1, None, (v.OEM, v.SUPPLIER, v.CUSTOMER)),
+    v.HAS_DELIVERY_TIME: (1, None, (v.OEM, v.SUPPLIER, v.CUSTOMER)),
+    v.HAS_GROUP: (1, None, ()),
+    v.HAS_PRIORITY: (1, None, (v.CUSTOMER,)),
+    **{kpi: (0, 100, ()) for kpi in v.KPI_PREDICATES},
+    v.HAS_CO2: (None, None, ()),
+    v.HAS_LONGITUDE: (None, None, ()),
+    v.HAS_LATITUDE: (None, None, ()),
+}
+
+# The least quantity (and capacity cost) of a capacity or inventory record,
+# of a bill-of-materials edge and of an order.
+MIN_RECORD_VALUE = 0
+MIN_BOM_QUANTITY = 1
+MIN_ORDER_QUANTITY = 1
+
+
+def node_int(graph: Graph, iri: Iri, predicate: Iri, kind: Iri | None) -> int | None:
+    """A node's value of one ``NODE_INTS`` property, read as a node of
+    class ``kind``: None when absent and not required for that class."""
+    lo, hi, required_by = NODE_INTS[predicate]
+    return _int_value(graph, iri, predicate, lo, hi, kind in required_by)
 
 
 def node_kind(graph: Graph, iri: Iri):
@@ -189,25 +236,22 @@ def node(graph: Graph, iri: Iri) -> NodeView:
     kind = node_kind(graph, iri)
     if kind is None or v.NODE not in graph.objects(iri, v.RDF_TYPE):
         raise MissingEntityError(f"{iri.name} is not a typed supply-chain node")
-    kpis = []
-    for pred in v.KPI_PREDICATES:
-        value = _opt_int(graph, iri, pred)
-        if value is not None:
-            kpis.append((pred.name, value))
+    values = {pred: node_int(graph, iri, pred, kind) for pred in NODE_INTS}
+    kpis = [(pred.name, values[pred]) for pred in v.KPI_PREDICATES if values[pred] is not None]
     mode_term = graph.value(iri, v.HAS_TRANSPORT_MODE)
     mode = mode_term.value if isinstance(mode_term, Literal) and mode_term.datatype == STRING else None
     return NodeView(
         id=iri.name,
         kind=kind.name,
         tier=tier_index(graph, iri),
-        saturation=_int_value(graph, iri, v.HAS_SATURATION, "node saturation"),
-        delivery_time=_int_value(graph, iri, v.HAS_DELIVERY_TIME, "node delivery time"),
-        group=_opt_int(graph, iri, v.HAS_GROUP),
-        priority=_opt_int(graph, iri, v.HAS_PRIORITY),
+        saturation=values[v.HAS_SATURATION],
+        delivery_time=values[v.HAS_DELIVERY_TIME],
+        group=values[v.HAS_GROUP],
+        priority=values[v.HAS_PRIORITY],
         kpis=tuple(sorted(kpis)),
-        co2=_opt_int(graph, iri, v.HAS_CO2),
-        longitude=_opt_int(graph, iri, v.HAS_LONGITUDE),
-        latitude=_opt_int(graph, iri, v.HAS_LATITUDE),
+        co2=values[v.HAS_CO2],
+        longitude=values[v.HAS_LONGITUDE],
+        latitude=values[v.HAS_LATITUDE],
         transport_mode=mode,
     )
 
@@ -279,9 +323,7 @@ def order(graph: Graph, iri: Iri) -> OrderView:
     fulfilled = None
     if verdicts and isinstance(verdicts[0], Literal) and verdicts[0].datatype == BOOLEAN:
         fulfilled = verdicts[0].value
-    quantity = _int_value(graph, iri, v.HAS_QUANTITY, "order quantity")
-    if quantity < 1:
-        raise MissingEntityError(f"{iri.name} order quantity must be >= 1, got {quantity}")
+    quantity = _int_value(graph, iri, v.HAS_QUANTITY, MIN_ORDER_QUANTITY)
     plan = graph.value(iri, v.HAS_SUPPLY_PLAN)
     return OrderView(
         id=iri.name,
@@ -311,10 +353,7 @@ def due_schedule(graph: Graph, views: list[OrderView], oem_delivery_time: int) -
     due: dict[int, list[OrderView]] = {}
     for o in views:
         if o.maker not in priorities:
-            priority = _opt_int(graph, Iri(o.maker), v.HAS_PRIORITY)
-            if priority is None:
-                raise MissingEntityError(f"{o.maker} has no priority")
-            priorities[o.maker] = priority
+            priorities[o.maker] = node_int(graph, Iri(o.maker), v.HAS_PRIORITY, v.CUSTOMER)
         due.setdefault(o.delivery_time - oem_delivery_time, []).append(o)
     for step in due.values():
         step.sort(key=lambda o: (-priorities[o.maker], o.id))
@@ -368,9 +407,9 @@ def capacity_record(graph: Graph, node_iri: Iri, record: Iri) -> CapacityView:
         id=record.name,
         node=node_iri.name,
         product=product,
-        quantity=_int_value(graph, record, v.HAS_QUANTITY, "committed capacity"),
+        quantity=_int_value(graph, record, v.HAS_QUANTITY, MIN_RECORD_VALUE),
         timestep=step,
-        cost=_int_value(graph, record, v.HAS_COST, "capacity cost"),
+        cost=_int_value(graph, record, v.HAS_COST, MIN_RECORD_VALUE),
     )
 
 
@@ -423,7 +462,7 @@ def inventory_record(graph: Graph, node_iri: Iri, record: Iri) -> InventoryView:
         id=record.name,
         node=node_iri.name,
         product=product,
-        quantity=_int_value(graph, record, v.HAS_QUANTITY, "inventory quantity"),
+        quantity=_int_value(graph, record, v.HAS_QUANTITY, MIN_RECORD_VALUE),
         timestep=step,
     )
 
@@ -458,10 +497,7 @@ def bom(graph: Graph, parent: Iri) -> list[BomEdge]:
     for child in graph.objects(parent, v.NEEDS_PRODUCT):
         if not isinstance(child, Iri):
             continue
-        qty = graph.value(Quoted(Triple(parent, v.NEEDS_PRODUCT, child)), v.NEEDS_QUANTITY)
-        if not (isinstance(qty, Literal) and qty.datatype == INTEGER):
-            raise MissingEntityError(
-                f"edge {parent.name} needsProduct {child.name} has no integer quantity"
-            )
-        edges.append(BomEdge(parent=parent.name, child=child.name, quantity=qty.value))
+        edge = Quoted(Triple(parent, v.NEEDS_PRODUCT, child))
+        quantity = _int_value(graph, edge, v.NEEDS_QUANTITY, MIN_BOM_QUANTITY)
+        edges.append(BomEdge(parent=parent.name, child=child.name, quantity=quantity))
     return sorted(edges, key=lambda e: e.child)

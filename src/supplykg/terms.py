@@ -241,9 +241,6 @@ class Solution:
     def get(self, name: str, default=None):
         return self._bindings.get(name, default)
 
-    def as_dict(self) -> dict[str, Term]:
-        return dict(self._bindings)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Solution):
             return self._bindings == other._bindings
@@ -308,11 +305,9 @@ def format_term(term) -> str:
         return ":" + term.name
     if isinstance(term, Variable):
         return "?" + term.name
-    if isinstance(term, Quoted):
-        t = term.triple
+    if isinstance(term, (Quoted, TriplePattern)):
+        t = term.triple if isinstance(term, Quoted) else term
         return f"<< {format_term(t.subject)} {_format_predicate(t.predicate)} {format_term(t.object)} >>"
-    if isinstance(term, TriplePattern):
-        return f"<< {format_term(term.subject)} {_format_predicate(term.predicate)} {format_term(term.object)} >>"
     if isinstance(term, Literal):
         dt, v = term.datatype, term.value
         if dt == INTEGER:
@@ -337,12 +332,9 @@ def _format_predicate(p) -> str:
     return format_term(p)
 
 
-def format_triple(t: Triple) -> str:
+def format_triple(t: Triple | TriplePattern) -> str:
+    """Canonical line of a triple, or of a triple pattern in query text."""
     return f"{format_term(t.subject)} {_format_predicate(t.predicate)} {format_term(t.object)} ."
-
-
-def format_pattern(p: TriplePattern) -> str:
-    return f"{format_term(p.subject)} {_format_predicate(p.predicate)} {format_term(p.object)} ."
 
 
 # ---------------------------------------------------------------------------

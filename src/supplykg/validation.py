@@ -4,6 +4,12 @@
 raising, so callers can render all findings at once. Severity is either
 "error" (the graph will misbehave in the simulator or analytics) or
 "warning" (unusual but workable, e.g. links that skip a tier).
+
+Values are checked only by the ``schema`` readers that ``simulate`` runs:
+``validate`` reads every node property, record, order and bill-of-materials
+edge through them and reports what they raise. Its own checks span
+entities: vocabulary, node classes, record owners, capacity against
+saturation, tier links and bill-of-materials cycles.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from . import schema
 from . import vocab as v
 from .graph import Graph
-from .terms import INTEGER, Iri, Literal, Quoted
+from .terms import Iri, Quoted
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,18 +39,6 @@ class _Report:
 
     def warning(self, code, subject, message):
         self.items.append(Violation(code, "warning", subject, message))
-
-
-def _single(graph, subject, predicate, report):
-    try:
-        return graph.value(subject, predicate)
-    except ValueError:
-        report.error(
-            "multi-valued",
-            subject.name,
-            f"{predicate.name} must have a single value",
-        )
-        return None
 
 
 def _check_vocabulary(graph, report, allow_unknown):
@@ -75,13 +69,25 @@ def _check_vocabulary(graph, report, allow_unknown):
         walk(t)
 
 
-_INT_PROPS = (
-    (v.HAS_GROUP, 1, None),
-    (v.HAS_PRIORITY, 1, None),
-    (v.HAS_CO2, None, None),
-    (v.HAS_LONGITUDE, None, None),
-    (v.HAS_LATITUDE, None, None),
-)
+# validate's code for each problem the node reader raises
+_MISSING = {
+    v.HAS_SATURATION: "missing-saturation",
+    v.HAS_DELIVERY_TIME: "missing-delivery-time",
+    v.HAS_PRIORITY: "missing-priority",
+}
+_BAD = {v.HAS_SATURATION: "bad-saturation", v.HAS_DELIVERY_TIME: "bad-delivery-time"}
+
+
+def _node_code(predicate, problem):
+    if problem == "multi-valued":
+        return problem
+    if problem == "missing":
+        return _MISSING[predicate]
+    if predicate in _BAD:
+        return _BAD[predicate]
+    if problem == "out-of-range" and predicate in v.KPI_PREDICATES:
+        return "kpi-out-of-range"
+    return "bad-literal-type"
 
 
 def _check_node(graph, iri, report):
@@ -89,45 +95,11 @@ def _check_node(graph, iri, report):
     if kind is None:
         report.error("untyped-node", iri.name, "node has no Supplier/Customer/OEM class")
         return
-
-    sat = _single(graph, iri, v.HAS_SATURATION, report)
-    if sat is None:
-        report.error("missing-saturation", iri.name, "node has no hasSaturation")
-    elif not (isinstance(sat, Literal) and sat.datatype == INTEGER and sat.value > 0):
-        report.error("bad-saturation", iri.name, "hasSaturation must be a positive integer")
-
-    dt = _single(graph, iri, v.HAS_DELIVERY_TIME, report)
-    if dt is None:
-        report.error("missing-delivery-time", iri.name, "node has no hasDeliveryTime")
-    elif not (isinstance(dt, Literal) and dt.datatype == INTEGER and dt.value >= 1):
-        report.error("bad-delivery-time", iri.name, "hasDeliveryTime must be an integer >= 1")
-
-    if kind == v.CUSTOMER:
-        prio = _single(graph, iri, v.HAS_PRIORITY, report)
-        if prio is None:
-            report.error("missing-priority", iri.name, "customer has no hasPriority")
-
-    for pred in v.KPI_PREDICATES:
-        value = _single(graph, iri, pred, report)
-        if value is None:
-            continue
-        if not (isinstance(value, Literal) and value.datatype == INTEGER):
-            report.error("bad-literal-type", iri.name, f"{pred.name} must be an integer")
-        elif not 0 <= value.value <= 100:
-            report.error(
-                "kpi-out-of-range",
-                iri.name,
-                f"{pred.name} is {value.value}, outside 0..100",
-            )
-
-    for pred, lo, hi in _INT_PROPS:
-        value = _single(graph, iri, pred, report)
-        if value is None:
-            continue
-        if not (isinstance(value, Literal) and value.datatype == INTEGER):
-            report.error("bad-literal-type", iri.name, f"{pred.name} must be an integer")
-        elif (lo is not None and value.value < lo) or (hi is not None and value.value > hi):
-            report.error("bad-literal-type", iri.name, f"{pred.name} out of range")
+    for predicate in schema.NODE_INTS:
+        try:
+            schema.node_int(graph, iri, predicate, kind)
+        except schema.MissingEntityError as exc:
+            report.error(_node_code(predicate, exc.problem), iri.name, str(exc))
 
 
 def _check_records(graph, report):
@@ -153,16 +125,15 @@ def _check_records(graph, report):
             unreadable.add(owner)
             continue
         booked.add(owner)
-        if view.quantity < 0:
-            report.error("bad-record", rec.name, "committed capacity is negative")
-        if view.cost < 0:
-            report.error("bad-record", rec.name, "capacity cost is negative")
-        sat = graph.value(owner, v.HAS_SATURATION)
-        if isinstance(sat, Literal) and sat.datatype == INTEGER and view.quantity > sat.value:
+        try:
+            sat = schema.node_int(graph, owner, v.HAS_SATURATION, None)  # None when absent
+        except schema.MissingEntityError:
+            continue  # reported by _check_node
+        if sat is not None and view.quantity > sat:
             report.error(
                 "capacity-exceeds-saturation",
                 rec.name,
-                f"committed {view.quantity} exceeds saturation {sat.value} of {owner.name}",
+                f"committed {view.quantity} exceeds saturation {sat} of {owner.name}",
             )
 
     for owner in booked - unreadable:
@@ -176,12 +147,9 @@ def _check_records(graph, report):
             report.error("orphan-record", rec.name, "inventory record has no owning node")
             continue
         try:
-            view = schema.inventory_record(graph, owners[rec][0][0], rec)
+            schema.inventory_record(graph, owners[rec][0][0], rec)
         except schema.MissingEntityError as exc:
             report.error("bad-record", rec.name, str(exc))
-            continue
-        if view.quantity < 0:
-            report.error("bad-record", rec.name, "inventory quantity must be an integer >= 0")
 
 
 def _check_orders(graph, report):
@@ -273,6 +241,11 @@ def _check_bom(graph, report):
     for t in graph.triples():
         if t.predicate == v.NEEDS_PRODUCT and isinstance(t.subject, Iri) and isinstance(t.object, Iri):
             edges.setdefault(t.subject, []).append(t.object)
+    for parent in edges:
+        try:
+            schema.bom(graph, parent)
+        except schema.MissingEntityError as exc:
+            report.error("bad-bom-edge", parent.name, str(exc))
 
     # Depth-first search with an explicit stack, so a long chain cannot
     # exhaust the Python stack: ``path`` holds the products being visited

@@ -147,14 +147,62 @@ def test_order_quantity_below_one_is_rejected(graph_file, tmp_path, capsys, quan
     bad = tmp_path / "bad.nt"
     bad.write_text(text)
     assert run("validate", "--graph", str(bad)) == 2
-    assert f"error bad-order Order1: Order1 order quantity must be >= 1, got {quantity}\n" in capsys.readouterr().out
+    assert f"error bad-order Order1: Order1 hasQuantity must be >= 1, got {quantity}\n" in capsys.readouterr().out
     out = tmp_path / "r.csv"
     final = tmp_path / "final.nt"
     code = run("simulate", "--graph", str(bad), "--horizon", "178", "--out", str(out), "--final-graph", str(final))
     assert code == 2
     err = capsys.readouterr().err
-    assert "Order1 order quantity must be >= 1" in err and "Traceback" not in err
+    assert "Order1 hasQuantity must be >= 1" in err and "Traceback" not in err
     assert not out.exists() and not final.exists()
+
+
+_BOM_EDGE = "<< :Product :needsProduct :Product1.1 >> :needsQuantity "
+
+
+@pytest.mark.parametrize(
+    "prefix, value",
+    [
+        (":SupplierNode1.1 :hasDeliveryTime ", "-3"),
+        (":SupplierNode1.1 :hasDeliveryTime ", "0"),
+        (":SupplierNode1.1 :hasCost ", "-500"),
+        (":SupplierNode1.1 :hasCost ", '"45"'),
+        (":InvOEM1 :hasQuantity ", "-70000"),
+        (":OEM1 :hasSaturation ", "-5"),
+        (":CapSupplierNode1.1T0 :hasQuantity ", "-900000"),
+        (_BOM_EDGE, "-2"),
+        (_BOM_EDGE, "0"),
+        (_BOM_EDGE, None),
+    ],
+    ids=[
+        "delivery-time-negative",
+        "delivery-time-zero",
+        "cost-negative",
+        "cost-string",
+        "inventory-negative",
+        "saturation-negative",
+        "capacity-negative",
+        "bom-quantity-negative",
+        "bom-quantity-zero",
+        "bom-quantity-missing",
+    ],
+)
+def test_validate_and_simulate_reject_the_same_values(tmp_path, capsys, prefix, value):
+    """A value validate rejects makes simulate exit 2, and a value that
+    makes simulate exit 2 fails validate."""
+    graph = tmp_path / "g.nt"
+    assert run("generate", "--preset", "dairy", "--seed", "3", "--out", str(graph)) == 0
+    lines = graph.read_text().splitlines(keepends=True)
+    [at] = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+    lines[at] = "" if value is None else f"{prefix}{value} .\n"
+    bad = tmp_path / "bad.nt"
+    bad.write_text("".join(lines))
+    capsys.readouterr()
+    assert run("validate", "--graph", str(bad)) == 2
+    out = tmp_path / "r.csv"
+    assert run("simulate", "--graph", str(bad), "--horizon", "60", "--out", str(out)) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- query ---

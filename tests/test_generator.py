@@ -253,6 +253,11 @@ def test_parse_config_defaults_to_automotive():
         "demand_frequency = 0",
         "supplier_groups = [1, 2]",
         "seed",
+        "order_product = Widget",
+        "preset = [0, 100]",
+        "priority_range = [0, 3]",
+        "kpi_range = [0, 500]",
+        "per_node_overrides.Node1.1.hasPriority = 0",
     ],
 )
 def test_parse_config_rejects(text):

@@ -1,0 +1,104 @@
+"""Arbitrary text fed to the three text parsers fails only with the
+parser's own error, which the command line turns into exit 2.
+
+An input is either a run of fragments (tokens of the format mixed with
+short random strings) or a valid text with a few of its space-separated
+words deleted, replaced or joined by a fragment, so that many inputs get
+past the tokenizer and reach the grammar and the value checks.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from supplykg.generator import ConfigError, parse_config_text, parse_scenario_text
+from supplykg.query import parse_query
+from supplykg.query.parser import QuerySyntaxError
+from supplykg.serialization import GraphParseError, parse_graph
+
+
+@st.composite
+def _mutant(draw, valid, fragment):
+    words = draw(st.sampled_from(valid)).split(" ")
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(words)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert" or i == len(words):
+            words.insert(i, draw(fragment))
+        elif op == "delete":
+            del words[i]
+        else:
+            words[i] = draw(fragment)
+    return " ".join(words)
+
+
+def _texts(valid, tokens):
+    fragment = st.one_of(st.sampled_from(tokens), st.text(max_size=3))
+    return st.one_of(st.lists(fragment, max_size=40).map("".join), _mutant(valid, fragment))
+
+
+_GRAPHS = [
+    ":OEM1 a :OEM .\n:OEM1 :hasDeliveryTime 4 .\n<< :Product :needsProduct :Product1.1 >> :needsQuantity 2 .\n"
+    ':Order1 :hasDeliveryTime "7"^^timestep .\n:Order1 :isFulfilled "True"^^boolean .\n:X :hasCO2 2.5 .\n'
+    ':Y :label "a \\"b\\"" .\n# comment\n',
+]
+
+_GRAPH_TOKENS = [
+    ":a", ":p", ":rdf:type", "a", " ", "\n", ".", "<<", ">>", "1", "-7", "2.5", "1e3",
+    '"s"', '"', "\\", '\\"', "^^", "^^timestep", "^^boolean", '"True"', '"3"', "#", "?x",
+]
+
+_QUERIES = [
+    'SELECT ?x ?y WHERE { ?x :p ?y . FILTER (?y > 1 && ?y != 3) } ORDER BY DESC(?y)',
+    "SELECT ?x (COUNT(?y) AS ?n) WHERE { ?x :p ?y . } GROUP BY ?x",
+    "INSERT { << ?x :p nd >> :q 1 . } WHERE { ?x a :Node . }",
+    'SELECT * WHERE { << ?x :p ?y >> :q ?z . FILTER (bound(?z) || str(?x) = "a") }',
+]
+
+_QUERY_TOKENS = [
+    "SELECT", "INSERT", "WHERE", "FILTER", "GROUP BY", "ORDER BY", "ASC", "DESC", "AS",
+    "DISTINCT", "COUNT", "SUM", "AVG", "MIN", "MAX", "str", "bound", "{", "}", "(", ")",
+    " ", "\n", ".", ",", "*", "?x", "?y", ":p", ":a", "a", "<<", ">>", "nd", "1", "-2",
+    "0.5", '"s"', '"True"^^boolean', '"4"^^timestep', "=", "!=", "<", ">=", "||", "&&",
+    "!", "+", "-", "/",
+]
+
+_CONFIGS = [
+    "preset = dairy\nseed = 3\nkpi_range = [0, 100]\nper_node_overrides.Node1.1.hasPriority = 2\n",
+    "seed = 1\n[A]\ndemand_frequency = 2\n[B]\nkpi_range_overrides.hasAgility = [10, 20]\n",
+]
+
+_CONFIG_TOKENS = [
+    "preset", "dairy", "automotive", "seed", "horizon", "demand_frequency", "order_quantity",
+    "initial_capacity", "saturation_range", "kpi_range", "priority_range", "supplier_groups",
+    "supplier_tier_nodes", "kpi_range_overrides.hasAgility", "per_node_overrides.Node1.1.hasPriority",
+    "per_node_overrides.OEM1.inventory", "=", "[", "]", ",", "0", "1", "3", "-1",
+    "100", "500", "\n", "#", "[A]", "[B]", "x",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts(_GRAPHS, _GRAPH_TOKENS))
+def test_graph_parser_raises_only_its_own_error(text):
+    try:
+        parse_graph(text)
+    except GraphParseError:
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts(_QUERIES, _QUERY_TOKENS))
+def test_query_parser_raises_only_its_own_error(text):
+    try:
+        parse_query(text, params=("nd",))
+    except QuerySyntaxError:
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts(_CONFIGS, _CONFIG_TOKENS))
+def test_config_parsers_raise_only_their_own_error(text):
+    for parse in (parse_config_text, parse_scenario_text):
+        try:
+            parse(text)
+        except ConfigError:
+            pass

@@ -12,7 +12,6 @@ from supplykg.terms import (
     Variable,
     boolean,
     decimal,
-    format_pattern,
     format_term,
     format_triple,
     integer,
@@ -158,11 +157,11 @@ def test_parameters_are_pattern_terms():
 
     assert query.ParamRef is ParamRef and ast.ParamRef is ParamRef
     pat = TriplePattern(ParamRef("n"), ParamRef("p"), TriplePattern(Variable("s"), Iri("q"), ParamRef("o")))
-    assert format_pattern(pat) == "n p << ?s :q o >> ."
+    assert format_triple(pat) == "n p << ?s :q o >> ."
     assert pat.variables() == ["s"]
     assert substitute(pat, {}) == pat  # without values, parameters stay
     bound = substitute(pat, {"s": Iri("a")}, {"n": Iri("b"), "p": Iri("rdf:type"), "o": integer(1)})
-    assert format_pattern(bound) == ":b a << :a :q 1 >> ."
+    assert format_triple(bound) == ":b a << :a :q 1 >> ."
     assert to_ground(bound) == Triple(Iri("b"), Iri("rdf:type"), Quoted(Triple(Iri("a"), Iri("q"), integer(1))))
 
 
