@@ -18,16 +18,18 @@ customer priority (ties by order name):
 
 Commitments, inventory drains, supply-plan lines, and the isFulfilled
 verdict are written back into the graph as they happen, so a serialized
-final graph carries the complete outcome. Supply-plan lines are inserted
-through the query engine's INSERT template rather than raw writes.
+final graph carries the complete outcome.
 
-The simulation mutates the graph it is given. Its two ledgers hold
-``schema`` views: the capacity record per (node, timestep), a missing one
-meaning zero load, and the current inventory record per (node, product).
-A booking or drain writes the triples that differ between a record's old
-and new view. Nodes without a cost property price their allocations at 0.
-A malformed inventory or capacity record, two capacity records for one
-node at one step, or an OEM with no product raise ``MissingEntityError``.
+The simulation mutates the graph it is given, and only through ``schema``
+views: every write is the difference between a view's old and new
+triples. Its two ledgers hold the capacity record per (node, timestep), a
+missing one meaning zero load, and the current inventory record per
+(node, product); a booking or drain rewrites one record. Each allocation
+is a new ``PlanLine`` (an order without a supply plan gets none), and a
+verdict rewrites the order's view. Nodes without a cost property price
+their allocations at 0. A malformed inventory or capacity record, two
+capacity records for one node at one step, or an OEM with no product
+raise ``MissingEntityError``.
 """
 
 from __future__ import annotations
@@ -37,17 +39,8 @@ from dataclasses import dataclass, replace
 from . import schema
 from . import vocab as v
 from .graph import Graph
-from .query import evaluate_update, parse_query
-from .terms import Iri, Triple, boolean, integer, timestep
-
-
-@dataclass(frozen=True, slots=True)
-class Allocation:
-    node: str
-    product: str
-    timestep: int
-    quantity: int
-    unit_price: int
+from .schema import PlanLine as Allocation
+from .terms import Iri
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,20 +56,6 @@ class StepReport:
 def explode_bom(graph: Graph, product: Iri, quantity: int) -> list[tuple[Iri, int]]:
     """Direct components of ``product`` scaled to ``quantity`` units."""
     return [(Iri(edge.child), edge.quantity * quantity) for edge in schema.bom(graph, product)]
-
-
-_PLAN_TEMPLATE = parse_query(
-    """
-    INSERT {
-      << ?plan :needsNode nd >> :getsProduct pr .
-      << ?plan :needsNode nd >> :hasTimeStamp ts .
-      << ?plan :needsNode nd >> :hasQuantity qty .
-      << ?plan :needsNode nd >> :hasUnitPrice price .
-    }
-    WHERE { ord :hasSupplyPlan ?plan . }
-    """,
-    params=("nd", "pr", "ts", "qty", "price", "ord"),
-)
 
 
 class Simulation:
@@ -122,21 +101,19 @@ class Simulation:
 
     # -- bookkeeping that keeps graph and ledgers in lockstep --
 
-    def _count_insert(self, triple: Triple) -> None:
-        if self.graph.insert(triple):
-            self._inserted += 1
-
     def _write(self, old, new) -> None:
-        """Rewrite a record from its old view (None for a new record) to its
-        new one: remove the triples only the old view has, insert those only
-        the new view has."""
-        before = set(old.to_triples()) if old is not None else set()
+        """Rewrite a view's triples from its old value (None for a new
+        record) to its new one: remove the triples only the old view has,
+        insert and count those only the new view has. A view holds a few
+        triples, so list membership compares them without hashing."""
+        before = old.to_triples() if old is not None else []
         after = new.to_triples()
-        for triple in before.difference(after):
-            self.graph.remove(triple)
+        for triple in before:
+            if triple not in after:
+                self.graph.remove(triple)
         for triple in after:
-            if triple not in before:
-                self._count_insert(triple)
+            if triple not in before and self.graph.insert(triple):
+                self._inserted += 1
 
     def committed(self, node: str, t: int) -> int:
         record = self._capacity.get((node, t))
@@ -165,23 +142,17 @@ class Simulation:
         self._write(old, new)
         self._stock[key] = new
 
-    def _write_plan_line(self, order_id: str, allocation: Allocation) -> None:
-        self._inserted += evaluate_update(
-            _PLAN_TEMPLATE,
-            self.graph,
-            params={
-                "nd": Iri(allocation.node),
-                "pr": Iri(allocation.product),
-                "ts": timestep(allocation.timestep),
-                "qty": integer(allocation.quantity),
-                "price": integer(allocation.unit_price),
-                "ord": Iri(order_id),
-            },
-        )
+    def _resolve(self, order: schema.OrderView, fulfilled: bool, allocations=()) -> None:
+        """Write an order's plan lines, if it has a supply plan, then its verdict."""
+        if order.supply_plan is not None:
+            for allocation in allocations:
+                self._write(None, allocation)
+        self._write(order, replace(order, fulfilled=fulfilled))
+        self._resolved.add(order.id)
 
-    def _verdict(self, order_id: str, fulfilled: bool) -> None:
-        self._count_insert(Triple(Iri(order_id), v.IS_FULFILLED, boolean(fulfilled)))
-        self._resolved.add(order_id)
+    def _focal_line(self, order: schema.OrderView, t: int, quantity: int) -> Allocation:
+        oem = self.oem.name
+        return Allocation(order.supply_plan, oem, order.product, t, quantity, self._cost[oem])
 
     # -- the algorithm --
 
@@ -199,15 +170,12 @@ class Simulation:
         if have < order.quantity:
             return order.quantity - have
         self._drain(self.oem.name, order.product, have - order.quantity, t)
-        self._write_plan_line(
-            order.id,
-            Allocation(self.oem.name, order.product, t, order.quantity, self._cost.get(self.oem.name, 0)),
-        )
-        self._verdict(order.id, True)
+        self._resolve(order, True, [self._focal_line(order, t, order.quantity)])
         return 0
 
-    def select_suppliers(self, components, t: int) -> list[Allocation] | None:
-        """Pick one supplier per component, or None if any cannot be placed.
+    def select_suppliers(self, components, t: int, plan: str | None) -> list[Allocation] | None:
+        """Pick one supplier per component, or None if any cannot be placed;
+        each pick is a line of the supply plan ``plan``.
 
         A supplier is feasible for a component when it manufactures it,
         supplies the focal node, and its saturation leaves room for the
@@ -230,29 +198,23 @@ class Simulation:
                 return None
             _, s, t0 = best
             pending[(s, t0)] = pending.get((s, t0), 0) + required
-            allocations.append(Allocation(s, component.name, t0, required, self._cost.get(s, 0)))
+            allocations.append(Allocation(plan, s, component.name, t0, required, self._cost[s]))
         return allocations
 
     def _try_production(self, order: schema.OrderView, t: int, remaining: int) -> bool:
         if self.committed(self.oem.name, t) + remaining > self.oem_sat:
             return False
         components = explode_bom(self.graph, Iri(order.product), remaining)
-        allocations = self.select_suppliers(components, t)
+        allocations = self.select_suppliers(components, t, order.supply_plan)
         if allocations is None:
             return False
         stock = self.inventory_level(self.oem.name, order.product)
         if stock > 0:
             self._drain(self.oem.name, order.product, 0, t)
-        self._commit(self.oem.name, t, remaining)
+        allocations.insert(0, self._focal_line(order, t, remaining))
         for allocation in allocations:
             self._commit(allocation.node, allocation.timestep, allocation.quantity)
-        self._write_plan_line(
-            order.id,
-            Allocation(self.oem.name, order.product, t, remaining, self._cost.get(self.oem.name, 0)),
-        )
-        for allocation in allocations:
-            self._write_plan_line(order.id, allocation)
-        self._verdict(order.id, True)
+        self._resolve(order, True, allocations)
         return True
 
     def step(self, t: int) -> StepReport:
@@ -266,7 +228,7 @@ class Simulation:
             elif self._try_production(order, t, remaining):
                 produced += 1
             else:
-                self._verdict(order.id, False)
+                self._resolve(order, False)
                 unfulfilled += 1
         return StepReport(t, len(due), from_stock, produced, unfulfilled, self._inserted)
 

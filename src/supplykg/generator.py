@@ -97,6 +97,34 @@ def dairy() -> GeneratorConfig:
 
 PRESETS = {"automotive": automotive, "dairy": dairy}
 
+_OEM_NAME = "OEM1"
+_NODE_NAME_RE = re.compile(r"(Supplier)?Node([1-9][0-9]*)\.([1-9][0-9]*)")
+
+# The properties ``emit_node`` draws for each class of node: the ones a
+# per_node_overrides entry may replace ("inventory" is the initial stock).
+_DRAWN_FOR_ALL = {
+    v.HAS_TRANSPORT_MODE.name,
+    *(pred.name for pred in schema.NODE_INTS if pred not in (v.HAS_GROUP, v.HAS_PRIORITY)),
+}
+_OVERRIDABLE = {
+    v.OEM: _DRAWN_FOR_ALL | {"inventory"},
+    v.SUPPLIER: _DRAWN_FOR_ALL | {v.HAS_GROUP.name, "inventory"},
+    v.CUSTOMER: _DRAWN_FOR_ALL | {v.HAS_PRIORITY.name},
+}
+
+
+def _generated_kind(config: GeneratorConfig, node_id: str) -> Iri | None:
+    """The class of the node the config generates under ``node_id``, or None."""
+    if node_id == _OEM_NAME:
+        return v.OEM
+    m = _NODE_NAME_RE.fullmatch(node_id)
+    if m:
+        counts = config.supplier_tier_nodes if m[1] else config.customer_tier_nodes
+        tier, index = int(m[2]), int(m[3])
+        if tier <= len(counts) and index <= counts[tier - 1]:
+            return v.SUPPLIER if m[1] else v.CUSTOMER
+    return None
+
 
 def check_config(config: GeneratorConfig) -> None:
     def bad(message):
@@ -123,6 +151,12 @@ def check_config(config: GeneratorConfig) -> None:
             bad(f"kpi_range_overrides names unknown indicator {name}")
         if lo > hi:
             bad(f"kpi_range_overrides.{name} is empty: [{lo}, {hi}]")
+    for node_id, prop, _ in config.per_node_overrides:
+        kind = _generated_kind(config, node_id)
+        if kind is None:
+            bad(f"per_node_overrides.{node_id}.{prop}: the config generates no node {node_id}")
+        if prop not in _OVERRIDABLE[kind]:
+            bad(f"per_node_overrides.{node_id}.{prop}: the generator draws no {prop} for {kind.name} nodes")
 
     # every value the generator writes must read back through the schema
     bounds = {pred.name: (lo, hi) for pred, (lo, hi, _) in schema.NODE_INTS.items()}
@@ -217,7 +251,7 @@ def generate(config: GeneratorConfig) -> Graph:
         return n, lead
 
     finished = Iri("Product")
-    oem, oem_lead = emit_node("OEM1", v.OEM, None, product_of=lambda _: finished)
+    oem, oem_lead = emit_node(_OEM_NAME, v.OEM, None, product_of=lambda _: finished)
 
     supplier_tiers: list[list[Iri]] = []
     supplier_leads: dict[Iri, int] = {}

@@ -7,9 +7,10 @@ domain conventions live:
   canonical vocabulary and fold unit-suffixed quantity strings ("10m",
   "100 unit") into plain integers, so downstream code sees one spelling.
 * The view dataclasses (``NodeView``, ``OrderView``, ``CapacityView``,
-  ``InventoryView``, ``BomEdge``) materialize one entity each. Every view
-  has a ``to_triples`` that gives exactly the triples the accessor
-  consumed, and the generator and simulator write records only through
+  ``InventoryView``, ``PlanLine``, ``BomEdge``) materialize one entity
+  each. Every view has a ``to_triples`` that gives exactly the triples
+  the accessor consumed (a plan line has no accessor: the simulator only
+  writes it), and the generator and simulator write records only through
   it; ``capacity_iri`` names the capacity records they create.
 * ``due_schedule``, ``current_inventory`` and ``capacity_by_step`` are the
   one definition of when an order is due and in what order, which
@@ -325,6 +326,8 @@ def order(graph: Graph, iri: Iri) -> OrderView:
         fulfilled = verdicts[0].value
     quantity = _int_value(graph, iri, v.HAS_QUANTITY, MIN_ORDER_QUANTITY)
     plan = graph.value(iri, v.HAS_SUPPLY_PLAN)
+    if plan is not None and not isinstance(plan, Iri):
+        raise MissingEntityError(f"{iri.name} {v.HAS_SUPPLY_PLAN.name} is not an IRI")
     return OrderView(
         id=iri.name,
         maker=makers[0].name,
@@ -332,7 +335,7 @@ def order(graph: Graph, iri: Iri) -> OrderView:
         quantity=quantity,
         delivery_time=due.value,
         fulfilled=fulfilled,
-        supply_plan=plan.name if isinstance(plan, Iri) else None,
+        supply_plan=None if plan is None else plan.name,
     )
 
 
@@ -481,6 +484,29 @@ def current_inventory(graph: Graph, node_iri: Iri) -> dict[str, InventoryView]:
 
 
 @dataclass(frozen=True, slots=True)
+class PlanLine:
+    """One line of an order's supply plan: ``quantity`` units of ``product``
+    that ``node`` makes at ``timestep``. ``plan`` is None for an order
+    without a supply plan, whose lines are never written."""
+
+    plan: str | None
+    node: str
+    product: str
+    timestep: int
+    quantity: int
+    unit_price: int
+
+    def to_triples(self) -> list[Triple]:
+        line = Quoted(Triple(Iri(self.plan), v.NEEDS_NODE, Iri(self.node)))
+        return [
+            Triple(line, v.GETS_PRODUCT, Iri(self.product)),
+            Triple(line, v.HAS_TIME_STAMP, timestep(self.timestep)),
+            Triple(line, v.HAS_QUANTITY, integer(self.quantity)),
+            Triple(line, v.HAS_UNIT_PRICE, integer(self.unit_price)),
+        ]
+
+
+@dataclass(frozen=True, slots=True)
 class BomEdge:
     parent: str
     child: str
@@ -491,13 +517,13 @@ class BomEdge:
         return [inner, Triple(Quoted(inner), v.NEEDS_QUANTITY, integer(self.quantity))]
 
 
+def bom_edge(graph: Graph, parent: Iri, child: Iri) -> BomEdge:
+    edge = Quoted(Triple(parent, v.NEEDS_PRODUCT, child))
+    quantity = _int_value(graph, edge, v.NEEDS_QUANTITY, MIN_BOM_QUANTITY)
+    return BomEdge(parent=parent.name, child=child.name, quantity=quantity)
+
+
 def bom(graph: Graph, parent: Iri) -> list[BomEdge]:
     """Direct components of a product, sorted by component name."""
-    edges = []
-    for child in graph.objects(parent, v.NEEDS_PRODUCT):
-        if not isinstance(child, Iri):
-            continue
-        edge = Quoted(Triple(parent, v.NEEDS_PRODUCT, child))
-        quantity = _int_value(graph, edge, v.NEEDS_QUANTITY, MIN_BOM_QUANTITY)
-        edges.append(BomEdge(parent=parent.name, child=child.name, quantity=quantity))
-    return sorted(edges, key=lambda e: e.child)
+    children = [c for c in graph.objects(parent, v.NEEDS_PRODUCT) if isinstance(c, Iri)]
+    return sorted((bom_edge(graph, parent, c) for c in children), key=lambda e: e.child)

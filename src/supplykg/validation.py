@@ -241,11 +241,12 @@ def _check_bom(graph, report):
     for t in graph.triples():
         if t.predicate == v.NEEDS_PRODUCT and isinstance(t.subject, Iri) and isinstance(t.object, Iri):
             edges.setdefault(t.subject, []).append(t.object)
-    for parent in edges:
-        try:
-            schema.bom(graph, parent)
-        except schema.MissingEntityError as exc:
-            report.error("bad-bom-edge", parent.name, str(exc))
+    for parent, children in edges.items():
+        for child in children:
+            try:
+                schema.bom_edge(graph, parent, child)
+            except schema.MissingEntityError as exc:
+                report.error("bad-bom-edge", parent.name, str(exc))
 
     # Depth-first search with an explicit stack, so a long chain cannot
     # exhaust the Python stack: ``path`` holds the products being visited

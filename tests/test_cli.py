@@ -173,6 +173,8 @@ _BOM_EDGE = "<< :Product :needsProduct :Product1.1 >> :needsQuantity "
         (_BOM_EDGE, "-2"),
         (_BOM_EDGE, "0"),
         (_BOM_EDGE, None),
+        (":Order1 :hasSupplyPlan ", '"SPOrder1"'),
+        (":Order1 :hasSupplyPlan ", "<< :SPOrder1 :needsNode :OEM1 >>"),
     ],
     ids=[
         "delivery-time-negative",
@@ -185,6 +187,8 @@ _BOM_EDGE = "<< :Product :needsProduct :Product1.1 >> :needsQuantity "
         "bom-quantity-negative",
         "bom-quantity-zero",
         "bom-quantity-missing",
+        "supply-plan-literal",
+        "supply-plan-quoted",
     ],
 )
 def test_validate_and_simulate_reject_the_same_values(tmp_path, capsys, prefix, value):
@@ -203,6 +207,27 @@ def test_validate_and_simulate_reject_the_same_values(tmp_path, capsys, prefix, 
     assert run("simulate", "--graph", str(bad), "--horizon", "60", "--out", str(out)) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_validate_reports_every_bad_bom_edge(tmp_path, capsys):
+    graph = tmp_path / "g.nt"
+    assert run("generate", "--preset", "dairy", "--seed", "3", "--out", str(graph)) == 0
+    lines = graph.read_text().splitlines(keepends=True)
+    [at] = [i for i, line in enumerate(lines) if line.startswith(_BOM_EDGE)]
+    lines[at] = f"{_BOM_EDGE}-2 .\n"
+    lines.append(":Product :needsProduct :Product1.0 .\n")
+    lines.append("<< :Product :needsProduct :Product1.0 >> :needsQuantity 0 .\n")
+    bad = tmp_path / "bad.nt"
+    bad.write_text("".join(lines))
+    capsys.readouterr()
+    assert run("validate", "--graph", str(bad)) == 2
+    found = [line for line in capsys.readouterr().out.splitlines() if "bad-bom-edge" in line]
+    assert found == [
+        "error bad-bom-edge Product: << :Product :needsProduct :Product1.0 >> needsQuantity must be >= 1, got 0",
+        "error bad-bom-edge Product: << :Product :needsProduct :Product1.1 >> needsQuantity must be >= 1, got -2",
+    ]
+    assert run("simulate", "--graph", str(bad), "--horizon", "60") == 2
+    assert "<< :Product :needsProduct :Product1.0 >> needsQuantity must be >= 1, got 0" in capsys.readouterr().err
 
 
 # --- query ---

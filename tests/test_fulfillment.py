@@ -93,7 +93,7 @@ def fixture(
 
 
 def plan_line(plan, node, product, t, qty, price):
-    """The four triples the insert template writes for one allocation."""
+    """The four triples the simulator writes for one allocation."""
     q = Quoted(tr(plan, "needsNode", node))
     return {
         Triple(q, Iri("getsProduct"), Iri(product)),
@@ -175,6 +175,17 @@ def test_inventory_path_serves_whole_order():
     assert 4 not in capacity_by_step(g, Iri("Sup1"))
     assert plan_line("SPOrder1", "OEM1", "Product", 6, 10, 0) <= set(g.triples())
     assert tr("Order1", "isFulfilled", boolean(True)) in g
+
+
+@pytest.mark.parametrize("stock, path", [(4, "produced"), (10, "from_stock")])
+def test_order_without_supply_plan_gets_verdict_but_no_plan_lines(stock, path):
+    g = fixture(oem_stock=stock)
+    g.remove(tr("Order1", "hasSupplyPlan", "SPOrder1"))
+    report = Simulation(g).step(6)
+    assert getattr(report, path) == 1
+    assert tr("Order1", "isFulfilled", boolean(True)) in g
+    quoted = [t.subject.triple for t in g.triples() if isinstance(t.subject, Quoted)]
+    assert [q for q in quoted if q.predicate == v.NEEDS_NODE] == []
 
 
 def test_stock_boundary_one_unit_short():

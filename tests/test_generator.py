@@ -206,6 +206,19 @@ def test_per_node_override_touches_only_that_node():
     assert all(line.startswith(":OEM1 :hasSaturation ") for line in changed)
 
 
+def test_every_accepted_node_override_is_drawn():
+    """check_config accepts exactly the overrides emit_node applies: each
+    property it allows for a node class changes that node's triples."""
+    from supplykg.generator import _OVERRIDABLE
+
+    sample = {v.OEM: "OEM1", v.SUPPLIER: "SupplierNode1.1", v.CUSTOMER: "Node1.1"}
+    for kind, props in _OVERRIDABLE.items():
+        for prop in sorted(props):
+            key = f"per_node_overrides.{sample[kind]}.{prop}"
+            one, two = (serialize(generate(with_updates(dairy(), [f"{key}={value}"]))) for value in (1, 2))
+            assert one != two, key
+
+
 def test_generated_graphs_validate_clean_across_seeds():
     from supplykg.validation import validate
 
@@ -258,6 +271,10 @@ def test_parse_config_defaults_to_automotive():
         "priority_range = [0, 3]",
         "kpi_range = [0, 500]",
         "per_node_overrides.Node1.1.hasPriority = 0",
+        "per_node_overrides.Nope.hasPriority = 2",
+        "per_node_overrides.Node1.1.hasColour = 2",
+        "per_node_overrides.SupplierNode1.1.hasPriority = 2",
+        "per_node_overrides.Node1.1.inventory = 5",
     ],
 )
 def test_parse_config_rejects(text):
