@@ -169,13 +169,3 @@ class Graph:
         """Objects o such that (subject, predicate, o) holds, canonical order."""
         rows = self.match(TriplePattern(subject, predicate, Variable("o")))
         return [r["o"] for r in rows]
-
-    def value(self, subject: Term, predicate: Iri) -> Term | None:
-        """The unique object for (subject, predicate), or None if absent.
-        Raises if the graph holds more than one."""
-        objs = self.objects(subject, predicate)
-        if not objs:
-            return None
-        if len(objs) > 1:
-            raise ValueError(f"multiple values for subject {subject!r} predicate :{predicate.name}")
-        return objs[0]

@@ -37,9 +37,11 @@ class Token:
     col: int
 
 
-class QueryLexError(ValueError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, column {col}: {message}")
+# The one error for bad query text: the lexer raises it, and so does the parser.
+class QuerySyntaxError(ValueError):
+    def __init__(self, message: str, line: int = 0, col: int = 0):
+        where = f"line {line}, column {col}: " if line else ""
+        super().__init__(where + message)
         self.line = line
         self.col = col
 
@@ -68,7 +70,7 @@ def tokenize(text: str) -> list[Token]:
     while pos < len(text):
         m = _SPEC.match(text, pos)
         if m is None:
-            raise QueryLexError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+            raise QuerySyntaxError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
         kind = m.lastgroup
         value = m.group()
         col = m.start() - line_start + 1
@@ -91,7 +93,7 @@ def tokenize(text: str) -> list[Token]:
             try:
                 body = unescape_string(m.group("string")[1:-1])
             except MalformedTermError as exc:
-                raise QueryLexError(str(exc), line, col) from None
+                raise QuerySyntaxError(str(exc), line, col) from None
             tokens.append(Token("STRING", body, line, col))
             if m.group("tag"):
                 tokens.append(Token("TAG", m.group("tag"), line, m.start("tag") - line_start + 1))

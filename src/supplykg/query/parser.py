@@ -51,7 +51,7 @@ from ..terms import (
     typed_literal,
 )
 from . import ast
-from .lexer import QueryLexError, Token, tokenize
+from .lexer import QuerySyntaxError, Token, tokenize
 
 
 # The deepest expression tree the parser builds, and the deepest nesting of
@@ -60,14 +60,6 @@ from .lexer import QueryLexError, Token, tokenize
 # recursion would exhaust the Python stack; the tree bound keeps recursive
 # walks of a parsed expression (check, evaluate, print) as shallow.
 MAX_EXPR_DEPTH = 64
-
-
-class QuerySyntaxError(ValueError):
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        where = f"line {line}, column {col}: " if line else ""
-        super().__init__(where + message)
-        self.line = line
-        self.col = col
 
 
 class _Parser:
@@ -433,8 +425,4 @@ class _Parser:
 def parse_query(text: str, params: Iterable[str] = ()) -> ast.Query:
     """Parse query text. ``params`` declares the free identifiers (runtime
     parameters) the text may reference; anything else is a syntax error."""
-    try:
-        tokens = tokenize(text)
-    except QueryLexError as exc:
-        raise QuerySyntaxError(str(exc).split(": ", 1)[-1], exc.line, exc.col) from None
-    return _Parser(tokens, frozenset(params)).query()
+    return _Parser(tokenize(text), frozenset(params)).query()

@@ -18,13 +18,16 @@ domain conventions live:
   onto. The simulator builds its ledgers from them.
 * The readers hold every value rule: ``NODE_INTS`` bounds each integer
   node property and says which node classes must carry it, the ``MIN_*``
-  constants bound record, edge and order quantities, and every integer
-  is read through one reader. ``validation`` reports what the readers
-  raise, and the generator's config check uses the same bounds.
+  constants bound record, edge and order quantities, and every
+  single-valued property (a tier, a transport mode, an order's product,
+  due step, verdict and supply plan, a record's product and timestep,
+  every integer) is read through one reader, ``_value``. ``validation``
+  reports what the readers raise, and the generator's config check uses
+  the same bounds.
 
 Accessors raise ``MissingEntityError`` when a required entity or property
-is absent, has more than one value, is not an integer or is out of range,
-never silently default.
+is absent, has more than one value, is of the wrong kind (an IRI, an
+integer, a timestep, ...) or is out of range, never silently default.
 """
 
 from __future__ import annotations
@@ -108,27 +111,47 @@ def outside(value: int, lo: int | None, hi: int | None) -> str | None:
     return None
 
 
+# What a value of each kind is called in a message: ``Iri`` or a literal datatype.
+_KIND_NOUNS = {Iri: "an IRI", INTEGER: "an integer", STRING: "a string", BOOLEAN: "a boolean", TIMESTEP: "a timestep"}
+
+
+def _name(subject):
+    return subject.name if isinstance(subject, Iri) else format_term(subject)
+
+
+def _value(graph, subject, predicate, kind, required=True):
+    """The one value of ``subject``'s ``predicate``, of ``kind``: an IRI's
+    name, or the value of a literal of that datatype. None when it is absent
+    and not ``required``. The error's ``problem`` names the rule broken:
+    "missing", "multi-valued" or one for the wrong kind, such as "not-iri"."""
+    values = graph.objects(subject, predicate)
+    if len(values) == 1:
+        term = values[0]
+        if kind is Iri and isinstance(term, Iri):
+            return term.name
+        if isinstance(term, Literal) and term.datatype == kind:
+            return term.value
+        problem = "not-iri" if kind is Iri else f"not-{kind}"
+        fault = f"{predicate.name} is not {_KIND_NOUNS[kind]}"
+    elif values:
+        problem, fault = "multi-valued", f"{predicate.name} must have a single value"
+    elif required:
+        problem, fault = "missing", f"has no {predicate.name}"
+    else:
+        return None
+    raise MissingEntityError(f"{_name(subject)} {fault}", problem)
+
+
 def _int_value(graph, subject, predicate, lo=None, hi=None, required=True):
     """The one integer value of ``subject``'s ``predicate``, within the
     inclusive bounds ``lo``..``hi`` (None leaves a side open), or None when
-    it is absent and not ``required``. The error's ``problem`` names the
-    rule broken: "missing", "multi-valued", "not-integer" or "out-of-range"."""
-    values = graph.objects(subject, predicate)
-    if not values and not required:
-        return None
-    if len(values) == 1 and isinstance(values[0], Literal) and values[0].datatype == INTEGER:
-        rule = outside(values[0].value, lo, hi)
-        if rule is None:
-            return values[0].value
-        problem, fault = "out-of-range", f"{predicate.name} {rule}, got {values[0].value}"
-    elif not values:
-        problem, fault = "missing", f"has no {predicate.name}"
-    elif len(values) > 1:
-        problem, fault = "multi-valued", f"{predicate.name} must have a single value"
-    else:
-        problem, fault = "not-integer", f"{predicate.name} is not an integer"
-    name = subject.name if isinstance(subject, Iri) else format_term(subject)
-    raise MissingEntityError(f"{name} {fault}", problem)
+    it is absent and not ``required``. Besides ``_value``'s problems, the
+    error's ``problem`` is "out-of-range" for a value outside the bounds."""
+    value = _value(graph, subject, predicate, INTEGER, required)
+    rule = None if value is None else outside(value, lo, hi)
+    if rule is not None:
+        raise MissingEntityError(f"{_name(subject)} {predicate.name} {rule}, got {value}", "out-of-range")
+    return value
 
 
 # Each integer node property: its inclusive bounds (None leaves a side
@@ -224,13 +247,15 @@ _TIER_RE = re.compile(r"^(?:SupplierTier|CustomerTier)(\d+)$")
 
 
 def tier_index(graph: Graph, iri: Iri) -> int | None:
-    """The number of the tier a node belongs to, or None without one."""
-    term = graph.value(iri, v.BELONGS_TO_TIER)
-    if isinstance(term, Iri):
-        m = _TIER_RE.match(term.name)
-        if m:
-            return int(m.group(1))
-    return None
+    """The number of the tier a node belongs to, or None without one or
+    when its tier is not named like one."""
+    m = _TIER_RE.match(_value(graph, iri, v.BELONGS_TO_TIER, Iri, required=False) or "")
+    return int(m.group(1)) if m else None
+
+
+def transport_mode(graph: Graph, iri: Iri) -> str | None:
+    """The node's transport mode, or None without one."""
+    return _value(graph, iri, v.HAS_TRANSPORT_MODE, STRING, required=False)
 
 
 def node(graph: Graph, iri: Iri) -> NodeView:
@@ -239,8 +264,6 @@ def node(graph: Graph, iri: Iri) -> NodeView:
         raise MissingEntityError(f"{iri.name} is not a typed supply-chain node")
     values = {pred: node_int(graph, iri, pred, kind) for pred in NODE_INTS}
     kpis = [(pred.name, values[pred]) for pred in v.KPI_PREDICATES if values[pred] is not None]
-    mode_term = graph.value(iri, v.HAS_TRANSPORT_MODE)
-    mode = mode_term.value if isinstance(mode_term, Literal) and mode_term.datatype == STRING else None
     return NodeView(
         id=iri.name,
         kind=kind.name,
@@ -253,7 +276,7 @@ def node(graph: Graph, iri: Iri) -> NodeView:
         co2=values[v.HAS_CO2],
         longitude=values[v.HAS_LONGITUDE],
         latitude=values[v.HAS_LATITUDE],
-        transport_mode=mode,
+        transport_mode=transport_mode(graph, iri),
     )
 
 
@@ -270,10 +293,7 @@ def the_oem(graph: Graph) -> Iri:
 
 def manufactured_product(graph: Graph, iri: Iri) -> str:
     """The name of the one product a node manufactures."""
-    made = graph.value(iri, v.MANUFACTURES)
-    if not isinstance(made, Iri):
-        raise MissingEntityError(f"{iri.name} manufactures no product")
-    return made.name
+    return _value(graph, iri, v.MANUFACTURES, Iri)
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,30 +332,14 @@ def order(graph: Graph, iri: Iri) -> OrderView:
     makers = graph.subjects(v.MAKES, iri)
     if len(makers) != 1:
         raise MissingEntityError(f"{iri.name} must have exactly one maker, found {len(makers)}")
-    product = graph.value(iri, v.HAS_PRODUCT)
-    if not isinstance(product, Iri):
-        raise MissingEntityError(f"{iri.name} has no product")
-    due = graph.value(iri, v.HAS_DELIVERY_TIME)
-    if not (isinstance(due, Literal) and due.datatype == TIMESTEP):
-        raise MissingEntityError(f"{iri.name} has no timestep delivery time")
-    verdicts = graph.objects(iri, v.IS_FULFILLED)
-    if len(verdicts) > 1:
-        raise MissingEntityError(f"{iri.name} carries more than one fulfillment verdict")
-    fulfilled = None
-    if verdicts and isinstance(verdicts[0], Literal) and verdicts[0].datatype == BOOLEAN:
-        fulfilled = verdicts[0].value
-    quantity = _int_value(graph, iri, v.HAS_QUANTITY, MIN_ORDER_QUANTITY)
-    plan = graph.value(iri, v.HAS_SUPPLY_PLAN)
-    if plan is not None and not isinstance(plan, Iri):
-        raise MissingEntityError(f"{iri.name} {v.HAS_SUPPLY_PLAN.name} is not an IRI")
     return OrderView(
         id=iri.name,
         maker=makers[0].name,
-        product=product.name,
-        quantity=quantity,
-        delivery_time=due.value,
-        fulfilled=fulfilled,
-        supply_plan=None if plan is None else plan.name,
+        product=_value(graph, iri, v.HAS_PRODUCT, Iri),
+        delivery_time=_value(graph, iri, v.HAS_DELIVERY_TIME, TIMESTEP),
+        fulfilled=_value(graph, iri, v.IS_FULFILLED, BOOLEAN, required=False),
+        quantity=_int_value(graph, iri, v.HAS_QUANTITY, MIN_ORDER_QUANTITY),
+        supply_plan=_value(graph, iri, v.HAS_SUPPLY_PLAN, Iri, required=False),
     )
 
 
@@ -395,13 +399,7 @@ class CapacityView:
 
 def _product_and_step(graph: Graph, record: Iri) -> tuple[str, int]:
     """The product and timestep every capacity or inventory record carries."""
-    product = graph.value(record, v.HAS_PRODUCT)
-    ts = graph.value(record, v.HAS_TIME_STAMP)
-    if not isinstance(product, Iri):
-        raise MissingEntityError(f"{record.name} has no product")
-    if not (isinstance(ts, Literal) and ts.datatype == TIMESTEP):
-        raise MissingEntityError(f"{record.name} has no timestep")
-    return product.name, ts.value
+    return _value(graph, record, v.HAS_PRODUCT, Iri), _value(graph, record, v.HAS_TIME_STAMP, TIMESTEP)
 
 
 def capacity_record(graph: Graph, node_iri: Iri, record: Iri) -> CapacityView:

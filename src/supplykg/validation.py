@@ -6,8 +6,10 @@ raising, so callers can render all findings at once. Severity is either
 "warning" (unusual but workable, e.g. links that skip a tier).
 
 Values are checked only by the ``schema`` readers that ``simulate`` runs:
-``validate`` reads every node property, record, order and bill-of-materials
-edge through them and reports what they raise. Its own checks span
+``validate`` reads every node property (tier and transport mode included),
+record, order, bill-of-materials edge and the OEM's product through them
+and reports what they raise, one finding per value, so a property with a
+second value is a finding and never stops the report. Its own checks span
 entities: vocabulary, node classes, record owners, capacity against
 saturation, tier links and bill-of-materials cycles.
 """
@@ -95,9 +97,11 @@ def _check_node(graph, iri, report):
     if kind is None:
         report.error("untyped-node", iri.name, "node has no Supplier/Customer/OEM class")
         return
-    for predicate in schema.NODE_INTS:
+    reads = [(p, schema.node_int, (p, kind)) for p in schema.NODE_INTS]
+    reads += [(v.BELONGS_TO_TIER, schema.tier_index, ()), (v.HAS_TRANSPORT_MODE, schema.transport_mode, ())]
+    for predicate, reader, args in reads:
         try:
-            schema.node_int(graph, iri, predicate, kind)
+            reader(graph, iri, *args)
         except schema.MissingEntityError as exc:
             report.error(_node_code(predicate, exc.problem), iri.name, str(exc))
 
@@ -164,15 +168,6 @@ def _check_orders(graph, report):
             report.error("bad-order", iri.name, f"maker {view.maker} is not a customer")
 
 
-def _group_by_tier(graph, kind):
-    tiers = {}
-    for iri in schema.nodes_of_kind(graph, kind):
-        idx = schema.tier_index(graph, iri)
-        if idx is not None:
-            tiers.setdefault(idx, set()).add(iri)
-    return tiers
-
-
 def _check_topology(graph, report):
     try:
         oem = schema.the_oem(graph)
@@ -182,55 +177,45 @@ def _check_topology(graph, report):
     try:
         schema.manufactured_product(graph, oem)
     except schema.MissingEntityError as exc:
-        report.error("missing-product", oem.name, str(exc))
-    except ValueError:
-        report.error("multi-valued", oem.name, f"{v.MANUFACTURES.name} must have a single value")
+        report.error("multi-valued" if exc.problem == "multi-valued" else "missing-product", oem.name, str(exc))
 
-    sup = _group_by_tier(graph, v.SUPPLIER)
-    cust = _group_by_tier(graph, v.CUSTOMER)
+    tiers = {}  # node -> its tier number, None without one it can read
 
-    for s in sup.get(1, ()):
-        if oem not in graph.objects(s, v.HAS_OEM):
+    def tier(node):
+        if node not in tiers:
+            try:
+                tiers[node] = schema.tier_index(graph, node)
+            except schema.MissingEntityError:
+                tiers[node] = None  # reported by _check_node
+        return tiers[node]
+
+    sup, cust = (
+        {n: tier(n) for n in schema.nodes_of_kind(graph, kind) if tier(n) is not None}
+        for kind in (v.SUPPLIER, v.CUSTOMER)
+    )
+    for s, t in sup.items():
+        if t == 1 and oem not in graph.objects(s, v.HAS_OEM):
             report.error("missing-oem-link", s.name, "tier-1 supplier has no hasOEM link")
-    for c in cust.get(1, ()):
-        if c not in graph.objects(oem, v.OEM_HAS_NODE):
+    for c, t in cust.items():
+        if t == 1 and c not in graph.objects(oem, v.OEM_HAS_NODE):
             report.error("missing-oem-link", c.name, "tier-1 customer has no OEMhasNode link")
 
-    def coverage(tiers, pred, label):
-        if not tiers:
-            return
-        top = max(tiers)
+    def coverage(members, pred, label):
+        top = max(members.values(), default=0)
         covered = set()
-        for t in sorted(tiers):
-            for a in tiers[t]:
-                links = [b for b in graph.objects(a, pred) if isinstance(b, Iri)]
-                for b in links:
-                    b_tier = schema.tier_index(graph, b)
-                    if b_tier is not None and b_tier != t + 1:
-                        report.warning(
-                            "tier-skip",
-                            a.name,
-                            f"{pred.name} link to {b.name} skips from tier {t} to {b_tier}",
-                        )
-                    covered.add(b)
-        for t in sorted(tiers):
-            if t < top:
-                for a in tiers[t]:
-                    links = [b for b in graph.objects(a, pred) if isinstance(b, Iri)]
-                    if not any(schema.tier_index(graph, b) == t + 1 for b in links):
-                        report.error(
-                            "tier-coverage",
-                            a.name,
-                            f"tier-{t} {label} has no {pred.name} link into tier {t + 1}",
-                        )
-            if t > 1:
-                for a in tiers[t]:
-                    if a not in covered:
-                        report.error(
-                            "tier-coverage",
-                            a.name,
-                            f"tier-{t} {label} is not reachable from tier {t - 1}",
-                        )
+        for a, t in members.items():
+            links = [b for b in graph.objects(a, pred) if isinstance(b, Iri)]
+            covered.update(links)
+            for b in links:
+                if tier(b) is not None and tier(b) != t + 1:
+                    report.warning(
+                        "tier-skip", a.name, f"{pred.name} link to {b.name} skips from tier {t} to {tier(b)}"
+                    )
+            if t < top and t + 1 not in map(tier, links):
+                report.error("tier-coverage", a.name, f"tier-{t} {label} has no {pred.name} link into tier {t + 1}")
+        for a, t in members.items():
+            if t > 1 and a not in covered:
+                report.error("tier-coverage", a.name, f"tier-{t} {label} is not reachable from tier {t - 1}")
 
     coverage(sup, v.HAS_UPSTREAM_NODE, "supplier")
     coverage(cust, v.HAS_DOWNSTREAM_NODE, "customer")

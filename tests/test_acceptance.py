@@ -123,8 +123,8 @@ def _check_conserved(graph, sim):
     for record in sim._stock.values():
         assert record.quantity >= 0
     for record in graph.subjects(v.RDF_TYPE, v.INVENTORY):
-        quantity = graph.value(record, v.HAS_QUANTITY)
-        assert quantity is not None and quantity.value >= 0
+        [quantity] = graph.objects(record, v.HAS_QUANTITY)
+        assert quantity.value >= 0
     lead = {}
     for name in graph.subjects(v.RDF_TYPE, v.NODE):
         view = node(graph, name)

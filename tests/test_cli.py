@@ -1,16 +1,22 @@
 """Command line interface: subcommand wiring, exit codes, file handling."""
 
+import io
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import iri_names
 
 import supplykg
-from supplykg import Iri, parse_graph
+from supplykg import Iri, Literal, Triple, parse_graph, serialize
 from supplykg.cli import main
-from supplykg.schema import capacity_records, load_graph, nodes_of_kind
+from supplykg.schema import NODE_INTS, capacity_records, load_graph, nodes_of_kind
 from supplykg import vocab as v
 
 
@@ -112,11 +118,11 @@ def test_simulate_rejects_malformed_records(graph_file, tmp_path, capsys, extra)
 @pytest.mark.parametrize(
     "second, finding, message",
     [
-        ("", "missing-product OEM1: OEM1 manufactures no product", "OEM1 manufactures no product"),
+        ("", "missing-product OEM1: OEM1 has no manufactures", "OEM1 has no manufactures"),
         (
             ":OEM1 :manufactures :Product .\n:OEM1 :manufactures :Product1.1 .\n",
-            "multi-valued OEM1: manufactures must have a single value",
-            "multiple values",
+            "multi-valued OEM1: OEM1 manufactures must have a single value",
+            "OEM1 manufactures must have a single value",
         ),
     ],
     ids=["no-product", "two-products"],
@@ -175,6 +181,8 @@ _BOM_EDGE = "<< :Product :needsProduct :Product1.1 >> :needsQuantity "
         (_BOM_EDGE, None),
         (":Order1 :hasSupplyPlan ", '"SPOrder1"'),
         (":Order1 :hasSupplyPlan ", "<< :SPOrder1 :needsNode :OEM1 >>"),
+        (":SupplierNode1.1 :hasTransportMode ", '"road" .\n:SupplierNode1.1 :hasTransportMode "air"'),
+        (":SupplierNode1.1 :hasTransportMode ", "5"),
     ],
     ids=[
         "delivery-time-negative",
@@ -189,6 +197,8 @@ _BOM_EDGE = "<< :Product :needsProduct :Product1.1 >> :needsQuantity "
         "bom-quantity-missing",
         "supply-plan-literal",
         "supply-plan-quoted",
+        "transport-mode-second-value",
+        "transport-mode-integer",
     ],
 )
 def test_validate_and_simulate_reject_the_same_values(tmp_path, capsys, prefix, value):
@@ -207,6 +217,122 @@ def test_validate_and_simulate_reject_the_same_values(tmp_path, capsys, prefix, 
     assert run("simulate", "--graph", str(bad), "--horizon", "60", "--out", str(out)) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, code, subject, predicate, read_by_simulate",
+    [
+        (':SupplierNode1.1 :hasTransportMode "air" .\n', "multi-valued", "SupplierNode1.1", "hasTransportMode", True),
+        (":Node2.1 :belongsToTier :CustomerTier1 .\n", "multi-valued", "Node2.1", "belongsToTier", False),
+        (":OEM1 :manufactures :Product1.1 .\n", "multi-valued", "OEM1", "manufactures", True),
+        (":Order1 :hasProduct :Product1.1 .\n", "bad-order", "Order1", "hasProduct", True),
+        (':Order1 :hasDeliveryTime "5"^^timestep .\n', "bad-order", "Order1", "hasDeliveryTime", True),
+        (
+            ':Order1 :isFulfilled "True"^^boolean .\n:Order1 :isFulfilled "False"^^boolean .\n',
+            "bad-order",
+            "Order1",
+            "isFulfilled",
+            True,
+        ),
+        (":Order1 :hasSupplyPlan :SPOrderX .\n", "bad-order", "Order1", "hasSupplyPlan", True),
+        (":CapSupplierNode1.1T0 :hasProduct :Product1.2 .\n", "bad-record", "CapSupplierNode1.1T0", "hasProduct", True),
+        (
+            ':CapSupplierNode1.1T0 :hasTimeStamp "1"^^timestep .\n',
+            "bad-record",
+            "CapSupplierNode1.1T0",
+            "hasTimeStamp",
+            True,
+        ),
+        (":InvSupplierNode1.1 :hasProduct :Product1.2 .\n", "bad-record", "InvSupplierNode1.1", "hasProduct", True),
+    ],
+    ids=[
+        "transport-mode",
+        "tier",
+        "oem-product",
+        "order-product",
+        "order-due-step",
+        "order-verdict",
+        "order-supply-plan",
+        "capacity-product",
+        "capacity-timestep",
+        "inventory-product",
+    ],
+)
+def test_validate_reports_a_second_value(tmp_path, capsys, extra, code, subject, predicate, read_by_simulate):
+    """A second value of a single-valued property is one finding, and
+    simulate, where it reads the property, exits 2 with the same message."""
+    graph = tmp_path / "g.nt"
+    assert run("generate", "--preset", "dairy", "--seed", "3", "--out", str(graph)) == 0
+    bad = tmp_path / "bad.nt"
+    bad.write_text(graph.read_text() + extra)
+    capsys.readouterr()
+    assert run("validate", "--graph", str(bad)) == 2
+    message = f"{subject} {predicate} must have a single value"
+    assert capsys.readouterr() == (f"error {code} {subject}: {message}\n", "1 errors, 0 warnings\n")
+    out = tmp_path / "r.csv"
+    assert run("simulate", "--graph", str(bad), "--horizon", "60", "--out", str(out)) == (2 if read_by_simulate else 0)
+    assert capsys.readouterr().err == (f"error: {message}\n" if read_by_simulate else "")
+
+
+# every predicate the schema readers read as single-valued
+_SINGLE_VALUED = {
+    *NODE_INTS,
+    v.BELONGS_TO_TIER,
+    v.HAS_TRANSPORT_MODE,
+    v.MANUFACTURES,
+    v.HAS_PRODUCT,
+    v.HAS_QUANTITY,
+    v.HAS_DELIVERY_TIME,
+    v.IS_FULFILLED,
+    v.HAS_SUPPLY_PLAN,
+    v.HAS_TIME_STAMP,
+    v.NEEDS_QUANTITY,
+}
+
+_LITERAL_VALUES = {
+    "integer": st.integers(-(10**6), 10**6),
+    "timestep": st.integers(0, 10**6),
+    "boolean": st.booleans(),
+    "string": st.text(max_size=8),
+}
+
+
+@pytest.fixture(scope="module")
+def dairy_final(tmp_path_factory):
+    """The dairy seed-3 final graph, and a scratch file path."""
+    work = tmp_path_factory.mktemp("final")
+    generated, final = work / "g.nt", work / "final.nt"
+    assert main(["generate", "--preset", "dairy", "--seed", "3", "--out", str(generated)]) == 0
+    assert main([
+        "simulate", "--graph", str(generated), "--horizon", "60",
+        "--out", str(work / "r.csv"), "--final-graph", str(final),
+    ]) == 0
+    return load_graph(str(final)), work / "bad.nt"
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_second_value_never_stops_validate(dairy_final, data):
+    """Appending a different value of the same kind to any single-valued
+    property gives a report with its summary line, never a stop."""
+    graph, bad = dairy_final
+    single = [t for t in graph.triples() if t.predicate in _SINGLE_VALUED]
+    triple = data.draw(st.sampled_from(single))
+    old = triple.object
+    if isinstance(old, Iri):
+        new = Iri(data.draw(iri_names.filter(lambda name: name != old.name)))
+    else:
+        new = Literal(data.draw(_LITERAL_VALUES[old.datatype].filter(lambda x: x != old.value)), old.datatype)
+    changed = graph.copy()
+    changed.insert(Triple(triple.subject, triple.predicate, new))
+    bad.write_text(serialize(changed))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["validate", "--graph", str(bad)])
+    assert code in (0, 2)
+    assert re.fullmatch(r"(?:(?:error|warning) \S+ \S*: .*\n)*", out.getvalue())
+    assert re.fullmatch(r"\d+ errors, \d+ warnings\n", err.getvalue())
+    assert not any(text in out.getvalue() + err.getvalue() for text in ("Traceback", "Iri(name="))
 
 
 def test_validate_reports_every_bad_bom_edge(tmp_path, capsys):

@@ -98,7 +98,7 @@ def test_bom_quantities_are_asserted_and_quoted(automotive_graph):
     for e in bom(g, Iri("Product")):
         inner = Triple(Iri("Product"), v.NEEDS_PRODUCT, Iri(e.child))
         assert inner in g
-        assert g.value(Quoted(inner), v.NEEDS_QUANTITY) == integer(e.quantity)
+        assert g.objects(Quoted(inner), v.NEEDS_QUANTITY) == [integer(e.quantity)]
         assert 1 <= e.quantity <= 4
 
 
@@ -186,7 +186,7 @@ def test_kpi_override_pins_one_indicator_only():
     g = generate(pinned)
     for kind in (v.OEM, v.SUPPLIER, v.CUSTOMER):
         for n in nodes_of_kind(g, kind):
-            assert g.value(n, Iri("hasResponsiveness")) == integer(85)
+            assert g.objects(n, Iri("hasResponsiveness")) == [integer(85)]
     # the pinned value also shows up in the hasSCORKPI summary strings,
     # so both carriers of the indicator are excluded from the comparison
     a = _strip_lines(serialize(generate(base)), " :hasResponsiveness ", "Responsiveness: ")
@@ -200,7 +200,7 @@ def test_per_node_override_touches_only_that_node():
         base, per_node_overrides=(("OEM1", "hasSaturation", 123_456),)
     )
     ga, gb = generate(base), generate(tweaked)
-    assert gb.value(Iri("OEM1"), v.HAS_SATURATION) == integer(123_456)
+    assert gb.objects(Iri("OEM1"), v.HAS_SATURATION) == [integer(123_456)]
     changed = set(serialize(ga).splitlines()) ^ set(serialize(gb).splitlines())
     assert changed
     assert all(line.startswith(":OEM1 :hasSaturation ") for line in changed)

@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,11 +80,6 @@ def test_value_helpers():
     g = Graph([t("a", "p", "b"), t("a", "q", "c"), t("d", "p", "b")])
     assert g.objects(Iri("a"), Iri("p")) == [Iri("b")]
     assert g.subjects(Iri("p"), Iri("b")) == [Iri("a"), Iri("d")]
-    assert g.value(Iri("a"), Iri("q")) == Iri("c")
-    assert g.value(Iri("a"), Iri("nope")) is None
-    g.insert(t("a", "q", "e"))
-    with pytest.raises(ValueError):
-        g.value(Iri("a"), Iri("q"))
 
 
 def test_copy_is_independent():

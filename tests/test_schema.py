@@ -56,8 +56,8 @@ def test_normalize_rewrites_legacy_predicates():
     g.insert(tr("A", "hasLeadTime", integer(4)))
     g.insert(tr("Car", "needsComponent", "Wheel"))
     n = normalize(g)
-    assert n.value(Iri("A"), v.HAS_DELIVERY_TIME) == integer(4)
-    assert n.value(Iri("Car"), v.NEEDS_PRODUCT) == Iri("Wheel")
+    assert n.objects(Iri("A"), v.HAS_DELIVERY_TIME) == [integer(4)]
+    assert n.objects(Iri("Car"), v.NEEDS_PRODUCT) == [Iri("Wheel")]
     from supplykg import serialize
 
     assert "hasLeadTime" not in serialize(n)
@@ -82,9 +82,9 @@ def test_normalize_folds_quantity_units():
     g.insert(tr("Inv2", "hasQuantity", string("100 unit")))
     g.insert(tr("Inv3", "hasQuantity", string("7 units")))
     n = normalize(g)
-    assert n.value(Iri("Inv1"), v.HAS_QUANTITY) == integer(10)
-    assert n.value(Iri("Inv2"), v.HAS_QUANTITY) == integer(100)
-    assert n.value(Iri("Inv3"), v.HAS_QUANTITY) == integer(7)
+    assert n.objects(Iri("Inv1"), v.HAS_QUANTITY) == [integer(10)]
+    assert n.objects(Iri("Inv2"), v.HAS_QUANTITY) == [integer(100)]
+    assert n.objects(Iri("Inv3"), v.HAS_QUANTITY) == [integer(7)]
 
 
 def test_normalize_leaves_other_strings_alone():
@@ -92,8 +92,8 @@ def test_normalize_leaves_other_strings_alone():
     g.insert(tr("N", "hasTransportMode", string("road")))
     g.insert(tr("N", "hasQuantity", string("plenty")))
     n = normalize(g)
-    assert n.value(Iri("N"), v.HAS_TRANSPORT_MODE) == string("road")
-    assert n.value(Iri("N"), v.HAS_QUANTITY) == string("plenty")
+    assert n.objects(Iri("N"), v.HAS_TRANSPORT_MODE) == [string("road")]
+    assert n.objects(Iri("N"), v.HAS_QUANTITY) == [string("plenty")]
 
 
 # --- node views ---
