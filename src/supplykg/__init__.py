@@ -8,7 +8,6 @@ from .terms import (
     Iri,
     Literal,
     Quoted,
-    Solution,
     Triple,
     TriplePattern,
     Variable,
@@ -27,7 +26,6 @@ __all__ = [
     "Iri",
     "Literal",
     "Quoted",
-    "Solution",
     "Triple",
     "TriplePattern",
     "Variable",

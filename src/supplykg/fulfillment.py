@@ -28,8 +28,8 @@ missing one meaning zero load, and the current inventory record per
 is a new ``PlanLine`` (an order without a supply plan gets none), and a
 verdict rewrites the order's view. Nodes without a cost property price
 their allocations at 0. A malformed inventory or capacity record, two
-capacity records for one node at one step, or an OEM with no product
-raise ``MissingEntityError``.
+capacity records for one node at one step, an OEM with no product or a
+supplier's product that is not an IRI raise ``MissingEntityError``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from . import schema
 from . import vocab as v
 from .graph import Graph
-from .schema import PlanLine as Allocation
+from .schema import PlanLine
 from .terms import Iri
 
 
@@ -82,10 +82,9 @@ class Simulation:
             self._lead[view.id] = view.delivery_time
             self._cost[view.id] = dict(view.kpis).get(v.HAS_COST.name, 0)
         for s in suppliers:
-            for made in graph.objects(s, v.MANUFACTURES):
-                if isinstance(made, Iri):
-                    self._makers.setdefault(made.name, []).append(s.name)
-                    self._product_of.setdefault(s.name, made.name)
+            for made in schema.supplier_products(graph, s):
+                self._makers.setdefault(made, []).append(s.name)
+                self._product_of.setdefault(s.name, made)
         self._product_of[self.oem.name] = schema.manufactured_product(graph, self.oem)
 
         self._capacity: dict[tuple[str, int], schema.CapacityView] = {}
@@ -150,9 +149,9 @@ class Simulation:
         self._write(order, replace(order, fulfilled=fulfilled))
         self._resolved.add(order.id)
 
-    def _focal_line(self, order: schema.OrderView, t: int, quantity: int) -> Allocation:
+    def _focal_line(self, order: schema.OrderView, t: int, quantity: int) -> PlanLine:
         oem = self.oem.name
-        return Allocation(order.supply_plan, oem, order.product, t, quantity, self._cost[oem])
+        return PlanLine(order.supply_plan, oem, order.product, t, quantity, self._cost[oem])
 
     # -- the algorithm --
 
@@ -173,7 +172,7 @@ class Simulation:
         self._resolve(order, True, [self._focal_line(order, t, order.quantity)])
         return 0
 
-    def select_suppliers(self, components, t: int, plan: str | None) -> list[Allocation] | None:
+    def select_suppliers(self, components, t: int, plan: str | None) -> list[PlanLine] | None:
         """Pick one supplier per component, or None if any cannot be placed;
         each pick is a line of the supply plan ``plan``.
 
@@ -198,7 +197,7 @@ class Simulation:
                 return None
             _, s, t0 = best
             pending[(s, t0)] = pending.get((s, t0), 0) + required
-            allocations.append(Allocation(plan, s, component.name, t0, required, self._cost[s]))
+            allocations.append(PlanLine(plan, s, component.name, t0, required, self._cost[s]))
         return allocations
 
     def _try_production(self, order: schema.OrderView, t: int, remaining: int) -> bool:

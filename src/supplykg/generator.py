@@ -42,7 +42,7 @@ from . import schema
 from . import vocab as v
 from .graph import Graph
 from .rng import SplitMix64
-from .schema import BomEdge, CapacityView, InventoryView, NodeView, OrderView, capacity_iri
+from .schema import BomEdge, CapacityView, InventoryView, NodeView, OrderView, capacity_iri, tier_iri
 from .terms import Iri, Triple, string
 
 
@@ -256,10 +256,10 @@ def generate(config: GeneratorConfig) -> Graph:
     supplier_tiers: list[list[Iri]] = []
     supplier_leads: dict[Iri, int] = {}
     for t, count in enumerate(config.supplier_tier_nodes, start=1):
-        tier_iri = Iri(f"SupplierTier{t}")
-        add(tier_iri, v.RDF_TYPE, v.SUPPLIER_TIER)
+        tier = tier_iri(v.SUPPLIER_TIER, t)
+        add(tier, v.RDF_TYPE, v.SUPPLIER_TIER)
         if t > 1:
-            add(Iri(f"SupplierTier{t - 1}"), v.HAS_UPSTREAM_TIER, tier_iri)
+            add(tier_iri(v.SUPPLIER_TIER, t - 1), v.HAS_UPSTREAM_TIER, tier)
         tier_nodes = []
         for m in range(1, count + 1):
             n, lead = emit_node(
@@ -275,10 +275,10 @@ def generate(config: GeneratorConfig) -> Graph:
 
     customer_tiers: list[list[Iri]] = []
     for t, count in enumerate(config.customer_tier_nodes, start=1):
-        tier_iri = Iri(f"CustomerTier{t}")
-        add(tier_iri, v.RDF_TYPE, v.CUSTOMER_TIER)
+        tier = tier_iri(v.CUSTOMER_TIER, t)
+        add(tier, v.RDF_TYPE, v.CUSTOMER_TIER)
         if t > 1:
-            add(Iri(f"CustomerTier{t - 1}"), v.HAS_DOWNSTREAM_TIER, tier_iri)
+            add(tier_iri(v.CUSTOMER_TIER, t - 1), v.HAS_DOWNSTREAM_TIER, tier)
         tier_nodes = []
         for m in range(1, count + 1):
             n, _ = emit_node(customer_name(t, m), v.CUSTOMER, t, customer=True)

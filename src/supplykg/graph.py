@@ -18,7 +18,6 @@ from typing import Iterable, Iterator
 from .terms import (
     Iri,
     Quoted,
-    Solution,
     Term,
     Triple,
     TriplePattern,
@@ -144,12 +143,11 @@ class Graph:
             ordered = self._bucket_order[(pos, key)] = sorted(bucket, key=format_triple)
         return ordered
 
-    def match(
-        self, pattern: TriplePattern, bindings: dict[str, Term] | Solution | None = None
-    ) -> list[Solution]:
+    def match(self, pattern: TriplePattern, bindings: dict[str, Term] | None = None) -> list[dict[str, Term]]:
         """All solutions of a pattern against the graph, in canonical triple
-        order. Prior bindings constrain the variables they mention, and the
-        index lookup uses them: a bound variable narrows like a constant."""
+        order, each a new dict from variable name to term that the caller
+        may keep. Prior bindings constrain the variables they mention, and
+        the index lookup uses them: a bound variable narrows like a constant."""
         if not isinstance(pattern, TriplePattern):
             raise TypeError(f"match expects a TriplePattern, got {pattern!r}")
         narrowed = substitute(pattern, bindings) if bindings else pattern
@@ -157,7 +155,7 @@ class Graph:
         for t in self._candidates(narrowed):
             got = unify(pattern, t, bindings)
             if got is not None:
-                out.append(Solution._adopt(got))
+                out.append(got)
         return out
 
     def subjects(self, predicate: Iri, obj: Term) -> list[Term]:

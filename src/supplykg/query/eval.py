@@ -37,8 +37,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Union
-
 from ..graph import Graph
 from ..terms import (
     BOOLEAN,
@@ -52,7 +50,6 @@ from ..terms import (
     ParamRef,
     PatternTerm,
     Quoted,
-    Solution,
     Term,
     Triple,
     TriplePattern,
@@ -61,10 +58,6 @@ from ..terms import (
     substitute,
 )
 from . import ast
-
-
-# A binding row: a ``Solution`` from ``Graph.match``, or a plain dict.
-Row = Union[Solution, dict[str, Term]]
 
 
 class QueryEvalError(Exception):
@@ -222,7 +215,7 @@ def _regex_match(value: str, pattern: str) -> bool:
     return core in value
 
 
-def eval_expr(expr: ast.Expr, row: Row, params: dict[str, Term]) -> Term:
+def eval_expr(expr: ast.Expr, row: dict[str, Term], params: dict[str, Term]) -> Term:
     if isinstance(expr, ast.VarRef):
         try:
             return row[expr.name]
@@ -276,14 +269,14 @@ def _solve(
     filters: tuple[ast.Expr, ...],
     graph: Graph,
     params: dict[str, Term],
-) -> list[Solution]:
+) -> list[dict[str, Term]]:
     """The rows of the WHERE group: each pattern's matches under each row so
-    far, then the filters. ``Graph.match`` returns each row once, as a fresh
-    ``Solution``, and the next join step and every later stage read it as is."""
-    rows: list[Solution] = [Solution({})]
+    far, then the filters. ``Graph.match`` returns each row as a new plain
+    dict, and the next join step and every later stage only read it."""
+    rows: list[dict[str, Term]] = [{}]
     for pattern in patterns:
         pattern = substitute(pattern, {}, params)
-        next_rows: list[Solution] = []
+        next_rows: list[dict[str, Term]] = []
         for row in rows:
             next_rows.extend(graph.match(pattern, row))
         rows = next_rows
@@ -322,7 +315,7 @@ def _aggregate(func: str, values: list[Term]) -> Literal:
 
 
 def _eval_with_aggregates(
-    expr: ast.Expr, group: list[Row], params: dict[str, Term]
+    expr: ast.Expr, group: list[dict[str, Term]], params: dict[str, Term]
 ) -> Term:
     """Evaluate a projection expression over a whole group: aggregates see
     every row, the rest is evaluated against the group's key bindings."""
@@ -383,7 +376,7 @@ def evaluate(query: ast.SelectQuery, graph: Graph, params: dict[str, Term] | Non
                 key_vars = [query.group_by]
             else:
                 key_vars = [i.expr.name for i in items if isinstance(i.expr, ast.VarRef)]
-            groups: dict[tuple, list[Solution]] = {}
+            groups: dict[tuple, list[dict[str, Term]]] = {}
             for r in rows:
                 key = tuple(r[v] for v in key_vars)
                 groups.setdefault(key, []).append(r)
@@ -412,7 +405,7 @@ def _column_name(item: ast.ProjItem) -> str:
 # -- updates ---------------------------------------------------------------------
 
 
-def _instantiate(template: TriplePattern, row: Row, params: dict[str, Term]) -> Triple:
+def _instantiate(template: TriplePattern, row: dict[str, Term], params: dict[str, Term]) -> Triple:
     def conv(t: PatternTerm) -> Term:
         if isinstance(t, Variable):
             if t.name not in row:

@@ -6,12 +6,15 @@ domain conventions live:
 * ``load_graph`` / ``normalize`` rewrite legacy predicate aliases to the
   canonical vocabulary and fold unit-suffixed quantity strings ("10m",
   "100 unit") into plain integers, so downstream code sees one spelling.
+  ``load_graph`` parses into one graph and ``normalize`` rewrites it in
+  place, replacing only the triples whose canonical form differs.
 * The view dataclasses (``NodeView``, ``OrderView``, ``CapacityView``,
   ``InventoryView``, ``PlanLine``, ``BomEdge``) materialize one entity
   each. Every view has a ``to_triples`` that gives exactly the triples
   the accessor consumed (a plan line has no accessor: the simulator only
   writes it), and the generator and simulator write records only through
-  it; ``capacity_iri`` names the capacity records they create.
+  it; ``capacity_iri`` names the capacity records they create, and
+  ``tier_iri`` every tier, the only names ``tier_index`` reads.
 * ``due_schedule``, ``current_inventory`` and ``capacity_by_step`` are the
   one definition of when an order is due and in what order, which
   inventory record is current, and which capacity record a step books
@@ -21,9 +24,10 @@ domain conventions live:
   constants bound record, edge and order quantities, and every
   single-valued property (a tier, a transport mode, an order's product,
   due step, verdict and supply plan, a record's product and timestep,
-  every integer) is read through one reader, ``_value``. ``validation``
-  reports what the readers raise, and the generator's config check uses
-  the same bounds.
+  every integer) is read through one reader, ``_value``; a supplier's
+  products, none or several, through ``supplier_products``.
+  ``validation`` reports what the readers raise, and the generator's
+  config check uses the same bounds.
 
 Accessors raise ``MissingEntityError`` when a required entity or property
 is absent, has more than one value, is of the wrong kind (an IRI, an
@@ -82,25 +86,36 @@ def _fold_units(predicate, obj):
 
 def _rewrite(term):
     if isinstance(term, Quoted):
-        return Quoted(_normalize_triple(term.triple))
+        inner = _normalize_triple(term.triple)
+        return term if inner is term.triple else Quoted(inner)
     return term
 
 
 def _normalize_triple(t: Triple) -> Triple:
+    """``t`` in the canonical vocabulary: ``t`` itself when it already is."""
     pred = v.ALIASES.get(t.predicate, t.predicate)
-    return Triple(_rewrite(t.subject), pred, _fold_units(pred, _rewrite(t.object)))
+    s, o = _rewrite(t.subject), _fold_units(pred, _rewrite(t.object))
+    if s is t.subject and pred is t.predicate and o is t.object:
+        return t
+    return Triple(s, pred, o)
 
 
 def normalize(graph: Graph) -> Graph:
-    """Return a copy with alias predicates and unit-suffixed quantities folded."""
-    out = Graph()
+    """Fold alias predicates and unit-suffixed quantities in place, and
+    return the same graph: a triple whose canonical form differs is replaced
+    by it, the rest stay. The loop walks the cached ``triples()`` list,
+    which a write drops but never changes."""
     for t in graph.triples():
-        out.insert(_normalize_triple(t))
-    return out
+        canonical = _normalize_triple(t)
+        if canonical is not t:
+            graph.remove(t)
+            graph.insert(canonical)
+    return graph
 
 
 def load_graph(path) -> Graph:
-    """Parse a graph file and normalize it to canonical vocabulary."""
+    """Parse a graph file into one graph and normalize it in place to the
+    canonical vocabulary."""
     return normalize(parse_graph_file(path))
 
 
@@ -119,6 +134,12 @@ def _name(subject):
     return subject.name if isinstance(subject, Iri) else format_term(subject)
 
 
+def _wrong_kind(subject, predicate, kind):
+    """The error for a value of ``predicate`` that is not of ``kind``."""
+    problem = "not-iri" if kind is Iri else f"not-{kind}"
+    return MissingEntityError(f"{_name(subject)} {predicate.name} is not {_KIND_NOUNS[kind]}", problem)
+
+
 def _value(graph, subject, predicate, kind, required=True):
     """The one value of ``subject``'s ``predicate``, of ``kind``: an IRI's
     name, or the value of a literal of that datatype. None when it is absent
@@ -131,9 +152,8 @@ def _value(graph, subject, predicate, kind, required=True):
             return term.name
         if isinstance(term, Literal) and term.datatype == kind:
             return term.value
-        problem = "not-iri" if kind is Iri else f"not-{kind}"
-        fault = f"{predicate.name} is not {_KIND_NOUNS[kind]}"
-    elif values:
+        raise _wrong_kind(subject, predicate, kind)
+    if values:
         problem, fault = "multi-valued", f"{predicate.name} must have a single value"
     elif required:
         problem, fault = "missing", f"has no {predicate.name}"
@@ -212,8 +232,7 @@ class NodeView:
     def tier_iri(self) -> Iri | None:
         if self.tier is None:
             return None
-        side = v.SUPPLIER_TIER.name if self.kind == v.SUPPLIER.name else v.CUSTOMER_TIER.name
-        return Iri(f"{side}{self.tier}")
+        return tier_iri(v.SUPPLIER_TIER if self.kind == v.SUPPLIER.name else v.CUSTOMER_TIER, self.tier)
 
     def to_triples(self) -> list[Triple]:
         n = self.iri
@@ -243,14 +262,29 @@ class NodeView:
         return out
 
 
-_TIER_RE = re.compile(r"^(?:SupplierTier|CustomerTier)(\d+)$")
+def tier_iri(side: Iri, number: int) -> Iri:
+    """The name of tier ``number`` (from 1) of ``side``, ``v.SUPPLIER_TIER``
+    or ``v.CUSTOMER_TIER``: the only tier names ``tier_index`` reads."""
+    return Iri(f"{side.name}{number}")
+
+
+_TIER_RE = re.compile(rf"^(?:{v.SUPPLIER_TIER.name}|{v.CUSTOMER_TIER.name})([1-9]\d*)$")
 
 
 def tier_index(graph: Graph, iri: Iri) -> int | None:
-    """The number of the tier a node belongs to, or None without one or
-    when its tier is not named like one."""
-    m = _TIER_RE.match(_value(graph, iri, v.BELONGS_TO_TIER, Iri, required=False) or "")
-    return int(m.group(1)) if m else None
+    """The number of the tier a node belongs to, or None without one. A
+    tier not named by ``tier_iri`` raises, with ``problem`` "not-tier"."""
+    name = _value(graph, iri, v.BELONGS_TO_TIER, Iri, required=False)
+    if name is None:
+        return None
+    m = _TIER_RE.match(name)
+    if m is None:
+        raise MissingEntityError(
+            f"{iri.name} {v.BELONGS_TO_TIER.name} {name} is not named {v.SUPPLIER_TIER.name}<n> "
+            f"or {v.CUSTOMER_TIER.name}<n>",
+            "not-tier",
+        )
+    return int(m.group(1))
 
 
 def transport_mode(graph: Graph, iri: Iri) -> str | None:
@@ -294,6 +328,15 @@ def the_oem(graph: Graph) -> Iri:
 def manufactured_product(graph: Graph, iri: Iri) -> str:
     """The name of the one product a node manufactures."""
     return _value(graph, iri, v.MANUFACTURES, Iri)
+
+
+def supplier_products(graph: Graph, iri: Iri) -> list[str]:
+    """The names of the products a supplier manufactures, in canonical
+    order: none, one or several, each an IRI."""
+    made = graph.objects(iri, v.MANUFACTURES)
+    if not all(isinstance(p, Iri) for p in made):
+        raise _wrong_kind(iri, v.MANUFACTURES, Iri)
+    return [p.name for p in made]
 
 
 @dataclass(frozen=True, slots=True)

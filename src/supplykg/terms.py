@@ -211,46 +211,6 @@ class TriplePattern:
 _PATTERN_KINDS = (Iri, Literal, Quoted, Variable, ParamRef, TriplePattern)
 
 
-class Solution:
-    """An immutable variable -> term binding produced by pattern matching."""
-
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: dict[str, Term]):
-        self._bindings = dict(bindings)
-
-    @classmethod
-    def _adopt(cls, bindings: dict[str, Term]) -> "Solution":
-        """Wrap a fresh dict without copying it; the caller must not keep it."""
-        solution = cls.__new__(cls)
-        solution._bindings = bindings
-        return solution
-
-    def __getitem__(self, name: str) -> Term:
-        return self._bindings[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._bindings
-
-    def __iter__(self):
-        return iter(self._bindings)
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    def get(self, name: str, default=None):
-        return self._bindings.get(name, default)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Solution):
-            return self._bindings == other._bindings
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"?{k}={format_term(v)}" for k, v in sorted(self._bindings.items()))
-        return f"Solution({inner})"
-
-
 # ---------------------------------------------------------------------------
 # canonical text forms
 
@@ -363,13 +323,9 @@ def unify_term(pattern: PatternTerm, term: Term, bindings: dict[str, Term]) -> b
     return pattern == term
 
 
-def unify(
-    pattern: TriplePattern, triple: Triple, bindings: dict[str, Term] | Solution | None = None
-) -> dict[str, Term] | None:
+def unify(pattern: TriplePattern, triple: Triple, bindings: dict[str, Term] | None = None) -> dict[str, Term] | None:
     """Unify a pattern with a ground triple under optional prior bindings.
     Returns the extended bindings as a new dict, or None on mismatch."""
-    if isinstance(bindings, Solution):
-        bindings = bindings._bindings
     work = dict(bindings) if bindings else {}
     if (
         unify_term(pattern.subject, triple.subject, work)
@@ -381,7 +337,7 @@ def unify(
 
 
 def substitute(
-    pattern: TriplePattern, bindings: dict[str, Term] | Solution, params: dict[str, Term] | None = None
+    pattern: TriplePattern, bindings: dict[str, Term], params: dict[str, Term] | None = None
 ) -> TriplePattern:
     """Replace bound variables in a pattern, and parameters with their values
     in ``params``; the rest stay."""

@@ -6,10 +6,11 @@ raising, so callers can render all findings at once. Severity is either
 "warning" (unusual but workable, e.g. links that skip a tier).
 
 Values are checked only by the ``schema`` readers that ``simulate`` runs:
-``validate`` reads every node property (tier and transport mode included),
-record, order, bill-of-materials edge and the OEM's product through them
-and reports what they raise, one finding per value, so a property with a
-second value is a finding and never stops the report. Its own checks span
+``validate`` reads every node property (tier, transport mode and a
+supplier's products included), record, order, bill-of-materials edge and
+the OEM's product through them and reports what they raise, one finding
+per value, so a property with a second value is a finding and never
+stops the report. Its own checks span
 entities: vocabulary, node classes, record owners, capacity against
 saturation, tier links and bill-of-materials cycles.
 """
@@ -89,6 +90,8 @@ def _node_code(predicate, problem):
         return _BAD[predicate]
     if problem == "out-of-range" and predicate in v.KPI_PREDICATES:
         return "kpi-out-of-range"
+    if problem == "not-tier":
+        return "bad-tier"
     return "bad-literal-type"
 
 
@@ -99,6 +102,8 @@ def _check_node(graph, iri, report):
         return
     reads = [(p, schema.node_int, (p, kind)) for p in schema.NODE_INTS]
     reads += [(v.BELONGS_TO_TIER, schema.tier_index, ()), (v.HAS_TRANSPORT_MODE, schema.transport_mode, ())]
+    if kind == v.SUPPLIER:
+        reads.append((v.MANUFACTURES, schema.supplier_products, ()))
     for predicate, reader, args in reads:
         try:
             reader(graph, iri, *args)

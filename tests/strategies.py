@@ -1,11 +1,12 @@
-"""Shared hypothesis strategies for graph and term generation."""
+"""Shared hypothesis strategies for graph and term generation, and the
+full-scan oracle that ``Graph.match`` is checked against."""
 
 import string as _string
 
 from hypothesis import strategies as st
 
 from supplykg.graph import Graph
-from supplykg.terms import Iri, Literal, Quoted, Triple
+from supplykg.terms import Iri, Literal, Quoted, Triple, TriplePattern, Variable, format_triple, unify
 
 _name_head = _string.ascii_letters + "_"
 _name_tail = _name_head + _string.digits + ".:-"
@@ -49,3 +50,22 @@ triples = st.recursive(
 )
 
 graphs = st.lists(triples, max_size=40).map(Graph)
+
+
+def full_scan(pattern, triples, bindings=None):
+    """What ``Graph.match`` must return over ``triples``: every solution,
+    found by unifying the pattern with each triple in canonical order."""
+    return [b for x in sorted(set(triples), key=format_triple) if (b := unify(pattern, x, bindings)) is not None]
+
+
+def probes(triple):
+    """One pattern per position of the triple, the others left open, so that
+    each of the three index buckets the triple sits in gets read, and one
+    with every position open, which reads the whole graph's order."""
+    s, p, o = Variable("s"), Variable("p"), Variable("o")
+    return [
+        TriplePattern(triple.subject, p, o),
+        TriplePattern(s, triple.predicate, o),
+        TriplePattern(s, p, triple.object),
+        TriplePattern(s, p, o),
+    ]

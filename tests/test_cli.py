@@ -274,6 +274,49 @@ def test_validate_reports_a_second_value(tmp_path, capsys, extra, code, subject,
     assert capsys.readouterr().err == (f"error: {message}\n" if read_by_simulate else "")
 
 
+def _not_a_tier(node, tier):
+    return f"bad-tier {node}: {node} belongsToTier {tier} is not named SupplierTier<n> or CustomerTier<n>"
+
+
+@pytest.mark.parametrize(
+    "old, new, finding",
+    [
+        (
+            None,
+            ':SupplierNode1.1 :manufactures "Product1.1" .\n',
+            "bad-literal-type SupplierNode1.1: SupplierNode1.1 manufactures is not an IRI",
+        ),
+        (
+            ":SupplierNode1.1 :belongsToTier :SupplierTier1 .\n",
+            ":SupplierNode1.1 :belongsToTier :Tier1 .\n",
+            _not_a_tier("SupplierNode1.1", "Tier1"),
+        ),
+        (None, ":OEM1 :belongsToTier :Tier1 .\n", _not_a_tier("OEM1", "Tier1")),
+        (
+            ":SupplierNode1.1 :belongsToTier :SupplierTier1 .\n",
+            ":SupplierNode1.1 :belongsToTier :SupplierTier0 .\n",
+            _not_a_tier("SupplierNode1.1", "SupplierTier0"),
+        ),
+    ],
+    ids=["supplier-product-literal", "supplier-tier-name", "oem-tier-name", "supplier-tier-zero"],
+)
+def test_validate_and_simulate_reject_a_bad_node_value(tmp_path, capsys, old, new, finding):
+    """A supplier's product that is not an IRI, and a tier not named like
+    one, are one finding, and simulate exits 2 with the same message. The
+    new line replaces ``old``, or is appended when ``old`` is None."""
+    graph = tmp_path / "g.nt"
+    assert run("generate", "--preset", "dairy", "--seed", "3", "--out", str(graph)) == 0
+    text = graph.read_text()
+    assert old is None or old in text
+    bad = tmp_path / "bad.nt"
+    bad.write_text(text + new if old is None else text.replace(old, new))
+    capsys.readouterr()
+    assert run("validate", "--graph", str(bad)) == 2
+    assert capsys.readouterr() == (f"error {finding}\n", "1 errors, 0 warnings\n")
+    assert run("simulate", "--graph", str(bad), "--horizon", "60", "--out", str(tmp_path / "r.csv")) == 2
+    assert capsys.readouterr().err == f"error: {finding.split(': ', 1)[1]}\n"
+
+
 # every predicate the schema readers read as single-valued
 _SINGLE_VALUED = {
     *NODE_INTS,

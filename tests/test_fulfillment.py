@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from supplykg import Graph, Iri, Quoted, Triple, boolean, integer, serialize, timestep
-from supplykg.fulfillment import Allocation, Simulation, explode_bom
+from supplykg.fulfillment import Simulation, explode_bom
 from supplykg.generator import automotive, dairy, generate
 from supplykg.schema import MissingEntityError, capacity_by_step, current_inventory, orders
 from supplykg import vocab as v

@@ -11,8 +11,9 @@ from supplykg.terms import (
     format_triple,
     integer,
     string,
-    unify,
 )
+
+from strategies import full_scan, probes
 
 
 def t(s, p, o):
@@ -138,29 +139,11 @@ _bindings = st.one_of(
 )
 
 
-def _full_scan(pattern, triples, bindings):
-    return [b for x in sorted(set(triples), key=format_triple) if (b := unify(pattern, x, bindings)) is not None]
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_triples, max_size=25), _patterns, _bindings)
 def test_match_agrees_with_full_scan(triples, pat, bindings):
     g = Graph(triples)
-    via_match = g.match(pat, bindings)
-    assert [{k: r[k] for k in r} for r in via_match] == _full_scan(pat, triples, bindings)
-
-
-def _probes(triple):
-    """One pattern per position of the triple, the others left open, so that
-    each of the three index buckets the triple sits in gets read, and one
-    with every position open, which reads the whole graph's order."""
-    s, p, o = Variable("s"), Variable("p"), Variable("o")
-    return [
-        TriplePattern(triple.subject, p, o),
-        TriplePattern(s, triple.predicate, o),
-        TriplePattern(s, p, triple.object),
-        TriplePattern(s, p, o),
-    ]
+    assert g.match(pat, bindings) == full_scan(pat, triples, bindings)
 
 
 _ops = st.one_of(
@@ -183,8 +166,8 @@ def test_match_after_churn_on_a_graph_and_its_copy(initial, ops):
     contents = [set(initial), set(initial)]
 
     def check(i, pat, bindings=None):
-        expected = _full_scan(pat, contents[i], bindings)
-        assert [{k: r[k] for k in r} for r in graphs[i].match(pat, bindings)] == expected
+        expected = full_scan(pat, contents[i], bindings)
+        assert graphs[i].match(pat, bindings) == expected
 
     for op, i, *args in ops:
         g, content = graphs[i], contents[i]
@@ -201,7 +184,7 @@ def test_match_after_churn_on_a_graph_and_its_copy(initial, ops):
             target = sorted(content, key=format_triple)[args[0] % len(content)]
         else:
             continue
-        for pat in _probes(target):
+        for pat in probes(target):
             check(i, pat)
             check(1 - i, pat)
         if op == "insert":
@@ -210,7 +193,7 @@ def test_match_after_churn_on_a_graph_and_its_copy(initial, ops):
         else:
             assert g.remove(target) is True
             content.discard(target)
-        for pat in _probes(target):
+        for pat in probes(target):
             check(i, pat)
             check(1 - i, pat)
     for g, content in zip(graphs, contents):

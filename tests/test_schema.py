@@ -1,19 +1,24 @@
 """Typed views over domain graphs: normalization, projection, round trips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from supplykg import Graph, Iri, Quoted, Triple, integer, string, timestep
+from strategies import full_scan, probes
+from supplykg import Graph, Iri, Quoted, Triple, integer, serialize, string, timestep
 from supplykg.fulfillment import Simulation
 from supplykg.generator import automotive, dairy, generate
 from supplykg.query import evaluate, parse_query
 from supplykg.schema import (
     MissingEntityError,
+    _normalize_triple,
     bom,
     capacity_by_step,
     capacity_records,
     current_inventory,
     due_schedule,
     inventory_record,
+    load_graph,
     node,
     node_kind,
     nodes_of_kind,
@@ -23,6 +28,7 @@ from supplykg.schema import (
     the_oem,
 )
 from supplykg import vocab as v
+from supplykg.terms import format_triple
 
 
 def tr(s, p, o):
@@ -58,8 +64,6 @@ def test_normalize_rewrites_legacy_predicates():
     n = normalize(g)
     assert n.objects(Iri("A"), v.HAS_DELIVERY_TIME) == [integer(4)]
     assert n.objects(Iri("Car"), v.NEEDS_PRODUCT) == [Iri("Wheel")]
-    from supplykg import serialize
-
     assert "hasLeadTime" not in serialize(n)
 
 
@@ -94,6 +98,58 @@ def test_normalize_leaves_other_strings_alone():
     n = normalize(g)
     assert n.objects(Iri("N"), v.HAS_TRANSPORT_MODE) == [string("road")]
     assert n.objects(Iri("N"), v.HAS_QUANTITY) == [string("plenty")]
+
+
+# Graphs that mix legacy spellings with their canonical twins: the alias
+# predicates (also inside quoted terms) next to the names they stand for,
+# and unit-suffixed quantity strings next to plain integers.
+_legacy_iris = st.sampled_from([Iri(n) for n in ("A", "B", "Wheel")])
+_legacy_predicates = st.sampled_from(
+    [*v.ALIASES, *v.ALIASES.values(), v.HAS_QUANTITY, v.HAS_TRANSPORT_MODE]
+)
+_legacy_objects = st.one_of(
+    _legacy_iris,
+    st.sampled_from([integer(7), integer(10), string("10m"), string("7 units"), string("100 unit"), string("plenty")]),
+)
+_legacy_plain = st.builds(Triple, _legacy_iris, _legacy_predicates, _legacy_objects)
+_legacy_triples = st.one_of(
+    _legacy_plain,
+    st.builds(lambda i, p, o: Triple(Quoted(i), p, o), _legacy_plain, _legacy_predicates, _legacy_objects),
+    st.builds(lambda s, p, i: Triple(s, p, Quoted(i)), _legacy_iris, _legacy_predicates, _legacy_plain),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_legacy_triples, max_size=20))
+def test_normalize_rewrites_in_place(triples):
+    g = Graph(triples)
+    before = g.triples()
+    for t in before:  # fill the bucket caches that normalize must refresh
+        for p in probes(t):
+            g.match(p)
+    assert normalize(g) is g
+    expected = sorted({_normalize_triple(t) for t in before}, key=format_triple)
+    assert g.triples() == expected
+    for t in before:
+        canonical = _normalize_triple(t)
+        if canonical != t:
+            for p in probes(t) + probes(canonical):
+                assert g.match(p) == full_scan(p, expected)
+
+
+def test_load_graph_inserts_each_line_once(tmp_path, monkeypatch):
+    path = tmp_path / "g.nt"
+    path.write_text(serialize(generate(dairy())))
+    inserts = []
+    insert = Graph.insert
+
+    def counted_insert(self, triple):
+        inserts.append(triple)
+        return insert(self, triple)
+
+    monkeypatch.setattr(Graph, "insert", counted_insert)
+    graph = load_graph(str(path))
+    assert len(inserts) == len(graph) == len(path.read_text().splitlines())
 
 
 # --- node views ---
