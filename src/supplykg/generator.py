@@ -256,10 +256,10 @@ def generate(config: GeneratorConfig) -> Graph:
     supplier_tiers: list[list[Iri]] = []
     supplier_leads: dict[Iri, int] = {}
     for t, count in enumerate(config.supplier_tier_nodes, start=1):
-        tier = tier_iri(v.SUPPLIER_TIER, t)
+        tier = tier_iri(v.SUPPLIER, t)
         add(tier, v.RDF_TYPE, v.SUPPLIER_TIER)
         if t > 1:
-            add(tier_iri(v.SUPPLIER_TIER, t - 1), v.HAS_UPSTREAM_TIER, tier)
+            add(tier_iri(v.SUPPLIER, t - 1), v.HAS_UPSTREAM_TIER, tier)
         tier_nodes = []
         for m in range(1, count + 1):
             n, lead = emit_node(
@@ -275,10 +275,10 @@ def generate(config: GeneratorConfig) -> Graph:
 
     customer_tiers: list[list[Iri]] = []
     for t, count in enumerate(config.customer_tier_nodes, start=1):
-        tier = tier_iri(v.CUSTOMER_TIER, t)
+        tier = tier_iri(v.CUSTOMER, t)
         add(tier, v.RDF_TYPE, v.CUSTOMER_TIER)
         if t > 1:
-            add(tier_iri(v.CUSTOMER_TIER, t - 1), v.HAS_DOWNSTREAM_TIER, tier)
+            add(tier_iri(v.CUSTOMER, t - 1), v.HAS_DOWNSTREAM_TIER, tier)
         tier_nodes = []
         for m in range(1, count + 1):
             n, _ = emit_node(customer_name(t, m), v.CUSTOMER, t, customer=True)

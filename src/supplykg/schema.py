@@ -14,7 +14,8 @@ domain conventions live:
   the accessor consumed (a plan line has no accessor: the simulator only
   writes it), and the generator and simulator write records only through
   it; ``capacity_iri`` names the capacity records they create, and
-  ``tier_iri`` every tier, the only names ``tier_index`` reads.
+  ``tier_iri`` every tier, by the node class it holds: the only names
+  ``tier_index`` reads for that class.
 * ``due_schedule``, ``current_inventory`` and ``capacity_by_step`` are the
   one definition of when an order is due and in what order, which
   inventory record is current, and which capacity record a step books
@@ -232,7 +233,7 @@ class NodeView:
     def tier_iri(self) -> Iri | None:
         if self.tier is None:
             return None
-        return tier_iri(v.SUPPLIER_TIER if self.kind == v.SUPPLIER.name else v.CUSTOMER_TIER, self.tier)
+        return tier_iri(Iri(self.kind), self.tier)
 
     def to_triples(self) -> list[Triple]:
         n = self.iri
@@ -262,29 +263,32 @@ class NodeView:
         return out
 
 
-def tier_iri(side: Iri, number: int) -> Iri:
-    """The name of tier ``number`` (from 1) of ``side``, ``v.SUPPLIER_TIER``
-    or ``v.CUSTOMER_TIER``: the only tier names ``tier_index`` reads."""
-    return Iri(f"{side.name}{number}")
+def _tier_class(kind: Iri | None) -> Iri:
+    return v.SUPPLIER_TIER if kind == v.SUPPLIER else v.CUSTOMER_TIER
 
 
-_TIER_RE = re.compile(rf"^(?:{v.SUPPLIER_TIER.name}|{v.CUSTOMER_TIER.name})([1-9]\d*)$")
+def tier_iri(kind: Iri, number: int) -> Iri:
+    """The name of tier ``number`` (from 1) for nodes of class ``kind``:
+    ``SupplierTier<n>`` for suppliers, ``CustomerTier<n>`` for every other
+    class. These are the only tier names ``tier_index`` reads."""
+    return Iri(f"{_tier_class(kind).name}{number}")
 
 
-def tier_index(graph: Graph, iri: Iri) -> int | None:
-    """The number of the tier a node belongs to, or None without one. A
-    tier not named by ``tier_iri`` raises, with ``problem`` "not-tier"."""
+_TIER_NUMBER = re.compile(r"[1-9]\d*")
+
+
+def tier_index(graph: Graph, iri: Iri, kind: Iri | None) -> int | None:
+    """The number of the tier a node of class ``kind`` belongs to, or None
+    without one. A tier that ``tier_iri`` does not name for that class, such
+    as a supplier's ``CustomerTier1``, raises with ``problem`` "not-tier"."""
     name = _value(graph, iri, v.BELONGS_TO_TIER, Iri, required=False)
     if name is None:
         return None
-    m = _TIER_RE.match(name)
-    if m is None:
-        raise MissingEntityError(
-            f"{iri.name} {v.BELONGS_TO_TIER.name} {name} is not named {v.SUPPLIER_TIER.name}<n> "
-            f"or {v.CUSTOMER_TIER.name}<n>",
-            "not-tier",
-        )
-    return int(m.group(1))
+    side = _tier_class(kind).name
+    number = name[len(side) :]
+    if not name.startswith(side) or not _TIER_NUMBER.fullmatch(number):
+        raise MissingEntityError(f"{iri.name} {v.BELONGS_TO_TIER.name} {name} is not named {side}<n>", "not-tier")
+    return int(number)
 
 
 def transport_mode(graph: Graph, iri: Iri) -> str | None:
@@ -301,7 +305,7 @@ def node(graph: Graph, iri: Iri) -> NodeView:
     return NodeView(
         id=iri.name,
         kind=kind.name,
-        tier=tier_index(graph, iri),
+        tier=tier_index(graph, iri, kind),
         saturation=values[v.HAS_SATURATION],
         delivery_time=values[v.HAS_DELIVERY_TIME],
         group=values[v.HAS_GROUP],

@@ -19,6 +19,13 @@ can stand in subject or object position. Parsing accepts flexible whitespace
 and both lexical cases for booleans; serialization always emits the canonical
 spelling above, so serialize(parse(serialize(g))) is byte-identical to
 serialize(g).
+
+One ``parse_graph`` call scans each distinct whitespace-separated word once
+and builds one term object per distinct token: both tables live only for
+that call, so nothing a load builds outlives the graph it returns. A line
+with a word that does not scan on its own, such as a piece of a string that
+holds a space, is scanned whole, which gives the same tokens, or the same
+error and line number, as scanning every line whole.
 """
 
 from __future__ import annotations
@@ -96,12 +103,43 @@ def _tokenize_line(text: str, line: int) -> list[tuple[str, str]]:
     return tokens
 
 
+def _word_tokens(word: str) -> tuple[tuple[str, str], ...]:
+    """The tokens of one whitespace-free word, or () if it does not scan on
+    its own, such as a piece of a string that holds whitespace."""
+    try:
+        return tuple(_tokenize_line(word, 0))
+    except GraphParseError:
+        return ()
+
+
+def _tokenize_words(line: str, lineno: int, words: dict) -> list[tuple[str, str]]:
+    """The tokens of ``line``, the same as ``_tokenize_line`` gives. Each
+    distinct word is scanned once and its tokens kept in ``words``; a line
+    with a word that does not scan alone is scanned whole, which also raises
+    its error."""
+    tokens = []
+    for word in line.split():
+        toks = words.get(word)
+        if toks is None:
+            toks = words[word] = _word_tokens(word)
+        if not toks:
+            return _tokenize_line(line, lineno)
+        tokens += toks
+    return tokens
+
+
 class _LineParser:
-    def __init__(self, tokens: list[tuple[str, str]], line: int):
+    """Parses one line's tokens. ``terms`` maps a token to the term built
+    for it, so that a load builds one object per distinct token: an IRI or
+    number is keyed on its text, a string on its text and datatype tag. The
+    spellings of rdf:type (``a``, ``rdf:type``, ``:rdf:type``) share one."""
+
+    def __init__(self, tokens: list[tuple[str, str]], line: int, terms: dict):
         self.tokens = tokens
         self.pos = 0
         self.line = line
         self.depth = 0
+        self.terms = terms
 
     def peek_kind(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -115,10 +153,12 @@ class _LineParser:
 
     def term(self, predicate_position: bool = False) -> Term:
         kind, text = self.take()
-        if kind == "iri":
-            return Iri("rdf:type" if text == "rdf:type" else text[1:])
-        if kind == "kw":  # bare "a"
-            return Iri("rdf:type")
+        if kind == "iri" or kind == "kw":  # kw is a bare "a"
+            term = self.terms.get(text)
+            if term is None:
+                name = "rdf:type" if text in ("a", "rdf:type") else text[1:]
+                term = self.terms[text] = self.terms.setdefault(":" + name, Iri(name))
+            return term
         if predicate_position:
             raise GraphParseError(f"predicate must be an IRI, got {text!r}", self.line)
         if kind == "qopen":
@@ -137,17 +177,22 @@ class _LineParser:
             except MalformedTermError as exc:
                 raise GraphParseError(str(exc), self.line) from None
         if kind == "number":
-            if re.fullmatch(r"[+-]?\d+", text):
-                return Literal(int(text), INTEGER)
-            return Literal(float(text), DECIMAL)
+            term = self.terms.get(text)
+            if term is None:
+                integral = re.fullmatch(r"[+-]?\d+", text)
+                term = self.terms[text] = Literal(int(text), INTEGER) if integral else Literal(float(text), DECIMAL)
+            return term
         if kind == "string":
-            try:
-                body = unescape_string(text[1:-1])
-                if self.peek_kind() == "tag":
-                    return typed_literal(body, self.take()[1])
-            except MalformedTermError as exc:
-                raise GraphParseError(str(exc), self.line) from None
-            return Literal(body, STRING)
+            tag = self.take()[1] if self.peek_kind() == "tag" else None
+            term = self.terms.get((text, tag))
+            if term is None:
+                try:
+                    body = unescape_string(text[1:-1])
+                    term = Literal(body, STRING) if tag is None else typed_literal(body, tag)
+                except MalformedTermError as exc:
+                    raise GraphParseError(str(exc), self.line) from None
+                self.terms[text, tag] = term
+            return term
         raise GraphParseError(f"expected a term, got {text!r}", self.line)
 
     def triple(self) -> Triple:
@@ -169,12 +214,14 @@ def parse_graph(text: str) -> Graph:
     """Parse serialized graph text. Blank lines and ``#`` comment lines are
     allowed on input (never produced on output)."""
     g = Graph()
+    words: dict = {}
+    terms: dict = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = _tokenize_line(line, lineno)
-        g.insert(_LineParser(tokens, lineno).triple())
+        tokens = _tokenize_words(line, lineno, words)
+        g.insert(_LineParser(tokens, lineno, terms).triple())
     return g
 
 
@@ -187,7 +234,7 @@ def parse_term(text: str) -> Term:
     """Parse a single term written in the line syntax, e.g. ``:OEM1``,
     ``42``, ``"7"^^timestep``, or ``<< :a :b :c >>``."""
     tokens = _tokenize_line(text.strip(), 1)
-    parser = _LineParser(tokens, 1)
+    parser = _LineParser(tokens, 1, {})
     term = parser.term()
     if parser.pos != len(parser.tokens):
         raise GraphParseError(f"trailing content after term: {parser.tokens[parser.pos][1]!r}", 1)

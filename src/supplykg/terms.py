@@ -8,13 +8,20 @@ a query is given when it runs) and nested patterns too. All term types are
 immutable and hashable, and every term has a canonical text form
 (``format_term``) which doubles as the deterministic sort key used across
 the package.
+
+``Triple`` and ``Quoted`` compute their hash once, when built, and keep it
+in a field that takes no part in equality or ``repr``; the graph's set and
+index lookups then never re-hash a triple's parts. ``Iri`` and ``Literal``
+hash on demand: queries build and drop many literals (filter arithmetic),
+and an eager hash would double the cost of building one. The graph parser
+builds one ``Iri`` or ``Literal`` per distinct token of a file.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 # literal datatypes
@@ -143,10 +150,15 @@ class Quoted:
     """A ground triple used as a term."""
 
     triple: "Triple"
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.triple, Triple):
             raise MalformedTermError("Quoted wraps a ground Triple")
+        object.__setattr__(self, "_hash", hash((self.triple,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Term = Union[Iri, Literal, Quoted]
@@ -160,6 +172,7 @@ class Triple:
     subject: Union[Iri, Quoted]
     predicate: Iri
     object: Term
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.subject, _SUBJECT_KINDS):
@@ -168,6 +181,10 @@ class Triple:
             raise MalformedTermError(f"triple predicate must be an IRI, got {self.predicate!r}")
         if not isinstance(self.object, _OBJECT_KINDS):
             raise MalformedTermError(f"triple object must be a term, got {self.object!r}")
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 # Pattern positions additionally admit variables, parameters and nested

@@ -101,7 +101,7 @@ def _check_node(graph, iri, report):
         report.error("untyped-node", iri.name, "node has no Supplier/Customer/OEM class")
         return
     reads = [(p, schema.node_int, (p, kind)) for p in schema.NODE_INTS]
-    reads += [(v.BELONGS_TO_TIER, schema.tier_index, ()), (v.HAS_TRANSPORT_MODE, schema.transport_mode, ())]
+    reads += [(v.BELONGS_TO_TIER, schema.tier_index, (kind,)), (v.HAS_TRANSPORT_MODE, schema.transport_mode, ())]
     if kind == v.SUPPLIER:
         reads.append((v.MANUFACTURES, schema.supplier_products, ()))
     for predicate, reader, args in reads:
@@ -189,7 +189,7 @@ def _check_topology(graph, report):
     def tier(node):
         if node not in tiers:
             try:
-                tiers[node] = schema.tier_index(graph, node)
+                tiers[node] = schema.tier_index(graph, node, schema.node_kind(graph, node))
             except schema.MissingEntityError:
                 tiers[node] = None  # reported by _check_node
         return tiers[node]

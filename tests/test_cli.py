@@ -274,36 +274,59 @@ def test_validate_reports_a_second_value(tmp_path, capsys, extra, code, subject,
     assert capsys.readouterr().err == (f"error: {message}\n" if read_by_simulate else "")
 
 
-def _not_a_tier(node, tier):
-    return f"bad-tier {node}: {node} belongsToTier {tier} is not named SupplierTier<n> or CustomerTier<n>"
+def _not_a_tier(node, tier, side):
+    return f"bad-tier {node}: {node} belongsToTier {tier} is not named {side}<n>"
 
 
 @pytest.mark.parametrize(
-    "old, new, finding",
+    "old, new, finding, read_by_simulate",
     [
         (
             None,
             ':SupplierNode1.1 :manufactures "Product1.1" .\n',
             "bad-literal-type SupplierNode1.1: SupplierNode1.1 manufactures is not an IRI",
+            True,
         ),
         (
             ":SupplierNode1.1 :belongsToTier :SupplierTier1 .\n",
             ":SupplierNode1.1 :belongsToTier :Tier1 .\n",
-            _not_a_tier("SupplierNode1.1", "Tier1"),
+            _not_a_tier("SupplierNode1.1", "Tier1", "SupplierTier"),
+            True,
         ),
-        (None, ":OEM1 :belongsToTier :Tier1 .\n", _not_a_tier("OEM1", "Tier1")),
+        (None, ":OEM1 :belongsToTier :Tier1 .\n", _not_a_tier("OEM1", "Tier1", "CustomerTier"), True),
         (
             ":SupplierNode1.1 :belongsToTier :SupplierTier1 .\n",
             ":SupplierNode1.1 :belongsToTier :SupplierTier0 .\n",
-            _not_a_tier("SupplierNode1.1", "SupplierTier0"),
+            _not_a_tier("SupplierNode1.1", "SupplierTier0", "SupplierTier"),
+            True,
+        ),
+        (
+            ":SupplierNode1.1 :belongsToTier :SupplierTier1 .\n",
+            ":SupplierNode1.1 :belongsToTier :CustomerTier1 .\n",
+            _not_a_tier("SupplierNode1.1", "CustomerTier1", "SupplierTier"),
+            True,
+        ),
+        (
+            ":Node2.3 :belongsToTier :CustomerTier2 .\n",
+            ":Node2.3 :belongsToTier :SupplierTier2 .\n",
+            _not_a_tier("Node2.3", "SupplierTier2", "CustomerTier"),
+            False,
         ),
     ],
-    ids=["supplier-product-literal", "supplier-tier-name", "oem-tier-name", "supplier-tier-zero"],
+    ids=[
+        "supplier-product-literal",
+        "supplier-tier-name",
+        "oem-tier-name",
+        "supplier-tier-zero",
+        "supplier-in-customer-tier",
+        "customer-in-supplier-tier",
+    ],
 )
-def test_validate_and_simulate_reject_a_bad_node_value(tmp_path, capsys, old, new, finding):
+def test_validate_and_simulate_reject_a_bad_node_value(tmp_path, capsys, old, new, finding, read_by_simulate):
     """A supplier's product that is not an IRI, and a tier not named like
-    one, are one finding, and simulate exits 2 with the same message. The
-    new line replaces ``old``, or is appended when ``old`` is None."""
+    one for the node's class, are one finding, and simulate, where it reads
+    the node (the OEM and the suppliers), exits 2 with the same message.
+    The new line replaces ``old``, or is appended when ``old`` is None."""
     graph = tmp_path / "g.nt"
     assert run("generate", "--preset", "dairy", "--seed", "3", "--out", str(graph)) == 0
     text = graph.read_text()
@@ -313,8 +336,9 @@ def test_validate_and_simulate_reject_a_bad_node_value(tmp_path, capsys, old, ne
     capsys.readouterr()
     assert run("validate", "--graph", str(bad)) == 2
     assert capsys.readouterr() == (f"error {finding}\n", "1 errors, 0 warnings\n")
-    assert run("simulate", "--graph", str(bad), "--horizon", "60", "--out", str(tmp_path / "r.csv")) == 2
-    assert capsys.readouterr().err == f"error: {finding.split(': ', 1)[1]}\n"
+    out = tmp_path / "r.csv"
+    assert run("simulate", "--graph", str(bad), "--horizon", "60", "--out", str(out)) == (2 if read_by_simulate else 0)
+    assert capsys.readouterr().err == (f"error: {finding.split(': ', 1)[1]}\n" if read_by_simulate else "")
 
 
 # every predicate the schema readers read as single-valued

@@ -4,7 +4,8 @@ parser's own error, which the command line turns into exit 2.
 An input is either a run of fragments (tokens of the format mixed with
 short random strings) or a valid text with a few of its space-separated
 words deleted, replaced or joined by a fragment, so that many inputs get
-past the tokenizer and reach the grammar and the value checks.
+past the tokenizer and reach the grammar and the value checks. The graph
+parser's word-level tokenizer is checked against its line tokenizer.
 """
 
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from supplykg.generator import ConfigError, parse_config_text, parse_scenario_text
 from supplykg.query import parse_query
 from supplykg.query.parser import QuerySyntaxError
-from supplykg.serialization import GraphParseError, parse_graph
+from supplykg.serialization import GraphParseError, _tokenize_line, _tokenize_words, parse_graph
 
 
 @st.composite
@@ -102,3 +103,42 @@ def test_config_parsers_raise_only_their_own_error(text):
             parse(text)
         except ConfigError:
             pass
+
+
+# Glued tokens, pieces of strings and the whitespace that str.split() and the
+# tokenizer's \s must agree on, so that drawn lines split into words that
+# scan alone, words that do not, and strings that span several words.
+_LINE_FRAGMENTS = [
+    ":a", ":c.", ":c", "<<", ">>", "<<:a", ":a>>", "5.", "5", "-2.5e3", "+7", "a", "a:X", "rdf:type",
+    ".", '"', '\\"', "\\", "^^", "^^integer", "^^string", '"x"', '"a b"', '"a\xa0b"', '"\x1c"', "#", "?",
+]
+_LINE_SEPARATORS = ["", " ", "  ", "\t", "\xa0", "\x1c", "\x85", "\u2003", "\u2028"]
+_STRING_BODIES = st.text(alphabet=' \xa0\x1c\tab:<.>^"\\', max_size=6).map(
+    lambda body: '"' + body.replace("\\", "\\\\").replace('"', '\\"') + '"'
+)
+_line_pieces = st.one_of(st.sampled_from(_LINE_FRAGMENTS), _STRING_BODIES, st.text(max_size=2))
+
+
+@st.composite
+def _lines(draw):
+    pieces = draw(st.lists(_line_pieces, max_size=10))
+    return "".join(p + draw(st.sampled_from(_LINE_SEPARATORS)) for p in pieces)
+
+
+def _scan(tokenize, line, lineno, *args):
+    try:
+        return tokenize(line, lineno, *args)
+    except GraphParseError as exc:
+        return (str(exc), exc.line)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(_lines(), min_size=1, max_size=6))
+def test_word_tokenizer_agrees_with_the_line_tokenizer(lines):
+    """Each line tokenized word by word, with the word cache shared across
+    the lines as in one load, gives the line tokenizer's tokens, or its
+    error message and line number."""
+    words = {}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        assert _scan(_tokenize_words, line, lineno, words) == _scan(_tokenize_line, line, lineno)

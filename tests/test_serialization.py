@@ -11,6 +11,7 @@ from supplykg.terms import (
     Triple,
     boolean,
     decimal,
+    format_term,
     integer,
     string,
     timestep,
@@ -160,3 +161,48 @@ def test_serialized_lines_are_sorted(g):
     lines = text.splitlines()
     assert lines == sorted(lines)
     assert len(lines) == len(g)
+
+
+def _leaves(graph):
+    """Every IRI and literal object the graph's triples hold, quoted ones too."""
+    out = []
+    todo = list(graph.triples())
+    while todo:
+        t = todo.pop()
+        for term in (t.subject, t.predicate, t.object):
+            if isinstance(term, Quoted):
+                todo.append(term.triple)
+            else:
+                out.append(term)
+    return out
+
+
+_SHARED_TERMS = (
+    ":a a :T .\n:b rdf:type :T .\n:c :rdf:type :rdf:type .\n:a :p 5 .\n:b :p 5 .\n:a :q 0.0 .\n:b :q -0.0 .\n"
+    ':a :s "x y" .\n:b :s "x y" .\n:a :t "7"^^timestep .\n<< :a :p 5 >> :s "x y" .\n'
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs)
+def test_one_term_object_per_distinct_term_in_a_load(g):
+    """Within one parse, terms with the same canonical text are one object,
+    and two parses of one text share no term object."""
+    text = serialize(g) + _SHARED_TERMS
+    first, second = parse_graph(text), parse_graph(text)
+    by_text = {}
+    for term in _leaves(first):
+        assert by_text.setdefault((type(term), format_term(term)), term) is term
+    assert not {id(t) for t in _leaves(first)} & {id(t) for t in _leaves(second)}
+    assert first.triples() == second.triples()
+
+
+def test_a_bad_token_on_several_lines_fails_at_the_first():
+    for bad, message in [
+        (':a :p "x"^^volume .', "line 2: unknown datatype tag ^^volume"),
+        (":a :p :b ???", "line 2: unexpected character '?'"),
+        (':a :p "4.5"^^integer .', "line 2: bad integer literal '4.5'"),
+    ]:
+        with pytest.raises(GraphParseError) as err:
+            parse_graph(f":a :p :b .\n{bad}\n{bad}\n:c :p :d .\n{bad}\n")
+        assert (str(err.value), err.value.line) == (message, 2)

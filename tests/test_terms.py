@@ -1,7 +1,11 @@
+import dataclasses
+
 import pytest
 
 from supplykg.graph import Graph
 from supplykg.terms import (
+    BOOLEAN,
+    INTEGER,
     Iri,
     Literal,
     MalformedTermError,
@@ -172,3 +176,35 @@ def test_variables_first_appearance_order():
         Variable("sp"),
     )
     assert pat.variables() == ["sp", "n", "pred"]
+
+
+def test_triple_and_quoted_hash_contract():
+    """Triple and Quoted hash once, at construction; the cached hash is
+    invisible and never makes unequal values equal."""
+    s, p = Iri("s"), Iri("p")
+
+    def build():
+        inner = Triple(s, p, Literal(1, INTEGER))
+        return inner, Quoted(inner), Triple(Quoted(inner), p, Iri("o"))
+
+    for a, b in zip(build(), build()):
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert "_hash" not in repr(a)
+
+    t = Triple(s, p, Iri("o"))
+    moved = dataclasses.replace(t, object=Iri("q"))
+    assert moved == Triple(s, p, Iri("q")) and hash(moved) == hash(Triple(s, p, Iri("q")))
+    assert moved in {Triple(s, p, Iri("q"))} and t not in {moved}
+
+    one, true = Literal(1, INTEGER), Literal(True, BOOLEAN)
+    assert one != true
+    assert Triple(s, p, one) != Triple(s, p, true)
+    assert Quoted(Triple(s, p, one)) != Quoted(Triple(s, p, true))
+    assert len({Triple(s, p, one), Triple(s, p, true)}) == 2
+
+    with pytest.raises(MalformedTermError):
+        Triple([], p, Iri("o"))
+    with pytest.raises(MalformedTermError):
+        Triple(s, p, [])
+    with pytest.raises(MalformedTermError):
+        Quoted([])
