@@ -77,15 +77,16 @@ class Simulation:
         self._makers: dict[str, list[str]] = {}
 
         suppliers = sorted(graph.subjects(v.HAS_OEM, self.oem), key=lambda s: s.name)
-        for view in [oem_view, *(schema.node(graph, s) for s in suppliers)]:
+        supplier_views = [schema.node(graph, s) for s in suppliers]
+        for view in [oem_view, *supplier_views]:
             self._sat[view.id] = view.saturation
             self._lead[view.id] = view.delivery_time
             self._cost[view.id] = dict(view.kpis).get(v.HAS_COST.name, 0)
-        for s in suppliers:
-            for made in schema.supplier_products(graph, s):
-                self._makers.setdefault(made, []).append(s.name)
-                self._product_of.setdefault(s.name, made)
-        self._product_of[self.oem.name] = schema.manufactured_product(graph, self.oem)
+        for view in supplier_views:
+            for made in view.products:
+                self._makers.setdefault(made, []).append(view.id)
+                self._product_of.setdefault(view.id, made)
+        self._product_of[self.oem.name] = oem_view.products[0]
 
         self._capacity: dict[tuple[str, int], schema.CapacityView] = {}
         self._stock: dict[tuple[str, str], schema.InventoryView] = {}

@@ -43,7 +43,7 @@ from . import vocab as v
 from .graph import Graph
 from .rng import SplitMix64
 from .schema import BomEdge, CapacityView, InventoryView, NodeView, OrderView, capacity_iri, tier_iri
-from .terms import Iri, Triple, string
+from .terms import INTEGER, Iri, Triple, string
 
 
 class ConfigError(ValueError):
@@ -103,8 +103,7 @@ _NODE_NAME_RE = re.compile(r"(Supplier)?Node([1-9][0-9]*)\.([1-9][0-9]*)")
 # The properties ``emit_node`` draws for each class of node: the ones a
 # per_node_overrides entry may replace ("inventory" is the initial stock).
 _DRAWN_FOR_ALL = {
-    v.HAS_TRANSPORT_MODE.name,
-    *(pred.name for pred in schema.NODE_INTS if pred not in (v.HAS_GROUP, v.HAS_PRIORITY)),
+    f.predicate.name for f in schema.NODE_SHAPE.fields if f.kind is not Iri and f.attr not in ("group", "priority")
 }
 _OVERRIDABLE = {
     v.OEM: _DRAWN_FOR_ALL | {"inventory"},
@@ -158,28 +157,28 @@ def check_config(config: GeneratorConfig) -> None:
         if prop not in _OVERRIDABLE[kind]:
             bad(f"per_node_overrides.{node_id}.{prop}: the generator draws no {prop} for {kind.name} nodes")
 
-    # every value the generator writes must read back through the schema
-    bounds = {pred.name: (lo, hi) for pred, (lo, hi, _) in schema.NODE_INTS.items()}
-    bounds["inventory"] = (schema.MIN_RECORD_VALUE, None)
+    # every value the generator writes must read back through its shape
+    by_name = {f.predicate.name: f for f in schema.NODE_SHAPE.fields if f.kind == INTEGER}
+    by_name["inventory"] = schema.INVENTORY_SHAPE.field["quantity"]
     checks = [
-        ("saturation_range", config.saturation_range, bounds[v.HAS_SATURATION.name]),
-        ("delivery_time_range", config.delivery_time_range, bounds[v.HAS_DELIVERY_TIME.name]),
-        ("priority_range", config.priority_range, bounds[v.HAS_PRIORITY.name]),
-        *(("kpi_range", config.kpi_range, bounds[pred.name]) for pred in v.KPI_PREDICATES),
-        *((f"kpi_range_overrides.{name}", span, bounds[name]) for name, span in config.kpi_range_overrides),
-        ("inventory_range", config.inventory_range, bounds["inventory"]),
-        ("initial_capacity", [config.initial_capacity], (schema.MIN_RECORD_VALUE, None)),
-        ("bom_quantity_range", config.bom_quantity_range, (schema.MIN_BOM_QUANTITY, None)),
-        ("order_quantity", [config.order_quantity], (schema.MIN_ORDER_QUANTITY, None)),
+        ("saturation_range", config.saturation_range, by_name[v.HAS_SATURATION.name]),
+        ("delivery_time_range", config.delivery_time_range, by_name[v.HAS_DELIVERY_TIME.name]),
+        ("priority_range", config.priority_range, by_name[v.HAS_PRIORITY.name]),
+        *(("kpi_range", config.kpi_range, by_name[pred.name]) for pred in v.KPI_PREDICATES),
+        *((f"kpi_range_overrides.{name}", span, by_name[name]) for name, span in config.kpi_range_overrides),
+        ("inventory_range", config.inventory_range, by_name["inventory"]),
+        ("initial_capacity", [config.initial_capacity], schema.CAPACITY_SHAPE.field["quantity"]),
+        ("bom_quantity_range", config.bom_quantity_range, schema.BOM_EDGE_SHAPE.field["quantity"]),
+        ("order_quantity", [config.order_quantity], schema.ORDER_SHAPE.field["quantity"]),
         *(
-            (f"per_node_overrides.{node_id}.{prop}", [value], bounds[prop])
+            (f"per_node_overrides.{node_id}.{prop}", [value], by_name[prop])
             for node_id, prop, value in config.per_node_overrides
-            if prop in bounds
+            if prop in by_name
         ),
     ]
-    for name, values, (lo, hi) in checks:
+    for name, values, field in checks:
         for value in values:
-            rule = schema.outside(value, lo, hi) if isinstance(value, int) else "must be an integer"
+            rule = schema.outside(value, field.lo, field.hi) if isinstance(value, int) else "must be an integer"
             if rule is not None:
                 bad(f"{name} {rule}, got {value}")
 
@@ -233,7 +232,9 @@ def generate(config: GeneratorConfig) -> Graph:
         lat = pick(v.HAS_LATITUDE.name, rng.randint(*config.latitude_range))
         mode = str(pick(v.HAS_TRANSPORT_MODE.name, rng.choice(v.TRANSPORT_MODES)))
         kpi_values = tuple(sorted((pred.name, value) for pred, value in kpis.items()))
-        put(NodeView(name, kind.name, tier, sat, lead, group, priority, kpi_values, co2, lon, lat, mode))
+        product = None if product_of is None else product_of(group)
+        made = () if product is None else (product.name,)
+        put(NodeView(name, kind.name, tier, sat, lead, group, priority, kpi_values, co2, lon, lat, mode, made))
         process = Iri("Prcs" + name)
         add(n, v.HAS_PROCESS, process)
         add(process, v.RDF_TYPE, v.PROCESS)
@@ -241,10 +242,8 @@ def generate(config: GeneratorConfig) -> Graph:
         for pred in v.KPI_PREDICATES:
             add(n, v.HAS_SCOR_KPI, string(f"{v.KPI_LABELS[pred]}: {kpis[pred]}"))
 
-        if product_of is not None:
-            product = product_of(group)
+        if product is not None:
             inv_qty = pick("inventory", rng.randint(*config.inventory_range))
-            add(n, v.MANUFACTURES, product)
             cap = capacity_iri(name, 0).name
             put(CapacityView(cap, name, product.name, config.initial_capacity, 0, kpis[v.HAS_COST]))
             put(InventoryView(f"Inv{name}", name, product.name, int(inv_qty), 0))

@@ -1,4 +1,4 @@
-"""Typed views over supply-chain graphs, plus ingest normalization.
+"""Entity shapes over supply-chain graphs, plus ingest normalization.
 
 The graph store itself is schema-free. This module is where the package's
 domain conventions live:
@@ -8,29 +8,26 @@ domain conventions live:
   "100 unit") into plain integers, so downstream code sees one spelling.
   ``load_graph`` parses into one graph and ``normalize`` rewrites it in
   place, replacing only the triples whose canonical form differs.
-* The view dataclasses (``NodeView``, ``OrderView``, ``CapacityView``,
-  ``InventoryView``, ``PlanLine``, ``BomEdge``) materialize one entity
-  each. Every view has a ``to_triples`` that gives exactly the triples
-  the accessor consumed (a plan line has no accessor: the simulator only
-  writes it), and the generator and simulator write records only through
-  it; ``capacity_iri`` names the capacity records they create, and
-  ``tier_iri`` every tier, by the node class it holds: the only names
-  ``tier_index`` reads for that class.
+* Each view dataclass (``NodeView``, ``OrderView``, ``CapacityView``,
+  ``InventoryView``, ``PlanLine``, ``BomEdge``) has one ``Shape``, in the
+  spirit of a SHACL node shape, and the shapes hold every value rule. A
+  shape's ``Field``s give each property's attribute, predicate, kind,
+  bounds, requiredness, cardinality and direction, in read order. The
+  shape's one reader scans the entity's triples once and applies the
+  fields; its one writer gives the triples back (``view.to_triples()``);
+  ``validate`` reports every problem the same fields find, and the
+  generator's config check reads its bounds from them. A few irregular
+  parts are hooks of a shape: a node's class, its tier name (``tier_iri``
+  names every tier by the node class it holds), its KPI pairs, a
+  supplier's zero or more products, and the quoted subject of a plan line
+  or a bill-of-materials edge. ``capacity_iri`` names the capacity
+  records the simulator creates.
 * ``due_schedule``, ``current_inventory`` and ``capacity_by_step`` are the
   one definition of when an order is due and in what order, which
   inventory record is current, and which capacity record a step books
   onto. The simulator builds its ledgers from them.
-* The readers hold every value rule: ``NODE_INTS`` bounds each integer
-  node property and says which node classes must carry it, the ``MIN_*``
-  constants bound record, edge and order quantities, and every
-  single-valued property (a tier, a transport mode, an order's product,
-  due step, verdict and supply plan, a record's product and timestep,
-  every integer) is read through one reader, ``_value``; a supplier's
-  products, none or several, through ``supplier_products``.
-  ``validation`` reports what the readers raise, and the generator's
-  config check uses the same bounds.
 
-Accessors raise ``MissingEntityError`` when a required entity or property
+Readers raise ``MissingEntityError`` when a required entity or property
 is absent, has more than one value, is of the wrong kind (an IRI, an
 integer, a timestep, ...) or is out of range, never silently default.
 """
@@ -52,10 +49,10 @@ from .terms import (
     Literal,
     Quoted,
     Triple,
-    boolean,
+    TriplePattern,
+    Variable,
     format_term,
     integer,
-    timestep,
 )
 
 
@@ -135,80 +132,188 @@ def _name(subject):
     return subject.name if isinstance(subject, Iri) else format_term(subject)
 
 
-def _wrong_kind(subject, predicate, kind):
-    """The error for a value of ``predicate`` that is not of ``kind``."""
-    problem = "not-iri" if kind is Iri else f"not-{kind}"
-    return MissingEntityError(f"{_name(subject)} {predicate.name} is not {_KIND_NOUNS[kind]}", problem)
+def holds(rule, cls) -> bool:
+    """Whether a field rule (True, False or node classes) holds for class ``cls``."""
+    return rule if isinstance(rule, bool) else cls in rule
 
 
-def _value(graph, subject, predicate, kind, required=True):
-    """The one value of ``subject``'s ``predicate``, of ``kind``: an IRI's
-    name, or the value of a literal of that datatype. None when it is absent
-    and not ``required``. The error's ``problem`` names the rule broken:
-    "missing", "multi-valued" or one for the wrong kind, such as "not-iri"."""
-    values = graph.objects(subject, predicate)
-    if len(values) == 1:
-        term = values[0]
-        if kind is Iri and isinstance(term, Iri):
+@dataclass(frozen=True, slots=True)
+class Field:
+    """One property of an entity, like a SHACL property shape: the view
+    ``attr`` that holds it, its ``predicate``, its ``kind`` (``Iri``, held
+    as the name, or a literal datatype), inclusive integer bounds
+    ``lo``..``hi`` (None leaves a side open), and whether it is
+    ``required`` and ``single``: True, False or the node classes it holds
+    for. Unless ``single`` is True the attribute is a tuple in canonical
+    order. An ``inward`` triple points into the entity and has exactly one
+    value. Fields that share an attribute fill it with sorted (predicate
+    name, value) pairs."""
+
+    attr: str
+    predicate: Iri
+    kind: object
+    lo: int | None = None
+    hi: int | None = None
+    required: bool | tuple = False
+    single: bool | tuple = True
+    inward: bool = False
+
+    def read(self, subject, terms, cls):
+        """The attribute value of ``terms``, the objects (subjects if inward)
+        of ``subject``'s triples with this predicate, for class ``cls``. The
+        error's ``problem`` names the rule broken: "missing", "multi-valued",
+        "out-of-range" or the wrong kind, such as "not-iri"."""
+        if self.inward and len(terms) != 1:
+            raise MissingEntityError(f"{_name(subject)} must have exactly one {self.attr}, found {len(terms)}")
+        if len(terms) > 1 and holds(self.single, cls):
+            raise MissingEntityError(f"{_name(subject)} {self.predicate.name} must have a single value", "multi-valued")
+        if not terms and holds(self.required, cls):
+            raise MissingEntityError(f"{_name(subject)} has no {self.predicate.name}", "missing")
+        values = tuple(self.value(subject, term, cls) for term in terms)
+        if self.single is not True:
+            return values
+        return values[0] if values else None
+
+    def value(self, subject, term, cls):
+        """The value one term holds, if it is of this field's kind and in bounds."""
+        if isinstance(term, Iri) and self.kind is Iri:
             return term.name
-        if isinstance(term, Literal) and term.datatype == kind:
+        if isinstance(term, Literal) and term.datatype == self.kind:
+            rule = outside(term.value, self.lo, self.hi)
+            if rule is not None:
+                raise MissingEntityError(f"{_name(subject)} {self.predicate.name} {rule}, got {term.value}", "out-of-range")
             return term.value
-        raise _wrong_kind(subject, predicate, kind)
-    if values:
-        problem, fault = "multi-valued", f"{predicate.name} must have a single value"
-    elif required:
-        problem, fault = "missing", f"has no {predicate.name}"
-    else:
-        return None
-    raise MissingEntityError(f"{_name(subject)} {fault}", problem)
+        problem = "not-iri" if self.kind is Iri else f"not-{self.kind}"
+        raise MissingEntityError(f"{_name(subject)} {self.predicate.name} is not {_KIND_NOUNS[self.kind]}", problem)
 
 
-def _int_value(graph, subject, predicate, lo=None, hi=None, required=True):
-    """The one integer value of ``subject``'s ``predicate``, within the
-    inclusive bounds ``lo``..``hi`` (None leaves a side open), or None when
-    it is absent and not ``required``. Besides ``_value``'s problems, the
-    error's ``problem`` is "out-of-range" for a value outside the bounds."""
-    value = _value(graph, subject, predicate, INTEGER, required)
-    rule = None if value is None else outside(value, lo, hi)
-    if rule is not None:
-        raise MissingEntityError(f"{_name(subject)} {predicate.name} {rule}, got {value}", "out-of-range")
-    return value
+def _tier_class(kind: Iri | None) -> Iri:
+    return v.SUPPLIER_TIER if kind == v.SUPPLIER else v.CUSTOMER_TIER
 
 
-# Each integer node property: its inclusive bounds (None leaves a side
-# open) and the node classes that must carry it.
-NODE_INTS = {
-    v.HAS_SATURATION: (1, None, (v.OEM, v.SUPPLIER, v.CUSTOMER)),
-    v.HAS_DELIVERY_TIME: (1, None, (v.OEM, v.SUPPLIER, v.CUSTOMER)),
-    v.HAS_GROUP: (1, None, ()),
-    v.HAS_PRIORITY: (1, None, (v.CUSTOMER,)),
-    **{kpi: (0, 100, ()) for kpi in v.KPI_PREDICATES},
-    v.HAS_CO2: (None, None, ()),
-    v.HAS_LONGITUDE: (None, None, ()),
-    v.HAS_LATITUDE: (None, None, ()),
-}
-
-# The least quantity (and capacity cost) of a capacity or inventory record,
-# of a bill-of-materials edge and of an order.
-MIN_RECORD_VALUE = 0
-MIN_BOM_QUANTITY = 1
-MIN_ORDER_QUANTITY = 1
+def tier_iri(kind: Iri, number: int) -> Iri:
+    """The name of tier ``number`` (from 1) for nodes of class ``kind``:
+    ``SupplierTier<n>`` for suppliers, ``CustomerTier<n>`` for every other
+    class. These are the only tier names a node's shape reads."""
+    return Iri(f"{_tier_class(kind).name}{number}")
 
 
-def node_int(graph: Graph, iri: Iri, predicate: Iri, kind: Iri | None) -> int | None:
-    """A node's value of one ``NODE_INTS`` property, read as a node of
-    class ``kind``: None when absent and not required for that class."""
-    lo, hi, required_by = NODE_INTS[predicate]
-    return _int_value(graph, iri, predicate, lo, hi, kind in required_by)
+_TIER_NUMBER = re.compile(r"[1-9]\d*")
 
 
-def node_kind(graph: Graph, iri: Iri):
-    """The node's class among Supplier, Customer, OEM, or None."""
-    types = set(graph.objects(iri, v.RDF_TYPE))
-    for kind in (v.OEM, v.SUPPLIER, v.CUSTOMER):
-        if kind in types:
-            return kind
-    return None
+class _TierField(Field):
+    """The tier hook: a node's tier is the number in the name ``tier_iri``
+    gives it for the node's class. Any other name, such as a supplier's
+    ``CustomerTier1``, raises with ``problem`` "not-tier"."""
+
+    __slots__ = ()
+
+    def value(self, subject, term, cls):
+        name = super().value(subject, term, cls)
+        side = _tier_class(cls).name
+        number = name[len(side) :]
+        if not name.startswith(side) or not _TIER_NUMBER.fullmatch(number):
+            raise MissingEntityError(f"{subject.name} {self.predicate.name} {name} is not named {side}<n>", "not-tier")
+        return int(number)
+
+    def term(self, value, view):
+        return tier_iri(Iri(view.kind), value)
+
+
+_P, _O = Variable("p"), Variable("o")
+
+
+class Shape:
+    """The one declaration of an entity: its view class, its ``fields`` in
+    read order, its subject's class ``cls``, and two hooks. ``key`` names
+    the subject: the view attribute holding its IRI's name, or (attribute,
+    predicate, attribute) for a quoted triple of two IRIs, also written
+    itself when ``asserted``. A node's ``kinds`` are the classes one of
+    which its attribute ``kind`` names. A shape gives its view class
+    ``to_triples``."""
+
+    def __init__(self, view, fields, cls=None, key="id", kinds=(), asserted=False):
+        self.view, self.fields, self.cls, self.key, self.kinds, self.asserted = view, fields, cls, key, kinds, asserted
+        self._pairs = tuple(sorted({f.attr for f in fields if sum(g.attr == f.attr for g in fields) > 1}))
+        self.field = {f.attr: f for f in fields if f.attr not in self._pairs}  # by attribute
+        view.to_triples = self._writer()
+
+    def scan(self, graph: Graph, subject, **given) -> tuple[dict, list]:
+        """Every field of ``subject`` read in order from one scan of its
+        triples: the attribute values (None where unreadable) and a (field,
+        error) pair per broken rule, led by (None, error) for a node without
+        its classes. ``given`` attributes, such as a record's owner, are not read."""
+        objects: dict = {}
+        for row in graph.match(TriplePattern(subject, _P, _O)):
+            objects.setdefault(row["p"], []).append(row["o"])
+        if isinstance(self.key, str):
+            values = {self.key: subject.name}
+        else:
+            values = {self.key[0]: subject.triple.subject.name, self.key[2]: subject.triple.object.name}
+        values.update(given)
+        problems = []
+        cls = None
+        if self.kinds:
+            types = objects.get(v.RDF_TYPE, ())
+            cls = next((k for k in self.kinds if k in types), None)
+            values["kind"] = None if cls is None else cls.name
+            if cls is None or self.cls not in types:
+                problems.append((None, MissingEntityError(f"{_name(subject)} is not a typed supply-chain node")))
+        for attr in self._pairs:
+            values[attr] = []
+        for f in self.fields:
+            if f.attr in given:
+                continue
+            terms = graph.subjects(f.predicate, subject) if f.inward else objects.get(f.predicate, ())
+            try:
+                value = f.read(subject, terms, cls)
+            except MissingEntityError as exc:
+                problems.append((f, exc))
+                value = None
+            if f.attr not in self._pairs:
+                values[f.attr] = value
+            elif value is not None:
+                values[f.attr].append((f.predicate.name, value))
+        for attr in self._pairs:
+            values[attr] = tuple(sorted(values[attr]))
+        return values, problems
+
+    def read(self, graph: Graph, subject, **given):
+        """The view of ``subject``; raises the first problem ``scan`` finds."""
+        values, problems = self.scan(graph, subject, **given)
+        if problems:
+            raise problems[0][1]
+        return self.view(**values)
+
+    def _writer(self):
+        """The views' ``to_triples``: a view's triples, exactly those its
+        reader consumes. Like ``dataclasses`` makes ``__init__``, it is made
+        as Python source from the fields, so that it runs as fast as a
+        hand-written body."""
+        env = {"Iri": Iri, "Literal": Literal, "Quoted": Quoted, "Triple": Triple, "TYPE": v.RDF_TYPE, "CLS": self.cls}
+        if isinstance(self.key, str):
+            subject = f"Iri(view.{self.key})"
+        else:
+            a, env["KEY"], b = self.key
+            subject = f"Quoted(Triple(Iri(view.{a}), KEY, Iri(view.{b})))"
+        first = ["s.triple"] * self.asserted + ["Triple(s, TYPE, CLS)"] * (self.cls is not None)
+        first += ["Triple(s, TYPE, Iri(view.kind))"] * bool(self.kinds)
+        rest = []
+        for i, f in enumerate(self.fields):
+            env[f"F{i}"], env[f"P{i}"], env[f"K{i}"] = f, f.predicate, f.kind
+            o = f"F{i}.term({{}}, view)" if type(f) is not Field else "Iri({})" if f.kind is Iri else f"Literal({{}}, K{i})"
+            t = f"Triple({o}, P{i}, s)" if f.inward else f"Triple(s, P{i}, {o})"
+            if f.attr in self._pairs:
+                rest.append(f"out += [{t.format('x')} for name, x in view.{f.attr} if name == {f.predicate.name!r}]")
+            elif f.single is not True:
+                rest.append(f"out += [{t.format('x')} for x in view.{f.attr}]")
+            elif f.required is True:
+                first.append(t.format(f"view.{f.attr}"))
+            else:
+                rest.append(f"if view.{f.attr} is not None: out.append({t.format(f'view.{f.attr}')})")
+        body = [f"s = {subject}", f"out = [{', '.join(first)}]", *rest, "return out"]
+        exec("def to_triples(view):\n    " + "\n    ".join(body), env)
+        return env["to_triples"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,97 +330,31 @@ class NodeView:
     longitude: int | None
     latitude: int | None
     transport_mode: str | None
-
-    @property
-    def iri(self) -> Iri:
-        return Iri(self.id)
-
-    def tier_iri(self) -> Iri | None:
-        if self.tier is None:
-            return None
-        return tier_iri(Iri(self.kind), self.tier)
-
-    def to_triples(self) -> list[Triple]:
-        n = self.iri
-        out = [
-            Triple(n, v.RDF_TYPE, v.NODE),
-            Triple(n, v.RDF_TYPE, Iri(self.kind)),
-            Triple(n, v.HAS_SATURATION, integer(self.saturation)),
-            Triple(n, v.HAS_DELIVERY_TIME, integer(self.delivery_time)),
-        ]
-        tier = self.tier_iri()
-        if tier is not None:
-            out.append(Triple(n, v.BELONGS_TO_TIER, tier))
-        if self.group is not None:
-            out.append(Triple(n, v.HAS_GROUP, integer(self.group)))
-        if self.priority is not None:
-            out.append(Triple(n, v.HAS_PRIORITY, integer(self.priority)))
-        for name, value in self.kpis:
-            out.append(Triple(n, Iri(name), integer(value)))
-        if self.co2 is not None:
-            out.append(Triple(n, v.HAS_CO2, integer(self.co2)))
-        if self.longitude is not None:
-            out.append(Triple(n, v.HAS_LONGITUDE, integer(self.longitude)))
-        if self.latitude is not None:
-            out.append(Triple(n, v.HAS_LATITUDE, integer(self.latitude)))
-        if self.transport_mode is not None:
-            out.append(Triple(n, v.HAS_TRANSPORT_MODE, Literal(self.transport_mode, STRING)))
-        return out
+    products: tuple[str, ...]
 
 
-def _tier_class(kind: Iri | None) -> Iri:
-    return v.SUPPLIER_TIER if kind == v.SUPPLIER else v.CUSTOMER_TIER
-
-
-def tier_iri(kind: Iri, number: int) -> Iri:
-    """The name of tier ``number`` (from 1) for nodes of class ``kind``:
-    ``SupplierTier<n>`` for suppliers, ``CustomerTier<n>`` for every other
-    class. These are the only tier names ``tier_index`` reads."""
-    return Iri(f"{_tier_class(kind).name}{number}")
-
-
-_TIER_NUMBER = re.compile(r"[1-9]\d*")
-
-
-def tier_index(graph: Graph, iri: Iri, kind: Iri | None) -> int | None:
-    """The number of the tier a node of class ``kind`` belongs to, or None
-    without one. A tier that ``tier_iri`` does not name for that class, such
-    as a supplier's ``CustomerTier1``, raises with ``problem`` "not-tier"."""
-    name = _value(graph, iri, v.BELONGS_TO_TIER, Iri, required=False)
-    if name is None:
-        return None
-    side = _tier_class(kind).name
-    number = name[len(side) :]
-    if not name.startswith(side) or not _TIER_NUMBER.fullmatch(number):
-        raise MissingEntityError(f"{iri.name} {v.BELONGS_TO_TIER.name} {name} is not named {side}<n>", "not-tier")
-    return int(number)
-
-
-def transport_mode(graph: Graph, iri: Iri) -> str | None:
-    """The node's transport mode, or None without one."""
-    return _value(graph, iri, v.HAS_TRANSPORT_MODE, STRING, required=False)
+NODE_SHAPE = Shape(
+    NodeView,
+    (
+        Field("saturation", v.HAS_SATURATION, INTEGER, lo=1, required=True),
+        Field("delivery_time", v.HAS_DELIVERY_TIME, INTEGER, lo=1, required=True),
+        Field("group", v.HAS_GROUP, INTEGER, lo=1),
+        Field("priority", v.HAS_PRIORITY, INTEGER, lo=1, required=(v.CUSTOMER,)),
+        *(Field("kpis", kpi, INTEGER, lo=0, hi=100) for kpi in v.KPI_PREDICATES),
+        Field("co2", v.HAS_CO2, INTEGER),
+        Field("longitude", v.HAS_LONGITUDE, INTEGER),
+        Field("latitude", v.HAS_LATITUDE, INTEGER),
+        _TierField("tier", v.BELONGS_TO_TIER, Iri),
+        Field("transport_mode", v.HAS_TRANSPORT_MODE, STRING),
+        Field("products", v.MANUFACTURES, Iri, required=(v.OEM,), single=(v.OEM,)),
+    ),
+    cls=v.NODE,
+    kinds=(v.OEM, v.SUPPLIER, v.CUSTOMER),
+)
 
 
 def node(graph: Graph, iri: Iri) -> NodeView:
-    kind = node_kind(graph, iri)
-    if kind is None or v.NODE not in graph.objects(iri, v.RDF_TYPE):
-        raise MissingEntityError(f"{iri.name} is not a typed supply-chain node")
-    values = {pred: node_int(graph, iri, pred, kind) for pred in NODE_INTS}
-    kpis = [(pred.name, values[pred]) for pred in v.KPI_PREDICATES if values[pred] is not None]
-    return NodeView(
-        id=iri.name,
-        kind=kind.name,
-        tier=tier_index(graph, iri, kind),
-        saturation=values[v.HAS_SATURATION],
-        delivery_time=values[v.HAS_DELIVERY_TIME],
-        group=values[v.HAS_GROUP],
-        priority=values[v.HAS_PRIORITY],
-        kpis=tuple(sorted(kpis)),
-        co2=values[v.HAS_CO2],
-        longitude=values[v.HAS_LONGITUDE],
-        latitude=values[v.HAS_LATITUDE],
-        transport_mode=transport_mode(graph, iri),
-    )
+    return NODE_SHAPE.read(graph, iri)
 
 
 def nodes_of_kind(graph: Graph, kind: Iri) -> list[Iri]:
@@ -329,20 +368,6 @@ def the_oem(graph: Graph) -> Iri:
     return oems[0]
 
 
-def manufactured_product(graph: Graph, iri: Iri) -> str:
-    """The name of the one product a node manufactures."""
-    return _value(graph, iri, v.MANUFACTURES, Iri)
-
-
-def supplier_products(graph: Graph, iri: Iri) -> list[str]:
-    """The names of the products a supplier manufactures, in canonical
-    order: none, one or several, each an IRI."""
-    made = graph.objects(iri, v.MANUFACTURES)
-    if not all(isinstance(p, Iri) for p in made):
-        raise _wrong_kind(iri, v.MANUFACTURES, Iri)
-    return [p.name for p in made]
-
-
 @dataclass(frozen=True, slots=True)
 class OrderView:
     id: str
@@ -353,47 +378,25 @@ class OrderView:
     fulfilled: bool | None
     supply_plan: str | None
 
-    @property
-    def iri(self) -> Iri:
-        return Iri(self.id)
 
-    def to_triples(self) -> list[Triple]:
-        o = self.iri
-        out = [
-            Triple(o, v.RDF_TYPE, v.ORDER),
-            Triple(Iri(self.maker), v.MAKES, o),
-            Triple(o, v.HAS_PRODUCT, Iri(self.product)),
-            Triple(o, v.HAS_QUANTITY, integer(self.quantity)),
-            Triple(o, v.HAS_DELIVERY_TIME, timestep(self.delivery_time)),
-        ]
-        if self.fulfilled is not None:
-            out.append(Triple(o, v.IS_FULFILLED, boolean(self.fulfilled)))
-        if self.supply_plan is not None:
-            out.append(Triple(o, v.HAS_SUPPLY_PLAN, Iri(self.supply_plan)))
-        return out
-
-
-def order(graph: Graph, iri: Iri) -> OrderView:
-    if v.ORDER not in graph.objects(iri, v.RDF_TYPE):
-        raise MissingEntityError(f"{iri.name} is not an order")
-    makers = graph.subjects(v.MAKES, iri)
-    if len(makers) != 1:
-        raise MissingEntityError(f"{iri.name} must have exactly one maker, found {len(makers)}")
-    return OrderView(
-        id=iri.name,
-        maker=makers[0].name,
-        product=_value(graph, iri, v.HAS_PRODUCT, Iri),
-        delivery_time=_value(graph, iri, v.HAS_DELIVERY_TIME, TIMESTEP),
-        fulfilled=_value(graph, iri, v.IS_FULFILLED, BOOLEAN, required=False),
-        quantity=_int_value(graph, iri, v.HAS_QUANTITY, MIN_ORDER_QUANTITY),
-        supply_plan=_value(graph, iri, v.HAS_SUPPLY_PLAN, Iri, required=False),
-    )
+ORDER_SHAPE = Shape(
+    OrderView,
+    (
+        Field("maker", v.MAKES, Iri, required=True, inward=True),
+        Field("product", v.HAS_PRODUCT, Iri, required=True),
+        Field("delivery_time", v.HAS_DELIVERY_TIME, TIMESTEP, required=True),
+        Field("fulfilled", v.IS_FULFILLED, BOOLEAN),
+        Field("quantity", v.HAS_QUANTITY, INTEGER, lo=1, required=True),
+        Field("supply_plan", v.HAS_SUPPLY_PLAN, Iri),
+    ),
+    cls=v.ORDER,
+)
 
 
 def orders(graph: Graph) -> list[OrderView]:
     """All orders, in canonical order-name order."""
     found = sorted(nodes_of_kind(graph, v.ORDER), key=lambda i: i.name)
-    return [order(graph, o) for o in found]
+    return [ORDER_SHAPE.read(graph, o) for o in found]
 
 
 def due_schedule(graph: Graph, views: list[OrderView], oem_delivery_time: int) -> dict[int, list[OrderView]]:
@@ -403,11 +406,13 @@ def due_schedule(graph: Graph, views: list[OrderView], oem_delivery_time: int) -
     delivery time. Within a step, orders are served by the making
     customer's priority (higher first), then order name.
     """
+    priority = NODE_SHAPE.field["priority"]
     priorities: dict[str, int] = {}
     due: dict[int, list[OrderView]] = {}
     for o in views:
         if o.maker not in priorities:
-            priorities[o.maker] = node_int(graph, Iri(o.maker), v.HAS_PRIORITY, v.CUSTOMER)
+            maker = Iri(o.maker)
+            priorities[o.maker] = priority.read(maker, graph.objects(maker, priority.predicate), v.CUSTOMER)
         due.setdefault(o.delivery_time - oem_delivery_time, []).append(o)
     for step in due.values():
         step.sort(key=lambda o: (-priorities[o.maker], o.id))
@@ -428,44 +433,25 @@ class CapacityView:
     timestep: int
     cost: int
 
-    @property
-    def iri(self) -> Iri:
-        return Iri(self.id)
 
-    def to_triples(self) -> list[Triple]:
-        c = self.iri
-        return [
-            Triple(c, v.RDF_TYPE, v.CAPACITY),
-            Triple(Iri(self.node), v.HAS_CAPACITY, c),
-            Triple(c, v.HAS_PRODUCT, Iri(self.product)),
-            Triple(c, v.HAS_QUANTITY, integer(self.quantity)),
-            Triple(c, v.HAS_TIME_STAMP, timestep(self.timestep)),
-            Triple(c, v.HAS_COST, integer(self.cost)),
-        ]
-
-
-def _product_and_step(graph: Graph, record: Iri) -> tuple[str, int]:
-    """The product and timestep every capacity or inventory record carries."""
-    return _value(graph, record, v.HAS_PRODUCT, Iri), _value(graph, record, v.HAS_TIME_STAMP, TIMESTEP)
-
-
-def capacity_record(graph: Graph, node_iri: Iri, record: Iri) -> CapacityView:
-    product, step = _product_and_step(graph, record)
-    return CapacityView(
-        id=record.name,
-        node=node_iri.name,
-        product=product,
-        quantity=_int_value(graph, record, v.HAS_QUANTITY, MIN_RECORD_VALUE),
-        timestep=step,
-        cost=_int_value(graph, record, v.HAS_COST, MIN_RECORD_VALUE),
-    )
+CAPACITY_SHAPE = Shape(
+    CapacityView,
+    (
+        Field("node", v.HAS_CAPACITY, Iri, required=True, inward=True),
+        Field("product", v.HAS_PRODUCT, Iri, required=True),
+        Field("timestep", v.HAS_TIME_STAMP, TIMESTEP, required=True),
+        Field("quantity", v.HAS_QUANTITY, INTEGER, lo=0, required=True),
+        Field("cost", v.HAS_COST, INTEGER, lo=0, required=True),
+    ),
+    cls=v.CAPACITY,
+)
 
 
 def capacity_records(graph: Graph, node_iri: Iri) -> list[CapacityView]:
     records = []
     for rec in graph.objects(node_iri, v.HAS_CAPACITY):
         if isinstance(rec, Iri):
-            records.append(capacity_record(graph, node_iri, rec))
+            records.append(CAPACITY_SHAPE.read(graph, rec, node=node_iri.name))
     return sorted(records, key=lambda r: (r.timestep, r.id))
 
 
@@ -489,30 +475,17 @@ class InventoryView:
     quantity: int
     timestep: int
 
-    @property
-    def iri(self) -> Iri:
-        return Iri(self.id)
 
-    def to_triples(self) -> list[Triple]:
-        i = self.iri
-        return [
-            Triple(i, v.RDF_TYPE, v.INVENTORY),
-            Triple(Iri(self.node), v.HAS_INVENTORY, i),
-            Triple(i, v.HAS_PRODUCT, Iri(self.product)),
-            Triple(i, v.HAS_QUANTITY, integer(self.quantity)),
-            Triple(i, v.HAS_TIME_STAMP, timestep(self.timestep)),
-        ]
-
-
-def inventory_record(graph: Graph, node_iri: Iri, record: Iri) -> InventoryView:
-    product, step = _product_and_step(graph, record)
-    return InventoryView(
-        id=record.name,
-        node=node_iri.name,
-        product=product,
-        quantity=_int_value(graph, record, v.HAS_QUANTITY, MIN_RECORD_VALUE),
-        timestep=step,
-    )
+INVENTORY_SHAPE = Shape(
+    InventoryView,
+    (
+        Field("node", v.HAS_INVENTORY, Iri, required=True, inward=True),
+        Field("product", v.HAS_PRODUCT, Iri, required=True),
+        Field("timestep", v.HAS_TIME_STAMP, TIMESTEP, required=True),
+        Field("quantity", v.HAS_QUANTITY, INTEGER, lo=0, required=True),
+    ),
+    cls=v.INVENTORY,
+)
 
 
 def current_inventory(graph: Graph, node_iri: Iri) -> dict[str, InventoryView]:
@@ -521,7 +494,7 @@ def current_inventory(graph: Graph, node_iri: Iri) -> dict[str, InventoryView]:
     current: dict[str, InventoryView] = {}
     for rec in graph.objects(node_iri, v.HAS_INVENTORY):
         if isinstance(rec, Iri):
-            view = inventory_record(graph, node_iri, rec)
+            view = INVENTORY_SHAPE.read(graph, rec, node=node_iri.name)
             held = current.get(view.product)
             if held is None or (view.timestep, view.id) > (held.timestep, held.id):
                 current[view.product] = view
@@ -541,14 +514,17 @@ class PlanLine:
     quantity: int
     unit_price: int
 
-    def to_triples(self) -> list[Triple]:
-        line = Quoted(Triple(Iri(self.plan), v.NEEDS_NODE, Iri(self.node)))
-        return [
-            Triple(line, v.GETS_PRODUCT, Iri(self.product)),
-            Triple(line, v.HAS_TIME_STAMP, timestep(self.timestep)),
-            Triple(line, v.HAS_QUANTITY, integer(self.quantity)),
-            Triple(line, v.HAS_UNIT_PRICE, integer(self.unit_price)),
-        ]
+
+PLAN_LINE_SHAPE = Shape(
+    PlanLine,
+    (
+        Field("product", v.GETS_PRODUCT, Iri, required=True),
+        Field("timestep", v.HAS_TIME_STAMP, TIMESTEP, required=True),
+        Field("quantity", v.HAS_QUANTITY, INTEGER, required=True),
+        Field("unit_price", v.HAS_UNIT_PRICE, INTEGER, required=True),
+    ),
+    key=("plan", v.NEEDS_NODE, "node"),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -557,15 +533,20 @@ class BomEdge:
     child: str
     quantity: int
 
-    def to_triples(self) -> list[Triple]:
-        inner = Triple(Iri(self.parent), v.NEEDS_PRODUCT, Iri(self.child))
-        return [inner, Triple(Quoted(inner), v.NEEDS_QUANTITY, integer(self.quantity))]
+
+BOM_EDGE_SHAPE = Shape(
+    BomEdge,
+    (Field("quantity", v.NEEDS_QUANTITY, INTEGER, lo=1, required=True),),
+    key=("parent", v.NEEDS_PRODUCT, "child"),
+    asserted=True,
+)
+
+# every shape, for code that walks them all
+SHAPES = (NODE_SHAPE, ORDER_SHAPE, CAPACITY_SHAPE, INVENTORY_SHAPE, PLAN_LINE_SHAPE, BOM_EDGE_SHAPE)
 
 
 def bom_edge(graph: Graph, parent: Iri, child: Iri) -> BomEdge:
-    edge = Quoted(Triple(parent, v.NEEDS_PRODUCT, child))
-    quantity = _int_value(graph, edge, v.NEEDS_QUANTITY, MIN_BOM_QUANTITY)
-    return BomEdge(parent=parent.name, child=child.name, quantity=quantity)
+    return BOM_EDGE_SHAPE.read(graph, Quoted(Triple(parent, v.NEEDS_PRODUCT, child)))
 
 
 def bom(graph: Graph, parent: Iri) -> list[BomEdge]:

@@ -71,6 +71,9 @@ class Iri:
 
 @dataclass(frozen=True, slots=True)
 class Literal:
+    """A typed value. Two literals are equal when their canonical texts are,
+    so a decimal zero's sign counts; queries compare numbers by value."""
+
     value: Union[int, float, str, bool]
     datatype: str
 
@@ -80,6 +83,12 @@ class Literal:
             raise MalformedTermError(f"unknown datatype: {self.datatype!r}")
         if not check(self.value):
             raise MalformedTermError(f"bad {self.datatype} literal value: {self.value!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Literal:
+            return NotImplemented
+        a, b = self.value, other.value
+        return a == b and self.datatype == other.datatype and (a != 0 or math.copysign(1, a) == math.copysign(1, b))
 
 
 def integer(value: int) -> Literal:

@@ -5,18 +5,19 @@ raising, so callers can render all findings at once. Severity is either
 "error" (the graph will misbehave in the simulator or analytics) or
 "warning" (unusual but workable, e.g. links that skip a tier).
 
-Values are checked only by the ``schema`` readers that ``simulate`` runs:
-``validate`` reads every node property (tier, transport mode and a
-supplier's products included), record, order, bill-of-materials edge and
-the OEM's product through them and reports what they raise, one finding
-per value, so a property with a second value is a finding and never
-stops the report. Its own checks span
-entities: vocabulary, node classes, record owners, capacity against
-saturation, tier links and bill-of-materials cycles.
+The ``schema`` shapes hold every value rule. ``validate`` reads each node,
+record, order and bill-of-materials edge through the shape ``simulate``
+reads it with, and reports every problem of a node's fields (one finding
+each) and the first of any other entity, so a second value is a finding
+and never stops the report. Each node is read once; the checks that span
+entities take its class, tier and saturation from that read: vocabulary,
+node classes, record owners, capacity against saturation, tier links and
+bill-of-materials cycles.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import schema
@@ -72,52 +73,38 @@ def _check_vocabulary(graph, report, allow_unknown):
         walk(t)
 
 
-# validate's code for each problem the node reader raises
-_MISSING = {
-    v.HAS_SATURATION: "missing-saturation",
-    v.HAS_DELIVERY_TIME: "missing-delivery-time",
-    v.HAS_PRIORITY: "missing-priority",
-}
-_BAD = {v.HAS_SATURATION: "bad-saturation", v.HAS_DELIVERY_TIME: "bad-delivery-time"}
-
-
-def _node_code(predicate, problem):
+def _node_code(field, problem, kind):
+    """The code of a node field's problem. The field's noun (``products``
+    gives ``product``) names a missing value (or a required IRI that is not
+    one), any problem of a value every node carries, a bad tier name and a
+    KPI out of range."""
+    noun = field.attr.rstrip("s").replace("_", "-")
     if problem == "multi-valued":
         return problem
-    if problem == "missing":
-        return _MISSING[predicate]
-    if predicate in _BAD:
-        return _BAD[predicate]
-    if problem == "out-of-range" and predicate in v.KPI_PREDICATES:
-        return "kpi-out-of-range"
-    if problem == "not-tier":
-        return "bad-tier"
+    if problem == "missing" or (problem == "not-iri" and schema.holds(field.required, kind)):
+        return f"missing-{noun}"
+    if problem == "not-tier" or field.required is True:
+        return f"bad-{noun}"
+    if problem == "out-of-range" and field.hi is not None:
+        return f"{noun}-out-of-range"
     return "bad-literal-type"
 
 
-def _check_node(graph, iri, report):
-    kind = schema.node_kind(graph, iri)
-    if kind is None:
-        report.error("untyped-node", iri.name, "node has no Supplier/Customer/OEM class")
-        return
-    reads = [(p, schema.node_int, (p, kind)) for p in schema.NODE_INTS]
-    reads += [(v.BELONGS_TO_TIER, schema.tier_index, (kind,)), (v.HAS_TRANSPORT_MODE, schema.transport_mode, ())]
-    if kind == v.SUPPLIER:
-        reads.append((v.MANUFACTURES, schema.supplier_products, ()))
-    for predicate, reader, args in reads:
-        try:
-            reader(graph, iri, *args)
-        except schema.MissingEntityError as exc:
-            report.error(_node_code(predicate, exc.problem), iri.name, str(exc))
+def _check_nodes(graph, nodes, report):
+    for iri in sorted(schema.nodes_of_kind(graph, v.NODE), key=lambda i: i.name):
+        values, problems = nodes(iri)
+        if values["kind"] is None:
+            report.error("untyped-node", iri.name, "node has no Supplier/Customer/OEM class")
+            continue
+        for field, exc in problems:
+            report.error(_node_code(field, exc.problem, Iri(values["kind"])), iri.name, str(exc))
 
 
-def _check_records(graph, report):
-    owners = {}
+def _check_records(graph, nodes, report):
+    owners = {}  # record -> its first owner in canonical order
     for t in graph.triples():
-        if t.predicate == v.HAS_CAPACITY and isinstance(t.object, Iri):
-            owners.setdefault(t.object, []).append((t.subject, "capacity"))
-        if t.predicate == v.HAS_INVENTORY and isinstance(t.object, Iri):
-            owners.setdefault(t.object, []).append((t.subject, "inventory"))
+        if t.predicate in (v.HAS_CAPACITY, v.HAS_INVENTORY) and isinstance(t.object, Iri):
+            owners.setdefault(t.object, t.subject)
 
     # nodes whose capacity records all read cleanly, each checked below for
     # two records at one step
@@ -126,18 +113,15 @@ def _check_records(graph, report):
         if rec not in owners:
             report.error("orphan-record", rec.name, "capacity record has no owning node")
             continue
-        owner = owners[rec][0][0]
+        owner = owners[rec]
         try:
-            view = schema.capacity_record(graph, owner, rec)
+            view = schema.CAPACITY_SHAPE.read(graph, rec, node=owner.name)
         except schema.MissingEntityError as exc:
             report.error("bad-record", rec.name, str(exc))
             unreadable.add(owner)
             continue
         booked.add(owner)
-        try:
-            sat = schema.node_int(graph, owner, v.HAS_SATURATION, None)  # None when absent
-        except schema.MissingEntityError:
-            continue  # reported by _check_node
+        sat = nodes(owner)[0]["saturation"]  # None when absent or unreadable
         if sat is not None and view.quantity > sat:
             report.error(
                 "capacity-exceeds-saturation",
@@ -156,43 +140,34 @@ def _check_records(graph, report):
             report.error("orphan-record", rec.name, "inventory record has no owning node")
             continue
         try:
-            schema.inventory_record(graph, owners[rec][0][0], rec)
+            schema.INVENTORY_SHAPE.read(graph, rec, node=owners[rec].name)
         except schema.MissingEntityError as exc:
             report.error("bad-record", rec.name, str(exc))
 
 
-def _check_orders(graph, report):
+def _check_orders(graph, nodes, report):
     for iri in schema.nodes_of_kind(graph, v.ORDER):
         try:
-            view = schema.order(graph, iri)
+            view = schema.ORDER_SHAPE.read(graph, iri)
         except schema.MissingEntityError as exc:
             report.error("bad-order", iri.name, str(exc))
             continue
-        maker = Iri(view.maker)
-        if schema.node_kind(graph, maker) != v.CUSTOMER:
+        if nodes(Iri(view.maker))[0]["kind"] != v.CUSTOMER.name:
             report.error("bad-order", iri.name, f"maker {view.maker} is not a customer")
 
 
-def _check_topology(graph, report):
+def _check_topology(graph, nodes, report):
     try:
         oem = schema.the_oem(graph)
     except schema.MissingEntityError as exc:
         report.error("oem-count", "", str(exc))
         return
-    try:
-        schema.manufactured_product(graph, oem)
-    except schema.MissingEntityError as exc:
-        report.error("multi-valued" if exc.problem == "multi-valued" else "missing-product", oem.name, str(exc))
+    for field, exc in nodes(oem)[1]:  # also when the OEM lacks the Node class the node pass walks
+        if field is not None and field.attr == "products":
+            report.error(_node_code(field, exc.problem, v.OEM), oem.name, str(exc))
 
-    tiers = {}  # node -> its tier number, None without one it can read
-
-    def tier(node):
-        if node not in tiers:
-            try:
-                tiers[node] = schema.tier_index(graph, node, schema.node_kind(graph, node))
-            except schema.MissingEntityError:
-                tiers[node] = None  # reported by _check_node
-        return tiers[node]
+    def tier(node):  # None without a tier the node's shape can read
+        return nodes(node)[0]["tier"]
 
     sup, cust = (
         {n: tier(n) for n in schema.nodes_of_kind(graph, kind) if tier(n) is not None}
@@ -273,12 +248,15 @@ _SEVERITY_RANK = {"error": 0, "warning": 1}
 def validate(graph: Graph, allow_unknown: bool = False) -> list[Violation]:
     """Check a supply-chain graph and return all violations found."""
     report = _Report()
+    # each node's values and problems as its shape reads them, read once:
+    # the node pass reports them, the other checks take a node's class,
+    # tier and saturation from here
+    nodes = functools.cache(lambda iri: schema.NODE_SHAPE.scan(graph, iri))
     _check_vocabulary(graph, report, allow_unknown)
-    _check_topology(graph, report)
-    for iri in sorted(schema.nodes_of_kind(graph, v.NODE), key=lambda i: i.name):
-        _check_node(graph, iri, report)
-    _check_records(graph, report)
-    _check_orders(graph, report)
+    _check_topology(graph, nodes, report)
+    _check_nodes(graph, nodes, report)
+    _check_records(graph, nodes, report)
+    _check_orders(graph, nodes, report)
     _check_bom(graph, report)
     unique = sorted(
         set(report.items),

@@ -16,7 +16,7 @@ from strategies import iri_names
 import supplykg
 from supplykg import Iri, Literal, Triple, parse_graph, serialize
 from supplykg.cli import main
-from supplykg.schema import NODE_INTS, capacity_records, load_graph, nodes_of_kind
+from supplykg.schema import SHAPES, capacity_records, load_graph, nodes_of_kind
 from supplykg import vocab as v
 
 
@@ -312,6 +312,18 @@ def _not_a_tier(node, tier, side):
             _not_a_tier("Node2.3", "SupplierTier2", "CustomerTier"),
             False,
         ),
+        (
+            None,
+            ':Node2.1 :manufactures "Product1.1" .\n',
+            "bad-literal-type Node2.1: Node2.1 manufactures is not an IRI",
+            False,
+        ),
+        (
+            ":Node2.1 :makes :Order1 .\n",
+            "<< :Node2.1 :makes :Order1 >> :makes :Order1 .\n",
+            "bad-order Order1: Order1 makes is not an IRI",
+            True,
+        ),
     ],
     ids=[
         "supplier-product-literal",
@@ -320,13 +332,16 @@ def _not_a_tier(node, tier, side):
         "supplier-tier-zero",
         "supplier-in-customer-tier",
         "customer-in-supplier-tier",
+        "customer-product-literal",
+        "order-maker-quoted",
     ],
 )
 def test_validate_and_simulate_reject_a_bad_node_value(tmp_path, capsys, old, new, finding, read_by_simulate):
-    """A supplier's product that is not an IRI, and a tier not named like
-    one for the node's class, are one finding, and simulate, where it reads
-    the node (the OEM and the suppliers), exits 2 with the same message.
-    The new line replaces ``old``, or is appended when ``old`` is None."""
+    """A node's product that is not an IRI, a tier not named like one for
+    the node's class, and an order's maker that is not an IRI are one
+    finding, and simulate, where it reads the value (the OEM, the
+    suppliers and the orders), exits 2 with the same message. The new line
+    replaces ``old``, or is appended when ``old`` is None."""
     graph = tmp_path / "g.nt"
     assert run("generate", "--preset", "dairy", "--seed", "3", "--out", str(graph)) == 0
     text = graph.read_text()
@@ -341,20 +356,8 @@ def test_validate_and_simulate_reject_a_bad_node_value(tmp_path, capsys, old, ne
     assert capsys.readouterr().err == (f"error: {finding.split(': ', 1)[1]}\n" if read_by_simulate else "")
 
 
-# every predicate the schema readers read as single-valued
-_SINGLE_VALUED = {
-    *NODE_INTS,
-    v.BELONGS_TO_TIER,
-    v.HAS_TRANSPORT_MODE,
-    v.MANUFACTURES,
-    v.HAS_PRODUCT,
-    v.HAS_QUANTITY,
-    v.HAS_DELIVERY_TIME,
-    v.IS_FULFILLED,
-    v.HAS_SUPPLY_PLAN,
-    v.HAS_TIME_STAMP,
-    v.NEEDS_QUANTITY,
-}
+# every predicate a shape reads as single-valued, for some node class at least
+_SINGLE_VALUED = {f.predicate for shape in SHAPES for f in shape.fields if f.single and not f.inward}
 
 _LITERAL_VALUES = {
     "integer": st.integers(-(10**6), 10**6),
@@ -550,6 +553,14 @@ def test_export_normalizes_legacy_forms(tmp_path, capsys):
     assert ":A :hasDeliveryTime 4 .\n" in out
     assert ":Inv1 :hasQuantity 10 .\n" in out
     assert "hasLeadTime" not in out
+
+
+@pytest.mark.parametrize("lines", [":a :p 0.0 .\n:a :p -0.0 .\n", ":a :p -0.0 .\n:a :p 0.0 .\n"])
+def test_export_keeps_both_signed_zeros(tmp_path, capsys, lines):
+    graph = tmp_path / "zeros.nt"
+    graph.write_text(lines)
+    assert run("export", "--graph", str(graph)) == 0
+    assert capsys.readouterr().out == ":a :p -0.0 .\n:a :p 0.0 .\n"
 
 
 def test_export_is_idempotent(graph_file, tmp_path):

@@ -4,31 +4,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import full_scan, probes
+from strategies import full_scan, iri_names, probes
 from supplykg import Graph, Iri, Quoted, Triple, integer, serialize, string, timestep
 from supplykg.fulfillment import Simulation
 from supplykg.generator import automotive, dairy, generate
 from supplykg.query import evaluate, parse_query
 from supplykg.schema import (
+    INVENTORY_SHAPE,
+    ORDER_SHAPE,
+    SHAPES,
     MissingEntityError,
+    holds,
+    _TierField,
     _normalize_triple,
     bom,
     capacity_by_step,
     capacity_records,
     current_inventory,
     due_schedule,
-    inventory_record,
     load_graph,
     node,
-    node_kind,
     nodes_of_kind,
     normalize,
-    order,
     orders,
     the_oem,
 )
 from supplykg import vocab as v
-from supplykg.terms import format_triple
+from supplykg.terms import BOOLEAN, STRING, TIMESTEP, format_triple
 
 
 def tr(s, p, o):
@@ -167,7 +169,7 @@ def test_node_view_fields_on_generated_graph(automotive_graph):
     sup = node(automotive_graph, Iri("SupplierNode2.1"))
     assert sup.kind == "Supplier"
     assert sup.tier == 2
-    assert sup.tier_iri() == Iri("SupplierTier2")
+    assert Triple(Iri(sup.id), v.BELONGS_TO_TIER, Iri("SupplierTier2")) in sup.to_triples()
     assert sup.group is not None
 
     cust = node(automotive_graph, Iri("Node3.2"))
@@ -191,7 +193,7 @@ def test_node_view_round_trip(preset_graphs):
 
 
 def test_node_kind_and_missing_node(automotive_graph):
-    assert node_kind(automotive_graph, Iri("OEM1")) == v.OEM
+    assert node(automotive_graph, Iri("OEM1")).kind == v.OEM.name
     with pytest.raises(MissingEntityError):
         node(automotive_graph, Iri("NoSuchNode"))
 
@@ -215,26 +217,26 @@ def test_order_view_round_trip(preset_graphs):
         found = orders(graph)
         assert found and (label.startswith("simulated") == all(o.fulfilled is not None for o in found))
         for view in found:
-            link = Triple(Iri(view.maker), v.MAKES, view.iri)
-            assert by_subject[view.iri] | {link} == set(view.to_triples())
+            link = Triple(Iri(view.maker), v.MAKES, Iri(view.id))
+            assert by_subject[Iri(view.id)] | {link} == set(view.to_triples())
             # the maker's priority lives on the node, not the order
-            assert order(Graph(view.to_triples()), view.iri) == view
+            assert ORDER_SHAPE.read(Graph(view.to_triples()), Iri(view.id)) == view
 
 
 def test_order_view_errors():
     g = Graph()
     g.insert(tr("Order1", "rdf:type", "Order"))
     with pytest.raises(MissingEntityError):
-        order(g, Iri("Order1"))  # no maker
+        ORDER_SHAPE.read(g, Iri("Order1"))  # no maker
     g.insert(tr("Cust1", "makes", "Order1"))
     g.insert(tr("Order1", "hasProduct", "Product"))
     g.insert(tr("Order1", "hasQuantity", integer(5)))
     with pytest.raises(MissingEntityError):
-        order(g, Iri("Order1"))  # delivery time must be a timestep
+        ORDER_SHAPE.read(g, Iri("Order1"))  # delivery time must be a timestep
     g.insert(tr("Order1", "hasDeliveryTime", timestep(9)))
-    assert order(g, Iri("Order1")).fulfilled is None
+    assert ORDER_SHAPE.read(g, Iri("Order1")).fulfilled is None
     with pytest.raises(MissingEntityError):
-        order(g, Iri("NotAnOrder"))
+        ORDER_SHAPE.read(g, Iri("NotAnOrder"))
 
 
 def test_order_rejects_double_verdict():
@@ -249,7 +251,7 @@ def test_order_rejects_double_verdict():
     g.insert(tr("Order1", "isFulfilled", boolean(True)))
     g.insert(tr("Order1", "isFulfilled", boolean(False)))
     with pytest.raises(MissingEntityError):
-        order(g, Iri("Order1"))
+        ORDER_SHAPE.read(g, Iri("Order1"))
 
 
 _DUE_QUERY = parse_query(
@@ -338,8 +340,8 @@ def test_capacity_view_round_trip(preset_graphs):
         assert records
         assert label.startswith("simulated") == any(r.timestep > 0 for r in records)
         for r in records:
-            link = Triple(Iri(r.node), v.HAS_CAPACITY, r.iri)
-            assert by_subject[r.iri] | {link} == set(r.to_triples())
+            link = Triple(Iri(r.node), v.HAS_CAPACITY, Iri(r.id))
+            assert by_subject[Iri(r.id)] | {link} == set(r.to_triples())
 
 
 def test_inventory_view_round_trip(preset_graphs):
@@ -350,7 +352,7 @@ def test_inventory_view_round_trip(preset_graphs):
         checked = 0
         for n in nodes_of_kind(graph, v.NODE):
             for record in graph.objects(n, v.HAS_INVENTORY):
-                view = inventory_record(graph, n, record)
+                view = INVENTORY_SHAPE.read(graph, record, node=n.name)
                 link = Triple(n, v.HAS_INVENTORY, record)
                 assert by_subject[record] | {link} == set(view.to_triples())
                 checked += 1
@@ -396,3 +398,72 @@ def test_bom_leaf_is_empty(automotive_graph):
     assert top_tier_products
     for p in top_tier_products:
         assert bom(automotive_graph, p) == []
+
+
+# --- every shape's writer and reader ---
+
+_WIDE = 10**6
+
+
+def _field_values(field):
+    """Values of one field, its bounds among them."""
+    if isinstance(field, _TierField):
+        return st.integers(1, 50)
+    if field.kind is Iri:
+        return iri_names
+    if field.kind == BOOLEAN:
+        return st.booleans()
+    if field.kind == STRING:
+        return st.text(max_size=8)
+    lo = field.lo if field.lo is not None else 0 if field.kind == TIMESTEP else -_WIDE
+    return st.integers(lo, field.hi if field.hi is not None else _WIDE)
+
+
+@st.composite
+def _views(draw, shape):
+    """A view the shape allows: optional fields absent or present, values
+    drawn up to and at their bounds, tuples in canonical order."""
+    cls = draw(st.sampled_from(shape.kinds)) if shape.kinds else None
+    values = {"kind": cls.name} if cls is not None else {}
+    for attr in [shape.key] if isinstance(shape.key, str) else [shape.key[0], shape.key[2]]:
+        values[attr] = draw(iri_names)
+    by_attr = {}
+    for f in shape.fields:
+        by_attr.setdefault(f.attr, []).append(f)
+    for attr, fields in by_attr.items():
+        if len(fields) > 1:  # pairs of (predicate name, value)
+            chosen = draw(st.lists(st.sampled_from(fields), unique=True))
+            values[attr] = tuple(sorted((f.predicate.name, draw(_field_values(f))) for f in chosen))
+            continue
+        [f] = fields
+        required, single = holds(f.required, cls), holds(f.single, cls)
+        if f.single is not True:
+            items = st.lists(_field_values(f), unique=True, min_size=int(required), max_size=1 if single else 3)
+            values[attr] = tuple(sorted(draw(items)))
+        else:
+            values[attr] = draw(_field_values(f) if required else st.none() | _field_values(f))
+    return shape.view(**values)
+
+
+def _subject(shape, view):
+    if isinstance(shape.key, str):
+        return Iri(getattr(view, shape.key))
+    a, predicate, b = shape.key
+    return Quoted(Triple(Iri(getattr(view, a)), predicate, Iri(getattr(view, b))))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: s.view.__name__)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_shape_reads_back_what_it_writes(shape, data):
+    view = data.draw(_views(shape))
+    triples = view.to_triples()
+    subject = _subject(shape, view)
+    assert shape.read(Graph(triples), subject) == view
+    cls = Iri(view.kind) if shape.kinds else None
+    for f in shape.fields:
+        held = [t for t in triples if t.predicate == f.predicate and (t.object if f.inward else t.subject) == subject]
+        if holds(f.single, cls):
+            assert len(held) <= 1, f.predicate
+        if holds(f.required, cls):
+            assert held, f.predicate

@@ -1,11 +1,17 @@
 import dataclasses
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from strategies import literals
 
 from supplykg.graph import Graph
 from supplykg.terms import (
     BOOLEAN,
+    DECIMAL,
     INTEGER,
+    TIMESTEP,
     Iri,
     Literal,
     MalformedTermError,
@@ -208,3 +214,44 @@ def test_triple_and_quoted_hash_contract():
         Triple(s, p, [])
     with pytest.raises(MalformedTermError):
         Quoted([])
+
+
+# Literals whose values compare equal across datatypes or signs: signed
+# zeros, 1e+20 next to the integer 10**20, and integers next to equal
+# decimals, besides any drawn literal.
+_close_literals = st.one_of(
+    st.sampled_from(
+        [
+            Literal(0.0, DECIMAL),
+            Literal(-0.0, DECIMAL),
+            Literal(1e20, DECIMAL),
+            Literal(1.0, DECIMAL),
+            Literal(0, INTEGER),
+            Literal(1, INTEGER),
+            Literal(10**20, INTEGER),
+            Literal(0, TIMESTEP),
+            Literal(False, BOOLEAN),
+            Literal(True, BOOLEAN),
+            Literal("0.0", "string"),
+        ]
+    ),
+    literals,
+)
+_close_terms = st.one_of(
+    _close_literals,
+    st.sampled_from([Iri("a"), Iri("b")]),
+    st.builds(lambda o: Quoted(Triple(Iri("s"), Iri("p"), o)), _close_literals),
+)
+
+
+@given(_close_terms, _close_terms)
+@example(Literal(0.0, DECIMAL), Literal(-0.0, DECIMAL))
+@example(Quoted(Triple(Iri("s"), Iri("p"), Literal(-0.0, DECIMAL))), Quoted(Triple(Iri("s"), Iri("p"), Literal(0.0, DECIMAL))))
+@example(Literal(1e20, DECIMAL), Literal(10**20, INTEGER))
+@example(Literal(1.0, DECIMAL), Literal(1, INTEGER))
+@example(Literal(0, INTEGER), Literal(False, BOOLEAN))
+def test_terms_are_equal_exactly_when_their_texts_are(a, b):
+    assert (a == b) == (format_term(a) == format_term(b))
+    if a == b:
+        assert hash(a) == hash(b)
+    assert len({a, b}) == len({format_term(a), format_term(b)})
