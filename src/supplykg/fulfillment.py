@@ -20,20 +20,31 @@ Commitments, inventory drains, supply-plan lines, and the isFulfilled
 verdict are written back into the graph as they happen, so a serialized
 final graph carries the complete outcome.
 
+``Simulation`` reads the focal node and its suppliers once, into one
+table of ``NodeView``s by name; a node books capacity for the first of
+its products. ``_serve`` is the one path an order takes: it reads the
+focal node's stock once, then fulfils from stock, or produces (the focal
+node's saturation, then ``select_suppliers``, then drain, commit and
+verdict), or rejects. Each allocation is a ``PlanLine``, and booking a
+line commits its quantity onto its node at its step. A product's bill of
+materials is read on first use and kept for the run: the simulation
+never writes one.
+
 The simulation mutates the graph it is given, and only through ``schema``
 views: every write is the difference between a view's old and new
 triples. Its two ledgers hold the capacity record per (node, timestep), a
 missing one meaning zero load, and the current inventory record per
-(node, product); a booking or drain rewrites one record. Each allocation
-is a new ``PlanLine`` (an order without a supply plan gets none), and a
-verdict rewrites the order's view. Nodes without a cost property price
-their allocations at 0. A malformed inventory or capacity record, two
-capacity records for one node at one step, an OEM with no product or a
-supplier's product that is not an IRI raise ``MissingEntityError``.
+(node, product); a booking or drain rewrites one record. An order without
+a supply plan gets no plan lines, and a verdict rewrites the order's
+view. Nodes without a cost property price their allocations at 0. A
+malformed inventory or capacity record, two capacity records for one
+node at one step, an OEM with no product or a supplier's product that is
+not an IRI raise ``MissingEntityError``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 from . import schema
@@ -53,11 +64,6 @@ class StepReport:
     triples_inserted: int
 
 
-def explode_bom(graph: Graph, product: Iri, quantity: int) -> list[tuple[Iri, int]]:
-    """Direct components of ``product`` scaled to ``quantity`` units."""
-    return [(Iri(edge.child), edge.quantity * quantity) for edge in schema.bom(graph, product)]
-
-
 class Simulation:
     """Mutable simulation state bound to one graph."""
 
@@ -65,39 +71,27 @@ class Simulation:
         self.graph = graph
         self._inserted = 0
 
-        self.oem = schema.the_oem(graph)
-        oem_view = schema.node(graph, self.oem)
-        self.oem_lead = oem_view.delivery_time
-        self.oem_sat = oem_view.saturation
-
-        self._sat: dict[str, int] = {}
-        self._lead: dict[str, int] = {}
-        self._cost: dict[str, int] = {}
-        self._product_of: dict[str, str] = {}
+        oem = schema.node(graph, schema.the_oem(graph))
+        self.oem = oem.id
+        suppliers = sorted(graph.subjects(v.HAS_OEM, Iri(oem.id)), key=lambda s: s.name)
+        suppliers = [schema.node(graph, s) for s in suppliers]
+        # the focal node and its suppliers by name
+        self.nodes: dict[str, schema.NodeView] = {view.id: view for view in [oem, *suppliers]}
+        self._cost = {name: dict(view.kpis).get(v.HAS_COST.name, 0) for name, view in self.nodes.items()}
         self._makers: dict[str, list[str]] = {}
-
-        suppliers = sorted(graph.subjects(v.HAS_OEM, self.oem), key=lambda s: s.name)
-        supplier_views = [schema.node(graph, s) for s in suppliers]
-        for view in [oem_view, *supplier_views]:
-            self._sat[view.id] = view.saturation
-            self._lead[view.id] = view.delivery_time
-            self._cost[view.id] = dict(view.kpis).get(v.HAS_COST.name, 0)
-        for view in supplier_views:
+        for view in suppliers:
             for made in view.products:
                 self._makers.setdefault(made, []).append(view.id)
-                self._product_of.setdefault(view.id, made)
-        self._product_of[self.oem.name] = oem_view.products[0]
+        self._bom = functools.cache(lambda product: schema.bom(graph, Iri(product)))
 
         self._capacity: dict[tuple[str, int], schema.CapacityView] = {}
         self._stock: dict[tuple[str, str], schema.InventoryView] = {}
-        for name in self._sat:
+        for name in self.nodes:
             self._capacity.update(((name, t), r) for t, r in schema.capacity_by_step(graph, Iri(name)).items())
             self._stock.update(((name, p), r) for p, r in schema.current_inventory(graph, Iri(name)).items())
 
-        all_orders = schema.orders(graph)
-        self._resolved = {o.id for o in all_orders if o.fulfilled is not None}
-        pending = [o for o in all_orders if o.fulfilled is None]
-        self._due = schema.due_schedule(graph, pending, self.oem_lead)
+        pending = [o for o in schema.orders(graph) if o.fulfilled is None]
+        self._due = schema.due_schedule(graph, pending, oem.delivery_time)
 
     # -- bookkeeping that keeps graph and ledgers in lockstep --
 
@@ -123,15 +117,16 @@ class Simulation:
         record = self._stock.get((node, product))
         return 0 if record is None else record.quantity
 
-    def _commit(self, node: str, t: int, quantity: int) -> None:
-        key = (node, t)
+    def _commit(self, line: PlanLine) -> None:
+        """Book a plan line's quantity onto its node's load at its step."""
+        key = (line.node, line.timestep)
         old = self._capacity.get(key)
         if old is None:
-            new = schema.CapacityView(
-                schema.capacity_iri(node, t).name, node, self._product_of[node], quantity, t, self._cost[node]
-            )
+            record = schema.capacity_iri(line.node, line.timestep).name
+            product = self.nodes[line.node].products[0]
+            new = schema.CapacityView(record, line.node, product, line.quantity, line.timestep, line.unit_price)
         else:
-            new = replace(old, quantity=old.quantity + quantity)
+            new = replace(old, quantity=old.quantity + line.quantity)
         self._write(old, new)
         self._capacity[key] = new
 
@@ -142,40 +137,18 @@ class Simulation:
         self._write(old, new)
         self._stock[key] = new
 
-    def _resolve(self, order: schema.OrderView, fulfilled: bool, allocations=()) -> None:
+    def _resolve(self, order: schema.OrderView, fulfilled: bool, lines=()) -> None:
         """Write an order's plan lines, if it has a supply plan, then its verdict."""
         if order.supply_plan is not None:
-            for allocation in allocations:
-                self._write(None, allocation)
+            for line in lines:
+                self._write(None, line)
         self._write(order, replace(order, fulfilled=fulfilled))
-        self._resolved.add(order.id)
-
-    def _focal_line(self, order: schema.OrderView, t: int, quantity: int) -> PlanLine:
-        oem = self.oem.name
-        return PlanLine(order.supply_plan, oem, order.product, t, quantity, self._cost[oem])
 
     # -- the algorithm --
 
-    def due_orders(self, t: int) -> list[schema.OrderView]:
-        return [o for o in self._due.get(t, ()) if o.id not in self._resolved]
-
-    def fulfill_from_inventory(self, order: schema.OrderView, t: int) -> int:
-        """Try to serve the order from stock.
-
-        Returns 0 when the order was fulfilled (stock drained, plan and
-        verdict written); otherwise returns the remaining quantity to
-        produce, with no state change.
-        """
-        have = self.inventory_level(self.oem.name, order.product)
-        if have < order.quantity:
-            return order.quantity - have
-        self._drain(self.oem.name, order.product, have - order.quantity, t)
-        self._resolve(order, True, [self._focal_line(order, t, order.quantity)])
-        return 0
-
     def select_suppliers(self, components, t: int, plan: str | None) -> list[PlanLine] | None:
-        """Pick one supplier per component, or None if any cannot be placed;
-        each pick is a line of the supply plan ``plan``.
+        """Pick one supplier per (component name, required amount), or None
+        if any cannot be placed; each pick is a line of the supply plan ``plan``.
 
         A supplier is feasible for a component when it manufactures it,
         supplies the focal node, and its saturation leaves room for the
@@ -183,54 +156,57 @@ class Simulation:
         tentatively placed on it for earlier components in this call.
         """
         pending: dict[tuple[str, int], int] = {}
-        allocations = []
+        lines = []
         for component, required in components:
             best = None
-            for s in self._makers.get(component.name, ()):
-                t0 = t - self._lead[s]
+            for s in self._makers.get(component, ()):
+                node = self.nodes[s]
+                t0 = t - node.delivery_time
                 if t0 < 0:
                     continue
-                used = self.committed(s, t0) + pending.get((s, t0), 0)
-                free = self._sat[s] - used
+                free = node.saturation - self.committed(s, t0) - pending.get((s, t0), 0)
                 if free >= required and (best is None or free > best[0]):
                     best = (free, s, t0)
             if best is None:
                 return None
             _, s, t0 = best
             pending[(s, t0)] = pending.get((s, t0), 0) + required
-            allocations.append(PlanLine(plan, s, component.name, t0, required, self._cost[s]))
-        return allocations
+            lines.append(PlanLine(plan, s, component, t0, required, self._cost[s]))
+        return lines
 
-    def _try_production(self, order: schema.OrderView, t: int, remaining: int) -> bool:
-        if self.committed(self.oem.name, t) + remaining > self.oem_sat:
-            return False
-        components = explode_bom(self.graph, Iri(order.product), remaining)
-        allocations = self.select_suppliers(components, t, order.supply_plan)
-        if allocations is None:
-            return False
-        stock = self.inventory_level(self.oem.name, order.product)
-        if stock > 0:
-            self._drain(self.oem.name, order.product, 0, t)
-        allocations.insert(0, self._focal_line(order, t, remaining))
-        for allocation in allocations:
-            self._commit(allocation.node, allocation.timestep, allocation.quantity)
-        self._resolve(order, True, allocations)
-        return True
+    def _serve(self, order: schema.OrderView, t: int) -> str:
+        """Serve one due order at step t and write its outcome: from stock,
+        by production, or not at all. Returns the ``StepReport`` field it
+        counts toward."""
+        have = self.inventory_level(self.oem, order.product)
+        from_stock = have >= order.quantity
+        quantity = order.quantity if from_stock else order.quantity - have
+        focal = PlanLine(order.supply_plan, self.oem, order.product, t, quantity, self._cost[self.oem])
+        if from_stock:
+            self._drain(self.oem, order.product, have - order.quantity, t)
+            self._resolve(order, True, [focal])
+            return "from_stock"
+        if self.committed(self.oem, t) + focal.quantity <= self.nodes[self.oem].saturation:
+            components = [(edge.child, edge.quantity * focal.quantity) for edge in self._bom(order.product)]
+            lines = self.select_suppliers(components, t, order.supply_plan)
+            if lines is not None:
+                if have > 0:
+                    self._drain(self.oem, order.product, 0, t)
+                lines.insert(0, focal)
+                for line in lines:
+                    self._commit(line)
+                self._resolve(order, True, lines)
+                return "produced"
+        self._resolve(order, False)
+        return "unfulfilled"
 
     def step(self, t: int) -> StepReport:
         self._inserted = 0
-        due = self.due_orders(t)
-        from_stock = produced = unfulfilled = 0
+        due = self._due.pop(t, [])
+        counts = {"from_stock": 0, "produced": 0, "unfulfilled": 0}
         for order in due:
-            remaining = self.fulfill_from_inventory(order, t)
-            if remaining == 0:
-                from_stock += 1
-            elif self._try_production(order, t, remaining):
-                produced += 1
-            else:
-                self._resolve(order, False)
-                unfulfilled += 1
-        return StepReport(t, len(due), from_stock, produced, unfulfilled, self._inserted)
+            counts[self._serve(order, t)] += 1
+        return StepReport(t, len(due), **counts, triples_inserted=self._inserted)
 
     def run(self, horizon: int) -> list[StepReport]:
         if horizon < 1:

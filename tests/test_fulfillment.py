@@ -6,9 +6,9 @@ import dataclasses
 import pytest
 
 from supplykg import Graph, Iri, Quoted, Triple, boolean, integer, serialize, timestep
-from supplykg.fulfillment import Simulation, explode_bom
+from supplykg.fulfillment import Simulation
 from supplykg.generator import automotive, dairy, generate
-from supplykg.schema import MissingEntityError, capacity_by_step, current_inventory, orders
+from supplykg.schema import BomEdge, MissingEntityError, bom, capacity_by_step, current_inventory, orders
 from supplykg import vocab as v
 
 
@@ -103,36 +103,53 @@ def plan_line(plan, node, product, t, qty, price):
     }
 
 
-# --- bill-of-materials explosion ---
+# --- bill of materials ---
 
-def test_explode_bom_scales_quantities():
+def test_production_scales_bom_quantities():
+    """6 units to produce need 3 components each from the supplier."""
     g = fixture(bom_qty=3)
-    assert explode_bom(g, Iri("Product"), 6) == [(Iri("Comp"), 18)]
-    assert explode_bom(g, Iri("Product"), 0) == [(Iri("Comp"), 0)]
+    sim = Simulation(g)
+    sim.step(6)
+    assert sim.committed("Sup1", 4) == 18
+    assert plan_line("SPOrder1", "Sup1", "Comp", 4, 18, 30) <= set(g.triples())
 
 
-def test_explode_bom_leaf_and_order():
+def test_bom_leaf_and_component_order():
     g = fixture()
-    assert explode_bom(g, Iri("Comp"), 5) == []
+    assert bom(g, Iri("Comp")) == []
     add_bom_edge(g, "Product", "Axle", 1)
-    exploded = explode_bom(g, Iri("Product"), 2)
-    assert exploded == [(Iri("Axle"), 2), (Iri("Comp"), 4)]
+    assert bom(g, Iri("Product")) == [BomEdge("Product", "Axle", 1), BomEdge("Product", "Comp", 2)]
+
+
+def test_bom_is_read_once_per_product(monkeypatch):
+    """The simulator never writes a bill of materials, so it reads each
+    product's once, on first use."""
+    reads = []
+    monkeypatch.setattr("supplykg.schema.bom", lambda graph, product: reads.append(product.name) or bom(graph, product))
+    config = dairy()
+    reports = Simulation(generate(config)).run(config.horizon)
+    assert sum(r.produced for r in reports) > 1
+    assert reads == ["Product"]
 
 
 # --- scheduling ---
 
 def test_order_due_at_delivery_minus_lead():
     sim = Simulation(fixture())
-    assert [o.id for o in sim.due_orders(6)] == ["Order1"]
-    assert sim.due_orders(5) == []
-    assert sim.due_orders(7) == []
+    assert sim.step(5).considered == 0
+    assert sim.step(6).considered == 1
+    assert sim.step(7).considered == 0
 
 
 def test_resolved_orders_are_not_due_again():
     g = fixture()
     g.insert(tr("Order1", "isFulfilled", boolean(False)))
     sim = Simulation(g)
-    assert sim.due_orders(6) == []
+    assert sim.step(6).considered == 0
+    # nor does stepping a step twice serve its orders twice
+    sim = Simulation(fixture())
+    assert sim.step(6).considered == 1
+    assert sim.step(6).considered == 0
 
 
 # --- the production path, hand traced ---
@@ -390,7 +407,7 @@ def test_conservation_through_every_step():
     config = dairy()
     graph = generate(config)
     sim = Simulation(graph)
-    sats = dict(sim._sat)
+    sats = {name: view.saturation for name, view in sim.nodes.items()}
     for t in range(config.horizon):
         sim.step(t)
         assert all(record.quantity >= 0 for record in sim._stock.values())
