@@ -457,12 +457,16 @@ def capacity_records(graph: Graph, node_iri: Iri) -> list[CapacityView]:
 
 def capacity_by_step(graph: Graph, node_iri: Iri) -> dict[int, CapacityView]:
     """The node's capacity records keyed by timestep: at most one per step."""
+    return one_per_step(node_iri.name, capacity_records(graph, node_iri))
+
+
+def one_per_step(node: str, records) -> dict[int, CapacityView]:
+    """The capacity records ``node`` links, keyed by timestep; two at one
+    step raise, naming the first such step."""
     by_step: dict[int, CapacityView] = {}
-    for record in capacity_records(graph, node_iri):
+    for record in sorted(records, key=lambda r: (r.timestep, r.id)):
         if record.timestep in by_step:
-            raise MissingEntityError(
-                f"{node_iri.name} has more than one capacity record at step {record.timestep}"
-            )
+            raise MissingEntityError(f"{node} has more than one capacity record at step {record.timestep}")
         by_step[record.timestep] = record
     return by_step
 

@@ -91,36 +91,41 @@ def _node_code(field, problem, kind):
 
 
 def _check_nodes(graph, nodes, report):
-    for iri in sorted(schema.nodes_of_kind(graph, v.NODE), key=lambda i: i.name):
+    """Walk every subject typed ``Node``, ``OEM``, ``Supplier`` or
+    ``Customer``. One without ``Node`` and a class is an untyped node; the
+    fields of one with a class are checked by that class's rules."""
+    typed = {iri for cls in (v.NODE, *schema.NODE_SHAPE.kinds) for iri in schema.nodes_of_kind(graph, cls)}
+    for iri in sorted(typed, key=lambda i: i.name):
         values, problems = nodes(iri)
-        if values["kind"] is None:
-            report.error("untyped-node", iri.name, "node has no Supplier/Customer/OEM class")
-            continue
         for field, exc in problems:
-            report.error(_node_code(field, exc.problem, Iri(values["kind"])), iri.name, str(exc))
+            if field is None:
+                report.error("untyped-node", iri.name, str(exc))
+            elif values["kind"] is not None:
+                report.error(_node_code(field, exc.problem, Iri(values["kind"])), iri.name, str(exc))
 
 
 def _check_records(graph, nodes, report):
     owners = {}  # record -> its first owner in canonical order
+    linked = {}  # node -> the capacity records it links, as ``capacity_by_step`` groups them
     for t in graph.triples():
-        if t.predicate in (v.HAS_CAPACITY, v.HAS_INVENTORY) and isinstance(t.object, Iri):
+        link = isinstance(t.subject, Iri) and isinstance(t.object, Iri)  # a quoted triple owns nothing
+        if link and t.predicate in (v.HAS_CAPACITY, v.HAS_INVENTORY):
             owners.setdefault(t.object, t.subject)
+            if t.predicate == v.HAS_CAPACITY:
+                linked.setdefault(t.subject, []).append(t.object)
 
-    # nodes whose capacity records all read cleanly, each checked below for
-    # two records at one step
-    booked, unreadable = set(), set()
-    for rec in schema.nodes_of_kind(graph, v.CAPACITY):
+    views = {}  # capacity record -> its view, None when unreadable
+    for rec in {*schema.nodes_of_kind(graph, v.CAPACITY), *(r for records in linked.values() for r in records)}:
         if rec not in owners:
             report.error("orphan-record", rec.name, "capacity record has no owning node")
             continue
         owner = owners[rec]
         try:
-            view = schema.CAPACITY_SHAPE.read(graph, rec, node=owner.name)
+            views[rec] = view = schema.CAPACITY_SHAPE.read(graph, rec, node=owner.name)
         except schema.MissingEntityError as exc:
             report.error("bad-record", rec.name, str(exc))
-            unreadable.add(owner)
+            views[rec] = None
             continue
-        booked.add(owner)
         sat = nodes(owner)[0]["saturation"]  # None when absent or unreadable
         if sat is not None and view.quantity > sat:
             report.error(
@@ -129,11 +134,13 @@ def _check_records(graph, nodes, report):
                 f"committed {view.quantity} exceeds saturation {sat} of {owner.name}",
             )
 
-    for owner in booked - unreadable:
-        try:
-            schema.capacity_by_step(graph, owner)
-        except schema.MissingEntityError as exc:
-            report.error("bad-record", owner.name, str(exc))
+    for owner, records in linked.items():
+        group = [views[r] for r in records]
+        if None not in group:
+            try:
+                schema.one_per_step(owner.name, group)
+            except schema.MissingEntityError as exc:
+                report.error("bad-record", owner.name, str(exc))
 
     for rec in schema.nodes_of_kind(graph, v.INVENTORY):
         if rec not in owners:
@@ -162,9 +169,6 @@ def _check_topology(graph, nodes, report):
     except schema.MissingEntityError as exc:
         report.error("oem-count", "", str(exc))
         return
-    for field, exc in nodes(oem)[1]:  # also when the OEM lacks the Node class the node pass walks
-        if field is not None and field.attr == "products":
-            report.error(_node_code(field, exc.problem, v.OEM), oem.name, str(exc))
 
     def tier(node):  # None without a tier the node's shape can read
         return nodes(node)[0]["tier"]

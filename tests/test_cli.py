@@ -324,6 +324,13 @@ def _not_a_tier(node, tier, side):
             "bad-order Order1: Order1 makes is not an IRI",
             True,
         ),
+        (":OEM1 a :Node .\n", "", "untyped-node OEM1: OEM1 is not a typed supply-chain node", True),
+        (
+            ":SupplierNode1.1 a :Node .\n",
+            "",
+            "untyped-node SupplierNode1.1: SupplierNode1.1 is not a typed supply-chain node",
+            True,
+        ),
     ],
     ids=[
         "supplier-product-literal",
@@ -334,14 +341,17 @@ def _not_a_tier(node, tier, side):
         "customer-in-supplier-tier",
         "customer-product-literal",
         "order-maker-quoted",
+        "oem-without-node-class",
+        "supplier-without-node-class",
     ],
 )
 def test_validate_and_simulate_reject_a_bad_node_value(tmp_path, capsys, old, new, finding, read_by_simulate):
     """A node's product that is not an IRI, a tier not named like one for
-    the node's class, and an order's maker that is not an IRI are one
-    finding, and simulate, where it reads the value (the OEM, the
-    suppliers and the orders), exits 2 with the same message. The new line
-    replaces ``old``, or is appended when ``old`` is None."""
+    the node's class, an order's maker that is not an IRI and a node
+    without the ``Node`` class are one finding, and simulate, where it
+    reads the value (the OEM, the suppliers and the orders), exits 2 with
+    the same message. The new line replaces ``old``, or is appended when
+    ``old`` is None."""
     graph = tmp_path / "g.nt"
     assert run("generate", "--preset", "dairy", "--seed", "3", "--out", str(graph)) == 0
     text = graph.read_text()

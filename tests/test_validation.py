@@ -3,7 +3,7 @@ tier connectivity, BOM acyclicity."""
 
 import pytest
 
-from supplykg import Graph, Iri, Quoted, Triple, boolean, integer, string, timestep
+from supplykg import Graph, Iri, Quoted, Triple, boolean, integer, schema, string, timestep
 from supplykg.fulfillment import Simulation
 from supplykg.generator import automotive, dairy, generate
 from supplykg.schema import CapacityView, MissingEntityError, capacity_records
@@ -110,6 +110,13 @@ def test_orphan_capacity_record(automotive_graph):
     assert "orphan-record" in codes(errors(validate(automotive_graph)))
 
 
+def test_a_quoted_triple_owns_no_record(automotive_graph):
+    automotive_graph.insert(tr("CapLoose", "rdf:type", "Capacity"))
+    automotive_graph.insert(Triple(Quoted(tr("OEM1", "hasCapacity", "CapLoose")), Iri("hasCapacity"), Iri("CapLoose")))
+    found = errors(validate(automotive_graph))
+    assert [(x.code, x.subject) for x in found] == [("orphan-record", "CapLoose")]
+
+
 def test_capacity_exceeds_saturation(automotive_graph):
     drop(automotive_graph, Iri("CapOEM1T0"), Iri("hasQuantity"))
     automotive_graph.insert(tr("CapOEM1T0", "hasQuantity", integer(10**9)))
@@ -145,6 +152,30 @@ def test_two_capacity_records_at_one_step_are_an_error(automotive_graph):
     found = errors(validate(automotive_graph))
     assert [(x.code, x.subject) for x in found] == [("bad-record", "OEM1")]
     assert f"more than one capacity record at step {first.timestep}" in found[0].message
+
+
+def test_a_record_counts_for_every_node_that_links_it(automotive_graph):
+    """Like the simulator, validation groups a capacity record under each
+    node that links it, so one record can put two nodes at fault."""
+    supplier = capacity_records(automotive_graph, Iri("SupplierNode1.1"))[0]
+    assert capacity_records(automotive_graph, Iri("OEM1"))[0].timestep == supplier.timestep
+    twin = CapacityView("CapTwin", "OEM1", supplier.product, 1, supplier.timestep, 1)
+    for triple in twin.to_triples():
+        automotive_graph.insert(triple)
+    automotive_graph.insert(tr("SupplierNode1.1", "hasCapacity", "CapTwin"))
+    with pytest.raises(MissingEntityError):
+        Simulation(automotive_graph)
+    found = errors(validate(automotive_graph))
+    assert [(x.code, x.subject) for x in found] == [("bad-record", "OEM1"), ("bad-record", "SupplierNode1.1")]
+
+
+def test_validate_reads_each_capacity_record_once(simulated_automotive, monkeypatch):
+    graph, _ = simulated_automotive
+    reads = []
+    read = schema.CAPACITY_SHAPE.read
+    monkeypatch.setattr(schema.CAPACITY_SHAPE, "read", lambda g, rec, **given: reads.append(rec) or read(g, rec, **given))
+    assert validate(graph) == []
+    assert sorted(r.name for r in reads) == sorted(r.name for r in schema.nodes_of_kind(graph, Iri("Capacity")))
 
 
 # --- order invariants ---
