@@ -16,30 +16,22 @@ customer priority (ties by order name):
    name. Selection is all-or-nothing: if any component cannot be placed,
    nothing is committed and the order is marked unfulfilled.
 
-Commitments, inventory drains, supply-plan lines, and the isFulfilled
-verdict are written back into the graph as they happen, so a serialized
-final graph carries the complete outcome.
-
 ``Simulation`` reads the focal node and its suppliers once, into one
-table of ``NodeView``s by name; a node books capacity for the first of
-its products. ``_serve`` is the one path an order takes: it reads the
-focal node's stock once, then fulfils from stock, or produces (the focal
-node's saturation, then ``select_suppliers``, then drain, commit and
-verdict), or rejects. Each allocation is a ``PlanLine``, and booking a
-line commits its quantity onto its node at its step. A product's bill of
-materials is read on first use and kept for the run: the simulation
-never writes one.
+table of ``NodeView``s by name; a node books capacity for its first
+product, priced at its cost (0 without one). ``_serve`` is the one path
+of an order: it reads the stock once, then tries stock, production and
+rejection in turn. Each allocation is a ``PlanLine``, committed onto its
+node at its step. A product's bill of materials is read on first use
+and kept: the simulation never writes one.
 
-The simulation mutates the graph it is given, and only through ``schema``
-views: every write is the difference between a view's old and new
-triples. Its two ledgers hold the capacity record per (node, timestep), a
-missing one meaning zero load, and the current inventory record per
-(node, product); a booking or drain rewrites one record. An order without
-a supply plan gets no plan lines, and a verdict rewrites the order's
-view. Nodes without a cost property price their allocations at 0. A
-malformed inventory or capacity record, two capacity records for one
-node at one step, an OEM with no product or a supplier's product that is
-not an IRI raise ``MissingEntityError``.
+Every commitment, drain, plan line and isFulfilled verdict is written to
+the graph as it happens, only through ``schema`` views: a write is the
+difference between a view's old and new triples. The ledgers hold the
+capacity record per (node, timestep), none meaning zero load, and the
+current inventory record per (node, product). An order without a supply
+plan gets no plan lines. A malformed inventory or capacity record, two
+capacity records for one node at one step, an OEM with no product or a
+supplier's product that is not an IRI raise ``MissingEntityError``.
 """
 
 from __future__ import annotations
