@@ -63,10 +63,10 @@ class Simulation:
         self.graph = graph
         self._inserted = 0
 
-        oem = schema.node(graph, schema.the_oem(graph))
+        oem_iri = schema.the_oem(graph)
+        oem = schema.node(graph, oem_iri)
         self.oem = oem.id
-        suppliers = sorted(graph.subjects(v.HAS_OEM, Iri(oem.id)), key=lambda s: s.name)
-        suppliers = [schema.node(graph, s) for s in suppliers]
+        suppliers = [schema.node(graph, s) for s in sorted(graph.subjects(v.HAS_OEM, oem_iri), key=lambda s: s.name)]
         # the focal node and its suppliers by name
         self.nodes: dict[str, schema.NodeView] = {view.id: view for view in [oem, *suppliers]}
         self._cost = {name: dict(view.kpis).get(v.HAS_COST.name, 0) for name, view in self.nodes.items()}

@@ -9,10 +9,10 @@ The ``schema`` shapes hold every value rule. ``validate`` reads each node,
 record, order and bill-of-materials edge through the shape ``simulate``
 reads it with, and reports every problem of a node's fields (one finding
 each) and the first of any other entity, so a second value is a finding
-and never stops the report. Each node is read once; the checks that span
-entities take its class, tier and saturation from that read: vocabulary,
-node classes, record owners, capacity against saturation, tier links and
-bill-of-materials cycles.
+and never stops the report. Each node and each record is read once; the
+checks that span entities take a node's class, tier and saturation from
+that read: vocabulary, node classes, record owners, capacity against
+saturation, tier links and bill-of-materials cycles.
 """
 
 from __future__ import annotations

@@ -173,7 +173,7 @@ def test_validate_reads_each_capacity_record_once(simulated_automotive, monkeypa
     graph, _ = simulated_automotive
     reads = []
     read = schema.CAPACITY_SHAPE.read
-    monkeypatch.setattr(schema.CAPACITY_SHAPE, "read", lambda g, rec, **given: reads.append(rec) or read(g, rec, **given))
+    monkeypatch.setattr(schema.CAPACITY_SHAPE, "read", lambda g, rec, **kw: reads.append(rec) or read(g, rec, **kw))
     assert validate(graph) == []
     assert sorted(r.name for r in reads) == sorted(r.name for r in schema.nodes_of_kind(graph, Iri("Capacity")))
 
