@@ -25,8 +25,9 @@ node at its step. A product's bill of materials is read on first use
 and kept: the simulation never writes one.
 
 Every commitment, drain, plan line and isFulfilled verdict is written to
-the graph as it happens, only through ``schema`` views: a write is the
-difference between a view's old and new triples. The ledgers hold the
+the graph as it happens, only through ``schema`` views: a write removes
+and inserts the triples of the fields in which a view's old and new
+values differ, or inserts a new record's triples. The ledgers hold the
 capacity record per (node, timestep), none meaning zero load, and the
 current inventory record per (node, product). An order without a supply
 plan gets no plan lines. A malformed inventory or capacity record, two
@@ -90,15 +91,13 @@ class Simulation:
     def _write(self, old, new) -> None:
         """Rewrite a view's triples from its old value (None for a new
         record) to its new one: remove the triples only the old view has,
-        insert and count those only the new view has. A view holds a few
-        triples, so list membership compares them without hashing."""
-        before = old.to_triples() if old is not None else []
-        after = new.to_triples()
-        for triple in before:
-            if triple not in after:
-                self.graph.remove(triple)
-        for triple in after:
-            if triple not in before and self.graph.insert(triple):
+        insert and count those only the new view has. An update builds
+        only the triples of the fields that changed (``old.changes(new)``)."""
+        gone, added = ([], new.to_triples()) if old is None else old.changes(new)
+        for triple in gone:
+            self.graph.remove(triple)
+        for triple in added:
+            if self.graph.insert(triple):
                 self._inserted += 1
 
     def committed(self, node: str, t: int) -> int:

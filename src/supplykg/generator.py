@@ -182,6 +182,20 @@ def check_config(config: GeneratorConfig) -> None:
             if rule is not None:
                 bad(f"{name} {rule}, got {value}")
 
+    # the OEM and every supplier start with a capacity record of
+    # initial_capacity, which their saturation must hold
+    pinned = {
+        node_id: value
+        for node_id, prop, value in config.per_node_overrides
+        if prop == v.HAS_SATURATION.name and _generated_kind(config, node_id) is not v.CUSTOMER
+    }
+    lows = [(f"per_node_overrides.{node_id}.{v.HAS_SATURATION.name}", value) for node_id, value in pinned.items()]
+    if len(pinned) < 1 + sum(config.supplier_tier_nodes):  # some draw from the range
+        lows.insert(0, ("saturation_range low end", config.saturation_range[0]))
+    for name, low in lows:
+        if low < config.initial_capacity:
+            bad(f"{name} must be >= initial_capacity {config.initial_capacity}, got {low}")
+
 
 def supplier_name(tier: int, index: int) -> str:
     return f"SupplierNode{tier}.{index}"

@@ -3,7 +3,8 @@
 Set semantics: inserting a triple twice is a no-op. Iteration and pattern
 matching are deterministic, ordered by each triple's canonical text form, so
 two graphs with equal content always behave identically regardless of
-insertion history.
+insertion history. ``snapshot`` is the one unordered read, for callers whose
+result does not depend on order.
 
 ``match`` substitutes the caller's bindings into the pattern before it picks
 an index, so a variable bound by an earlier join step narrows the scan like a
@@ -96,6 +97,11 @@ class Graph:
         if self._sorted is None:
             self._sorted = sorted(self._triples, key=format_triple)
         return self._sorted
+
+    def snapshot(self) -> list[Triple]:
+        """All triples in no set order, as a new list that later writes
+        leave unchanged: for callers that sort by other means, or not at all."""
+        return list(self._triples)
 
     def copy(self) -> "Graph":
         g = Graph()

@@ -14,8 +14,10 @@ domain conventions live:
   shape's ``Field``s give each property's attribute, predicate, kind,
   bounds, requiredness, cardinality and direction, in read order. The
   shape's one reader scans the entity's triples once and applies the
-  fields; its one writer gives the triples back (``view.to_triples()``);
-  ``validate`` reports every problem the same fields find, and the
+  fields; its one writer gives the triples back (``view.to_triples()``)
+  and, from the same per-field templates, the triples an update removes
+  and inserts (``old.changes(new)``: only those of the fields that
+  differ); ``validate`` reports every problem the same fields find, and the
   generator's config check reads its bounds from them. A few irregular
   parts are hooks of a shape: a node's class, its tier name (``tier_iri``
   names every tier by the node class it holds), its KPI pairs, a
@@ -101,9 +103,9 @@ def _normalize_triple(t: Triple) -> Triple:
 def normalize(graph: Graph) -> Graph:
     """Fold alias predicates and unit-suffixed quantities in place, and
     return the same graph: a triple whose canonical form differs is replaced
-    by it, the rest stay. The loop walks the cached ``triples()`` list,
-    which a write drops but never changes."""
-    for t in graph.triples():
+    by it, the rest stay. The loop walks an unsorted ``snapshot()``, which
+    its own writes leave unchanged; the result does not depend on its order."""
+    for t in graph.snapshot():
         canonical = _normalize_triple(t)
         if canonical is not t:
             graph.remove(t)
@@ -223,6 +225,12 @@ class _TierField(Field):
 _P, _O = Variable("p"), Variable("o")
 
 
+def _delta(gone: list, added: list, old: list, new: list) -> None:
+    """Add the triples only ``old`` holds to ``gone``, those only ``new`` holds to ``added``."""
+    gone += [t for t in old if t not in new]
+    added += [t for t in new if t not in old]
+
+
 class Shape:
     """The one declaration of an entity: its view class, its ``fields`` in
     read order, its subject's class ``cls``, and two hooks. ``key`` names
@@ -230,13 +238,13 @@ class Shape:
     predicate, attribute) for a quoted triple of two IRIs, also written
     itself when ``asserted``. A node's ``kinds`` are the classes one of
     which its attribute ``kind`` names. A shape gives its view class
-    ``to_triples``."""
+    ``to_triples`` and ``changes``."""
 
     def __init__(self, view, fields, cls=None, key="id", kinds=(), asserted=False):
         self.view, self.fields, self.cls, self.key, self.kinds, self.asserted = view, fields, cls, key, kinds, asserted
         self._pairs = tuple(sorted({f.attr for f in fields if sum(g.attr == f.attr for g in fields) > 1}))
         self.field = {f.attr: f for f in fields if f.attr not in self._pairs}  # by attribute
-        view.to_triples = self._writer()
+        view.to_triples, view.changes = self._writers()
 
     def scan(self, graph: Graph, subject, **given) -> tuple[dict, list]:
         """Every field of ``subject`` read in order from one scan of its
@@ -285,35 +293,64 @@ class Shape:
             raise problems[0][1]
         return self.view(**values)
 
-    def _writer(self):
-        """The views' ``to_triples``: a view's triples, exactly those its
-        reader consumes. Like ``dataclasses`` makes ``__init__``, it is made
-        as Python source from the fields, so that it runs as fast as a
-        hand-written body."""
+    def _writers(self):
+        """The views' ``to_triples`` and ``changes``. ``view.to_triples()``
+        gives the view's triples, exactly those its reader consumes.
+        ``old.changes(new)`` gives (gone, added): for each attribute whose
+        value differs, the triples that only ``old`` holds and those that
+        only ``new`` holds; when the keys differ, all of both views'
+        triples. Like ``dataclasses`` makes ``__init__``, both are made as
+        Python source from one triple template per attribute, so that they
+        run as fast as hand-written bodies."""
         env = {"Iri": Iri, "Literal": Literal, "Quoted": Quoted, "Triple": Triple, "TYPE": v.RDF_TYPE, "CLS": self.cls}
+        env["delta"] = _delta
         if isinstance(self.key, str):
-            subject = f"Iri(view.{self.key})"
+            keys, subject = [self.key], f"Iri({{v}}.{self.key})"
         else:
             a, env["KEY"], b = self.key
-            subject = f"Quoted(Triple(Iri(view.{a}), KEY, Iri(view.{b})))"
-        first = ["s.triple"] * self.asserted + ["Triple(s, TYPE, CLS)"] * (self.cls is not None)
-        first += ["Triple(s, TYPE, Iri(view.kind))"] * bool(self.kinds)
-        rest = []
+            keys, subject = [a, b], f"Quoted(Triple(Iri({{v}}.{a}), KEY, Iri({{v}}.{b})))"
+        # (attribute, template of its triples: {x} a value, {v} the view, and
+        # their number: "one", "opt" or the loop over a tuple's values)
+        statements = [("kind", "Triple(s, TYPE, Iri({x}))", "one")] * bool(self.kinds)
         for i, f in enumerate(self.fields):
             env[f"F{i}"], env[f"P{i}"], env[f"K{i}"] = f, f.predicate, f.kind
-            o = f"F{i}.term({{}}, view)" if type(f) is not Field else "Iri({})" if f.kind is Iri else f"Literal({{}}, K{i})"
-            t = f"Triple({o}, P{i}, s)" if f.inward else f"Triple(s, P{i}, {o})"
+            o = f"F{i}.term({{x}}, {{v}})" if type(f) is not Field else "Iri({x})" if f.kind is Iri else f"Literal({{x}}, K{i})"
+            triple = f"Triple({o}, P{i}, s)" if f.inward else f"Triple(s, P{i}, {o})"
             if f.attr in self._pairs:
-                rest.append(f"out += [{t.format('x')} for name, x in view.{f.attr} if name == {f.predicate.name!r}]")
-            elif f.single is not True:
-                rest.append(f"out += [{t.format('x')} for x in view.{f.attr}]")
-            elif f.required is True:
-                first.append(t.format(f"view.{f.attr}"))
+                form = f"for name, x in {{v}}.{f.attr} if name == {f.predicate.name!r}"
             else:
-                rest.append(f"if view.{f.attr} is not None: out.append({t.format(f'view.{f.attr}')})")
-        body = [f"s = {subject}", f"out = [{', '.join(first)}]", *rest, "return out"]
+                form = "for x in {v}.%s" % f.attr if f.single is not True else "one" if f.required is True else "opt"
+            statements.append((f.attr, triple, form))
+
+        def listed(attr, triple, form, view):
+            """Source of the list of ``view``'s triples of ``attr``."""
+            single = triple.format(x=f"{view}.{attr}", v=view)
+            if form == "one":
+                return f"[{single}]"
+            if form == "opt":
+                return f"([{single}] if {view}.{attr} is not None else [])"
+            return f"[{triple.format(x='x', v=view)} {form.format(v=view)}]"
+
+        first = ["s.triple"] * self.asserted + ["Triple(s, TYPE, CLS)"] * (self.cls is not None)
+        put, diff = [], []
+        for attr, triple, form in statements:
+            single = triple.format(x=f"view.{attr}", v="view")
+            if form == "one":
+                first.append(single)
+            elif form == "opt":
+                put.append(f"if view.{attr} is not None: out.append({single})")
+            else:
+                put.append(f"out += {listed(attr, triple, form, 'view')}")
+            lists = f"delta(gone, added, {listed(attr, triple, form, 'old')}, {listed(attr, triple, form, 'new')})"
+            # a hook's triple may read other attributes, so it is always compared
+            diff.append(lists if "{v}" in triple else f"if old.{attr} != new.{attr}: {lists}")
+        body = [f"s = {subject.format(v='view')}", f"out = [{', '.join(first)}]", *put, "return out"]
         exec("def to_triples(view):\n    " + "\n    ".join(body), env)
-        return env["to_triples"]
+        moved = " or ".join(f"old.{k} != new.{k}" for k in keys)
+        body = [f"if {moved}: return old.to_triples(), new.to_triples()", f"s = {subject.format(v='new')}"]
+        body += ["gone, added = [], []", *diff, "return gone, added"]
+        exec("def changes(old, new):\n    " + "\n    ".join(body), env)
+        return env["to_triples"], env["changes"]
 
 
 @dataclass(frozen=True, slots=True)

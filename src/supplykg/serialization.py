@@ -61,8 +61,10 @@ class GraphParseError(ValueError):
 
 
 def serialize(graph: Graph) -> str:
-    # graph.triples() is already in format_triple order
-    lines = [format_triple(t) for t in graph.triples()]
+    # Sorting the lines gives the order of graph.triples(), whose sort key
+    # they are: two triples are equal exactly when their lines are. Each
+    # triple is formatted once.
+    lines = sorted(map(format_triple, graph.snapshot()))
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -11,10 +11,12 @@ the package.
 
 ``Triple`` and ``Quoted`` compute their hash once, when built, and keep it
 in a field that takes no part in equality or ``repr``; the graph's set and
-index lookups then never re-hash a triple's parts. ``Iri`` and ``Literal``
-hash on demand: queries build and drop many literals (filter arithmetic),
-and an eager hash would double the cost of building one. The graph parser
-builds one ``Iri`` or ``Literal`` per distinct token of a file.
+index lookups then never re-hash a triple's parts. Both pickle by their
+parts, so a loaded term hashes afresh under the loading process's string
+hash seed. ``Iri`` and ``Literal`` hash on demand: queries build and drop
+many literals (filter arithmetic), and an eager hash would double the cost
+of building one. The graph parser builds one ``Iri`` or ``Literal`` per
+distinct token of a file.
 """
 
 from __future__ import annotations
@@ -169,6 +171,9 @@ class Quoted:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        return Quoted, (self.triple,)
+
 
 Term = Union[Iri, Literal, Quoted]
 
@@ -194,6 +199,9 @@ class Triple:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return Triple, (self.subject, self.predicate, self.object)
 
 
 # Pattern positions additionally admit variables, parameters and nested

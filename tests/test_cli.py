@@ -59,6 +59,36 @@ def test_generate_rejects_bad_override():
     assert run("generate", "--preset", "dairy", "--set", "nope=1") == 2
 
 
+_MAKERS_OF_DAIRY = ["OEM1", "SupplierNode1.1", "SupplierNode1.2", "SupplierNode1.3"]
+
+
+@pytest.mark.parametrize(
+    "sets, error",
+    [
+        (["saturation_range=[5,5]"], "saturation_range low end must be >= initial_capacity 10, got 5"),
+        (
+            ["per_node_overrides.SupplierNode1.2.hasSaturation=7"],
+            "per_node_overrides.SupplierNode1.2.hasSaturation must be >= initial_capacity 10, got 7",
+        ),
+        (["saturation_range=[5,5]", "initial_capacity=5"], None),
+        # customers hold no capacity record
+        (["per_node_overrides.Node1.1.hasSaturation=7"], None),
+        # no product-making node draws from the range
+        (["saturation_range=[5,5]", *(f"per_node_overrides.{n}.hasSaturation=10" for n in _MAKERS_OF_DAIRY)], None),
+    ],
+    ids=["range", "override", "range-at-capacity", "customer-override", "every-maker-pinned"],
+)
+def test_generate_rejects_a_saturation_below_the_initial_capacity(sets, error, capsys):
+    """The OEM and each supplier start with a capacity record of
+    initial_capacity, so a config under which one of their saturations can
+    fall below it is a config error, not a graph that validate rejects."""
+    argv = ["generate", "--preset", "dairy", "--set", "initial_capacity=10"]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    assert run(*argv) == (0 if error is None else 2)
+    assert capsys.readouterr().err == ("" if error is None else f"error: {error}\n")
+
+
 def test_generate_from_config_file(tmp_path, capsys):
     cfg = tmp_path / "net.cfg"
     cfg.write_text("preset = dairy\nseed = 3\n")

@@ -8,7 +8,7 @@ import pytest
 from supplykg import Graph, Iri, Quoted, Triple, boolean, integer, serialize, timestep
 from supplykg.fulfillment import Simulation
 from supplykg.generator import automotive, dairy, generate
-from supplykg.schema import BomEdge, MissingEntityError, bom, capacity_by_step, current_inventory, orders
+from supplykg.schema import BomEdge, MissingEntityError, PlanLine, bom, capacity_by_step, current_inventory, orders
 from supplykg import vocab as v
 
 
@@ -130,6 +130,33 @@ def test_bom_is_read_once_per_product(monkeypatch):
     reports = Simulation(generate(config)).run(config.horizon)
     assert sum(r.produced for r in reports) > 1
     assert reads == ["Product"]
+
+
+def test_a_write_touches_only_the_fields_that_change(monkeypatch):
+    """Booking onto an existing capacity record swaps its one quantity
+    triple, and an order's verdict inserts one triple and removes none."""
+    g = fixture()
+    sim = Simulation(g)
+    line = PlanLine("SPOrder1", "Sup1", "Comp", 4, 5, 30)
+    sim._commit(line)  # a new record
+    calls = []
+    for name in ("insert", "remove"):
+        def spy(self, triple, name=name, original=getattr(Graph, name)):
+            calls.append((name, triple))
+            return original(self, triple)
+
+        monkeypatch.setattr(Graph, name, spy)
+    sim._inserted = 0
+    sim._commit(line)
+    assert calls == [
+        ("remove", tr("CapSup1T4", "hasQuantity", integer(5))),
+        ("insert", tr("CapSup1T4", "hasQuantity", integer(10))),
+    ]
+    calls.clear()
+    [order] = orders(g)
+    sim._resolve(order, False)
+    assert calls == [("insert", tr("Order1", "isFulfilled", boolean(False)))]
+    assert sim._inserted == 2
 
 
 # --- scheduling ---

@@ -212,10 +212,11 @@ def test_every_accepted_node_override_is_drawn():
     from supplykg.generator import _OVERRIDABLE
 
     sample = {v.OEM: "OEM1", v.SUPPLIER: "SupplierNode1.1", v.CUSTOMER: "Node1.1"}
+    base = dataclasses.replace(dairy(), initial_capacity=1)  # a saturation of 1 holds it
     for kind, props in _OVERRIDABLE.items():
         for prop in sorted(props):
             key = f"per_node_overrides.{sample[kind]}.{prop}"
-            one, two = (serialize(generate(with_updates(dairy(), [f"{key}={value}"]))) for value in (1, 2))
+            one, two = (serialize(generate(with_updates(base, [f"{key}={value}"]))) for value in (1, 2))
             assert one != two, key
 
 
@@ -238,7 +239,7 @@ def test_parse_config_round_trip():
     demand_frequency = 5
     saturation_range = [400000, 900000]
     kpi_range_overrides.hasAgility = [10, 20]
-    per_node_overrides.OEM1.hasSaturation = 777
+    per_node_overrides.OEM1.hasSaturation = 7777
     """
     config = parse_config_text(text)
     want = dataclasses.replace(
@@ -247,7 +248,7 @@ def test_parse_config_round_trip():
         demand_frequency=5,
         saturation_range=(400_000, 900_000),
         kpi_range_overrides=(("hasAgility", (10, 20)),),
-        per_node_overrides=(("OEM1", "hasSaturation", 777),),
+        per_node_overrides=(("OEM1", "hasSaturation", 7777),),
     )
     assert config == want
 

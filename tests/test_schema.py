@@ -1,5 +1,7 @@
 """Typed views over domain graphs: normalization, projection, round trips."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -467,3 +469,52 @@ def test_every_shape_reads_back_what_it_writes(shape, data):
             assert len(held) <= 1, f.predicate
         if holds(f.required, cls):
             assert held, f.predicate
+
+
+def _keys(shape):
+    return [shape.key] if isinstance(shape.key, str) else [shape.key[0], shape.key[2]]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: s.view.__name__)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_changes_turn_the_old_views_triples_into_the_new_ones(shape, data):
+    """For two views with one key, removing ``gone`` and inserting ``added``
+    turns the graph of the old view's triples into the new one's, and
+    touches no triple that both hold, inside a tuple or pair field too."""
+    old = data.draw(_views(shape))
+    new = data.draw(_views(shape))
+    # the key is shared; so is a drawn subset of the rest, as in an update
+    names = [f.name for f in dataclasses.fields(shape.view)]
+    kept = data.draw(st.sets(st.sampled_from(names))) | set(_keys(shape))
+    new = dataclasses.replace(new, **{name: getattr(old, name) for name in kept})
+    before, after = old.to_triples(), new.to_triples()
+    gone, added = old.changes(new)
+    graph = Graph(before)
+    for t in gone:
+        graph.remove(t)
+    for t in added:
+        graph.insert(t)
+    assert graph.triples() == Graph(after).triples()
+    assert set(gone) == set(before) - set(after)
+    assert set(added) == set(after) - set(before)
+    # a view under another key shares no triple with the old one
+    key = _keys(shape)[0]
+    moved = dataclasses.replace(new, **{key: getattr(new, key) + "x"})
+    assert old.changes(moved) == (before, moved.to_triples())
+
+
+def test_changes_keep_what_a_tuple_field_keeps(dairy_graph):
+    """Within a changed tuple or pair field, a triple both views hold is
+    neither removed nor inserted."""
+    old = dataclasses.replace(node(dairy_graph, Iri("SupplierNode1.1")), products=("A", "B"))
+    kpis = dict(old.kpis)
+    cost = kpis[v.HAS_COST.name]
+    kpis[v.HAS_COST.name] = cost + 1
+    new = dataclasses.replace(old, products=("B", "C"), kpis=tuple(sorted(kpis.items())))
+    s = Iri(old.id)
+    assert old.changes(new) == (
+        [Triple(s, v.HAS_COST, integer(cost)), Triple(s, v.MANUFACTURES, Iri("A"))],
+        [Triple(s, v.HAS_COST, integer(cost + 1)), Triple(s, v.MANUFACTURES, Iri("C"))],
+    )
+    assert old.changes(old) == ([], [])

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strategies import graphs
+from strategies import graphs, triples
 from supplykg.graph import Graph
 from supplykg.serialization import GraphParseError, parse_graph, serialize
 from supplykg.terms import (
@@ -12,6 +13,7 @@ from supplykg.terms import (
     boolean,
     decimal,
     format_term,
+    format_triple,
     integer,
     string,
     timestep,
@@ -43,6 +45,28 @@ def test_canonical_output_frozen():
         ':Order3 :isFulfilled "True"^^boolean .\n'
         '<< :SP3 :needsNode :SupplierNode1.1 >> :getsProduct :Product1.1 .\n'
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_serialize_writes_the_sorted_lines_whatever_the_cache(data):
+    """Triples inserted in any order serialize to the same bytes with and
+    without a cached ``triples()``: their lines in ``format_triple`` order.
+    ``snapshot`` returns a list that later writes leave unchanged."""
+    drawn = data.draw(st.lists(triples, max_size=40, unique=True))
+    shuffled = data.draw(st.permutations(drawn))
+    fresh, cached = Graph(shuffled), Graph(drawn)
+    cached.triples()
+    text = serialize(fresh)
+    assert serialize(cached) == text
+    assert text == "".join(format_triple(t) + "\n" for t in sorted(drawn, key=format_triple))
+    listed = fresh.snapshot()
+    kept = list(listed)
+    assert sorted(listed, key=format_triple) == fresh.triples()
+    fresh.insert(Triple(Iri("added"), Iri("p"), Iri("o")))
+    for t in kept[:3]:
+        fresh.remove(t)
+    assert listed == kept
 
 
 def test_empty_graph_serializes_to_empty_text():

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -6,6 +10,7 @@ from hypothesis import strategies as st
 
 from strategies import literals
 
+import supplykg
 from supplykg.graph import Graph
 from supplykg.terms import (
     BOOLEAN,
@@ -214,6 +219,35 @@ def test_triple_and_quoted_hash_contract():
         Triple(s, p, [])
     with pytest.raises(MalformedTermError):
         Quoted([])
+
+
+_PICKLE_CODE = """
+import pickle, sys
+from supplykg.terms import Iri, Quoted, Triple, integer
+inner = Triple(Iri("s"), Iri("p"), integer(1))
+fresh = [inner, Quoted(inner), Triple(Quoted(inner), Iri("p"), Iri("o"))]
+if sys.argv[1] == "dump":
+    sys.stdout.write(pickle.dumps(fresh).hex())
+else:
+    loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+    print([(a == b, a in {b}, hash(a) == hash(b)) for a, b in zip(loaded, fresh)])
+"""
+
+
+def test_a_pickled_triple_hashes_afresh_under_another_seed():
+    """A pickled Triple or Quoted carries its parts, not its cached hash: a
+    process with another string hash seed finds it in a set of fresh terms."""
+    src = str(Path(supplykg.__file__).resolve().parent.parent)
+
+    def run(seed, mode, stdin=""):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-c", _PICKLE_CODE, mode],
+            input=stdin, env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        return done.stdout
+
+    assert run("2", "load", run("1", "dump")) == "[(True, True, True), (True, True, True), (True, True, True)]\n"
 
 
 # Literals whose values compare equal across datatypes or signs: signed
