@@ -67,7 +67,7 @@ class Simulation:
         oem_iri = schema.the_oem(graph)
         oem = schema.node(graph, oem_iri)
         self.oem = oem.id
-        suppliers = [schema.node(graph, s) for s in sorted(graph.subjects(v.HAS_OEM, oem_iri), key=lambda s: s.name)]
+        suppliers = [schema.node(graph, s) for s in schema.suppliers(graph, oem_iri)]
         # the focal node and its suppliers by name
         self.nodes: dict[str, schema.NodeView] = {view.id: view for view in [oem, *suppliers]}
         self._cost = {name: dict(view.kpis).get(v.HAS_COST.name, 0) for name, view in self.nodes.items()}

@@ -8,8 +8,9 @@ result does not depend on order.
 
 ``match`` substitutes the caller's bindings into the pattern before it picks
 an index, so a variable bound by an earlier join step narrows the scan like a
-constant would. Each index bucket is sorted into canonical order once, on
-first use, and that order is cached until a write touches the bucket.
+constant would. One cache holds canonical order: each index bucket, and the
+whole triple set under the key ``None``, is sorted once, on first use, and
+kept until a write touches it.
 """
 
 from __future__ import annotations
@@ -30,18 +31,20 @@ from .terms import (
 )
 
 
+_ANY = TriplePattern(Variable("s"), Variable("p"), Variable("o"))
+
+
 class Graph:
-    __slots__ = ("_triples", "_by_subject", "_by_predicate", "_by_object", "_sorted", "_bucket_order")
+    __slots__ = ("_triples", "_by_subject", "_by_predicate", "_by_object", "_order")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: set[Triple] = set()
         self._by_subject: dict[Term, set[Triple]] = {}
         self._by_predicate: dict[Iri, set[Triple]] = {}
         self._by_object: dict[Term, set[Triple]] = {}
-        self._sorted: list[Triple] | None = None
-        # (position, key) -> that index bucket in canonical order; position
-        # 0, 1, 2 is subject, predicate, object
-        self._bucket_order: dict[tuple[int, Term], list[Triple]] = {}
+        # (position, key) -> that index bucket in canonical order, position
+        # 0, 1, 2 being subject, predicate, object; None -> every triple
+        self._order: dict[tuple[int, Term] | None, list[Triple]] = {}
         for t in triples:
             self.insert(t)
 
@@ -76,9 +79,9 @@ class Graph:
         return True
 
     def _forget_order(self, triple: Triple) -> None:
-        self._sorted = None
-        order = self._bucket_order
+        order = self._order
         if order:  # empty while a graph is loaded, so loading hashes no keys
+            order.pop(None, None)
             order.pop((0, triple.subject), None)
             order.pop((1, triple.predicate), None)
             order.pop((2, triple.object), None)
@@ -94,9 +97,7 @@ class Graph:
 
     def triples(self) -> list[Triple]:
         """All triples in canonical order."""
-        if self._sorted is None:
-            self._sorted = sorted(self._triples, key=format_triple)
-        return self._sorted
+        return self._candidates(_ANY)
 
     def snapshot(self) -> list[Triple]:
         """All triples in no set order, as a new list that later writes
@@ -111,8 +112,7 @@ class Graph:
         g._by_object = {k: set(v) for k, v in self._by_object.items()}
         # the cached lists are never mutated, only dropped, so both graphs
         # can hold them until their own writes drop them
-        g._sorted = self._sorted
-        g._bucket_order = dict(self._bucket_order)
+        g._order = dict(self._order)
         return g
 
     # -- matching -----------------------------------------------------------
@@ -121,9 +121,9 @@ class Graph:
         """A canonically ordered superset of the pattern's matches: the
         smallest index bucket of a ground position (a quoted pattern that
         spells a ground triple counts as ground), or every triple if no
-        position is. A position no bucket is keyed by, such as a literal
-        subject, has no candidates."""
-        best = None
+        bucket is smaller. A position no bucket is keyed by, such as a
+        literal subject, has no candidates."""
+        key, best = None, self._triples
         for pos, term, index in (
             (0, pattern.subject, self._by_subject),
             (1, pattern.predicate, self._by_predicate),
@@ -139,14 +139,11 @@ class Graph:
             bucket = index.get(term)
             if bucket is None:
                 return []
-            if best is None or len(bucket) < len(best[2]):
-                best = (pos, term, bucket)
-        if best is None:
-            return self.triples()
-        pos, key, bucket = best
-        ordered = self._bucket_order.get((pos, key))
+            if len(bucket) < len(best):
+                key, best = (pos, term), bucket
+        ordered = self._order.get(key)
         if ordered is None:
-            ordered = self._bucket_order[(pos, key)] = sorted(bucket, key=format_triple)
+            ordered = self._order[key] = sorted(best, key=format_triple)
         return ordered
 
     def match(self, pattern: TriplePattern, bindings: dict[str, Term] | None = None) -> list[dict[str, Term]]:

@@ -398,6 +398,12 @@ def nodes_of_kind(graph: Graph, kind: Iri) -> list[Iri]:
     return [s for s in graph.subjects(v.RDF_TYPE, kind) if isinstance(s, Iri)]
 
 
+def suppliers(graph: Graph, oem: Iri) -> list[Iri]:
+    """The IRI subjects that ``hasOEM`` the OEM, in name order (their
+    canonical order): the nodes the simulator books production on."""
+    return [s for s in graph.subjects(v.HAS_OEM, oem) if isinstance(s, Iri)]
+
+
 def the_oem(graph: Graph) -> Iri:
     oems = nodes_of_kind(graph, v.OEM)
     if len(oems) != 1:

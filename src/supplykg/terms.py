@@ -249,33 +249,16 @@ _PATTERN_KINDS = (Iri, Literal, Quoted, Variable, ParamRef, TriplePattern)
 # canonical text forms
 
 
-# Besides the control characters, str.splitlines() breaks lines at these, so
-# they are escaped too: one serialized triple is always one line.
-_LINE_BREAKS = "\x85\u2028\u2029"
-
-
-def _escape_string(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20 or ch in _LINE_BREAKS:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
+# A string literal's canonical escapes, the one table both directions use.
+# Besides the control characters, str.splitlines() breaks lines at U+0085,
+# U+2028 and U+2029, so they are escaped too: one serialized triple is
+# always one line.
+_ESCAPES = str.maketrans(
+    {chr(c): f"\\u{c:04x}" for c in (*range(0x20), 0x85, 0x2028, 0x2029)}
+    | {ch: "\\" + e for ch, e in zip('\\"\n\r\t', '\\"nrt')}
+)
 _ESCAPE = re.compile(r"\\(u[0-9a-fA-F]{4}|.)")
-_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_UNESCAPES = {e[1]: chr(c) for c, e in _ESCAPES.items() if e[1] != "u"}
 
 
 def unescape_string(body: str) -> str:
@@ -309,7 +292,7 @@ def format_term(term) -> str:
         if dt == DECIMAL:
             return repr(v)
         if dt == STRING:
-            return f'"{_escape_string(v)}"'
+            return f'"{v.translate(_ESCAPES)}"'
         if dt == BOOLEAN:
             return f'"{"True" if v else "False"}"^^boolean'
         if dt == TIMESTEP:

@@ -13,6 +13,9 @@ and never stops the report. Each node and each record is read once; the
 checks that span entities take a node's class, tier and saturation from
 that read: vocabulary, node classes, record owners, capacity against
 saturation, tier links and bill-of-materials cycles.
+No check sorts the graph: the vocabulary walk reads an unordered snapshot,
+and record links and bill-of-materials edges come from their predicates'
+index lookups.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from . import schema
 from . import vocab as v
 from .graph import Graph
-from .terms import Iri, Quoted
+from .terms import Iri, Quoted, TriplePattern, Variable
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +72,7 @@ def _check_vocabulary(graph, report, allow_unknown):
 
     if allow_unknown:
         return
-    for t in graph.triples():
+    for t in graph.snapshot():  # the findings are sorted at the end
         walk(t)
 
 
@@ -92,9 +95,11 @@ def _node_code(field, problem, kind):
 
 def _check_nodes(graph, nodes, report):
     """Walk every subject typed ``Node``, ``OEM``, ``Supplier`` or
-    ``Customer``. One without ``Node`` and a class is an untyped node; the
+    ``Customer``, and every supplier of an OEM, as ``simulate`` finds its
+    suppliers. One without ``Node`` and a class is an untyped node; the
     fields of one with a class are checked by that class's rules."""
     typed = {iri for cls in (v.NODE, *schema.NODE_SHAPE.kinds) for iri in schema.nodes_of_kind(graph, cls)}
+    typed.update(s for oem in schema.nodes_of_kind(graph, v.OEM) for s in schema.suppliers(graph, oem))
     for iri in sorted(typed, key=lambda i: i.name):
         values, problems = nodes(iri)
         for field, exc in problems:
@@ -104,15 +109,21 @@ def _check_nodes(graph, nodes, report):
                 report.error(_node_code(field, exc.problem, Iri(values["kind"])), iri.name, str(exc))
 
 
+def _links(graph, predicate):
+    """The (subject, object) IRI pairs of ``predicate`` in canonical order: a quoted triple links nothing."""
+    rows = graph.match(TriplePattern(Variable("s"), predicate, Variable("o")))
+    return [(r["s"], r["o"]) for r in rows if isinstance(r["s"], Iri) and isinstance(r["o"], Iri)]
+
+
 def _check_records(graph, nodes, report):
-    owners = {}  # record -> its first owner in canonical order
+    owners = {}  # record -> the least-named node that links it
     linked = {}  # node -> the capacity records it links, as ``capacity_by_step`` groups them
-    for t in graph.triples():
-        link = isinstance(t.subject, Iri) and isinstance(t.object, Iri)  # a quoted triple owns nothing
-        if link and t.predicate in (v.HAS_CAPACITY, v.HAS_INVENTORY):
-            owners.setdefault(t.object, t.subject)
-            if t.predicate == v.HAS_CAPACITY:
-                linked.setdefault(t.subject, []).append(t.object)
+    for pred in (v.HAS_CAPACITY, v.HAS_INVENTORY):
+        for node, rec in _links(graph, pred):
+            if rec not in owners or node.name < owners[rec].name:
+                owners[rec] = node
+            if pred == v.HAS_CAPACITY:
+                linked.setdefault(node, []).append(rec)
 
     views = {}  # capacity record -> its view, None when unreadable
     for rec in {*schema.nodes_of_kind(graph, v.CAPACITY), *(r for records in linked.values() for r in records)}:
@@ -207,15 +218,12 @@ def _check_topology(graph, nodes, report):
 
 def _check_bom(graph, report):
     edges = {}
-    for t in graph.triples():
-        if t.predicate == v.NEEDS_PRODUCT and isinstance(t.subject, Iri) and isinstance(t.object, Iri):
-            edges.setdefault(t.subject, []).append(t.object)
-    for parent, children in edges.items():
-        for child in children:
-            try:
-                schema.bom_edge(graph, parent, child)
-            except schema.MissingEntityError as exc:
-                report.error("bad-bom-edge", parent.name, str(exc))
+    for parent, child in _links(graph, v.NEEDS_PRODUCT):
+        edges.setdefault(parent, []).append(child)
+        try:
+            schema.bom_edge(graph, parent, child)
+        except schema.MissingEntityError as exc:
+            report.error("bad-bom-edge", parent.name, str(exc))
 
     # Depth-first search with an explicit stack, so a long chain cannot
     # exhaust the Python stack: ``path`` holds the products being visited

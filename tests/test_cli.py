@@ -355,6 +355,7 @@ def _not_a_tier(node, tier, side):
             True,
         ),
         (":OEM1 a :Node .\n", "", "untyped-node OEM1: OEM1 is not a typed supply-chain node", True),
+        (None, ":Ghost :hasOEM :OEM1 .\n", "untyped-node Ghost: Ghost is not a typed supply-chain node", True),
         (
             ":SupplierNode1.1 a :Node .\n",
             "",
@@ -372,6 +373,7 @@ def _not_a_tier(node, tier, side):
         "customer-product-literal",
         "order-maker-quoted",
         "oem-without-node-class",
+        "untyped-supplier-of-the-oem",
         "supplier-without-node-class",
     ],
 )
@@ -394,6 +396,23 @@ def test_validate_and_simulate_reject_a_bad_node_value(tmp_path, capsys, old, ne
     out = tmp_path / "r.csv"
     assert run("simulate", "--graph", str(bad), "--horizon", "60", "--out", str(out)) == (2 if read_by_simulate else 0)
     assert capsys.readouterr().err == (f"error: {finding.split(': ', 1)[1]}\n" if read_by_simulate else "")
+
+
+def test_a_quoted_subject_supplies_nothing(tmp_path, capsys):
+    """``simulate`` books production on the IRI subjects that ``hasOEM``
+    the OEM, and ``validate`` checks those same nodes, so a quoted subject
+    is neither a supplier nor a finding."""
+    graph = tmp_path / "g.nt"
+    assert run("generate", "--preset", "dairy", "--seed", "3", "--out", str(graph)) == 0
+    quoted = tmp_path / "quoted.nt"
+    quoted.write_text(graph.read_text() + "<< :SupplierNode1.1 :hasOEM :OEM1 >> :hasOEM :OEM1 .\n")
+    capsys.readouterr()
+    assert run("validate", "--graph", str(quoted)) == 0
+    assert capsys.readouterr() == ("", "0 errors, 0 warnings\n")
+    for path in (graph, quoted):
+        assert run("simulate", "--graph", str(path), "--horizon", "60", "--out", str(tmp_path / f"{path.stem}.csv")) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "quoted.csv").read_text() == (tmp_path / "g.csv").read_text()
 
 
 # every predicate a shape reads as single-valued, for some node class at least

@@ -109,9 +109,11 @@ def test_parse_tight_spacing_and_nested_quotes():
 
 def test_string_escapes_round_trip():
     weird = 'quote " backslash \\ newline \n tab \t bell \x07 end'
-    g = Graph([Triple(Iri("s"), Iri("p"), string(weird))])
+    every = "".join(chr(c) for c in range(0x10000) if not 0xD800 <= c < 0xE000)  # the BMP but its surrogates
+    g = Graph([Triple(Iri("s"), Iri("p"), string(weird)), Triple(Iri("s"), Iri("q"), string(every))])
     text = serialize(g)
     assert "\x07" not in text  # control characters never appear raw
+    assert len(text.splitlines()) == 2
     assert parse_graph(text).triples() == g.triples()
 
 

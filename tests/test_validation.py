@@ -123,6 +123,22 @@ def test_capacity_exceeds_saturation(automotive_graph):
     assert "capacity-exceeds-saturation" in codes(errors(validate(automotive_graph)))
 
 
+def test_a_shared_record_belongs_to_its_least_named_owner(automotive_graph):
+    """A capacity record two nodes link is checked against the saturation
+    of the node with the least name."""
+    oem, supplier = (schema.node(automotive_graph, Iri(n)) for n in ("OEM1", "SupplierNode1.1"))
+    assert oem.saturation != supplier.saturation
+    step = 1 + max(r.timestep for n in (oem, supplier) for r in capacity_records(automotive_graph, Iri(n.id)))
+    quantity = max(oem.saturation, supplier.saturation) + 1
+    shared = CapacityView("CapShared", "SupplierNode1.1", oem.products[0], quantity, step, 1)
+    for triple in shared.to_triples():
+        automotive_graph.insert(triple)
+    automotive_graph.insert(tr("OEM1", "hasCapacity", "CapShared"))
+    found = [(x.code, x.subject, x.message) for x in errors(validate(automotive_graph))]
+    message = f"committed {quantity} exceeds saturation {oem.saturation} of OEM1"
+    assert found == [("capacity-exceeds-saturation", "CapShared", message)]
+
+
 def test_negative_inventory(automotive_graph):
     drop(automotive_graph, Iri("InvOEM1"), Iri("hasQuantity"))
     automotive_graph.insert(tr("InvOEM1", "hasQuantity", integer(-1)))
@@ -176,6 +192,16 @@ def test_validate_reads_each_capacity_record_once(simulated_automotive, monkeypa
     monkeypatch.setattr(schema.CAPACITY_SHAPE, "read", lambda g, rec, **kw: reads.append(rec) or read(g, rec, **kw))
     assert validate(graph) == []
     assert sorted(r.name for r in reads) == sorted(r.name for r in schema.nodes_of_kind(graph, Iri("Capacity")))
+
+
+def test_validate_does_not_sort_the_graph(simulated_automotive, monkeypatch):
+    """Every check reads the indexes, so ``validate`` never asks for the
+    whole graph in canonical order."""
+    graph, _ = simulated_automotive
+    calls = []
+    monkeypatch.setattr(Graph, "triples", lambda self: calls.append(self) or [])
+    assert validate(graph) == []
+    assert calls == []
 
 
 # --- order invariants ---
