@@ -46,7 +46,7 @@ from .query import (
     evaluate_update,
     parse_query,
 )
-from .schema import MissingEntityError, load_graph
+from .schema import load_graph
 from .serialization import GraphParseError, parse_term, serialize
 from .util import atomic_write_text
 from .validation import validate
@@ -145,15 +145,9 @@ def _split_assignment(raw: str, flag: str) -> tuple[str, str]:
 
 
 def _cmd_generate(args) -> int:
-    if args.config is not None:
-        config = parse_config_file(args.config)
-    else:
-        config = PRESETS[args.preset]()
-    if args.overrides:
-        config = with_updates(config, args.overrides)
-    if args.seed is not None:
-        config = with_updates(config, [f"seed={args.seed}"])
-    _emit(serialize(generate(config)), args.out)
+    config = parse_config_file(args.config) if args.config is not None else PRESETS[args.preset]()
+    seed = [] if args.seed is None else [f"seed={args.seed}"]
+    _emit(serialize(generate(with_updates(config, args.overrides + seed))), args.out)
     return 0
 
 
@@ -255,9 +249,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MissingEntityError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return 2
     except (QueryEvalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

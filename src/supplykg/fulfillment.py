@@ -32,7 +32,8 @@ capacity record per (node, timestep), none meaning zero load, and the
 current inventory record per (node, product). An order without a supply
 plan gets no plan lines. A malformed inventory or capacity record, two
 capacity records for one node at one step, an OEM with no product or a
-supplier's product that is not an IRI raise ``MissingEntityError``.
+supplier's product that is not an IRI, or a ``hasOEM`` subject that is
+neither a Supplier nor the OEM raise ``MissingEntityError``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ class Simulation:
         oem = schema.node(graph, oem_iri)
         self.oem = oem.id
         suppliers = [schema.node(graph, s) for s in schema.suppliers(graph, oem_iri)]
+        for view in suppliers:
+            schema.check_supplier(oem.id, view.id, view.kind)
         # the focal node and its suppliers by name
         self.nodes: dict[str, schema.NodeView] = {view.id: view for view in [oem, *suppliers]}
         self._cost = {name: dict(view.kpis).get(v.HAS_COST.name, 0) for name, view in self.nodes.items()}

@@ -25,18 +25,23 @@ node never shifts any other node's values. Degenerate ranges like [85, 85]
 also consume exactly one draw, which keeps scenario configs that pin a
 value aligned with their unpinned siblings.
 
-The module also parses the config file format used by the command line:
-``key = value`` lines, ``#`` comments, ``[a, b]`` integer lists, and
-``[Label]`` section headers for scenario files. Dotted keys address the
-two map-valued fields, e.g. ``kpi_range_overrides.hasResponsiveness =
-[85, 85]`` and ``per_node_overrides.Node3.2.hasPriority = 3`` (the
-property is the part after the last dot).
+The module also reads configs from text. A config file holds ``key =
+value`` lines, ``#`` comments and ``[a, b]`` integer lists; a scenario
+file adds ``[Label]`` section headers, each section applied to the base
+config the lines before any header give. Dotted keys address the two
+map-valued fields, e.g. ``kpi_range_overrides.hasResponsiveness = [85,
+85]`` and ``per_node_overrides.Node3.2.hasPriority = 3`` (the property is
+the part after the last dot). The command line's ``--set key=value``
+takes the same keys and values. Every source becomes (key, value, where)
+items, and one function, ``_configure``, applies them to a config and
+checks the result once; a fault names its ``where``: "line N" of a file
+or "override N" of the command line.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from . import schema
 from . import vocab as v
@@ -98,7 +103,6 @@ def dairy() -> GeneratorConfig:
 PRESETS = {"automotive": automotive, "dairy": dairy}
 
 _OEM_NAME = "OEM1"
-_NODE_NAME_RE = re.compile(r"(Supplier)?Node([1-9][0-9]*)\.([1-9][0-9]*)")
 
 # The properties ``emit_node`` draws for each class of node: the ones a
 # per_node_overrides entry may replace ("inventory" is the initial stock).
@@ -112,17 +116,15 @@ _OVERRIDABLE = {
 }
 
 
-def _generated_kind(config: GeneratorConfig, node_id: str) -> Iri | None:
-    """The class of the node the config generates under ``node_id``, or None."""
-    if node_id == _OEM_NAME:
-        return v.OEM
-    m = _NODE_NAME_RE.fullmatch(node_id)
-    if m:
-        counts = config.supplier_tier_nodes if m[1] else config.customer_tier_nodes
-        tier, index = int(m[2]), int(m[3])
-        if tier <= len(counts) and index <= counts[tier - 1]:
-            return v.SUPPLIER if m[1] else v.CUSTOMER
-    return None
+def _generated_kinds(config: GeneratorConfig) -> dict[str, Iri]:
+    """The class of each node the config generates, by the node's name."""
+    kinds = {_OEM_NAME: v.OEM}
+    for kind, name, counts in (
+        (v.SUPPLIER, supplier_name, config.supplier_tier_nodes),
+        (v.CUSTOMER, customer_name, config.customer_tier_nodes),
+    ):
+        kinds.update((name(t, i), kind) for t, count in enumerate(counts, start=1) for i in range(1, count + 1))
+    return kinds
 
 
 def check_config(config: GeneratorConfig) -> None:
@@ -150,8 +152,9 @@ def check_config(config: GeneratorConfig) -> None:
             bad(f"kpi_range_overrides names unknown indicator {name}")
         if lo > hi:
             bad(f"kpi_range_overrides.{name} is empty: [{lo}, {hi}]")
+    kinds = _generated_kinds(config) if config.per_node_overrides else {}
     for node_id, prop, _ in config.per_node_overrides:
-        kind = _generated_kind(config, node_id)
+        kind = kinds.get(node_id)
         if kind is None:
             bad(f"per_node_overrides.{node_id}.{prop}: the config generates no node {node_id}")
         if prop not in _OVERRIDABLE[kind]:
@@ -187,7 +190,7 @@ def check_config(config: GeneratorConfig) -> None:
     pinned = {
         node_id: value
         for node_id, prop, value in config.per_node_overrides
-        if prop == v.HAS_SATURATION.name and _generated_kind(config, node_id) is not v.CUSTOMER
+        if prop == v.HAS_SATURATION.name and kinds[node_id] is not v.CUSTOMER
     }
     lows = [(f"per_node_overrides.{node_id}.{v.HAS_SATURATION.name}", value) for node_id, value in pinned.items()]
     if len(pinned) < 1 + sum(config.supplier_tier_nodes):  # some draw from the range
@@ -218,6 +221,9 @@ def generate(config: GeneratorConfig) -> Graph:
     for node_id, prop, value in config.per_node_overrides:
         node_overrides.setdefault(node_id, {})[prop] = value
 
+    finished = Iri("Product")
+    leads: dict[Iri, int] = {}  # node -> its delivery time
+
     def add(s, p, o):
         g.insert(Triple(s, p, o))
 
@@ -225,8 +231,10 @@ def generate(config: GeneratorConfig) -> Graph:
         for triple in view.to_triples():
             g.insert(triple)
 
-    def emit_node(name, kind, tier, *, customer=False, group_count=None, product_of=None):
-        """Create one node; returns (iri, delivery time)."""
+    def emit_node(name, kind, tier):
+        """Create one node of class ``kind`` and return its IRI. A supplier
+        draws its group, which names its product, a customer its priority;
+        the OEM makes the finished product."""
         n = Iri(name)
         over = node_overrides.get(name, {})
 
@@ -235,8 +243,13 @@ def generate(config: GeneratorConfig) -> Graph:
 
         sat = pick(v.HAS_SATURATION.name, rng.randint(*config.saturation_range))
         lead = pick(v.HAS_DELIVERY_TIME.name, rng.randint(*config.delivery_time_range))
-        group = pick(v.HAS_GROUP.name, rng.randint(1, group_count)) if group_count is not None else None
-        priority = pick(v.HAS_PRIORITY.name, rng.randint(*config.priority_range)) if customer else None
+        group = priority = None
+        product = finished.name if kind == v.OEM else None
+        if kind == v.SUPPLIER:
+            group = pick(v.HAS_GROUP.name, rng.randint(1, config.supplier_groups[tier - 1]))
+            product = product_name(tier, group)
+        if kind == v.CUSTOMER:
+            priority = pick(v.HAS_PRIORITY.name, rng.randint(*config.priority_range))
         kpis = {}
         for pred in v.KPI_PREDICATES:
             lo, hi = kpi_ranges.get(pred.name, config.kpi_range)
@@ -246,8 +259,7 @@ def generate(config: GeneratorConfig) -> Graph:
         lat = pick(v.HAS_LATITUDE.name, rng.randint(*config.latitude_range))
         mode = str(pick(v.HAS_TRANSPORT_MODE.name, rng.choice(v.TRANSPORT_MODES)))
         kpi_values = tuple(sorted((pred.name, value) for pred, value in kpis.items()))
-        product = None if product_of is None else product_of(group)
-        made = () if product is None else (product.name,)
+        made = () if product is None else (product,)
         put(NodeView(name, kind.name, tier, sat, lead, group, priority, kpi_values, co2, lon, lat, mode, made))
         process = Iri("Prcs" + name)
         add(n, v.HAS_PROCESS, process)
@@ -259,44 +271,24 @@ def generate(config: GeneratorConfig) -> Graph:
         if product is not None:
             inv_qty = pick("inventory", rng.randint(*config.inventory_range))
             cap = capacity_iri(name, 0).name
-            put(CapacityView(cap, name, product.name, config.initial_capacity, 0, kpis[v.HAS_COST]))
-            put(InventoryView(f"Inv{name}", name, product.name, int(inv_qty), 0))
-        return n, lead
+            put(CapacityView(cap, name, product, config.initial_capacity, 0, kpis[v.HAS_COST]))
+            put(InventoryView(f"Inv{name}", name, product, int(inv_qty), 0))
+        leads[n] = lead
+        return n
 
-    finished = Iri("Product")
-    oem, oem_lead = emit_node(_OEM_NAME, v.OEM, None, product_of=lambda _: finished)
-
-    supplier_tiers: list[list[Iri]] = []
-    supplier_leads: dict[Iri, int] = {}
-    for t, count in enumerate(config.supplier_tier_nodes, start=1):
-        tier = tier_iri(v.SUPPLIER, t)
-        add(tier, v.RDF_TYPE, v.SUPPLIER_TIER)
-        if t > 1:
-            add(tier_iri(v.SUPPLIER, t - 1), v.HAS_UPSTREAM_TIER, tier)
-        tier_nodes = []
-        for m in range(1, count + 1):
-            n, lead = emit_node(
-                supplier_name(t, m),
-                v.SUPPLIER,
-                t,
-                group_count=config.supplier_groups[t - 1],
-                product_of=lambda grp, t=t: Iri(product_name(t, grp)),
-            )
-            supplier_leads[n] = lead
-            tier_nodes.append(n)
-        supplier_tiers.append(tier_nodes)
-
-    customer_tiers: list[list[Iri]] = []
-    for t, count in enumerate(config.customer_tier_nodes, start=1):
-        tier = tier_iri(v.CUSTOMER, t)
-        add(tier, v.RDF_TYPE, v.CUSTOMER_TIER)
-        if t > 1:
-            add(tier_iri(v.CUSTOMER, t - 1), v.HAS_DOWNSTREAM_TIER, tier)
-        tier_nodes = []
-        for m in range(1, count + 1):
-            n, _ = emit_node(customer_name(t, m), v.CUSTOMER, t, customer=True)
-            tier_nodes.append(n)
-        customer_tiers.append(tier_nodes)
+    oem = emit_node(_OEM_NAME, v.OEM, None)
+    tiers: dict[Iri, list[list[Iri]]] = {}  # class -> its side's tiers of nodes, suppliers drawn first
+    for kind, counts, name, tier_class, tier_link in (
+        (v.SUPPLIER, config.supplier_tier_nodes, supplier_name, v.SUPPLIER_TIER, v.HAS_UPSTREAM_TIER),
+        (v.CUSTOMER, config.customer_tier_nodes, customer_name, v.CUSTOMER_TIER, v.HAS_DOWNSTREAM_TIER),
+    ):
+        tiers[kind] = []
+        for t, count in enumerate(counts, start=1):
+            add(tier_iri(kind, t), v.RDF_TYPE, tier_class)
+            if t > 1:
+                add(tier_iri(kind, t - 1), tier_link, tier_iri(kind, t))
+            tiers[kind].append([emit_node(name(t, m), kind, t) for m in range(1, count + 1)])
+    supplier_tiers, customer_tiers = tiers[v.SUPPLIER], tiers[v.CUSTOMER]
 
     # products and the layered bill of materials
     add(finished, v.RDF_TYPE, v.PRODUCT)
@@ -342,13 +334,13 @@ def generate(config: GeneratorConfig) -> Graph:
         add(oem, v.HAS_DOWNSTREAM_NODE, c)
 
     # demand stream from the most-downstream customers
-    max_lead = max(supplier_leads.values())
+    max_lead = max(leads[s] for tier in supplier_tiers for s in tier)
     number = 0
     for window in range(0, config.horizon, 10):
         for c in customer_tiers[-1]:
             for i in range(config.demand_frequency):
                 issue = window + i * 10 // config.demand_frequency
-                due = issue + oem_lead + max_lead + 1
+                due = issue + leads[oem] + max_lead + 1
                 if issue >= config.horizon or due >= config.horizon:
                     continue
                 number += 1
@@ -365,12 +357,12 @@ _LIST_RE = re.compile(r"^\[(.*)\]$")
 _WORD_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.:-]*$")
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_.-]*)\]$")
 
-_FIELD_TYPES = {f.name: f.type for f in fields(GeneratorConfig)}
 _LIST_FIELDS = {"supplier_tier_nodes", "customer_tier_nodes", "supplier_groups"}
-_RANGE_FIELDS = tuple(name for name in _FIELD_TYPES if name.endswith("_range"))
+_RANGE_FIELDS = tuple(f.name for f in fields(GeneratorConfig) if f.name.endswith("_range"))
+_INT_FIELDS = {f.name for f in fields(GeneratorConfig) if isinstance(f.default, int)}
 
 
-def _parse_value(raw, lineno):
+def _parse_value(raw, where):
     raw = raw.strip()
     if _INT_RE.match(raw):
         return int(raw)
@@ -379,124 +371,97 @@ def _parse_value(raw, lineno):
         items = [p.strip() for p in m.group(1).split(",")] if m.group(1).strip() else []
         for p in items:
             if not _INT_RE.match(p):
-                raise ConfigError(f"line {lineno}: list items must be integers, got {p!r}")
+                raise ConfigError(f"{where}: list items must be integers, got {p!r}")
         return [int(p) for p in items]
     if _WORD_RE.match(raw):
         return raw
-    raise ConfigError(f"line {lineno}: cannot parse value {raw!r}")
+    raise ConfigError(f"{where}: cannot parse value {raw!r}")
 
 
-def _scan(text):
-    """Yield (kind, payload, lineno) with kind in {'section', 'item'}."""
+def _sections(text: str, scenario: bool) -> list[tuple[str | None, list]]:
+    """The (label, items) sections of a config text, in order, the lines
+    before any ``[Label]`` header first, under None. Each item is (key,
+    value, where). Only a ``scenario`` text may have headers, and its
+    sections may not name a preset."""
+    sections: list[tuple[str | None, list]] = [(None, [])]
     for lineno, line in enumerate(text.splitlines(), start=1):
+        where = f"line {lineno}"
         stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        section = _SECTION_RE.match(stripped)
-        if section and "=" not in stripped:
-            yield "section", section.group(1), lineno
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key = value")
-        key, raw = stripped.split("=", 1)
-        yield "item", (key.strip(), _parse_value(raw, lineno), lineno), None
+        header = _SECTION_RE.match(stripped)
+        if header:
+            if not scenario:
+                raise ConfigError(f"{where}: section headers are only valid in scenario files")
+            if any(label == header[1] for label, _ in sections):
+                raise ConfigError(f"{where}: duplicate scenario label {header[1]!r}")
+            sections.append((header[1], []))
+        elif "=" in stripped:
+            key, raw = stripped.split("=", 1)
+            key, value = key.strip(), _parse_value(raw, where)
+            if key == "preset" and len(sections) > 1:
+                raise ConfigError(f"{where}: preset is only valid in the base section")
+            sections[-1][1].append((key, value, where))
+        elif stripped:
+            raise ConfigError(f"{where}: expected key = value")
+    return sections
 
 
-class _Builder:
-    def __init__(self, base: GeneratorConfig):
-        self.kwargs = {f.name: getattr(base, f.name) for f in fields(GeneratorConfig)}
-        self.kpi_overrides = dict(base.kpi_range_overrides)
-        self.node_overrides = {(n, p): val for n, p, val in base.per_node_overrides}
+def _span(key, value, where) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{where}: {key} needs a [lo, hi] value")
+    return tuple(value)
 
-    def apply(self, key, value, lineno):
-        if key.startswith("kpi_range_overrides."):
-            name = key.split(".", 1)[1]
-            if not (isinstance(value, list) and len(value) == 2):
-                raise ConfigError(f"line {lineno}: {key} needs a [lo, hi] value")
-            self.kpi_overrides[name] = (value[0], value[1])
-            return
-        if key.startswith("per_node_overrides."):
-            rest = key.split(".", 1)[1]
-            if "." not in rest:
-                raise ConfigError(f"line {lineno}: {key} needs node and property parts")
-            node_id, prop = rest.rsplit(".", 1)
-            self.node_overrides[(node_id, prop)] = value
-            return
-        if key not in _FIELD_TYPES or key in ("kpi_range_overrides", "per_node_overrides"):
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        if key in _RANGE_FIELDS:
-            if not (isinstance(value, list) and len(value) == 2):
-                raise ConfigError(f"line {lineno}: {key} needs a [lo, hi] value")
-            self.kwargs[key] = (value[0], value[1])
+
+def _configure(config: GeneratorConfig, items, presets: bool = False) -> GeneratorConfig:
+    """``config`` with the (key, value, where) items applied in order, then
+    checked once. A key names a range, list or integer field, or one entry
+    of a map-valued field after a dot; a value of the wrong kind is a fault
+    at its ``where``. With ``presets``, a ``preset`` item names the config
+    the other items apply to, wherever it stands."""
+    changes, kpis, nodes = {}, {}, {}
+    for key, value, where in items:
+        if presets and key == "preset":
+            if not (isinstance(value, str) and value in PRESETS):
+                raise ConfigError(f"{where}: unknown preset {value!r}")
+            config = PRESETS[value]()
+        elif key.startswith("kpi_range_overrides."):
+            kpis[key.split(".", 1)[1]] = _span(key, value, where)
+        elif key.startswith("per_node_overrides."):
+            node_id, dot, prop = key.split(".", 1)[1].rpartition(".")
+            if not dot:
+                raise ConfigError(f"{where}: {key} needs node and property parts")
+            nodes[node_id, prop] = (node_id, prop, value)
+        elif key in _RANGE_FIELDS:
+            changes[key] = _span(key, value, where)
         elif key in _LIST_FIELDS:
             if not isinstance(value, list):
-                raise ConfigError(f"line {lineno}: {key} needs a [..] list value")
-            self.kwargs[key] = tuple(value)
-        else:  # seed, initial_capacity, demand_frequency, order_quantity, horizon
+                raise ConfigError(f"{where}: {key} needs a [..] list value")
+            changes[key] = tuple(value)
+        elif key in _INT_FIELDS:
             if not isinstance(value, int):
-                raise ConfigError(f"line {lineno}: {key} needs an integer value")
-            self.kwargs[key] = value
-
-    def build(self) -> GeneratorConfig:
-        self.kwargs["kpi_range_overrides"] = tuple(sorted(self.kpi_overrides.items()))
-        self.kwargs["per_node_overrides"] = tuple(
-            (n, p, val) for (n, p), val in sorted(self.node_overrides.items())
-        )
-        config = GeneratorConfig(**self.kwargs)
-        check_config(config)
-        return config
-
-
-def _base_from_items(items):
-    preset = "automotive"
-    rest = []
-    for key, value, lineno in items:
-        if key == "preset":
-            if not (isinstance(value, str) and value in PRESETS):
-                raise ConfigError(f"line {lineno}: unknown preset {value!r}")
-            preset = value
+                raise ConfigError(f"{where}: {key} needs an integer value")
+            changes[key] = value
         else:
-            rest.append((key, value, lineno))
-    builder = _Builder(PRESETS[preset]())
-    for key, value, lineno in rest:
-        builder.apply(key, value, lineno)
-    return builder.build()
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+    changes["kpi_range_overrides"] = tuple(sorted((dict(config.kpi_range_overrides) | kpis).items()))
+    nodes = {entry[:2]: entry for entry in config.per_node_overrides} | nodes
+    changes["per_node_overrides"] = tuple(nodes[key] for key in sorted(nodes))
+    config = replace(config, **changes)
+    check_config(config)
+    return config
 
 
 def parse_config_text(text: str) -> GeneratorConfig:
-    items = []
-    for kind, payload, lineno in _scan(text):
-        if kind == "section":
-            raise ConfigError(f"line {lineno}: section headers are only valid in scenario files")
-        items.append(payload)
-    return _base_from_items(items)
+    [(_, items)] = _sections(text, scenario=False)
+    return _configure(automotive(), items, presets=True)
 
 
 def parse_scenario_text(text: str) -> tuple[GeneratorConfig, list[tuple[str, GeneratorConfig]]]:
     """Parse a scenario file: a base config followed by [Label] override blocks."""
-    base_items = []
-    sections: list[tuple[str, list]] = []
-    for kind, payload, lineno in _scan(text):
-        if kind == "section":
-            if any(label == payload for label, _ in sections):
-                raise ConfigError(f"line {lineno}: duplicate scenario label {payload!r}")
-            sections.append((payload, []))
-        elif sections:
-            sections[-1][1].append(payload)
-        else:
-            base_items.append(payload)
-    base = _base_from_items(base_items)
+    (_, items), *sections = _sections(text, scenario=True)
+    base = _configure(automotive(), items, presets=True)
     if not sections:
         raise ConfigError("scenario file defines no [Label] sections")
-    scenarios = []
-    for label, items in sections:
-        builder = _Builder(base)
-        for key, value, lineno in items:
-            if key == "preset":
-                raise ConfigError(f"line {lineno}: preset is only valid in the base section")
-            builder.apply(key, value, lineno)
-        scenarios.append((label, builder.build()))
-    return base, scenarios
+    return base, [(label, _configure(base, items)) for label, items in sections]
 
 
 def parse_config_file(path) -> GeneratorConfig:
@@ -510,11 +475,13 @@ def parse_scenario_file(path):
 
 
 def with_updates(config: GeneratorConfig, assignments: list[str]) -> GeneratorConfig:
-    """Apply command-line ``key=value`` overrides to a config."""
-    builder = _Builder(config)
+    """Apply command-line ``key=value`` overrides to a config: the keys and
+    values of a config file's lines, each fault naming its "override N"."""
+    items = []
     for i, assignment in enumerate(assignments, start=1):
+        where = f"override {i}"
         if "=" not in assignment:
-            raise ConfigError(f"override {i}: expected key=value, got {assignment!r}")
+            raise ConfigError(f"{where}: expected key=value, got {assignment!r}")
         key, raw = assignment.split("=", 1)
-        builder.apply(key.strip(), _parse_value(raw, i), i)
-    return builder.build()
+        items.append((key.strip(), _parse_value(raw, where), where))
+    return _configure(config, items)

@@ -93,11 +93,11 @@ class Graph:
         return len(self._triples)
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self.triples())
+        return iter(self._candidates(_ANY))
 
     def triples(self) -> list[Triple]:
-        """All triples in canonical order."""
-        return self._candidates(_ANY)
+        """All triples in canonical order, as a new list the caller may change."""
+        return list(self._candidates(_ANY))
 
     def snapshot(self) -> list[Triple]:
         """All triples in no set order, as a new list that later writes

@@ -58,17 +58,13 @@ from .terms import (
 )
 
 
-class MissingEntityError(KeyError):
+class MissingEntityError(ValueError):
     """A required entity or property is absent, or a value breaks a rule
     (``problem`` names which)."""
 
     def __init__(self, message, problem=None):
         super().__init__(message)
-        self.message = message
         self.problem = problem
-
-    def __str__(self):
-        return self.message
 
 
 _UNIT_RE = re.compile(r"^(\d+)\s*(" + "|".join(v.QUANTITY_UNITS) + r")$")
@@ -400,8 +396,18 @@ def nodes_of_kind(graph: Graph, kind: Iri) -> list[Iri]:
 
 def suppliers(graph: Graph, oem: Iri) -> list[Iri]:
     """The IRI subjects that ``hasOEM`` the OEM, in name order (their
-    canonical order): the nodes the simulator books production on."""
+    canonical order): the nodes the simulator books production on, each
+    of which ``check_supplier`` checks."""
     return [s for s in graph.subjects(v.HAS_OEM, oem) if isinstance(s, Iri)]
+
+
+def check_supplier(oem: str, node: str, kind: str | None) -> None:
+    """Raise unless ``node``, a ``hasOEM`` subject of class ``kind``, may
+    supply ``oem``: the OEM's suppliers are its ``hasOEM`` subjects of class
+    Supplier, or the OEM itself. A node of no class is the node reader's to
+    reject."""
+    if kind not in (None, v.SUPPLIER.name) and node != oem:
+        raise MissingEntityError(f"{node} hasOEM {oem} but is a {kind}, not a Supplier")
 
 
 def the_oem(graph: Graph) -> Iri:

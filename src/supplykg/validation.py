@@ -11,8 +11,8 @@ reads it with, and reports every problem of a node's fields (one finding
 each) and the first of any other entity, so a second value is a finding
 and never stops the report. Each node and each record is read once; the
 checks that span entities take a node's class, tier and saturation from
-that read: vocabulary, node classes, record owners, capacity against
-saturation, tier links and bill-of-materials cycles.
+that read: vocabulary, node classes, the OEM's suppliers, record owners,
+capacity against saturation, tier links and bill-of-materials cycles.
 No check sorts the graph: the vocabulary walk reads an unordered snapshot,
 and record links and bill-of-materials edges come from their predicates'
 index lookups.
@@ -97,9 +97,16 @@ def _check_nodes(graph, nodes, report):
     """Walk every subject typed ``Node``, ``OEM``, ``Supplier`` or
     ``Customer``, and every supplier of an OEM, as ``simulate`` finds its
     suppliers. One without ``Node`` and a class is an untyped node; the
-    fields of one with a class are checked by that class's rules."""
+    fields of one with a class are checked by that class's rules, and a
+    supplier's class by ``check_supplier``."""
     typed = {iri for cls in (v.NODE, *schema.NODE_SHAPE.kinds) for iri in schema.nodes_of_kind(graph, cls)}
-    typed.update(s for oem in schema.nodes_of_kind(graph, v.OEM) for s in schema.suppliers(graph, oem))
+    links = [(oem, s) for oem in schema.nodes_of_kind(graph, v.OEM) for s in schema.suppliers(graph, oem)]
+    typed.update(s for _, s in links)
+    for oem, s in links:
+        try:
+            schema.check_supplier(oem.name, s.name, nodes(s)[0]["kind"])
+        except schema.MissingEntityError as exc:
+            report.error("bad-oem-link", s.name, str(exc))
     for iri in sorted(typed, key=lambda i: i.name):
         values, problems = nodes(iri)
         for field, exc in problems:
@@ -115,52 +122,51 @@ def _links(graph, predicate):
     return [(r["s"], r["o"]) for r in rows if isinstance(r["s"], Iri) and isinstance(r["o"], Iri)]
 
 
+_RECORDS = (schema.CAPACITY_SHAPE, schema.INVENTORY_SHAPE)
+
+
 def _check_records(graph, nodes, report):
+    """Read each record of a shape, typed or linked by the shape's
+    predicate, as ``simulate`` reads what a node links: through the shape,
+    for its least-named owner. A capacity record must also fit its owner's
+    saturation, one per step of each node that links it."""
+    links = {shape: _links(graph, shape.field["node"].predicate) for shape in _RECORDS}
     owners = {}  # record -> the least-named node that links it
-    linked = {}  # node -> the capacity records it links, as ``capacity_by_step`` groups them
-    for pred in (v.HAS_CAPACITY, v.HAS_INVENTORY):
-        for node, rec in _links(graph, pred):
-            if rec not in owners or node.name < owners[rec].name:
-                owners[rec] = node
-            if pred == v.HAS_CAPACITY:
-                linked.setdefault(node, []).append(rec)
-
-    views = {}  # capacity record -> its view, None when unreadable
-    for rec in {*schema.nodes_of_kind(graph, v.CAPACITY), *(r for records in linked.values() for r in records)}:
-        if rec not in owners:
-            report.error("orphan-record", rec.name, "capacity record has no owning node")
-            continue
-        owner = owners[rec]
-        try:
-            views[rec] = view = schema.CAPACITY_SHAPE.read(graph, rec, node=owner.name)
-        except schema.MissingEntityError as exc:
-            report.error("bad-record", rec.name, str(exc))
-            views[rec] = None
-            continue
-        sat = nodes(owner)[0]["saturation"]  # None when absent or unreadable
-        if sat is not None and view.quantity > sat:
-            report.error(
-                "capacity-exceeds-saturation",
-                rec.name,
-                f"committed {view.quantity} exceeds saturation {sat} of {owner.name}",
-            )
-
-    for owner, records in linked.items():
-        group = [views[r] for r in records]
-        if None not in group:
+    for node, rec in (pair for pairs in links.values() for pair in pairs):
+        if rec not in owners or node.name < owners[rec].name:
+            owners[rec] = node
+    for shape, pairs in links.items():
+        capacity = shape is schema.CAPACITY_SHAPE
+        views = {}  # record -> its view, None when unreadable
+        for rec in {*schema.nodes_of_kind(graph, shape.cls), *(rec for _, rec in pairs)}:
+            if rec not in owners:
+                report.error("orphan-record", rec.name, f"{shape.cls.name.lower()} record has no owning node")
+                continue
+            owner = owners[rec]
             try:
-                schema.one_per_step(owner.name, group)
+                views[rec] = view = shape.read(graph, rec, node=owner.name)
             except schema.MissingEntityError as exc:
-                report.error("bad-record", owner.name, str(exc))
-
-    for rec in schema.nodes_of_kind(graph, v.INVENTORY):
-        if rec not in owners:
-            report.error("orphan-record", rec.name, "inventory record has no owning node")
+                report.error("bad-record", rec.name, str(exc))
+                views[rec] = None
+                continue
+            sat = nodes(owner)[0]["saturation"] if capacity else None  # None also when absent or unreadable
+            if sat is not None and view.quantity > sat:
+                report.error(
+                    "capacity-exceeds-saturation",
+                    rec.name,
+                    f"committed {view.quantity} exceeds saturation {sat} of {owner.name}",
+                )
+        if not capacity:
             continue
-        try:
-            schema.INVENTORY_SHAPE.read(graph, rec, node=owners[rec].name)
-        except schema.MissingEntityError as exc:
-            report.error("bad-record", rec.name, str(exc))
+        linked = {}  # node -> its capacity records, as ``capacity_by_step`` groups them
+        for node, rec in pairs:
+            linked.setdefault(node, []).append(views[rec])
+        for owner, group in linked.items():
+            if None not in group:
+                try:
+                    schema.one_per_step(owner.name, group)
+                except schema.MissingEntityError as exc:
+                    report.error("bad-record", owner.name, str(exc))
 
 
 def _check_orders(graph, nodes, report):

@@ -55,8 +55,9 @@ def test_generate_needs_a_source():
     assert run("generate") == 1
 
 
-def test_generate_rejects_bad_override():
-    assert run("generate", "--preset", "dairy", "--set", "nope=1") == 2
+def test_generate_rejects_bad_override(capsys):
+    assert run("generate", "--preset", "dairy", "--set", "seed=1", "--set", "nope=1") == 2
+    assert capsys.readouterr().err == "error: override 2: unknown config key 'nope'\n"
 
 
 _MAKERS_OF_DAIRY = ["OEM1", "SupplierNode1.1", "SupplierNode1.2", "SupplierNode1.3"]
@@ -213,6 +214,7 @@ _BOM_EDGE = "<< :Product :needsProduct :Product1.1 >> :needsQuantity "
         (":Order1 :hasSupplyPlan ", "<< :SPOrder1 :needsNode :OEM1 >>"),
         (":SupplierNode1.1 :hasTransportMode ", '"road" .\n:SupplierNode1.1 :hasTransportMode "air"'),
         (":SupplierNode1.1 :hasTransportMode ", "5"),
+        ((":InvOEM1 a ", ":InvOEM1 :hasQuantity "), (None, '"lots"')),
     ],
     ids=[
         "delivery-time-negative",
@@ -229,16 +231,19 @@ _BOM_EDGE = "<< :Product :needsProduct :Product1.1 >> :needsQuantity "
         "supply-plan-quoted",
         "transport-mode-second-value",
         "transport-mode-integer",
+        "untyped-inventory-string",
     ],
 )
 def test_validate_and_simulate_reject_the_same_values(tmp_path, capsys, prefix, value):
     """A value validate rejects makes simulate exit 2, and a value that
-    makes simulate exit 2 fails validate."""
+    makes simulate exit 2 fails validate. The line that starts with each
+    prefix gets its value, or is dropped for None."""
     graph = tmp_path / "g.nt"
     assert run("generate", "--preset", "dairy", "--seed", "3", "--out", str(graph)) == 0
     lines = graph.read_text().splitlines(keepends=True)
-    [at] = [i for i, line in enumerate(lines) if line.startswith(prefix)]
-    lines[at] = "" if value is None else f"{prefix}{value} .\n"
+    for start, new in [(prefix, value)] if isinstance(prefix, str) else zip(prefix, value):
+        [at] = [i for i, line in enumerate(lines) if line.startswith(start)]
+        lines[at] = "" if new is None else f"{start}{new} .\n"
     bad = tmp_path / "bad.nt"
     bad.write_text("".join(lines))
     capsys.readouterr()
@@ -362,6 +367,12 @@ def _not_a_tier(node, tier, side):
             "untyped-node SupplierNode1.1: SupplierNode1.1 is not a typed supply-chain node",
             True,
         ),
+        (
+            ":Node2.1 :hasSaturation 516512 .\n",
+            ":Node2.1 :hasSaturation 900000000 .\n:Node2.1 :hasOEM :OEM1 .\n:Node2.1 :manufactures :Product1.1 .\n",
+            "bad-oem-link Node2.1: Node2.1 hasOEM OEM1 but is a Customer, not a Supplier",
+            True,
+        ),
     ],
     ids=[
         "supplier-product-literal",
@@ -375,15 +386,16 @@ def _not_a_tier(node, tier, side):
         "oem-without-node-class",
         "untyped-supplier-of-the-oem",
         "supplier-without-node-class",
+        "customer-supplying-the-oem",
     ],
 )
 def test_validate_and_simulate_reject_a_bad_node_value(tmp_path, capsys, old, new, finding, read_by_simulate):
     """A node's product that is not an IRI, a tier not named like one for
-    the node's class, an order's maker that is not an IRI and a node
-    without the ``Node`` class are one finding, and simulate, where it
-    reads the value (the OEM, the suppliers and the orders), exits 2 with
-    the same message. The new line replaces ``old``, or is appended when
-    ``old`` is None."""
+    the node's class, an order's maker that is not an IRI, a node without
+    the ``Node`` class and a customer that ``hasOEM`` the OEM are one
+    finding, and simulate, where it reads the value (the OEM, the
+    suppliers and the orders), exits 2 with the same message. The new
+    line replaces ``old``, or is appended when ``old`` is None."""
     graph = tmp_path / "g.nt"
     assert run("generate", "--preset", "dairy", "--seed", "3", "--out", str(graph)) == 0
     text = graph.read_text()

@@ -2,11 +2,16 @@
 alignment, config parsing."""
 
 import dataclasses
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supplykg import Iri, Quoted, Triple, integer, serialize
 from supplykg.generator import (
+    _OVERRIDABLE,
+    PRESETS,
     ConfigError,
     GeneratorConfig,
     automotive,
@@ -209,8 +214,6 @@ def test_per_node_override_touches_only_that_node():
 def test_every_accepted_node_override_is_drawn():
     """check_config accepts exactly the overrides emit_node applies: each
     property it allows for a node class changes that node's triples."""
-    from supplykg.generator import _OVERRIDABLE
-
     sample = {v.OEM: "OEM1", v.SUPPLIER: "SupplierNode1.1", v.CUSTOMER: "Node1.1"}
     base = dataclasses.replace(dairy(), initial_capacity=1)  # a saturation of 1 holds it
     for kind, props in _OVERRIDABLE.items():
@@ -337,3 +340,51 @@ def test_check_config_bounds():
                 automotive(), kpi_range_overrides=(("hasSpeed", (1, 2)),)
             )
         )
+
+
+# --- one reading for every config source ---
+
+_NODE_IDS = ["OEM1", "SupplierNode1.1", "SupplierNode3.5", "SupplierNode4.1", "Node1.1", "Node3.4", "Node01.1", "Nope"]
+_KEYS = {
+    **{f.name: st.just(f.name) for f in dataclasses.fields(GeneratorConfig)},
+    "kpi_range_overrides": st.sampled_from([p.name for p in v.KPI_PREDICATES] + ["hasSpeed", ""]).map(
+        lambda name: f"kpi_range_overrides.{name}"
+    ),
+    "per_node_overrides": st.builds(
+        lambda node_id, prop: f"per_node_overrides.{node_id}{prop}",
+        st.sampled_from(_NODE_IDS),
+        st.sampled_from(sorted({f".{p}" for props in _OVERRIDABLE.values() for p in props} | {".hasColour", ""})),
+    ),
+}
+_NUMBERS = st.one_of(st.integers(-3, 12), st.integers(0, 120), st.integers(900, 3_000_000))
+_VALUES = st.one_of(
+    _NUMBERS.map(str),
+    st.one_of(st.tuples(_NUMBERS, _NUMBERS).map(sorted), st.lists(_NUMBERS, max_size=4)).map(
+        lambda xs: "[" + ", ".join(map(str, xs)) + "]"
+    ),
+    st.sampled_from(["road", "dairy", "1 2", "[1, x]", "[]"]),
+)
+
+
+def _outcome(read):
+    """The config ``read`` returns, or its error's message without the
+    location ("line N: " or "override N: ") it starts with."""
+    try:
+        return read()
+    except ConfigError as exc:
+        return re.sub(r"^(line|override) \d+: ", "", str(exc))
+
+
+@pytest.mark.parametrize("field", sorted(_KEYS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_source_reads_a_key_alike(field, data):
+    """A config file's ``key = value`` line, ``with_updates``'s "key=value"
+    and a scenario section's line give equal configs, or the same error."""
+    preset = data.draw(st.sampled_from(sorted(PRESETS)))
+    key, value = data.draw(_KEYS[field]), data.draw(_VALUES)
+    line = f"{key} = {value}"
+    from_file = _outcome(lambda: parse_config_text(f"preset = {preset}\n{line}"))
+    from_set = _outcome(lambda: with_updates(PRESETS[preset](), [f"{key}={value}"]))
+    from_section = _outcome(lambda: parse_scenario_text(f"preset = {preset}\n[S]\n{line}")[1][0][1])
+    assert from_file == from_set == from_section

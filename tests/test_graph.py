@@ -38,6 +38,15 @@ def test_iteration_order_is_canonical_not_insertion():
     assert [format_triple(x) for x in g1.triples()] == [":a :p :x .", ":b :p :x ."]
 
 
+def test_triples_returns_a_list_the_caller_owns():
+    g = Graph([t("a", "p", "b")])
+    listed = g.triples()
+    listed.clear()
+    assert g.triples() == [t("a", "p", "b")]
+    assert list(g) == [t("a", "p", "b")]
+    assert len(g) == 1
+
+
 def test_match_basic_and_order():
     g = Graph([t("n2", "p", "v"), t("n1", "p", "v"), t("n1", "q", "v")])
     rows = g.match(TriplePattern(Variable("s"), Iri("p"), Variable("o")))
