@@ -161,7 +161,7 @@ def check_config(config: GeneratorConfig) -> None:
             bad(f"per_node_overrides.{node_id}.{prop}: the generator draws no {prop} for {kind.name} nodes")
 
     # every value the generator writes must read back through its shape
-    by_name = {f.predicate.name: f for f in schema.NODE_SHAPE.fields if f.kind == INTEGER}
+    by_name = {f.predicate.name: f for f in schema.NODE_SHAPE.fields if f.kind is not Iri}
     by_name["inventory"] = schema.INVENTORY_SHAPE.field["quantity"]
     checks = [
         ("saturation_range", config.saturation_range, by_name[v.HAS_SATURATION.name]),
@@ -176,12 +176,12 @@ def check_config(config: GeneratorConfig) -> None:
         *(
             (f"per_node_overrides.{node_id}.{prop}", [value], by_name[prop])
             for node_id, prop, value in config.per_node_overrides
-            if prop in by_name
         ),
     ]
     for name, values, field in checks:
         for value in values:
-            rule = schema.outside(value, field.lo, field.hi) if isinstance(value, int) else "must be an integer"
+            integral = field.kind != INTEGER or isinstance(value, int)
+            rule = field.broken(value) if integral else "must be an integer"
             if rule is not None:
                 bad(f"{name} {rule}, got {value}")
 
@@ -257,7 +257,7 @@ def generate(config: GeneratorConfig) -> Graph:
         co2 = pick(v.HAS_CO2.name, rng.randint(*config.co2_range))
         lon = pick(v.HAS_LONGITUDE.name, rng.randint(*config.longitude_range))
         lat = pick(v.HAS_LATITUDE.name, rng.randint(*config.latitude_range))
-        mode = str(pick(v.HAS_TRANSPORT_MODE.name, rng.choice(v.TRANSPORT_MODES)))
+        mode = pick(v.HAS_TRANSPORT_MODE.name, rng.choice(v.TRANSPORT_MODES))
         kpi_values = tuple(sorted((pred.name, value) for pred, value in kpis.items()))
         made = () if product is None else (product,)
         put(NodeView(name, kind.name, tier, sat, lead, group, priority, kpi_values, co2, lon, lat, mode, made))

@@ -8,7 +8,8 @@ result does not depend on order.
 
 ``match`` substitutes the caller's bindings into the pattern before it picks
 an index, so a variable bound by an earlier join step narrows the scan like a
-constant would. One cache holds canonical order: each index bucket, and the
+constant would, and a pattern bound in all three positions is one membership
+test. One cache holds canonical order: each index bucket, and the
 whole triple set under the key ``None``, is sorted once, on first use, and
 kept until a write touches it.
 """
@@ -52,13 +53,31 @@ class Graph:
         """Add a ground triple. Returns True if it was new."""
         if not isinstance(triple, Triple):
             raise TypeError(f"can only insert ground triples, got {triple!r}")
-        if triple in self._triples:
+        # one probe of the triple set, the three index updates written out,
+        # and a set made only for a new bucket: the load and the generator
+        # insert every triple through here
+        triples = self._triples
+        before = len(triples)
+        triples.add(triple)
+        if len(triples) == before:
             return False
-        self._triples.add(triple)
-        self._by_subject.setdefault(triple.subject, set()).add(triple)
-        self._by_predicate.setdefault(triple.predicate, set()).add(triple)
-        self._by_object.setdefault(triple.object, set()).add(triple)
-        self._forget_order(triple)
+        bucket = self._by_subject.get(triple.subject)
+        if bucket is None:
+            self._by_subject[triple.subject] = {triple}
+        else:
+            bucket.add(triple)
+        bucket = self._by_predicate.get(triple.predicate)
+        if bucket is None:
+            self._by_predicate[triple.predicate] = {triple}
+        else:
+            bucket.add(triple)
+        bucket = self._by_object.get(triple.object)
+        if bucket is None:
+            self._by_object[triple.object] = {triple}
+        else:
+            bucket.add(triple)
+        if self._order:  # empty while a graph is loaded, so loading hashes no keys
+            self._forget_order(triple)
         return True
 
     def remove(self, triple: Triple) -> bool:
@@ -75,16 +94,16 @@ class Graph:
             bucket.discard(triple)
             if not bucket:
                 del index[key]
-        self._forget_order(triple)
+        if self._order:
+            self._forget_order(triple)
         return True
 
     def _forget_order(self, triple: Triple) -> None:
         order = self._order
-        if order:  # empty while a graph is loaded, so loading hashes no keys
-            order.pop(None, None)
-            order.pop((0, triple.subject), None)
-            order.pop((1, triple.predicate), None)
-            order.pop((2, triple.object), None)
+        order.pop(None, None)
+        order.pop((0, triple.subject), None)
+        order.pop((1, triple.predicate), None)
+        order.pop((2, triple.object), None)
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self._triples
@@ -122,8 +141,10 @@ class Graph:
         smallest index bucket of a ground position (a quoted pattern that
         spells a ground triple counts as ground), or every triple if no
         bucket is smaller. A position no bucket is keyed by, such as a
-        literal subject, has no candidates."""
+        literal subject, has no candidates. A pattern ground in all three
+        positions is one membership test."""
         key, best = None, self._triples
+        bound = []
         for pos, term, index in (
             (0, pattern.subject, self._by_subject),
             (1, pattern.predicate, self._by_predicate),
@@ -141,6 +162,10 @@ class Graph:
                 return []
             if len(bucket) < len(best):
                 key, best = (pos, term), bucket
+            bound.append(term)
+        if len(bound) == 3:
+            triple = Triple(*bound)
+            return [triple] if triple in self._triples else []
         ordered = self._order.get(key)
         if ordered is None:
             ordered = self._order[key] = sorted(best, key=format_triple)

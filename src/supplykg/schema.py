@@ -18,9 +18,9 @@ domain conventions live:
   and, from the same per-field templates, the triples an update removes
   and inserts (``old.changes(new)``: only those of the fields that
   differ); ``validate`` reports every problem the same fields find, and the
-  generator's config check reads its bounds from them. A few irregular
-  parts are hooks of a shape: a node's class, its tier name (``tier_iri``
-  names every tier by the node class it holds), its KPI pairs, a
+  generator's config check reads its bounds and allowed values from them.
+  A few irregular parts are hooks of a shape: a node's class, its tier name
+  (``tier_iri`` names every tier by the node class it holds), its KPI pairs, a
   supplier's zero or more products, and the quoted subject of a plan line
   or a bill-of-materials edge. ``capacity_iri`` names the capacity
   records the simulator creates.
@@ -115,13 +115,6 @@ def load_graph(path) -> Graph:
     return normalize(parse_graph_file(path))
 
 
-def outside(value: int, lo: int | None, hi: int | None) -> str | None:
-    """The rule ``value`` breaks, e.g. "must be >= 1", or None when it lies in lo..hi."""
-    if (lo is not None and value < lo) or (hi is not None and value > hi):
-        return f"must be >= {lo}" if hi is None else f"must be in {lo}..{hi}"
-    return None
-
-
 # What a value of each kind is called in a message: ``Iri`` or a literal datatype.
 _KIND_NOUNS = {Iri: "an IRI", INTEGER: "an integer", STRING: "a string", BOOLEAN: "a boolean", TIMESTEP: "a timestep"}
 
@@ -140,18 +133,20 @@ class Field:
     """One property of an entity, like a SHACL property shape: the view
     ``attr`` that holds it, its ``predicate``, its ``kind`` (``Iri``, held
     as the name, or a literal datatype), inclusive integer bounds
-    ``lo``..``hi`` (None leaves a side open), and whether it is
-    ``required`` and ``single``: True, False or the node classes it holds
-    for. Unless ``single`` is True the attribute is a tuple in canonical
-    order. An ``inward`` triple points into the entity and has exactly one
-    value. Fields that share an attribute fill it with sorted (predicate
-    name, value) pairs."""
+    ``lo``..``hi`` (None leaves a side open), the ``allowed`` values, like
+    SHACL's ``sh:in`` (None allows any), and whether it is ``required`` and
+    ``single``: True, False or the node classes it holds for. Unless
+    ``single`` is True the attribute is a tuple in canonical order. An
+    ``inward`` triple points into the entity and has exactly one value.
+    Fields that share an attribute fill it with sorted (predicate name,
+    value) pairs."""
 
     attr: str
     predicate: Iri
     kind: object
     lo: int | None = None
     hi: int | None = None
+    allowed: tuple | None = None
     required: bool | tuple = False
     single: bool | tuple = True
     inward: bool = False
@@ -177,12 +172,23 @@ class Field:
         if isinstance(term, Iri) and self.kind is Iri:
             return term.name
         if isinstance(term, Literal) and term.datatype == self.kind:
-            rule = outside(term.value, self.lo, self.hi)
+            rule = self.broken(term.value)
             if rule is not None:
                 raise MissingEntityError(f"{_name(subject)} {self.predicate.name} {rule}, got {term.value}", "out-of-range")
             return term.value
         problem = "not-iri" if self.kind is Iri else f"not-{self.kind}"
         raise MissingEntityError(f"{_name(subject)} {self.predicate.name} is not {_KIND_NOUNS[self.kind]}", problem)
+
+    def broken(self, value) -> str | None:
+        """The rule ``value``, of this field's kind, breaks, such as "must be
+        >= 1", "must be in 0..100" or "must be one of road, rail", or None
+        when it keeps them all."""
+        lo, hi = self.lo, self.hi
+        if self.allowed is not None and value not in self.allowed:
+            return "must be one of " + ", ".join(self.allowed)
+        if (lo is not None and value < lo) or (hi is not None and value > hi):
+            return f"must be >= {lo}" if hi is None else f"must be in {lo}..{hi}"
+        return None
 
 
 def _tier_class(kind: Iri | None) -> Iri:
@@ -378,7 +384,7 @@ NODE_SHAPE = Shape(
         Field("longitude", v.HAS_LONGITUDE, INTEGER),
         Field("latitude", v.HAS_LATITUDE, INTEGER),
         _TierField("tier", v.BELONGS_TO_TIER, Iri),
-        Field("transport_mode", v.HAS_TRANSPORT_MODE, STRING),
+        Field("transport_mode", v.HAS_TRANSPORT_MODE, STRING, allowed=v.TRANSPORT_MODES),
         Field("products", v.MANUFACTURES, Iri, required=(v.OEM,), single=(v.OEM,)),
     ),
     cls=v.NODE,

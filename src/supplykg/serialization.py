@@ -20,12 +20,18 @@ and both lexical cases for booleans; serialization always emits the canonical
 spelling above, so serialize(parse(serialize(g))) is byte-identical to
 serialize(g).
 
-One ``parse_graph`` call scans each distinct whitespace-separated word once
-and builds one term object per distinct token: both tables live only for
-that call, so nothing a load builds outlives the graph it returns. A line
-with a word that does not scan on its own, such as a piece of a string that
-holds a space, is scanned whole, which gives the same tokens, or the same
-error and line number, as scanning every line whole.
+One ``parse_graph`` call keeps three tables, which live only for that call,
+so nothing a load builds outlives the graph it returns. The word table maps
+each distinct whitespace-separated word to its items, each a mark (``<<``,
+``>>``, ``.``) or the term built for one token, a string with its ``^^tag``;
+the term table builds one ``Iri`` or ``Literal`` per distinct token, and the
+quoted table one ``Quoted`` per distinct quoted triple. A line whose items
+are ``S P O .``, ``<< s p o >> P O .`` or ``S P << s p o >> .`` is built
+straight from them. Every other line is tokenized whole and parsed by the
+recursive line parser, the one source of error messages: a deeper nesting,
+a malformed line, or a word that does not scan alone, such as a piece of a
+string that holds a space. Either way a line gives the same triple, or the
+same error and line number.
 """
 
 from __future__ import annotations
@@ -84,8 +90,12 @@ _TOKEN = re.compile(
     """,
     re.VERBOSE,
 )
+_INTEGRAL = re.compile(r"[+-]?\d+")
 
-def _tokenize_line(text: str, line: int) -> list[tuple[str, str]]:
+
+def _tokenize_line(text: str, line: int) -> list[tuple[str, str, str | None]]:
+    """The (kind, text, tag) tokens of ``text``. A string's text is its
+    quoted part and its tag the name after ``^^``; any other tag is None."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -94,59 +104,94 @@ def _tokenize_line(text: str, line: int) -> list[tuple[str, str]]:
             raise GraphParseError(f"unexpected character {text[pos]!r}", line)
         pos = m.end()
         kind = m.lastgroup
-        if kind == "ws":
-            continue
         if kind in ("string", "tag"):  # lastgroup is "tag" when a tag follows
-            tokens.append(("string", m.group("string")))
-            if m.group("tag"):
-                tokens.append(("tag", m.group("tag")))
-            continue
-        tokens.append((kind, m.group()))
+            tokens.append(("string", m.group("string"), m.group("tag")))
+        elif kind != "ws":
+            tokens.append((kind, m.group(), None))
     return tokens
 
 
-def _word_tokens(word: str) -> tuple[tuple[str, str], ...]:
-    """The tokens of one whitespace-free word, or () if it does not scan on
-    its own, such as a piece of a string that holds whitespace."""
+def _token_term(terms: dict, kind: str, text: str, tag: str | None) -> Term:
+    """The term of an ``iri``, ``kw``, ``number`` or ``string`` token, from
+    ``terms`` or built and kept there, so that a load builds one object per
+    distinct token: an IRI or number is keyed on its text, a string on its
+    text and tag. The spellings of rdf:type (``a``, ``rdf:type``,
+    ``:rdf:type``) share one. Raises ``MalformedTermError`` on a value no
+    literal can hold."""
+    key = (text, tag) if kind == "string" else text
+    term = terms.get(key)
+    if term is None:
+        if kind == "string":
+            body = unescape_string(text[1:-1])
+            term = Literal(body, STRING) if tag is None else typed_literal(body, tag)
+        elif kind == "number":
+            term = Literal(int(text), INTEGER) if _INTEGRAL.fullmatch(text) else Literal(float(text), DECIMAL)
+        else:  # iri, or kw: a bare "a"
+            name = "rdf:type" if text in ("a", "rdf:type") else text[1:]
+            term = terms.setdefault(":" + name, Iri(name))
+        terms[key] = term
+    return term
+
+
+def _quote(quoted: dict, s, p, o) -> Quoted:
+    """The one ``Quoted`` of a load for the triple ``s p o``, from
+    ``quoted`` or built and kept there. Raises ``MalformedTermError`` when no
+    triple can hold the parts."""
+    key = (s, p, o)
+    term = quoted.get(key)
+    if term is None:
+        term = quoted[key] = Quoted(Triple(s, p, o))
+    return term
+
+
+# The marks among a line's items; ``_direct`` tells them from terms by identity.
+_OPEN, _CLOSE, _DOT = "<<", ">>", "."
+_MARKS = {"qopen": _OPEN, "qclose": _CLOSE, "dot": _DOT}
+
+
+def _word_items(word: str, terms: dict) -> tuple:
+    """The items of one whitespace-free word: for each token a mark or its
+    term. Empty if the word does not scan alone, such as a piece of a string
+    that holds a space, or if a token's term cannot be built."""
     try:
-        return tuple(_tokenize_line(word, 0))
-    except GraphParseError:
+        return tuple(
+            _MARKS.get(kind) or _token_term(terms, kind, text, tag) for kind, text, tag in _tokenize_line(word, 0)
+        )
+    except (GraphParseError, MalformedTermError):
         return ()
 
 
-def _tokenize_words(line: str, lineno: int, words: dict) -> list[tuple[str, str]]:
-    """The tokens of ``line``, the same as ``_tokenize_line`` gives. Each
-    distinct word is scanned once and its tokens kept in ``words``; a line
-    with a word that does not scan alone is scanned whole, which also raises
-    its error."""
-    tokens = []
-    for word in line.split():
-        toks = words.get(word)
-        if toks is None:
-            toks = words[word] = _word_tokens(word)
-        if not toks:
-            return _tokenize_line(line, lineno)
-        tokens += toks
-    return tokens
+def _direct(items: list, quoted: dict) -> Triple | None:
+    """The triple of a line whose items are ``S P O .``, ``<< s p o >> P O .``
+    or ``S P << s p o >> .``, or None for any other line, including one that
+    breaks a rule of the term types, such as a literal subject."""
+    try:
+        if len(items) == 4 and items[3] is _DOT:
+            return Triple(items[0], items[1], items[2])
+        if len(items) == 8 and items[7] is _DOT:
+            if items[0] is _OPEN and items[4] is _CLOSE:
+                return Triple(_quote(quoted, items[1], items[2], items[3]), items[5], items[6])
+            if items[2] is _OPEN and items[6] is _CLOSE:
+                return Triple(items[0], items[1], _quote(quoted, items[3], items[4], items[5]))
+    except MalformedTermError:
+        pass
+    return None
 
 
 class _LineParser:
-    """Parses one line's tokens. ``terms`` maps a token to the term built
-    for it, so that a load builds one object per distinct token: an IRI or
-    number is keyed on its text, a string on its text and datatype tag. The
-    spellings of rdf:type (``a``, ``rdf:type``, ``:rdf:type``) share one."""
+    """Parses one line's tokens, for every line the direct shapes do not
+    cover, and is the one source of the load's error messages. ``terms``
+    and ``quoted`` are the load's tables of ``_token_term`` and ``_quote``."""
 
-    def __init__(self, tokens: list[tuple[str, str]], line: int, terms: dict):
+    def __init__(self, tokens: list[tuple[str, str, str | None]], line: int, terms: dict, quoted: dict):
         self.tokens = tokens
         self.pos = 0
         self.line = line
         self.depth = 0
         self.terms = terms
+        self.quoted = quoted
 
-    def peek_kind(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, str]:
+    def take(self) -> tuple[str, str, str | None]:
         if self.pos >= len(self.tokens):
             raise GraphParseError("unexpected end of line", self.line)
         tok = self.tokens[self.pos]
@@ -154,14 +199,8 @@ class _LineParser:
         return tok
 
     def term(self, predicate_position: bool = False) -> Term:
-        kind, text = self.take()
-        if kind == "iri" or kind == "kw":  # kw is a bare "a"
-            term = self.terms.get(text)
-            if term is None:
-                name = "rdf:type" if text in ("a", "rdf:type") else text[1:]
-                term = self.terms[text] = self.terms.setdefault(":" + name, Iri(name))
-            return term
-        if predicate_position:
+        kind, text, tag = self.take()
+        if predicate_position and kind != "iri" and kind != "kw":
             raise GraphParseError(f"predicate must be an IRI, got {text!r}", self.line)
         if kind == "qopen":
             self.depth += 1
@@ -171,59 +210,59 @@ class _LineParser:
             p = self.term(predicate_position=True)
             o = self.term()
             self.depth -= 1
-            k, t = self.take()
+            k, t, _ = self.take()
             if k != "qclose":
                 raise GraphParseError(f"expected >> to close quoted triple, got {t!r}", self.line)
-            try:
-                return Quoted(Triple(s, p, o))
-            except MalformedTermError as exc:
-                raise GraphParseError(str(exc), self.line) from None
-        if kind == "number":
-            term = self.terms.get(text)
-            if term is None:
-                integral = re.fullmatch(r"[+-]?\d+", text)
-                term = self.terms[text] = Literal(int(text), INTEGER) if integral else Literal(float(text), DECIMAL)
-            return term
-        if kind == "string":
-            tag = self.take()[1] if self.peek_kind() == "tag" else None
-            term = self.terms.get((text, tag))
-            if term is None:
-                try:
-                    body = unescape_string(text[1:-1])
-                    term = Literal(body, STRING) if tag is None else typed_literal(body, tag)
-                except MalformedTermError as exc:
-                    raise GraphParseError(str(exc), self.line) from None
-                self.terms[text, tag] = term
-            return term
+            return self.built(_quote, self.quoted, s, p, o)
+        if kind in ("iri", "kw", "number", "string"):
+            return self.built(_token_term, self.terms, kind, text, tag)
         raise GraphParseError(f"expected a term, got {text!r}", self.line)
+
+    def built(self, build, *args):
+        """``build(*args)``, with a ``MalformedTermError`` raised on this line."""
+        try:
+            return build(*args)
+        except MalformedTermError as exc:
+            raise GraphParseError(str(exc), self.line) from None
 
     def triple(self) -> Triple:
         s = self.term()
         p = self.term(predicate_position=True)
         o = self.term()
-        kind, text = self.take()
+        kind, text, _ = self.take()
         if kind != "dot":
             raise GraphParseError(f"expected '.' after triple, got {text!r}", self.line)
         if self.pos != len(self.tokens):
             raise GraphParseError(f"trailing content after '.': {self.tokens[self.pos][1]!r}", self.line)
-        try:
-            return Triple(s, p, o)
-        except MalformedTermError as exc:
-            raise GraphParseError(str(exc), self.line) from None
+        return self.built(Triple, s, p, o)
 
 
 def parse_graph(text: str) -> Graph:
     """Parse serialized graph text. Blank lines and ``#`` comment lines are
     allowed on input (never produced on output)."""
     g = Graph()
-    words: dict = {}
+    insert = g.insert
+    words: dict = {}  # word -> its items, () if it does not scan alone
     terms: dict = {}
+    quoted: dict = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        tokens = _tokenize_words(line, lineno, words)
-        g.insert(_LineParser(tokens, lineno, terms).triple())
+        items = []
+        for word in line.split():
+            got = words.get(word)
+            if got is None:
+                got = words[word] = _word_items(word, terms)
+            if not got:
+                break
+            items += got
+        else:
+            triple = _direct(items, quoted)
+            if triple is not None:
+                insert(triple)
+                continue
+        insert(_LineParser(_tokenize_line(line, lineno), lineno, terms, quoted).triple())
     return g
 
 
@@ -236,7 +275,7 @@ def parse_term(text: str) -> Term:
     """Parse a single term written in the line syntax, e.g. ``:OEM1``,
     ``42``, ``"7"^^timestep``, or ``<< :a :b :c >>``."""
     tokens = _tokenize_line(text.strip(), 1)
-    parser = _LineParser(tokens, 1, {})
+    parser = _LineParser(tokens, 1, {}, {})
     term = parser.term()
     if parser.pos != len(parser.tokens):
         raise GraphParseError(f"trailing content after term: {parser.tokens[parser.pos][1]!r}", 1)

@@ -15,8 +15,10 @@ index lookups then never re-hash a triple's parts. Both pickle by their
 parts, so a loaded term hashes afresh under the loading process's string
 hash seed. ``Iri`` and ``Literal`` hash on demand: queries build and drop
 many literals (filter arithmetic), and an eager hash would double the cost
-of building one. The graph parser builds one ``Iri`` or ``Literal`` per
-distinct token of a file.
+of building one. One load of graph text builds one ``Iri`` or ``Literal``
+per distinct token, from the items of a per-load word table, and one
+``Quoted`` per distinct quoted triple, from a per-load table keyed on its
+parts.
 """
 
 from __future__ import annotations

@@ -79,8 +79,8 @@ def _check_vocabulary(graph, report, allow_unknown):
 def _node_code(field, problem, kind):
     """The code of a node field's problem. The field's noun (``products``
     gives ``product``) names a missing value (or a required IRI that is not
-    one), any problem of a value every node carries, a bad tier name and a
-    KPI out of range."""
+    one), any problem of a value every node carries, a bad tier name, and a
+    KPI out of range or a transport mode outside its allowed values."""
     noun = field.attr.rstrip("s").replace("_", "-")
     if problem == "multi-valued":
         return problem
@@ -88,7 +88,7 @@ def _node_code(field, problem, kind):
         return f"missing-{noun}"
     if problem == "not-tier" or field.required is True:
         return f"bad-{noun}"
-    if problem == "out-of-range" and field.hi is not None:
+    if problem == "out-of-range" and (field.hi is not None or field.allowed is not None):
         return f"{noun}-out-of-range"
     return "bad-literal-type"
 

@@ -410,6 +410,31 @@ def test_validate_and_simulate_reject_a_bad_node_value(tmp_path, capsys, old, ne
     assert capsys.readouterr().err == (f"error: {finding.split(': ', 1)[1]}\n" if read_by_simulate else "")
 
 
+def test_a_transport_mode_outside_its_allowed_values_fails_everywhere(tmp_path, capsys):
+    """One field holds the allowed transport modes: ``generate`` rejects a
+    per-node override outside them, and ``validate`` and ``simulate`` reject
+    a graph that holds one, with the same rule."""
+    rule = "hasTransportMode must be one of road, rail, sea, air, got [1, 2]"
+    config = tmp_path / "c.cfg"
+    graph = tmp_path / "g.nt"
+    config.write_text("preset = dairy\nseed = 3\nper_node_overrides.OEM1.hasTransportMode = [1, 2]\n")
+    assert run("generate", "--config", str(config), "--out", str(graph)) == 2
+    assert capsys.readouterr().err == f"error: per_node_overrides.OEM1.{rule}\n"
+    assert not graph.exists()
+    config.write_text("preset = dairy\nseed = 3\nper_node_overrides.OEM1.hasTransportMode = sea\n")
+    assert run("generate", "--config", str(config), "--out", str(graph)) == 0
+    pinned = ':OEM1 :hasTransportMode "sea" .\n'
+    text = graph.read_text()
+    assert pinned in text
+    bad = tmp_path / "bad.nt"
+    bad.write_text(text.replace(pinned, ':OEM1 :hasTransportMode "[1, 2]" .\n'))
+    capsys.readouterr()
+    assert run("validate", "--graph", str(bad)) == 2
+    assert capsys.readouterr() == (f"error transport-mode-out-of-range OEM1: OEM1 {rule}\n", "1 errors, 0 warnings\n")
+    assert run("simulate", "--graph", str(bad), "--horizon", "60", "--out", str(tmp_path / "r.csv")) == 2
+    assert capsys.readouterr().err == f"error: OEM1 {rule}\n"
+
+
 def test_a_quoted_subject_supplies_nothing(tmp_path, capsys):
     """``simulate`` books production on the IRI subjects that ``hasOEM``
     the OEM, and ``validate`` checks those same nodes, so a quoted subject

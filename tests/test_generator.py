@@ -213,13 +213,15 @@ def test_per_node_override_touches_only_that_node():
 
 def test_every_accepted_node_override_is_drawn():
     """check_config accepts exactly the overrides emit_node applies: each
-    property it allows for a node class changes that node's triples."""
+    property it allows for a node class changes that node's triples. A
+    transport mode takes two of its allowed values, the rest 1 and 2."""
     sample = {v.OEM: "OEM1", v.SUPPLIER: "SupplierNode1.1", v.CUSTOMER: "Node1.1"}
     base = dataclasses.replace(dairy(), initial_capacity=1)  # a saturation of 1 holds it
     for kind, props in _OVERRIDABLE.items():
         for prop in sorted(props):
             key = f"per_node_overrides.{sample[kind]}.{prop}"
-            one, two = (serialize(generate(with_updates(base, [f"{key}={value}"]))) for value in (1, 2))
+            values = v.TRANSPORT_MODES[:2] if prop == v.HAS_TRANSPORT_MODE.name else (1, 2)
+            one, two = (serialize(generate(with_updates(base, [f"{key}={value}"]))) for value in values)
             assert one != two, key
 
 

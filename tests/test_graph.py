@@ -1,7 +1,12 @@
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supplykg import vocab as v
+from supplykg.generator import automotive, generate
 from supplykg.graph import Graph
+from supplykg.query import evaluate, parse_query
 from supplykg.terms import (
     Iri,
     Quoted,
@@ -207,3 +212,46 @@ def test_match_after_churn_on_a_graph_and_its_copy(initial, ops):
             check(1 - i, pat)
     for g, content in zip(graphs, contents):
         assert g.triples() == sorted(content, key=format_triple)
+
+
+_CUSTOMER_TOTALS = (
+    "SELECT ?c (SUM(?q) AS ?total) WHERE { ?o :hasQuantity ?q . ?c :makes ?o . ?c a :Customer . } GROUP BY ?c"
+)
+
+
+def _scaled(k):
+    """The automotive preset with every tier width and the demand frequency
+    multiplied by ``k``."""
+    config = automotive()
+    return dataclasses.replace(
+        config,
+        supplier_tier_nodes=tuple(n * k for n in config.supplier_tier_nodes),
+        customer_tier_nodes=tuple(n * k for n in config.customer_tier_nodes),
+        demand_frequency=config.demand_frequency * k,
+    )
+
+
+def test_a_join_scans_a_flat_number_of_candidates_per_order(monkeypatch):
+    """The customer totals query's last step is ground once ``?c`` and ``?o``
+    are bound, and costs one membership test: the candidates it scans per
+    order stay flat from k=1 (136 orders) to k=4 (2,128). Scanning the
+    customer's bucket instead grows them with the customer's orders. The
+    counts are deterministic."""
+    scanned = [0]
+    candidates = Graph._candidates
+
+    def counted(self, pattern):
+        found = candidates(self, pattern)
+        scanned[0] += len(found)
+        return found
+
+    monkeypatch.setattr(Graph, "_candidates", counted)
+    query = parse_query(_CUSTOMER_TOTALS)
+    per_order = []
+    for k in (1, 4):
+        graph = generate(_scaled(k))
+        orders = len(graph.subjects(v.RDF_TYPE, v.ORDER))
+        scanned[0] = 0
+        evaluate(query, graph)
+        per_order.append(scanned[0] / orders)
+    assert per_order[1] <= 1.5 * per_order[0], per_order

@@ -5,7 +5,8 @@ An input is either a run of fragments (tokens of the format mixed with
 short random strings) or a valid text with a few of its space-separated
 words deleted, replaced or joined by a fragment, so that many inputs get
 past the tokenizer and reach the grammar and the value checks. The graph
-parser's word-level tokenizer is checked against its line tokenizer.
+loader, with its word table and direct line shapes, is checked against
+``reference_parse``, which tokenizes and parses every line whole.
 """
 
 from hypothesis import given, settings
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from supplykg.generator import ConfigError, parse_config_text, parse_scenario_text
 from supplykg.query import parse_query
 from supplykg.query.parser import QuerySyntaxError
-from supplykg.serialization import GraphParseError, _tokenize_line, _tokenize_words, parse_graph
+from reference_parse import parse_triples
+from supplykg.serialization import GraphParseError, parse_graph
 
 
 @st.composite
@@ -125,20 +127,51 @@ def _lines(draw):
     return "".join(p + draw(st.sampled_from(_LINE_SEPARATORS)) for p in pieces)
 
 
-def _scan(tokenize, line, lineno, *args):
+# Terms that are equal under other spellings, that break a rule of the term
+# types only in some positions, or that no literal can hold.
+_SHAPE_TERMS = [
+    ":a", ":b", "a", "rdf:type", ":rdf:type", "1", "+1", '"1"^^integer', "1.0", "1.00", "0.0", "-0.0",
+    '"x"', '"x"^^string', '"a b"', '"True"^^boolean', '"true"^^boolean', '"7"^^timestep', '"-1"^^timestep',
+    "1e999", '"\\q"', ".", "<<", ">>",
+]
+
+
+@st.composite
+def _shaped_term(draw, depth):
+    if depth and draw(st.integers(0, 3)) == 0:
+        return ["<<", *draw(_shaped_term(depth - 1)), draw(st.sampled_from(_SHAPE_TERMS[:5])),
+                *draw(_shaped_term(depth - 1)), ">>"]
+    return [draw(st.sampled_from(_SHAPE_TERMS))]
+
+
+@st.composite
+def _shaped_lines(draw):
+    """A line near the direct shapes: three drawn terms, quoted to depth 2,
+    and a dot, with at most one token dropped or added, joined by nothing
+    (so ``<<:a`` and ``>>.`` glue) or by whitespace."""
+    predicates = st.sampled_from(_SHAPE_TERMS[:5] + _SHAPE_TERMS[5:8])
+    tokens = [*draw(_shaped_term(2)), draw(predicates), *draw(_shaped_term(2)), "."]
+    op = draw(st.sampled_from(["keep", "keep", "delete", "insert"]))
+    i = draw(st.integers(0, len(tokens) - 1))
+    if op == "delete":
+        del tokens[i]
+    elif op == "insert":
+        tokens.insert(i, draw(st.sampled_from(_SHAPE_TERMS)))
+    return "".join(t + draw(st.sampled_from(["", " ", " ", "\t"])) for t in tokens)
+
+
+def _outcome(parse, text):
     try:
-        return tokenize(line, lineno, *args)
+        return parse(text)
     except GraphParseError as exc:
         return (str(exc), exc.line)
 
 
-@settings(max_examples=600, deadline=None)
-@given(st.lists(_lines(), min_size=1, max_size=6))
-def test_word_tokenizer_agrees_with_the_line_tokenizer(lines):
-    """Each line tokenized word by word, with the word cache shared across
-    the lines as in one load, gives the line tokenizer's tokens, or its
+@settings(max_examples=800, deadline=None)
+@given(st.lists(st.one_of(_lines(), _shaped_lines()), min_size=1, max_size=6))
+def test_load_agrees_with_the_line_parser(lines):
+    """A drawn text, whose words and quoted triples recur across its lines
+    as in one load, gives the triples of the reference line parser, or its
     error message and line number."""
-    words = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        assert _scan(_tokenize_words, line, lineno, words) == _scan(_tokenize_line, line, lineno)
+    text = "\n".join(lines)
+    assert _outcome(lambda t: parse_graph(t).triples(), text) == _outcome(parse_triples, text)

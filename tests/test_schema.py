@@ -409,6 +409,8 @@ _WIDE = 10**6
 
 def _field_values(field):
     """Values of one field, its bounds among them."""
+    if field.allowed is not None:
+        return st.sampled_from(field.allowed)
     if isinstance(field, _TierField):
         return st.integers(1, 50)
     if field.kind is Iri:

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from strategies import graphs, triples
 from supplykg.graph import Graph
+from supplykg.schema import load_graph
 from supplykg.serialization import GraphParseError, parse_graph, serialize
 from supplykg.terms import (
     MAX_QUOTE_DEPTH,
@@ -221,6 +222,17 @@ def test_one_term_object_per_distinct_term_in_a_load(g):
         assert by_text.setdefault((type(term), format_term(term)), term) is term
     assert not {id(t) for t in _leaves(first)} & {id(t) for t in _leaves(second)}
     assert first.triples() == second.triples()
+
+
+def test_one_quoted_object_per_distinct_quoted_term(simulated_automotive, tmp_path):
+    """A load builds each distinct quoted triple once, however many lines
+    quote it: a simulated graph quotes each plan line and bill-of-materials
+    edge in several triples."""
+    path = tmp_path / "final.kg"
+    path.write_text(serialize(simulated_automotive[0]), encoding="utf-8")
+    quoted = [term for t in load_graph(path).triples() for term in (t.subject, t.object) if isinstance(term, Quoted)]
+    assert len(quoted) > len(set(quoted)) > 0
+    assert len({id(term) for term in quoted}) == len(set(quoted))
 
 
 def test_a_bad_token_on_several_lines_fails_at_the_first():
