@@ -6,12 +6,14 @@ two graphs with equal content always behave identically regardless of
 insertion history. ``snapshot`` is the one unordered read, for callers whose
 result does not depend on order.
 
-``match`` substitutes the caller's bindings into the pattern before it picks
-an index, so a variable bound by an earlier join step narrows the scan like a
-constant would, and a pattern bound in all three positions is one membership
-test. One cache holds canonical order: each index bucket, and the
-whole triple set under the key ``None``, is sorted once, on first use, and
-kept until a write touches it.
+Each triple lives only in its three index buckets, with no triple set beside
+them: its subject bucket answers membership, and the few dozen predicate
+buckets give ``len`` and ``snapshot``. ``match`` substitutes the caller's
+bindings into the pattern before it picks a bucket, so a variable bound by an
+earlier join step narrows the scan like a constant would, and a pattern bound
+in all three positions is one membership test. One cache holds canonical
+order: each bucket, and the whole graph under the key ``None``, is sorted
+once, on first use, and kept until a write touches it.
 """
 
 from __future__ import annotations
@@ -36,10 +38,9 @@ _ANY = TriplePattern(Variable("s"), Variable("p"), Variable("o"))
 
 
 class Graph:
-    __slots__ = ("_triples", "_by_subject", "_by_predicate", "_by_object", "_order")
+    __slots__ = ("_by_subject", "_by_predicate", "_by_object", "_order")
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples: set[Triple] = set()
         self._by_subject: dict[Term, set[Triple]] = {}
         self._by_predicate: dict[Iri, set[Triple]] = {}
         self._by_object: dict[Term, set[Triple]] = {}
@@ -53,19 +54,17 @@ class Graph:
         """Add a ground triple. Returns True if it was new."""
         if not isinstance(triple, Triple):
             raise TypeError(f"can only insert ground triples, got {triple!r}")
-        # one probe of the triple set, the three index updates written out,
-        # and a set made only for a new bucket: the load and the generator
-        # insert every triple through here
-        triples = self._triples
-        before = len(triples)
-        triples.add(triple)
-        if len(triples) == before:
-            return False
+        # one probe of the subject bucket finds a duplicate, the three index
+        # updates are written out, and a set is made only for a new bucket:
+        # the load and the generator insert every triple through here
         bucket = self._by_subject.get(triple.subject)
         if bucket is None:
             self._by_subject[triple.subject] = {triple}
         else:
+            before = len(bucket)
             bucket.add(triple)
+            if len(bucket) == before:
+                return False
         bucket = self._by_predicate.get(triple.predicate)
         if bucket is None:
             self._by_predicate[triple.predicate] = {triple}
@@ -81,10 +80,10 @@ class Graph:
         return True
 
     def remove(self, triple: Triple) -> bool:
-        """Remove a triple. Returns True if it was present."""
-        if triple not in self._triples:
+        """Remove a triple. Returns True if it was present; anything that is
+        not a ``Triple`` never is."""
+        if triple not in self:
             return False
-        self._triples.discard(triple)
         for index, key in (
             (self._by_subject, triple.subject),
             (self._by_predicate, triple.predicate),
@@ -105,11 +104,11 @@ class Graph:
         order.pop((1, triple.predicate), None)
         order.pop((2, triple.object), None)
 
-    def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
+    def __contains__(self, triple: object) -> bool:
+        return isinstance(triple, Triple) and triple in self._by_subject.get(triple.subject, ())
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return sum(map(len, self._by_predicate.values()))
 
     def __iter__(self) -> Iterator[Triple]:
         return iter(self._candidates(_ANY))
@@ -121,11 +120,10 @@ class Graph:
     def snapshot(self) -> list[Triple]:
         """All triples in no set order, as a new list that later writes
         leave unchanged: for callers that sort by other means, or not at all."""
-        return list(self._triples)
+        return [t for bucket in self._by_predicate.values() for t in bucket]
 
     def copy(self) -> "Graph":
         g = Graph()
-        g._triples = set(self._triples)
         g._by_subject = {k: set(v) for k, v in self._by_subject.items()}
         g._by_predicate = {k: set(v) for k, v in self._by_predicate.items()}
         g._by_object = {k: set(v) for k, v in self._by_object.items()}
@@ -140,10 +138,10 @@ class Graph:
         """A canonically ordered superset of the pattern's matches: the
         smallest index bucket of a ground position (a quoted pattern that
         spells a ground triple counts as ground), or every triple if no
-        bucket is smaller. A position no bucket is keyed by, such as a
+        position is ground. A position no bucket is keyed by, such as a
         literal subject, has no candidates. A pattern ground in all three
-        positions is one membership test."""
-        key, best = None, self._triples
+        positions is one membership test in the bucket picked."""
+        key, best = None, None
         bound = []
         for pos, term, index in (
             (0, pattern.subject, self._by_subject),
@@ -160,15 +158,15 @@ class Graph:
             bucket = index.get(term)
             if bucket is None:
                 return []
-            if len(bucket) < len(best):
+            if best is None or len(bucket) < len(best):
                 key, best = (pos, term), bucket
             bound.append(term)
         if len(bound) == 3:
             triple = Triple(*bound)
-            return [triple] if triple in self._triples else []
+            return [triple] if triple in best else []
         ordered = self._order.get(key)
         if ordered is None:
-            ordered = self._order[key] = sorted(best, key=format_triple)
+            ordered = self._order[key] = sorted(self.snapshot() if best is None else best, key=format_triple)
         return ordered
 
     def match(self, pattern: TriplePattern, bindings: dict[str, Term] | None = None) -> list[dict[str, Term]]:

@@ -287,7 +287,11 @@ class _Parser:
         try:
             return Literal(int(text), "integer")
         except ValueError:
+            pass
+        try:
             return Literal(float(text), "decimal")
+        except MalformedTermError as exc:  # a number no decimal can hold, such as 1e999
+            raise QuerySyntaxError(str(exc), tok.line, tok.col) from None
 
     # -- expressions ---------------------------------------------------------
 

@@ -1,9 +1,12 @@
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supplykg import vocab as v
+from supplykg.analytics import build_report
+from supplykg.fulfillment import Simulation
 from supplykg.generator import automotive, generate
 from supplykg.graph import Graph
 from supplykg.query import evaluate, parse_query
@@ -17,6 +20,7 @@ from supplykg.terms import (
     integer,
     string,
 )
+from supplykg.validation import validate
 
 from strategies import full_scan, probes
 
@@ -97,6 +101,18 @@ def test_value_helpers():
     assert g.subjects(Iri("p"), Iri("b")) == [Iri("a"), Iri("d")]
 
 
+@pytest.mark.parametrize(
+    "x",
+    ["a", None, TriplePattern(Iri("a"), Iri("p"), Iri("b")), TriplePattern(Variable("s"), Iri("p"), Iri("b"))],
+    ids=["str", "None", "ground pattern", "pattern"],
+)
+def test_anything_but_a_triple_is_not_in_the_graph(x):
+    g = Graph([t("a", "p", "b")])
+    assert (x in g) is False
+    assert g.remove(x) is False
+    assert g.triples() == [t("a", "p", "b")]
+
+
 def test_copy_is_independent():
     g = Graph([t("a", "p", "b")])
     h = g.copy()
@@ -114,16 +130,32 @@ _plain = st.builds(Triple, _iris, _iris, _objects)
 _triples = st.one_of(_plain, st.builds(lambda i, p, o: Triple(Quoted(i), p, o), _plain, _iris, _objects))
 
 
+def assert_reads(g, content, universe):
+    """Every read of ``g`` but ``match`` agrees with the model set ``content``:
+    the length, the snapshot, membership of each triple of ``universe``, and
+    removing one that is absent, which must change nothing."""
+    assert len(g) == len(content)
+    assert set(g.snapshot()) == content
+    for x in universe:
+        assert (x in g) is (x in content)
+        if x not in content:
+            assert g.remove(x) is False
+    assert len(g) == len(content)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_triples, max_size=30), st.lists(st.integers(0, 2**30), max_size=10))
 def test_index_coherence_under_churn(triples, removal_picks):
     """Insert everything, remove a pseudo-random subset, and require the
-    indices to agree with a straight set."""
+    indices to agree with a straight set after every write, in the graph
+    and in a copy of it taken before the removals."""
     g = Graph()
     expected = set()
     for x in triples:
-        g.insert(x)
+        assert g.insert(x) is (x not in expected)
         expected.add(x)
+        assert_reads(g, expected, triples)
+    h, kept = g.copy(), set(expected)
     pool = sorted(expected, key=format_triple)
     for pick in removal_picks:
         if not pool:
@@ -131,8 +163,9 @@ def test_index_coherence_under_churn(triples, removal_picks):
         victim = pool.pop(pick % len(pool))
         assert g.remove(victim) is True
         expected.discard(victim)
+        assert_reads(g, expected, triples)
+        assert_reads(h, kept, triples)
     assert set(g.triples()) == expected
-    assert len(g) == len(expected)
     # every surviving triple is reachable through each index
     for x in expected:
         assert g.match(TriplePattern(x.subject, x.predicate, x.object)) != []
@@ -178,6 +211,7 @@ def test_match_after_churn_on_a_graph_and_its_copy(initial, ops):
     graphs = [Graph(initial), None]
     graphs[1] = graphs[0].copy()
     contents = [set(initial), set(initial)]
+    universe = set(initial)  # every triple either graph has held
 
     def check(i, pat, bindings=None):
         expected = full_scan(pat, contents[i], bindings)
@@ -191,6 +225,8 @@ def test_match_after_churn_on_a_graph_and_its_copy(initial, ops):
         if op == "copy":
             graphs[1 - i] = g.copy()
             contents[1 - i] = set(content)
+            for j in (0, 1):
+                assert_reads(graphs[j], contents[j], universe)
             continue
         if op == "insert":
             target = args[0]
@@ -207,6 +243,9 @@ def test_match_after_churn_on_a_graph_and_its_copy(initial, ops):
         else:
             assert g.remove(target) is True
             content.discard(target)
+        universe.add(target)
+        for j in (0, 1):
+            assert_reads(graphs[j], contents[j], universe)
         for pat in probes(target):
             check(i, pat)
             check(1 - i, pat)
@@ -231,12 +270,17 @@ def _scaled(k):
     )
 
 
-def test_a_join_scans_a_flat_number_of_candidates_per_order(monkeypatch):
-    """The customer totals query's last step is ground once ``?c`` and ``?o``
-    are bound, and costs one membership test: the candidates it scans per
-    order stay flat from k=1 (136 orders) to k=4 (2,128). Scanning the
-    customer's bucket instead grows them with the customer's orders. The
-    counts are deterministic."""
+def test_candidates_scanned_per_order_stay_flat_in_scale(monkeypatch):
+    """Near-linear scaling as a counted contract: the candidates that
+    ``Graph._candidates`` returns per order must not grow by more than half
+    from k=1 (136 orders) to k=4 (2,128), for each stage below. The counts
+    are deterministic, so the test cannot flake.
+
+    - the customer totals query on the generated graph. Its last step is
+      ground once ``?c`` and ``?o`` are bound, and costs one membership
+      test; scanning the customer's bucket instead grows with the
+      customer's orders;
+    - ``validate`` and ``build_report(t=0)`` on the simulated graph."""
     scanned = [0]
     candidates = Graph._candidates
 
@@ -245,13 +289,23 @@ def test_a_join_scans_a_flat_number_of_candidates_per_order(monkeypatch):
         scanned[0] += len(found)
         return found
 
+    def count(stage):
+        scanned[0] = 0
+        stage()
+        return scanned[0]
+
     monkeypatch.setattr(Graph, "_candidates", counted)
     query = parse_query(_CUSTOMER_TOTALS)
-    per_order = []
+    per_order = {}
     for k in (1, 4):
-        graph = generate(_scaled(k))
+        config = _scaled(k)
+        graph = generate(config)
         orders = len(graph.subjects(v.RDF_TYPE, v.ORDER))
-        scanned[0] = 0
-        evaluate(query, graph)
-        per_order.append(scanned[0] / orders)
-    assert per_order[1] <= 1.5 * per_order[0], per_order
+        counts = {"customer totals": count(lambda: evaluate(query, graph))}
+        Simulation(graph).run(config.horizon)
+        counts["validate"] = count(lambda: validate(graph))
+        counts["build_report"] = count(lambda: build_report(graph, t=0))
+        for stage, n in counts.items():
+            per_order.setdefault(stage, []).append(n / orders)
+    for stage, (small, large) in per_order.items():
+        assert large <= 1.5 * small, (stage, per_order)

@@ -61,7 +61,7 @@ _QUERY_TOKENS = [
     "SELECT", "INSERT", "WHERE", "FILTER", "GROUP BY", "ORDER BY", "ASC", "DESC", "AS",
     "DISTINCT", "COUNT", "SUM", "AVG", "MIN", "MAX", "str", "bound", "{", "}", "(", ")",
     " ", "\n", ".", ",", "*", "?x", "?y", ":p", ":a", "a", "<<", ">>", "nd", "1", "-2",
-    "0.5", '"s"', '"True"^^boolean', '"4"^^timestep', "=", "!=", "<", ">=", "||", "&&",
+    "0.5", "1e999", '"s"', '"True"^^boolean', '"4"^^timestep', "=", "!=", "<", ">=", "||", "&&",
     "!", "+", "-", "/",
 ]
 

@@ -237,6 +237,21 @@ def test_unknown_string_escape_is_a_syntax_error():
         parse_query('SELECT ?s WHERE { ?s :p "a\\qb" . }')
 
 
+@pytest.mark.parametrize(
+    "query, where",
+    [
+        ("SELECT * WHERE { ?s :p 1e999 . }", "line 1, column 24"),
+        ("SELECT * WHERE {\n  ?s :p -1e999 . }", "line 2, column 10"),
+        ("SELECT (1e999 AS ?x) WHERE { ?s :p ?o . }", "line 1, column 9"),
+        ("SELECT * WHERE { ?s :p ?o . FILTER(?o > -1e999) }", "line 1, column 42"),
+    ],
+    ids=["object", "negated", "projection", "filter"],
+)
+def test_a_number_no_decimal_can_hold_is_a_syntax_error_at_its_position(query, where):
+    with pytest.raises(QuerySyntaxError, match=f"^{where}: bad decimal literal value"):
+        parse_query(query)
+
+
 def _nested(depth):
     return "<< " * depth + "?s :p :o" + " >> :q :r" * depth
 
