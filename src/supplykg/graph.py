@@ -11,13 +11,17 @@ them: its subject bucket answers membership, and the few dozen predicate
 buckets give ``len`` and ``snapshot``. ``match`` substitutes the caller's
 bindings into the pattern before it picks a bucket, so a variable bound by an
 earlier join step narrows the scan like a constant would, and a pattern bound
-in all three positions is one membership test. One cache holds canonical
+in all three positions is one membership test. It decides once per call,
+before the scan, which positions of a candidate it compares, which it binds
+and which must repeat a variable; nested quoted patterns are read the same
+way, one level down. One cache holds canonical
 order: each bucket, and the whole graph under the key ``None``, is sorted
 once, on first use, and kept until a write touches it.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .terms import (
@@ -30,7 +34,6 @@ from .terms import (
     format_triple,
     substitute,
     to_ground,
-    unify,
 )
 
 
@@ -176,13 +179,31 @@ class Graph:
         the index lookup uses them: a bound variable narrows like a constant."""
         if not isinstance(pattern, TriplePattern):
             raise TypeError(f"match expects a TriplePattern, got {pattern!r}")
-        narrowed = substitute(pattern, bindings) if bindings else pattern
-        out = []
-        for t in self._candidates(narrowed):
-            got = unify(pattern, t, bindings)
-            if got is not None:
-                out.append(got)
-        return out
+        if bindings is None:
+            bindings = {}
+        names: list[str] = []
+        reads: list = []
+        compared: list[str] = []
+        wanted: list[Term] = []
+        checks: list[tuple] = []
+        narrowed = _read(pattern, bindings, "", names, reads, compared, wanted, checks)
+        found = self._candidates(narrowed)
+        if not found:
+            return []
+        if checks:
+            found = [t for t in found if _fits(t, checks)]
+        # with one top-level constant the candidates are its bucket, and with
+        # three the one triple they spell: only two need comparing
+        if len(compared) == 2:
+            key, want = attrgetter(*compared), tuple(wanted)
+            found = [t for t in found if key(t) == want]
+        if len(names) == 1:
+            (n0,), (r0,) = names, reads
+            return [{**bindings, n0: r0(t)} for t in found]
+        if len(names) == 2:
+            (n0, n1), (r0, r1) = names, reads
+            return [{**bindings, n0: r0(t), n1: r1(t)} for t in found]
+        return [{**bindings, **{n: r(t) for n, r in zip(names, reads)}} for t in found]
 
     def subjects(self, predicate: Iri, obj: Term) -> list[Term]:
         """Subjects s such that (s, predicate, obj) holds, canonical order."""
@@ -193,3 +214,78 @@ class Graph:
         """Objects o such that (subject, predicate, o) holds, canonical order."""
         rows = self.match(TriplePattern(subject, predicate, Variable("o")))
         return [r["o"] for r in rows]
+
+
+_GET = {attr: attrgetter(attr) for attr in ("subject", "predicate", "object")}
+
+
+def _read(
+    pattern: TriplePattern,
+    bindings: dict[str, Term],
+    prefix: str,
+    names: list[str],
+    reads: list,
+    compared: list[str],
+    wanted: list[Term],
+    checks: list[tuple],
+) -> TriplePattern:
+    """Decide how ``match`` reads ``pattern`` off each candidate, and return
+    the pattern with its bound variables replaced by their values. Each leaf
+    is a path of attributes from the triple (``subject.triple.object`` is
+    the object of a quoted subject) and goes to one list:
+
+    - ``names`` and ``reads``: each unbound variable, and the getter of its
+      first occurrence;
+    - ``compared`` and ``wanted``: the path of each constant or bound
+      variable at the top level, and the term the candidate must hold there;
+    - ``checks``, in the order the leaves are reached, a getter and what it
+      must give: a quoted triple, where a nested pattern has variables,
+      ``(get, None, None)``; the value of a variable's first occurrence, at
+      a later one, ``(get, first, None)``; or a constant's term inside a
+      nested pattern, ``(get, None, term)``. A nested pattern's check comes
+      before its leaves', so each path exists when it is read."""
+    s, p, o = pattern.subject, pattern.predicate, pattern.object
+    parts = []
+    for attr, term in (("subject", s), ("predicate", p), ("object", o)):
+        if term.__class__ is Variable:
+            bound = bindings.get(term.name)
+            if bound is None:
+                get = attrgetter(prefix + attr) if prefix else _GET[attr]
+                if term.name in names:
+                    checks.append((get, reads[names.index(term.name)], None))
+                else:
+                    names.append(term.name)
+                    reads.append(get)
+                parts.append(term)
+                continue
+            term = bound
+        elif term.__class__ is TriplePattern:
+            ground = to_ground(substitute(term, bindings))
+            if ground is None:
+                checks.append((attrgetter(prefix + attr), None, None))
+                parts.append(_read(term, bindings, prefix + attr + ".triple.", names, reads, compared, wanted, checks))
+                continue
+            term = Quoted(ground)
+        if prefix:
+            checks.append((attrgetter(prefix + attr), None, term))
+        else:
+            compared.append(attr)
+            wanted.append(term)
+        parts.append(term)
+    if parts[0] is s and parts[1] is p and parts[2] is o:
+        return pattern
+    return TriplePattern(*parts)
+
+
+def _fits(t: Triple, checks: list[tuple]) -> bool:
+    """Whether ``t`` passes the ``checks`` of ``_read``."""
+    for get, first, term in checks:
+        if first is not None:
+            if get(t) != first(t):
+                return False
+        elif term is not None:
+            if get(t) != term:
+                return False
+        elif not isinstance(get(t), Quoted):
+            return False
+    return True

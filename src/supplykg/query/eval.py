@@ -10,20 +10,29 @@ Semantics in brief:
   the pattern's predicate. Parameters are substituted into each pattern
   first. A pattern no triple can satisfy, such as one with a literal
   subject, matches nothing.
+* Each evaluation compiles its FILTER, projection and aggregate
+  expressions once, into functions of one row (or, for an item with
+  aggregates, of one group of rows) that know their operators, constants
+  and parameter values, and ``Graph.match`` decides once per call how it
+  reads each position of a pattern. Neither is kept past the call.
 * FILTER expressions see one candidate row at a time. An expression error
-  inside a filter (type mismatch, division by zero) drops the row instead of
-  aborting the query; errors in projection or aggregate expressions raise.
+  inside a filter (type mismatch, division by zero, a result out of range)
+  drops the row instead of aborting the query; errors in projection or
+  aggregate expressions raise.
 * Numeric comparisons cross the integer/decimal/timestep tower by value;
   `=` on anything non-numeric is structural term equality. Ordering (<, <=,
   >, >=) is defined for numeric pairs and string pairs only.
 * Arithmetic: +,-,* on integers stay integer, any decimal operand makes the
-  result decimal, / always yields decimal. Timesteps admit instant+duration
+  result decimal, / always yields decimal. A decimal result no decimal
+  literal can hold (infinite, or from an integer too large for a float) is
+  a type error; integers are exact at any size. Timesteps admit instant+duration
   (timestep +/- integer -> timestep) and instant difference
   (timestep - timestep -> integer); anything else with a timestep is a type
   error, which keeps clock values from leaking into ordinary arithmetic.
 * Aggregates (SUM, AVG) group rows by the projected plain variables, or by
   the explicit GROUP BY variable. SUM of integers is an integer, AVG is
-  always decimal. Aggregating non-numbers is a type error. Zero WHERE rows
+  always decimal, and an out-of-range decimal total or mean is a type
+  error, as in arithmetic. Aggregating non-numbers is a type error. Zero WHERE rows
   means zero groups, hence an empty table.
 * Rows are sorted by their canonical serialized form; ORDER BY applies the
   requested key first, descending if asked, ties broken by serialized form.
@@ -36,7 +45,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import operator
 from dataclasses import dataclass
+from typing import Callable
+
 from ..graph import Graph
 from ..terms import (
     BOOLEAN,
@@ -122,82 +135,137 @@ def _check_params(query: ast.Query, params: dict[str, Term]) -> None:
         raise MissingParameterError(f"no value for parameter(s): {', '.join(missing)}")
 
 
-# -- expression evaluation -----------------------------------------------------
+# -- expressions -----------------------------------------------------------------
+
+# A row is one solution of the WHERE patterns. An expression compiles to a
+# function of one row, and a projection item with aggregates to a function
+# of one group of rows.
+Row = dict[str, Term]
 
 _NUMERIC = (INTEGER, DECIMAL, TIMESTEP)
 
+# Every comparison, logical operator and REGEX returns one of these two.
+_TRUE = Literal(True, BOOLEAN)
+_FALSE = Literal(False, BOOLEAN)
 
-def _numeric(term: Term, op: str):
-    if isinstance(term, Literal) and term.datatype in _NUMERIC:
-        return term.value, term.datatype
+
+def _number_kind(term: Term, op: str) -> str:
+    """The datatype of a numeric literal; anything else is a type error."""
+    if term.__class__ is Literal and term.datatype in _NUMERIC:
+        return term.datatype
     raise QueryTypeError(f"{op}: expected a number, got {format_term(term)}")
 
 
-def _wrap_number(value, datatype: str) -> Literal:
-    if datatype == DECIMAL:
-        return Literal(float(value), DECIMAL)
-    return Literal(int(value), datatype)
+def _expect_bool(term: Term, where: str) -> bool:
+    if term.__class__ is Literal and term.datatype == BOOLEAN:
+        return term.value
+    raise QueryTypeError(f"{where}: expected a boolean, got {format_term(term)}")
 
 
-def _arith(op: str, left: Term, right: Term) -> Literal:
-    lv, lk = _numeric(left, op)
-    rv, rk = _numeric(right, op)
-    if op == "/":
-        if TIMESTEP in (lk, rk):
-            raise QueryTypeError("cannot divide timesteps")
-        if rv == 0:
-            raise QueryTypeError("division by zero")
-        return Literal(lv / rv, DECIMAL)
-    if TIMESTEP in (lk, rk):
-        if op == "+" and {lk, rk} == {TIMESTEP, INTEGER}:
-            return _make_timestep(lv + rv)
-        if op == "-" and (lk, rk) == (TIMESTEP, INTEGER):
-            return _make_timestep(lv - rv)
-        if op == "-" and (lk, rk) == (TIMESTEP, TIMESTEP):
-            return Literal(lv - rv, INTEGER)
+def _decimal(value, op: str) -> Literal:
+    """A decimal result; one no decimal can hold is a type error."""
+    if not math.isfinite(value):
+        raise QueryTypeError(f"{op}: the result is out of the range of a decimal")
+    return Literal(value, DECIMAL)
+
+
+def _clock(op: str, lv: int, lk: str, rv: int, rk: str) -> Literal:
+    """Arithmetic with a timestep operand: instant plus or minus duration,
+    and instant minus instant; nothing else."""
+    if op == "-" and lk == TIMESTEP and rk == INTEGER:
+        value = lv - rv
+    elif op == "+" and {lk, rk} == {TIMESTEP, INTEGER}:
+        value = lv + rv
+    elif op == "-" and lk == TIMESTEP and rk == TIMESTEP:
+        return Literal(lv - rv, INTEGER)
+    elif op == "/":
+        raise QueryTypeError("cannot divide timesteps")
+    else:
         raise QueryTypeError(f"cannot apply {op} to {lk} and {rk}")
-    result = {"+": lambda: lv + rv, "-": lambda: lv - rv, "*": lambda: lv * rv}[op]()
-    kind = DECIMAL if DECIMAL in (lk, rk) else INTEGER
-    return _wrap_number(result, kind)
-
-
-def _make_timestep(value: int) -> Literal:
     if value < 0:
         raise QueryTypeError(f"timestep arithmetic went negative ({value})")
     return Literal(value, TIMESTEP)
 
 
-def _is_numeric(term: Term) -> bool:
-    return isinstance(term, Literal) and term.datatype in _NUMERIC
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _equal(left: Term, right: Term) -> bool:
-    if _is_numeric(left) and _is_numeric(right):
-        return left.value == right.value
-    return left == right
+def _arith(op: str):
+    """The function that applies arithmetic operator ``op`` to two terms."""
+    compute = _ARITHMETIC[op]
+    divide = op == "/"
 
-
-def _compare(op: str, left: Term, right: Term) -> bool:
-    if _is_numeric(left) and _is_numeric(right):
+    def apply(left: Term, right: Term) -> Literal:
+        lk = left.datatype if left.__class__ is Literal else None
+        rk = right.datatype if right.__class__ is Literal else None
+        if lk not in _NUMERIC or rk not in _NUMERIC:
+            raise QueryTypeError(f"{op}: expected a number, got {format_term(right if lk in _NUMERIC else left)}")
         lv, rv = left.value, right.value
-    elif (
-        isinstance(left, Literal)
-        and isinstance(right, Literal)
-        and left.datatype == STRING
-        and right.datatype == STRING
-    ):
-        lv, rv = left.value, right.value
-    else:
-        raise QueryTypeError(
-            f"cannot order {format_term(left)} against {format_term(right)}"
-        )
-    return {"<": lv < rv, "<=": lv <= rv, ">": lv > rv, ">=": lv >= rv}[op]
+        if lk == TIMESTEP or rk == TIMESTEP:
+            return _clock(op, lv, lk, rv, rk)
+        if divide:
+            if rv == 0:
+                raise QueryTypeError("division by zero")
+        elif lk == INTEGER and rk == INTEGER:
+            return Literal(compute(lv, rv), INTEGER)
+        try:
+            return _decimal(compute(lv, rv), op)
+        except OverflowError:  # an integer too large for a float
+            raise QueryTypeError(f"{op}: the result is out of the range of a decimal") from None
+
+    return apply
 
 
-def _expect_bool(term: Term, where: str) -> bool:
-    if isinstance(term, Literal) and term.datatype == BOOLEAN:
-        return term.value
-    raise QueryTypeError(f"{where}: expected a boolean, got {format_term(term)}")
+def _equality(negate: bool):
+    """``=`` (or ``!=`` when ``negate``): numbers by value, anything else
+    by term equality."""
+
+    def apply(left: Term, right: Term) -> Literal:
+        if (
+            left.__class__ is Literal
+            and right.__class__ is Literal
+            and left.datatype in _NUMERIC
+            and right.datatype in _NUMERIC
+        ):
+            same = left.value == right.value
+        else:
+            same = left == right
+        return _FALSE if same is negate else _TRUE
+
+    return apply
+
+
+def _ordering(op: str):
+    """An ordering comparison: defined for two numbers or two strings."""
+    test = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}[op]
+
+    def apply(left: Term, right: Term) -> Literal:
+        if left.__class__ is Literal and right.__class__ is Literal:
+            lk, rk = left.datatype, right.datatype
+            if (lk in _NUMERIC and rk in _NUMERIC) or (lk == STRING and rk == STRING):
+                return _TRUE if test(left.value, right.value) else _FALSE
+        raise QueryTypeError(f"cannot order {format_term(left)} against {format_term(right)}")
+
+    return apply
+
+
+def _logic(op: str):
+    """``&&`` or ``||`` on two evaluated operands, for aggregate projections:
+    the right one is not type-checked when the left decides."""
+    if op == "&&":
+        return lambda left, right: _TRUE if _expect_bool(left, op) and _expect_bool(right, op) else _FALSE
+    return lambda left, right: _TRUE if _expect_bool(left, op) or _expect_bool(right, op) else _FALSE
+
+
+def _binary(op: str):
+    """The function that applies binary operator ``op`` to two terms."""
+    if op in ("=", "!="):
+        return _equality(op == "!=")
+    if op in ("<", "<=", ">", ">="):
+        return _ordering(op)
+    if op in ("&&", "||"):
+        return _logic(op)
+    return _arith(op)
 
 
 def _regex_match(value: str, pattern: str) -> bool:
@@ -215,50 +283,111 @@ def _regex_match(value: str, pattern: str) -> bool:
     return core in value
 
 
-def eval_expr(expr: ast.Expr, row: dict[str, Term], params: dict[str, Term]) -> Term:
-    if isinstance(expr, ast.VarRef):
-        try:
-            return row[expr.name]
-        except KeyError:
-            raise UnboundVariableError(f"unbound variable ?{expr.name}") from None
-    if isinstance(expr, ast.ParamRef):
-        return params[expr.name]
+def _regex(value: Term, pattern: Term) -> Literal:
+    for t in (value, pattern):
+        if not (t.__class__ is Literal and t.datatype == STRING):
+            raise QueryTypeError(f"REGEX: expected strings, got {format_term(t)}")
+    return _TRUE if _regex_match(value.value, pattern.value) else _FALSE
+
+
+# function name -> the function of its evaluated arguments
+_FUNCTIONS = {
+    "IF": lambda cond, then, other: then if _expect_bool(cond, "IF") else other,
+    "REGEX": _regex,
+    "STR": lambda term: Literal(display_form(term), STRING),
+}
+
+
+def _constant(expr: ast.Expr, params: dict[str, Term]) -> Term | None:
+    """The term of a constant or a parameter; None for any other expression."""
     if isinstance(expr, ast.Const):
         return expr.term
+    if isinstance(expr, ast.ParamRef):
+        return params[expr.name]
+    return None
+
+
+def _compile(expr: ast.Expr, params: dict[str, Term]) -> Callable[[Row], Term]:
+    """``expr`` as a function of one row. The operators, constants and
+    parameter values are looked up here, once per evaluation."""
+    if isinstance(expr, ast.VarRef):
+        name = expr.name
+
+        def variable(row: Row) -> Term:
+            try:
+                return row[name]
+            except KeyError:
+                raise UnboundVariableError(f"unbound variable ?{name}") from None
+
+        return variable
+    term = _constant(expr, params)
+    if term is not None:
+        return lambda row: term
     if isinstance(expr, ast.Binary):
-        op = expr.op
-        if op in ("&&", "||"):
-            left = _expect_bool(eval_expr(expr.left, row, params), op)
-            if op == "&&" and not left:
-                return Literal(False, BOOLEAN)
-            if op == "||" and left:
-                return Literal(True, BOOLEAN)
-            return Literal(_expect_bool(eval_expr(expr.right, row, params), op), BOOLEAN)
-        left = eval_expr(expr.left, row, params)
-        right = eval_expr(expr.right, row, params)
-        if op == "=":
-            return Literal(_equal(left, right), BOOLEAN)
-        if op == "!=":
-            return Literal(not _equal(left, right), BOOLEAN)
-        if op in ("<", "<=", ">", ">="):
-            return Literal(_compare(op, left, right), BOOLEAN)
-        return _arith(op, left, right)
+        op, left, right = expr.op, _compile(expr.left, params), _compile(expr.right, params)
+        if op == "&&":
+            return lambda row: _TRUE if _expect_bool(left(row), op) and _expect_bool(right(row), op) else _FALSE
+        if op == "||":
+            return lambda row: _TRUE if _expect_bool(left(row), op) or _expect_bool(right(row), op) else _FALSE
+        apply = _binary(op)
+        # a constant operand is passed as it is, not through a function
+        right_term, left_term = _constant(expr.right, params), _constant(expr.left, params)
+        if right_term is not None:
+            return lambda row: apply(left(row), right_term)
+        if left_term is not None:
+            return lambda row: apply(left_term, right(row))
+        return lambda row: apply(left(row), right(row))
     if isinstance(expr, ast.Call):
+        args = [_compile(a, params) for a in expr.args]
         if expr.func == "IF":
-            cond = _expect_bool(eval_expr(expr.args[0], row, params), "IF")
-            return eval_expr(expr.args[1 if cond else 2], row, params)
-        if expr.func == "REGEX":
-            value = eval_expr(expr.args[0], row, params)
-            pattern = eval_expr(expr.args[1], row, params)
-            for t in (value, pattern):
-                if not (isinstance(t, Literal) and t.datatype == STRING):
-                    raise QueryTypeError(f"REGEX: expected strings, got {format_term(t)}")
-            return Literal(_regex_match(value.value, pattern.value), BOOLEAN)
-        if expr.func == "STR":
-            return Literal(display_form(eval_expr(expr.args[0], row, params)), STRING)
+            cond, then, other = args
+            return lambda row: (then if _expect_bool(cond(row), "IF") else other)(row)
+        apply = _FUNCTIONS[expr.func]
+        if len(args) == 1:
+            (arg,) = args
+            return lambda row: apply(arg(row))
+        first, second = args
+        return lambda row: apply(first(row), second(row))
     if isinstance(expr, ast.Aggregate):
-        raise QueryEvalError("aggregate outside aggregation context")
+
+        def misplaced(row: Row) -> Term:
+            raise QueryEvalError("aggregate outside aggregation context")
+
+        return misplaced
     raise TypeError(f"not an expression: {expr!r}")
+
+
+def _compile_group(expr: ast.Expr, params: dict[str, Term]) -> Callable[[list[Row]], Term]:
+    """A projection expression as a function of one group of rows:
+    aggregates see every row, the rest is evaluated against the group's
+    first row, whose key bindings the whole group shares. Operators and
+    functions with an aggregate below them evaluate all their operands."""
+    if isinstance(expr, ast.Aggregate):
+        func, arg = expr.func, _compile(expr.arg, params)
+        return lambda group: _aggregate(func, [arg(row) for row in group])
+    if isinstance(expr, ast.Binary):
+        apply = _binary(expr.op)
+        left, right = _compile_group(expr.left, params), _compile_group(expr.right, params)
+        return lambda group: apply(left(group), right(group))
+    if isinstance(expr, ast.Call) and ast.has_aggregate(expr):
+        apply = _FUNCTIONS[expr.func]
+        args = [_compile_group(a, params) for a in expr.args]
+        return lambda group: apply(*[a(group) for a in args])
+    row_fn = _compile(expr, params)
+    return lambda group: row_fn(group[0])
+
+
+def _aggregate(func: str, values: list[Term]) -> Literal:
+    any_decimal = False
+    for v in values:
+        any_decimal = _number_kind(v, func) == DECIMAL or any_decimal
+    try:
+        total = sum(v.value for v in values)
+        if func == "SUM" and not any_decimal:
+            return Literal(total, INTEGER)
+        return _decimal(total / len(values) if func == "AVG" else float(total), func)
+    except OverflowError:  # an integer too large for a float
+        raise QueryTypeError(f"{func}: the result is out of the range of a decimal") from None
 
 
 # -- joins ---------------------------------------------------------------------
@@ -269,73 +398,37 @@ def _solve(
     filters: tuple[ast.Expr, ...],
     graph: Graph,
     params: dict[str, Term],
-) -> list[dict[str, Term]]:
+) -> list[Row]:
     """The rows of the WHERE group: each pattern's matches under each row so
     far, then the filters. ``Graph.match`` returns each row as a new plain
     dict, and the next join step and every later stage only read it."""
-    rows: list[dict[str, Term]] = [{}]
+    tests = [_compile(f, params) for f in filters]
+    rows: list[Row] = [{}]
     for pattern in patterns:
         pattern = substitute(pattern, {}, params)
-        next_rows: list[dict[str, Term]] = []
+        next_rows: list[Row] = []
         for row in rows:
-            next_rows.extend(graph.match(pattern, row))
+            next_rows += graph.match(pattern, row)
         rows = next_rows
         if not rows:
             return []
+    if not tests:
+        return rows
     kept = []
     for row in rows:
-        ok = True
-        for f in filters:
-            try:
-                if not _expect_bool(eval_expr(f, row, params), "FILTER"):
-                    ok = False
+        try:
+            for test in tests:
+                value = test(row)
+                if value is _FALSE or (value is not _TRUE and not _expect_bool(value, "FILTER")):
                     break
-            except QueryEvalError:
-                ok = False  # errors in filters drop the row
-                break
-        if ok:
-            kept.append(row)
+            else:
+                kept.append(row)
+        except QueryEvalError:
+            pass  # errors in filters drop the row
     return kept
 
 
 # -- aggregation and projection --------------------------------------------------
-
-
-def _aggregate(func: str, values: list[Term]) -> Literal:
-    numbers = []
-    any_decimal = False
-    for v in values:
-        val, kind = _numeric(v, func)
-        numbers.append(val)
-        any_decimal = any_decimal or kind == DECIMAL
-    if func == "SUM":
-        total = sum(numbers)
-        return Literal(float(total), DECIMAL) if any_decimal else Literal(int(total), INTEGER)
-    return Literal(sum(numbers) / len(numbers), DECIMAL)
-
-
-def _eval_with_aggregates(
-    expr: ast.Expr, group: list[dict[str, Term]], params: dict[str, Term]
-) -> Term:
-    """Evaluate a projection expression over a whole group: aggregates see
-    every row, the rest is evaluated against the group's key bindings."""
-    if isinstance(expr, ast.Aggregate):
-        values = [eval_expr(expr.arg, row, params) for row in group]
-        return _aggregate(expr.func, values)
-    if isinstance(expr, ast.Binary):
-        return eval_expr(
-            ast.Binary(
-                expr.op,
-                ast.Const(_eval_with_aggregates(expr.left, group, params)),
-                ast.Const(_eval_with_aggregates(expr.right, group, params)),
-            ),
-            {},
-            params,
-        )
-    if isinstance(expr, ast.Call) and ast.has_aggregate(expr):
-        args = tuple(ast.Const(_eval_with_aggregates(a, group, params)) for a in expr.args)
-        return eval_expr(ast.Call(expr.func, args), {}, params)
-    return eval_expr(expr, group[0], params)
 
 
 def _row_sort_key(row: tuple[Term, ...]) -> tuple[str, ...]:
@@ -343,7 +436,7 @@ def _row_sort_key(row: tuple[Term, ...]) -> tuple[str, ...]:
 
 
 def _order_key(term: Term):
-    if _is_numeric(term):
+    if isinstance(term, Literal) and term.datatype in _NUMERIC:
         return (0, term.value)
     if isinstance(term, Literal) and term.datatype == STRING:
         return (1, term.value)
@@ -370,8 +463,10 @@ def evaluate(query: ast.SelectQuery, graph: Graph, params: dict[str, Term] | Non
         items = query.projection
         columns = tuple(_column_name(i) for i in items)
         if not any(ast.has_aggregate(i.expr) for i in items):
-            produced = [(r, tuple(eval_expr(i.expr, r, params) for i in items)) for r in rows]
+            compiled = [_compile(i.expr, params) for i in items]
+            produced = [(r, tuple([f(r) for f in compiled])) for r in rows]
         else:
+            compiled = [_compile_group(i.expr, params) for i in items]
             if query.group_by is not None:
                 key_vars = [query.group_by]
             else:
@@ -380,10 +475,7 @@ def evaluate(query: ast.SelectQuery, graph: Graph, params: dict[str, Term] | Non
             for r in rows:
                 key = tuple(r[v] for v in key_vars)
                 groups.setdefault(key, []).append(r)
-            produced = [
-                (group[0], tuple(_eval_with_aggregates(i.expr, group, params) for i in items))
-                for group in groups.values()
-            ]
+            produced = [(group[0], tuple([f(group) for f in compiled])) for group in groups.values()]
 
     produced.sort(key=lambda br: _row_sort_key(br[1]))
     if query.order_by is not None:

@@ -37,6 +37,7 @@ same error and line number.
 from __future__ import annotations
 
 import re
+import sys
 
 from .graph import Graph
 from .terms import (
@@ -117,7 +118,7 @@ def _token_term(terms: dict, kind: str, text: str, tag: str | None) -> Term:
     distinct token: an IRI or number is keyed on its text, a string on its
     text and tag. The spellings of rdf:type (``a``, ``rdf:type``,
     ``:rdf:type``) share one. Raises ``MalformedTermError`` on a value no
-    literal can hold."""
+    literal can hold, or an integer too long to read."""
     key = (text, tag) if kind == "string" else text
     term = terms.get(key)
     if term is None:
@@ -125,12 +126,24 @@ def _token_term(terms: dict, kind: str, text: str, tag: str | None) -> Term:
             body = unescape_string(text[1:-1])
             term = Literal(body, STRING) if tag is None else typed_literal(body, tag)
         elif kind == "number":
-            term = Literal(int(text), INTEGER) if _INTEGRAL.fullmatch(text) else Literal(float(text), DECIMAL)
+            term = _integer(text) if _INTEGRAL.fullmatch(text) else Literal(float(text), DECIMAL)
         else:  # iri, or kw: a bare "a"
             name = "rdf:type" if text in ("a", "rdf:type") else text[1:]
             term = terms.setdefault(":" + name, Iri(name))
         terms[key] = term
     return term
+
+
+def _integer(text: str) -> Literal:
+    """The integer literal of a number token. Raises ``MalformedTermError``
+    on one with more digits than Python reads (4,300 unless set otherwise)."""
+    try:
+        return Literal(int(text), INTEGER)
+    except ValueError:
+        digits = len(text.lstrip("+-"))
+        raise MalformedTermError(
+            f"integer literal has {digits} digits, more than the {sys.get_int_max_str_digits()} allowed"
+        ) from None
 
 
 def _quote(quoted: dict, s, p, o) -> Quoted:

@@ -317,42 +317,7 @@ def format_triple(t: Triple | TriplePattern) -> str:
 
 
 # ---------------------------------------------------------------------------
-# unification
-
-
-def unify_term(pattern: PatternTerm, term: Term, bindings: dict[str, Term]) -> bool:
-    """Try to unify one pattern position with a ground term, extending
-    ``bindings`` in place. Returns False (bindings possibly half-extended;
-    callers work on copies) when they cannot match."""
-    if isinstance(pattern, Variable):
-        bound = bindings.get(pattern.name)
-        if bound is None:
-            bindings[pattern.name] = term
-            return True
-        return bound == term
-    if isinstance(pattern, TriplePattern):
-        if not isinstance(term, Quoted):
-            return False
-        inner = term.triple
-        return (
-            unify_term(pattern.subject, inner.subject, bindings)
-            and unify_term(pattern.predicate, inner.predicate, bindings)
-            and unify_term(pattern.object, inner.object, bindings)
-        )
-    return pattern == term
-
-
-def unify(pattern: TriplePattern, triple: Triple, bindings: dict[str, Term] | None = None) -> dict[str, Term] | None:
-    """Unify a pattern with a ground triple under optional prior bindings.
-    Returns the extended bindings as a new dict, or None on mismatch."""
-    work = dict(bindings) if bindings else {}
-    if (
-        unify_term(pattern.subject, triple.subject, work)
-        and unify_term(pattern.predicate, triple.predicate, work)
-        and unify_term(pattern.object, triple.object, work)
-    ):
-        return work
-    return None
+# patterns
 
 
 def substitute(

@@ -6,8 +6,12 @@ exercised too, and finally compares the indexed engine against the
 brute-force reference on every case, both given the same parameter values.
 Parameters stand in pattern positions, quoted patterns and predicates
 included, and are now and then bound to a literal, so subjects and
-predicates no triple can hold get tried. All randomness flows from
-SplitMix64, so a given seed always produces the same cases.
+predicates no triple can hold get tried. They stand as operands in filter
+and projection expressions too, bound to a timestep or an integer, as in
+the due-orders filter ``?dt - lt = t``. Decimals come in quarters and in
+tenths, whose sums depend on the order of their terms, so a row-order
+error shows; a few integers are too large for a float. All randomness
+flows from SplitMix64, so a given seed always produces the same cases.
 """
 
 from __future__ import annotations
@@ -21,16 +25,21 @@ from supplykg.serialization import serialize
 from supplykg.terms import Iri, Literal, ParamRef, Quoted, Term, Triple, TriplePattern, Variable, to_ground
 
 _IRIS = [Iri(f"n{i}") for i in range(8)] + [Iri("OEM1"), Iri("Product")]
-_PREDICATES = [Iri(f"p{i}") for i in range(5)] + [Iri("rdf:type"), Iri("hasQuantity")]
+_PREDICATES = [Iri(f"p{i}") for i in range(5)] + [
+    Iri("rdf:type"),
+    Iri("hasQuantity"),
+    Iri("hasDeliveryTime"),
+    Iri("hasCost"),
+]
 _STRINGS = ["True", "False", "alpha", "beta", "Responsiveness: 85", ""]
 
 
 def _random_literal(rng: SplitMix64) -> Literal:
     kind = rng.randint(0, 4)
     if kind == 0:
-        return Literal(rng.randint(-5, 20), "integer")
+        return Literal(rng.randint(-5, 20) * 10 ** (400 * (rng.randint(0, 3) == 0)), "integer")
     if kind == 1:
-        return Literal(rng.randint(-40, 40) / 4.0, "decimal")
+        return Literal(rng.randint(-40, 40) / rng.choice([4.0, 10.0]), "decimal")
     if kind == 2:
         return Literal(rng.choice(_STRINGS), "string")
     if kind == 3:
@@ -48,7 +57,11 @@ def random_graph(rng: SplitMix64, size: int) -> Graph:
             subject = rng.choice(_IRIS)
         predicate = rng.choice(_PREDICATES)
         roll = rng.randint(0, 9)
-        if roll < 4:
+        if predicate.name == "hasDeliveryTime":  # a due step, as orders have
+            obj = Literal(rng.randint(0, 15), "timestep")
+        elif predicate.name == "hasCost":  # tenths, whose sums are not exact
+            obj = Literal(rng.randint(1, 99) / 10.0, "decimal")
+        elif roll < 4:
             obj = rng.choice(_IRIS)
         elif roll < 8:
             obj = _random_literal(rng)
@@ -80,6 +93,7 @@ class _CaseBuilder:
         self.vars: list[str] = []
         self.counter = 0
         self.params: dict[str, Term] = {}
+        self.values: list[str] = []  # variables in object position, where numbers are
 
     def fresh_var(self) -> Variable:
         name = f"v{self.counter}"
@@ -95,6 +109,21 @@ class _CaseBuilder:
         name = f"k{len(self.params)}"
         self.params[name] = term if self.param_rng.randint(0, 2) > 0 else _random_literal(self.param_rng)
         return ParamRef(name)
+
+    def param(self, kind: str) -> ParamRef:
+        """A new parameter, bound to a drawn timestep or integer."""
+        name = f"k{len(self.params)}"
+        low = 0 if kind == "timestep" else -3
+        self.params[name] = Literal(self.param_rng.randint(low, 15 if kind == "timestep" else 12), kind)
+        return ParamRef(name)
+
+    def operand_param(self, operand: ast.Expr) -> ast.Expr:
+        """The operand, or now and then a parameter bound to a timestep or
+        an integer. The operand is drawn either way, so that parameters
+        leave the rest of the case as it would be without them."""
+        if self.param_rng.randint(0, 3) > 0:
+            return operand
+        return self.param("timestep" if self.param_rng.randint(0, 1) == 0 else "integer")
 
     def _abstract(self, term, may_nest: bool = True):
         """Turn a ground term into a pattern position: variable, constant,
@@ -160,46 +189,50 @@ def _has_constant(p: TriplePattern) -> bool:
 # -- expression construction -----------------------------------------------------
 
 
-def _random_operand(rng: SplitMix64, vars_: list[str]) -> ast.Expr:
+def _random_operand(rng: SplitMix64, b: _CaseBuilder) -> ast.Expr:
     roll = rng.randint(0, 9)
-    if roll < 5 and vars_:
-        return ast.VarRef(rng.choice(vars_))
-    if roll < 7:
-        return ast.Const(Literal(rng.randint(-3, 12), "integer"))
-    if roll < 8:
-        return ast.Const(Literal(rng.randint(-12, 12) / 2.0, "decimal"))
-    if roll < 9:
-        return ast.Const(Literal(rng.choice(_STRINGS), "string"))
-    return ast.Const(rng.choice(_IRIS))
+    if roll < 5 and b.vars:
+        operand = ast.VarRef(rng.choice(b.vars))
+    elif roll < 7:
+        operand = ast.Const(Literal(rng.randint(-3, 12), "integer"))
+    elif roll < 8:
+        operand = ast.Const(Literal(rng.randint(-12, 12) / 2.0, "decimal"))
+    elif roll < 9:
+        operand = ast.Const(Literal(rng.choice(_STRINGS), "string"))
+    else:
+        operand = ast.Const(rng.choice(_IRIS))
+    return b.operand_param(operand)
 
 
-def _random_arith(rng: SplitMix64, vars_: list[str], depth: int = 0) -> ast.Expr:
+def _random_arith(rng: SplitMix64, b: _CaseBuilder, depth: int = 0) -> ast.Expr:
     if depth >= 2 or rng.randint(0, 2) > 0:
-        return _random_operand(rng, vars_)
+        return _random_operand(rng, b)
     op = rng.choice(["+", "-", "*", "/"])
-    return ast.Binary(op, _random_arith(rng, vars_, depth + 1), _random_arith(rng, vars_, depth + 1))
+    return ast.Binary(op, _random_arith(rng, b, depth + 1), _random_arith(rng, b, depth + 1))
 
 
-def _random_bool_expr(rng: SplitMix64, vars_: list[str], depth: int = 0) -> ast.Expr:
+def _random_bool_expr(rng: SplitMix64, b: _CaseBuilder, depth: int = 0) -> ast.Expr:
     roll = rng.randint(0, 9)
+    if roll < 2 and b.vars:
+        # the due-orders filter's shape, ?dt - lt = t, with its operators drawn
+        shifted = ast.Binary(rng.choice(["-", "+", "/"]), ast.VarRef(rng.choice(b.values or b.vars)), b.param("integer"))
+        return ast.Binary(rng.choice(list(ast.COMPARISONS)), shifted, b.param("timestep"))
     if roll < 5 or depth >= 2:
         op = rng.choice(list(ast.COMPARISONS))
-        return ast.Binary(op, _random_arith(rng, vars_), _random_arith(rng, vars_))
+        return ast.Binary(op, _random_arith(rng, b), _random_arith(rng, b))
     if roll < 7:
         op = rng.choice(["&&", "||"])
-        return ast.Binary(
-            op, _random_bool_expr(rng, vars_, depth + 1), _random_bool_expr(rng, vars_, depth + 1)
-        )
-    if roll < 9 and vars_:
+        return ast.Binary(op, _random_bool_expr(rng, b, depth + 1), _random_bool_expr(rng, b, depth + 1))
+    if roll < 9 and b.vars:
         needle = rng.choice(["True", "False", "^n", "5$", "alpha", ":"])
         return ast.Call(
             "REGEX",
-            (ast.Call("STR", (ast.VarRef(rng.choice(vars_)),)), ast.Const(Literal(needle, "string"))),
+            (ast.Call("STR", (ast.VarRef(rng.choice(b.vars)),)), ast.Const(Literal(needle, "string"))),
         )
     return ast.Binary(
         "=",
-        ast.Call("IF", (_random_bool_expr(rng, vars_, depth + 1), _random_operand(rng, vars_), _random_operand(rng, vars_))),
-        _random_operand(rng, vars_),
+        ast.Call("IF", (_random_bool_expr(rng, b, depth + 1), _random_operand(rng, b), _random_operand(rng, b))),
+        _random_operand(rng, b),
     )
 
 
@@ -229,9 +262,10 @@ def random_select(
         patterns.append(b.join_pattern())
     # anchoring may have dropped a freshly minted variable; trust the patterns
     b.vars = _pattern_vars(patterns)
+    b.values = [p.object.name for p in patterns if isinstance(p.object, Variable)]
     filters = []
     if b.vars and rng.randint(0, 9) < 5:
-        filters.append(_random_bool_expr(rng, b.vars))
+        filters.append(_random_bool_expr(rng, b))
 
     projection = None
     group_by = None
@@ -246,7 +280,7 @@ def random_select(
         for _ in range(rng.randint(1, 2)):
             func = rng.choice(["SUM", "AVG"])
             items.append(
-                ast.ProjItem(ast.Aggregate(func, _random_arith(rng, b.vars)), f"agg{len(items)}")
+                ast.ProjItem(ast.Aggregate(func, _random_arith(rng, b)), f"agg{len(items)}")
             )
         if len(keys) == 1 and rng.randint(0, 1) == 0:
             group_by = keys[0]
@@ -255,13 +289,28 @@ def random_select(
         picked = [v for v in b.vars if rng.randint(0, 2) > 0] or b.vars[:1]
         items = [ast.ProjItem(ast.VarRef(v), None) for v in picked]
         if rng.randint(0, 9) < 3:
-            items.append(ast.ProjItem(_random_arith(rng, b.vars), f"x{len(items)}"))
+            items.append(ast.ProjItem(_random_arith(rng, b), f"x{len(items)}"))
         projection = tuple(items)
 
     order_by = None
     if b.vars and rng.randint(0, 9) < 3:
         order_by = (rng.choice(b.vars), rng.randint(0, 1) == 1)
     return ast.SelectQuery(projection, tuple(patterns), tuple(filters), group_by, order_by), b.params
+
+
+def random_filter_select(rng: SplitMix64, graph: Graph) -> tuple[ast.SelectQuery, dict[str, Term]]:
+    """``SELECT * WHERE { ?s ?p ?o . FILTER (...) }`` with a drawn filter on
+    ``?o``: every object of the graph, numbers of every kind among them,
+    goes through the filter's arithmetic and comparisons. One time in
+    three the query sums and averages the costs, in tenths, that pass the
+    filter instead: their sums depend on the order of the rows."""
+    b = _CaseBuilder(rng, graph, rng)
+    b.vars, b.values = ["s", "o"], ["o"]
+    filters = (_random_bool_expr(rng, b),)
+    if rng.randint(0, 2) > 0:
+        return ast.SelectQuery(None, (TriplePattern(Variable("s"), Variable("p"), Variable("o")),), filters), b.params
+    totals = tuple(ast.ProjItem(ast.Aggregate(func, ast.VarRef("o")), func.lower()) for func in ("SUM", "AVG"))
+    return ast.SelectQuery(totals, (TriplePattern(Variable("s"), Iri("hasCost"), Variable("o")),), filters), b.params
 
 
 def random_insert(
@@ -273,9 +322,10 @@ def random_insert(
     if rng.randint(0, 1) == 1:
         patterns.append(b.join_pattern())
     b.vars = _pattern_vars(patterns)
+    b.values = [p.object.name for p in patterns if isinstance(p.object, Variable)]
     filters = []
     if b.vars and rng.randint(0, 9) < 4:
-        filters.append(_random_bool_expr(rng, b.vars))
+        filters.append(_random_bool_expr(rng, b))
 
     def template_term():
         roll = rng.randint(0, 9)
@@ -334,6 +384,7 @@ def run_differential_sweep(num_graphs: int = 110, seed: int = 20260816, queries_
     """Raises AssertionError on the first divergence. Returns counters."""
     rng = SplitMix64(seed)
     param_rng = SplitMix64(seed + 1)
+    filter_rng = SplitMix64(seed + 2)
     stats = {
         "graphs": 0,
         "selects": 0,
@@ -343,25 +394,17 @@ def run_differential_sweep(num_graphs: int = 110, seed: int = 20260816, queries_
         "max_size": 0,
         "with_params": 0,
         "literal_subject_or_predicate_params": 0,
+        "expression_params": 0,
+        "filter_selects": 0,
     }
     for size in _graph_sizes(rng, num_graphs):
         graph = random_graph(rng, size)
         stats["graphs"] += 1
         stats["max_size"] = max(stats["max_size"], len(graph))
         for _ in range(queries_per_graph):
-            query, params = random_select(rng, graph, param_rng)
-            # text round trip: the engine consumes what the printer emitted
-            reparsed = parse_query(print_query(query), params)
-            assert reparsed == query, f"print/parse mismatch:\n{print_query(query)}"
-            got = _engine_outcome(reparsed, graph, params)
-            want = _reference_outcome(query, graph, params)
-            assert got == want, _explain(query, graph, got, want, params)
-            stats["selects"] += 1
-            _count_params(stats, query, params)
-            if got[0] == "ok" and got[2]:
-                stats["nonempty"] += 1
-            if got[0] == "error":
-                stats["errors"] += 1
+            _check_select(*random_select(rng, graph, param_rng), graph, stats)
+        _check_select(*random_filter_select(filter_rng, graph), graph, stats)
+        stats["filter_selects"] += 1
         # one insert-where case per graph
         query, params = random_insert(rng, graph, param_rng)
         reparsed = parse_query(print_query(query), params)
@@ -386,11 +429,31 @@ def run_differential_sweep(num_graphs: int = 110, seed: int = 20260816, queries_
     return stats
 
 
+def _check_select(query, params, graph, stats):
+    # text round trip: the engine consumes what the printer emitted
+    reparsed = parse_query(print_query(query), params)
+    assert reparsed == query, f"print/parse mismatch:\n{print_query(query)}"
+    got = _engine_outcome(reparsed, graph, params)
+    want = _reference_outcome(query, graph, params)
+    assert got == want, _explain(query, graph, got, want, params)
+    stats["selects"] += 1
+    _count_params(stats, query, params)
+    if got[0] == "ok" and got[2]:
+        stats["nonempty"] += 1
+    if got[0] == "error":
+        stats["errors"] += 1
+
+
 def _count_params(stats, query, params):
     if params:
         stats["with_params"] += 1
     if any(isinstance(params[name], Literal) for name in _subject_or_predicate_params(query.patterns)):
         stats["literal_subject_or_predicate_params"] += 1
+    expressions = list(query.filters)
+    if isinstance(query, ast.SelectQuery) and query.projection is not None:
+        expressions += [item.expr for item in query.projection]
+    if any(isinstance(node, ParamRef) for e in expressions for node in ast.walk_expr(e)):
+        stats["expression_params"] += 1
 
 
 def _subject_or_predicate_params(patterns):

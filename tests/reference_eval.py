@@ -165,7 +165,7 @@ def ref_expr(expr, binding, params):
                 raise QueryTypeError("timestep division")
             if rv.value == 0:
                 raise QueryTypeError("divide by zero")
-            return Literal(lv.value / rv.value, "decimal")
+            return _ref_decimal(lambda: lv.value / rv.value)
         if "timestep" in (lk, rk):
             if op == "+" and sorted((lk, rk)) == ["integer", "timestep"]:
                 out = lv.value + rv.value
@@ -179,15 +179,27 @@ def ref_expr(expr, binding, params):
                 raise QueryTypeError("negative timestep")
             return Literal(out, "timestep")
         if op == "+":
-            out = lv.value + rv.value
+            compute = lambda: lv.value + rv.value  # noqa: E731
         elif op == "-":
-            out = lv.value - rv.value
+            compute = lambda: lv.value - rv.value  # noqa: E731
         else:
-            out = lv.value * rv.value
+            compute = lambda: lv.value * rv.value  # noqa: E731
         if "decimal" in (lk, rk):
-            return Literal(float(out), "decimal")
-        return Literal(out, "integer")
+            return _ref_decimal(compute)
+        return Literal(compute(), "integer")
     raise TypeError(expr)
+
+
+def _ref_decimal(compute):
+    """A decimal result. An infinite one, or an integer too large for a
+    float on the way, is a type error: no decimal literal holds it."""
+    try:
+        value = float(compute())
+    except OverflowError:
+        raise QueryTypeError("out of the range of a decimal") from None
+    if value in (float("inf"), float("-inf")):
+        raise QueryTypeError("out of the range of a decimal")
+    return Literal(value, "decimal")
 
 
 def _num(t):
@@ -313,9 +325,10 @@ def _ref_agg_expr(expr, group, params):
             values.append(v.value)
             any_dec = any_dec or v.datatype == "decimal"
         if expr.func == "SUM":
-            s = sum(values)
-            return Literal(float(s), "decimal") if any_dec else Literal(int(s), "integer")
-        return Literal(sum(values) / len(values), "decimal")
+            if any_dec:
+                return _ref_decimal(lambda: sum(values))
+            return Literal(int(sum(values)), "integer")
+        return _ref_decimal(lambda: sum(values) / len(values))
     if isinstance(expr, ast.Binary):
         left = _ref_agg_expr(expr.left, group, params)
         right = _ref_agg_expr(expr.right, group, params)

@@ -7,13 +7,15 @@ parser, kept as the parser ``parse_graph`` must agree with, in triples or
 in error message and line number. Only the term types, the term
 constructors and the error class are shared.
 
-One deliberate change from that earlier parser: a number whose value is
-out of range, such as ``1e999``, raises ``GraphParseError`` with its line
-number, as the package's parser now does, instead of a bare
-``MalformedTermError``.
+Two deliberate changes from that earlier parser, both as the package's
+parser now does: a number whose value is out of range, such as ``1e999``,
+raises ``GraphParseError`` with its line number instead of a bare
+``MalformedTermError``, and so does an integer with more digits than
+``int()`` reads, instead of a bare ``ValueError``.
 """
 
 import re
+import sys
 
 from supplykg.serialization import GraphParseError
 from supplykg.terms import (
@@ -113,6 +115,12 @@ class LineParser:
                 return Literal(float(text), DECIMAL)
             except MalformedTermError as exc:
                 raise GraphParseError(str(exc), self.line) from None
+            except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
+                digits = len(text.lstrip("+-"))
+                raise GraphParseError(
+                    f"integer literal has {digits} digits, more than the {sys.get_int_max_str_digits()} allowed",
+                    self.line,
+                ) from None
         if kind == "string":
             tag = self.take()[1] if self.peek_kind() == "tag" else None
             try:

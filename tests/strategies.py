@@ -1,12 +1,13 @@
 """Shared hypothesis strategies for graph and term generation, and the
-full-scan oracle that ``Graph.match`` is checked against."""
+full-scan oracle that ``Graph.match`` is checked against: plain
+unification of a pattern with each triple, one position at a time."""
 
 import string as _string
 
 from hypothesis import strategies as st
 
 from supplykg.graph import Graph
-from supplykg.terms import Iri, Literal, Quoted, Triple, TriplePattern, Variable, format_triple, unify
+from supplykg.terms import Iri, Literal, PatternTerm, Quoted, Term, Triple, TriplePattern, Variable, format_triple
 
 _name_head = _string.ascii_letters + "_"
 _name_tail = _name_head + _string.digits + ".:-"
@@ -50,6 +51,41 @@ triples = st.recursive(
 )
 
 graphs = st.lists(triples, max_size=40).map(Graph)
+
+
+def unify_term(pattern: PatternTerm, term: Term, bindings: dict[str, Term]) -> bool:
+    """Try to unify one pattern position with a ground term, extending
+    ``bindings`` in place. Returns False (bindings possibly half-extended;
+    callers work on copies) when they cannot match."""
+    if isinstance(pattern, Variable):
+        bound = bindings.get(pattern.name)
+        if bound is None:
+            bindings[pattern.name] = term
+            return True
+        return bound == term
+    if isinstance(pattern, TriplePattern):
+        if not isinstance(term, Quoted):
+            return False
+        inner = term.triple
+        return (
+            unify_term(pattern.subject, inner.subject, bindings)
+            and unify_term(pattern.predicate, inner.predicate, bindings)
+            and unify_term(pattern.object, inner.object, bindings)
+        )
+    return pattern == term
+
+
+def unify(pattern: TriplePattern, triple: Triple, bindings: dict[str, Term] | None = None) -> dict[str, Term] | None:
+    """Unify a pattern with a ground triple under optional prior bindings.
+    Returns the extended bindings as a new dict, or None on mismatch."""
+    work = dict(bindings) if bindings else {}
+    if (
+        unify_term(pattern.subject, triple.subject, work)
+        and unify_term(pattern.predicate, triple.predicate, work)
+        and unify_term(pattern.object, triple.object, work)
+    ):
+        return work
+    return None
 
 
 def full_scan(pattern, triples, bindings=None):

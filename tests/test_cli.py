@@ -556,6 +556,29 @@ def test_pattern_no_triple_can_satisfy_gives_header_only(graph_file, tmp_path, c
     assert capsys.readouterr().out == ",".join(columns) + "\n"
 
 
+@pytest.mark.parametrize(
+    "value, text, code, out, err",
+    [
+        ("1" * 400, "SELECT ?x WHERE { ?s :b ?x . FILTER (?x * 1.5 > 1) }", 0, "x\n", ""),
+        ("1" * 400, "SELECT (AVG(?x) AS ?m) WHERE { ?s :b ?x . }", 2, "", "error: AVG: the result is out of the range of a decimal\n"),
+        ("1e300", "SELECT ?x WHERE { ?s :b ?x . FILTER (?x * ?x > 1) }", 0, "x\n", ""),
+        ("1e300", "SELECT ?x WHERE { ?s :b ?x . FILTER (?x / 0 > 1) }", 0, "x\n", ""),
+        ("1e300", "SELECT (?x * ?x AS ?y) WHERE { ?s :b ?x . }", 2, "", "error: *: the result is out of the range of a decimal\n"),
+    ],
+    ids=["filter-int-times-decimal", "avg-of-a-long-int", "filter-decimal-square", "filter-divide-by-zero", "projected-square"],
+)
+def test_query_arithmetic_out_of_range(tmp_path, capsys, value, text, code, out, err):
+    """A FILTER whose arithmetic leaves the range of a decimal drops the row,
+    as division by zero does; in a projection or an aggregate it is exit 2
+    with a message, never a traceback."""
+    graph = tmp_path / "g.kg"
+    graph.write_text(f":a :b {value} .\n")
+    query = tmp_path / "q.rq"
+    query.write_text(text)
+    assert run("query", "--graph", str(graph), str(query)) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def test_query_insert_requires_out(graph_file, tmp_path):
     q = tmp_path / "i.rq"
     q.write_text("INSERT { ?n :hasSCORKPI :X . } WHERE { ?n a :OEM . }")

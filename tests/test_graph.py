@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supplykg import vocab as v
@@ -186,8 +186,41 @@ _bindings = st.one_of(
 )
 
 
+_X, _Y = Variable("x"), Variable("y")
+_QUOTED = [
+    Triple(Quoted(t("a", "p", "b")), Iri("q"), Iri("b")),
+    Triple(Quoted(t("a", "p", "b")), Iri("q"), Iri("c")),
+    Triple(Quoted(t("c", "p", "b")), Iri("q"), Iri("b")),
+    Triple(Iri("b"), Iri("q"), Quoted(t("a", "p", "b"))),
+    t("a", "p", "a"),
+    t("a", "p", "b"),
+]
+# The matcher decides per call how it reads each position; these are the
+# patterns where that is more than a bind or a compare.
+_READINGS = [
+    # a repeated variable
+    (TriplePattern(_X, Iri("p"), _X), None, [{"x": Iri("a")}]),
+    # a nested pattern that shares a variable with the outer position
+    (TriplePattern(TriplePattern(_X, Iri("p"), _Y), Iri("q"), _Y), None, [{"x": Iri("a"), "y": Iri("b")}, {"x": Iri("c"), "y": Iri("b")}]),
+    (TriplePattern(_Y, Iri("q"), TriplePattern(_X, Iri("p"), _Y)), None, [{"y": Iri("b"), "x": Iri("a")}]),
+    # prior bindings that bind a nested position
+    (TriplePattern(TriplePattern(_X, Iri("p"), _Y), Iri("q"), _Y), {"x": Iri("c")}, [{"x": Iri("c"), "y": Iri("b")}]),
+    (TriplePattern(TriplePattern(_X, Iri("p"), Iri("b")), _Y, Iri("c")), {"x": Iri("a"), "z": Iri("r")}, [{"x": Iri("a"), "z": Iri("r"), "y": Iri("q")}]),
+]
+
+
+@pytest.mark.parametrize("pat, bindings, expected", _READINGS, ids=["repeat", "shared", "shared-later", "bound-nested", "bound-nested-ground"])
+def test_match_reads_repeats_and_nested_positions(pat, bindings, expected):
+    rows = Graph(_QUOTED).match(pat, bindings)
+    assert rows == expected == full_scan(pat, _QUOTED, bindings)
+    assert [list(r) for r in rows] == [list(r) for r in expected]  # the order of the keys too
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_triples, max_size=25), _patterns, _bindings)
+@example(_QUOTED, *_READINGS[0][:2])
+@example(_QUOTED, *_READINGS[1][:2])
+@example(_QUOTED, *_READINGS[3][:2])
 def test_match_agrees_with_full_scan(triples, pat, bindings):
     g = Graph(triples)
     assert g.match(pat, bindings) == full_scan(pat, triples, bindings)

@@ -47,7 +47,7 @@ _GRAPHS = [
 
 _GRAPH_TOKENS = [
     ":a", ":p", ":rdf:type", "a", " ", "\n", ".", "<<", ">>", "1", "-7", "2.5", "1e3",
-    '"s"', '"', "\\", '\\"', "^^", "^^timestep", "^^boolean", '"True"', '"3"', "#", "?x",
+    '"s"', '"', "\\", '\\"', "^^", "^^timestep", "^^boolean", '"True"', '"3"', "#", "?x", "1" * 4301,
 ]
 
 _QUERIES = [
@@ -132,7 +132,7 @@ def _lines(draw):
 _SHAPE_TERMS = [
     ":a", ":b", "a", "rdf:type", ":rdf:type", "1", "+1", '"1"^^integer', "1.0", "1.00", "0.0", "-0.0",
     '"x"', '"x"^^string', '"a b"', '"True"^^boolean', '"true"^^boolean', '"7"^^timestep', '"-1"^^timestep',
-    "1e999", '"\\q"', ".", "<<", ">>",
+    "1e999", "9" * 4301, '"\\q"', ".", "<<", ">>",
 ]
 
 

@@ -155,6 +155,53 @@ def test_division_yields_decimal_and_by_zero_errors():
         evaluate(q, g2)
 
 
+_BIG = integer(int("1" * 400))  # 400 digits: no float holds it
+_HUGE = decimal(1e300)  # its square overflows
+
+
+@pytest.mark.parametrize(
+    "value, condition",
+    [
+        (_BIG, "?x * 1.5 > 0"),
+        (_BIG, "?x / 3 > 0"),
+        (_BIG, "?x + 0.5 > 0"),
+        (_HUGE, "?x * ?x > 0"),
+        (_HUGE, "?x / 0.5e-300 > 0"),
+    ],
+)
+def test_a_filter_that_overflows_drops_the_row(value, condition):
+    g = Graph([tr("a", "b", value), tr("c", "b", integer(2))])
+    q = parse_query(f"SELECT ?s WHERE {{ ?s :b ?x . FILTER ({condition}) }}")
+    assert evaluate(q, g).rows == ((Iri("c"),),)
+    # as division by zero does
+    q = parse_query("SELECT ?s WHERE { ?s :b ?x . FILTER (?x / 0 > 0) }")
+    assert evaluate(q, g).rows == ()
+
+
+@pytest.mark.parametrize(
+    "value, text, message",
+    [
+        (_BIG, "SELECT (?x * 1.5 AS ?y) WHERE { ?s :b ?x . }", r"\*: the result is out of the range of a decimal"),
+        (_BIG, "SELECT (AVG(?x) AS ?m) WHERE { ?s :b ?x . }", "AVG: the result is out of the range of a decimal"),
+        (_BIG, "SELECT (SUM(?x) + 0.5 AS ?m) WHERE { ?s :b ?x . }", r"\+: the result is out of the range"),
+        (_HUGE, "SELECT (?x * ?x AS ?y) WHERE { ?s :b ?x . }", r"\*: the result is out of the range of a decimal"),
+        (decimal(1e308), "SELECT (SUM(?x) AS ?m) WHERE { ?s :b ?x . }", "SUM: the result is out of the range"),
+    ],
+)
+def test_an_overflow_in_a_projection_or_aggregate_is_a_type_error(value, text, message):
+    g = Graph([tr("a", "b", value), tr("c", "b", value)])
+    with pytest.raises(QueryTypeError, match=message):
+        evaluate(parse_query(text), g)
+
+
+def test_integer_arithmetic_beyond_float_range_stays_exact():
+    g = Graph([tr("a", "b", _BIG), tr("c", "b", integer(1))])
+    q = parse_query("SELECT ?s (?x * ?x - 1 AS ?y) WHERE { ?s :b ?x . }")
+    assert evaluate(q, g).rows == ((Iri("a"), integer(_BIG.value**2 - 1)), (Iri("c"), integer(0)))
+    q = parse_query("SELECT (SUM(?x) AS ?total) WHERE { ?s :b ?x . }")
+    assert evaluate(q, g).rows == ((integer(_BIG.value + 1),),)
+
+
 def test_timestep_arithmetic_rules():
     g = Graph([tr("o", "hasDeliveryTime", timestep(12)), tr("o", "hasLead", integer(3))])
     # timestep - integer compares equal to a timestep instant

@@ -13,3 +13,5 @@ def test_engine_matches_reference_on_random_cases():
     # triple holds one (subject, predicate)
     assert stats["with_params"] >= 20
     assert stats["literal_subject_or_predicate_params"] >= 5
+    # parameters stand as operands in filters and projections too
+    assert stats["expression_params"] >= 10

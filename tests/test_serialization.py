@@ -244,3 +244,23 @@ def test_a_bad_token_on_several_lines_fails_at_the_first():
         with pytest.raises(GraphParseError) as err:
             parse_graph(f":a :p :b .\n{bad}\n{bad}\n:c :p :d .\n{bad}\n")
         assert (str(err.value), err.value.line) == (message, 2)
+
+
+@pytest.mark.parametrize(
+    "number",
+    ["1" * 5000, "-" + "7" * 4301, '"' + "1" * 5000 + '"^^integer'],
+    ids=["5000-digits", "negative-4301-digits", "typed-5000-digits"],
+)
+@pytest.mark.parametrize("shape", ["{} .", "<< :c :d {} >> ."], ids=["object", "quoted"])
+def test_an_integer_too_long_to_read_is_a_parse_error_with_its_line(number, shape):
+    """More digits than ``int()`` reads (4,300 by default) is a
+    ``GraphParseError`` on the line that holds them, whether the line takes
+    the direct path or the line parser."""
+    text = ":x :y :z .\n:a :b " + shape.format(number) + "\n"
+    with pytest.raises(GraphParseError) as err:
+        parse_graph(text)
+    assert err.value.line == 2
+    assert str(err.value).startswith("line 2: ")
+    if not number.startswith('"'):
+        digits = len(number.lstrip("-"))
+        assert str(err.value) == f"line 2: integer literal has {digits} digits, more than the 4300 allowed"

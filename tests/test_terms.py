@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from strategies import literals
+from strategies import literals, unify
 
 import supplykg
 from supplykg.graph import Graph
@@ -34,7 +34,6 @@ from supplykg.terms import (
     substitute,
     timestep,
     to_ground,
-    unify,
 )
 
 
