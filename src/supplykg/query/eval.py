@@ -149,21 +149,20 @@ _TRUE = Literal(True, BOOLEAN)
 _FALSE = Literal(False, BOOLEAN)
 
 
-def _number_kind(term: Term, op: str) -> str:
-    """The datatype of a numeric literal; anything else is a type error."""
-    if term.__class__ is Literal and term.datatype in _NUMERIC:
-        return term.datatype
-    raise QueryTypeError(f"{op}: expected a number, got {format_term(term)}")
-
-
 def _expect_bool(term: Term, where: str) -> bool:
     if term.__class__ is Literal and term.datatype == BOOLEAN:
         return term.value
     raise QueryTypeError(f"{where}: expected a boolean, got {format_term(term)}")
 
 
-def _decimal(value, op: str) -> Literal:
-    """A decimal result; one no decimal can hold is a type error."""
+def _decimal(op: str, compute, *operands) -> Literal:
+    """The decimal result of ``compute(*operands)``. One no decimal can
+    hold, infinite or from an integer too large for a float, is a type
+    error."""
+    try:
+        value = float(compute(*operands))
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         raise QueryTypeError(f"{op}: the result is out of the range of a decimal")
     return Literal(value, DECIMAL)
@@ -208,10 +207,7 @@ def _arith(op: str):
                 raise QueryTypeError("division by zero")
         elif lk == INTEGER and rk == INTEGER:
             return Literal(compute(lv, rv), INTEGER)
-        try:
-            return _decimal(compute(lv, rv), op)
-        except OverflowError:  # an integer too large for a float
-            raise QueryTypeError(f"{op}: the result is out of the range of a decimal") from None
+        return _decimal(op, compute, lv, rv)
 
     return apply
 
@@ -343,11 +339,7 @@ def _compile(expr: ast.Expr, params: dict[str, Term]) -> Callable[[Row], Term]:
             cond, then, other = args
             return lambda row: (then if _expect_bool(cond(row), "IF") else other)(row)
         apply = _FUNCTIONS[expr.func]
-        if len(args) == 1:
-            (arg,) = args
-            return lambda row: apply(arg(row))
-        first, second = args
-        return lambda row: apply(first(row), second(row))
+        return lambda row: apply(*[arg(row) for arg in args])
     if isinstance(expr, ast.Aggregate):
 
         def misplaced(row: Row) -> Term:
@@ -380,14 +372,13 @@ def _compile_group(expr: ast.Expr, params: dict[str, Term]) -> Callable[[list[Ro
 def _aggregate(func: str, values: list[Term]) -> Literal:
     any_decimal = False
     for v in values:
-        any_decimal = _number_kind(v, func) == DECIMAL or any_decimal
-    try:
-        total = sum(v.value for v in values)
-        if func == "SUM" and not any_decimal:
-            return Literal(total, INTEGER)
-        return _decimal(total / len(values) if func == "AVG" else float(total), func)
-    except OverflowError:  # an integer too large for a float
-        raise QueryTypeError(f"{func}: the result is out of the range of a decimal") from None
+        if v.__class__ is not Literal or v.datatype not in _NUMERIC:
+            raise QueryTypeError(f"{func}: expected a number, got {format_term(v)}")
+        any_decimal = any_decimal or v.datatype == DECIMAL
+    numbers = [v.value for v in values]
+    if func == "AVG":
+        return _decimal(func, lambda: sum(numbers) / len(numbers))
+    return _decimal(func, sum, numbers) if any_decimal else Literal(sum(numbers), INTEGER)
 
 
 # -- joins ---------------------------------------------------------------------

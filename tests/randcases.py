@@ -211,12 +211,17 @@ def _random_arith(rng: SplitMix64, b: _CaseBuilder, depth: int = 0) -> ast.Expr:
     return ast.Binary(op, _random_arith(rng, b, depth + 1), _random_arith(rng, b, depth + 1))
 
 
+def _due_shape(rng: SplitMix64, b: _CaseBuilder) -> ast.Expr:
+    """The due-orders filter's shape, ``?dt - lt = t``, with its operators
+    drawn and its variable one in object position if there is one."""
+    shifted = ast.Binary(rng.choice(["-", "-", "+", "/"]), ast.VarRef(rng.choice(b.values or b.vars)), b.param("integer"))
+    return ast.Binary(rng.choice(list(ast.COMPARISONS)), shifted, b.param("timestep"))
+
+
 def _random_bool_expr(rng: SplitMix64, b: _CaseBuilder, depth: int = 0) -> ast.Expr:
     roll = rng.randint(0, 9)
     if roll < 2 and b.vars:
-        # the due-orders filter's shape, ?dt - lt = t, with its operators drawn
-        shifted = ast.Binary(rng.choice(["-", "+", "/"]), ast.VarRef(rng.choice(b.values or b.vars)), b.param("integer"))
-        return ast.Binary(rng.choice(list(ast.COMPARISONS)), shifted, b.param("timestep"))
+        return _due_shape(rng, b)
     if roll < 5 or depth >= 2:
         op = rng.choice(list(ast.COMPARISONS))
         return ast.Binary(op, _random_arith(rng, b), _random_arith(rng, b))
@@ -300,13 +305,14 @@ def random_select(
 
 def random_filter_select(rng: SplitMix64, graph: Graph) -> tuple[ast.SelectQuery, dict[str, Term]]:
     """``SELECT * WHERE { ?s ?p ?o . FILTER (...) }`` with a drawn filter on
-    ``?o``: every object of the graph, numbers of every kind among them,
-    goes through the filter's arithmetic and comparisons. One time in
+    ``?o``, half the time of the due-orders shape: every object of the
+    graph, numbers of every kind among them, goes through the filter's
+    arithmetic and comparisons. One time in
     three the query sums and averages the costs, in tenths, that pass the
     filter instead: their sums depend on the order of the rows."""
     b = _CaseBuilder(rng, graph, rng)
     b.vars, b.values = ["s", "o"], ["o"]
-    filters = (_random_bool_expr(rng, b),)
+    filters = (_due_shape(rng, b) if rng.randint(0, 1) == 0 else _random_bool_expr(rng, b),)
     if rng.randint(0, 2) > 0:
         return ast.SelectQuery(None, (TriplePattern(Variable("s"), Variable("p"), Variable("o")),), filters), b.params
     totals = tuple(ast.ProjItem(ast.Aggregate(func, ast.VarRef("o")), func.lower()) for func in ("SUM", "AVG"))
