@@ -25,15 +25,16 @@ Semantics in brief:
 * Arithmetic: +,-,* on integers stay integer, any decimal operand makes the
   result decimal, / always yields decimal. A decimal result no decimal
   literal can hold (infinite, or from an integer too large for a float) is
-  a type error; integers are exact at any size. Timesteps admit instant+duration
-  (timestep +/- integer -> timestep) and instant difference
-  (timestep - timestep -> integer); anything else with a timestep is a type
-  error, which keeps clock values from leaking into ordinary arithmetic.
+  a type error; integers are exact at any size. Timesteps admit
+  instant+duration (timestep +/- integer -> timestep) and instant
+  difference (timestep - timestep -> integer); anything else with a
+  timestep is a type error, which keeps clock values from leaking into
+  ordinary arithmetic.
 * Aggregates (SUM, AVG) group rows by the projected plain variables, or by
   the explicit GROUP BY variable. SUM of integers is an integer, AVG is
-  always decimal, and an out-of-range decimal total or mean is a type
-  error, as in arithmetic. Aggregating non-numbers is a type error. Zero WHERE rows
-  means zero groups, hence an empty table.
+  always decimal, and a decimal total or mean out of range is a type
+  error, as in arithmetic. Aggregating non-numbers is a type error. Zero
+  WHERE rows means zero groups, hence an empty table.
 * Rows are sorted by their canonical serialized form; ORDER BY applies the
   requested key first, descending if asked, ties broken by serialized form.
 * INSERT-WHERE instantiates every template for every row before touching
