@@ -35,6 +35,7 @@ grouping and must match an explicit GROUP BY when one is given.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Optional, Union
 
 from ..terms import (
@@ -287,7 +288,13 @@ class _Parser:
         try:
             return Literal(int(text), "integer")
         except ValueError:
-            pass
+            if text.lstrip("+-").isdigit():  # more digits than int() reads
+                digits = len(text.lstrip("+-"))
+                raise QuerySyntaxError(
+                    f"integer literal has {digits} digits, more than the {sys.get_int_max_str_digits()} allowed",
+                    tok.line,
+                    tok.col,
+                ) from None
         try:
             return Literal(float(text), "decimal")
         except MalformedTermError as exc:  # a number no decimal can hold, such as 1e999

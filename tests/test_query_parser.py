@@ -252,6 +252,20 @@ def test_a_number_no_decimal_can_hold_is_a_syntax_error_at_its_position(query, w
         parse_query(query)
 
 
+@pytest.mark.parametrize(
+    "query, where, digits",
+    [
+        ("SELECT * WHERE { ?s :p " + "1" * 5000 + " . }", "line 1, column 24", 5000),
+        ("SELECT * WHERE { ?s :p ?o . FILTER(?o > -" + "7" * 4301 + ") }", "line 1, column 42", 4301),
+    ],
+    ids=["object", "filter"],
+)
+def test_an_integer_too_long_to_read_is_a_syntax_error_at_its_position(query, where, digits):
+    """The message the graph parser gives for the same token."""
+    with pytest.raises(QuerySyntaxError, match=f"^{where}: integer literal has {digits} digits, more than the 4300"):
+        parse_query(query)
+
+
 def _nested(depth):
     return "<< " * depth + "?s :p :o" + " >> :q :r" * depth
 
