@@ -113,8 +113,8 @@ class _CaseBuilder:
     def param(self, kind: str) -> ParamRef:
         """A new parameter, bound to a drawn timestep or integer."""
         name = f"k{len(self.params)}"
-        low = 0 if kind == "timestep" else -3
-        self.params[name] = Literal(self.param_rng.randint(low, 15 if kind == "timestep" else 12), kind)
+        low, high = (0, 15) if kind == "timestep" else (-3, 12)
+        self.params[name] = Literal(self.param_rng.randint(low, high), kind)
         return ParamRef(name)
 
     def operand_param(self, operand: ast.Expr) -> ast.Expr:
@@ -307,9 +307,9 @@ def random_filter_select(rng: SplitMix64, graph: Graph) -> tuple[ast.SelectQuery
     """``SELECT * WHERE { ?s ?p ?o . FILTER (...) }`` with a drawn filter on
     ``?o``, half the time of the due-orders shape: every object of the
     graph, numbers of every kind among them, goes through the filter's
-    arithmetic and comparisons. One time in
-    three the query sums and averages the costs, in tenths, that pass the
-    filter instead: their sums depend on the order of the rows."""
+    arithmetic and comparisons. One time in three the query sums and
+    averages the costs, in tenths, that pass the filter instead: their
+    sums depend on the order of the rows."""
     b = _CaseBuilder(rng, graph, rng)
     b.vars, b.values = ["s", "o"], ["o"]
     filters = (_due_shape(rng, b) if rng.randint(0, 1) == 0 else _random_bool_expr(rng, b),)
