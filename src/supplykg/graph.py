@@ -3,8 +3,9 @@
 Set semantics: inserting a triple twice is a no-op. Iteration and pattern
 matching are deterministic, ordered by each triple's canonical text form, so
 two graphs with equal content always behave identically regardless of
-insertion history. ``snapshot`` is the one unordered read, for callers whose
-result does not depend on order.
+insertion history. ``snapshot``, ``about`` (one index bucket) and ``keys``
+(one index's terms) are the unordered reads, for callers whose result does
+not depend on order or that sort only what they need.
 
 Each triple lives only in its three index buckets, with no triple set beside
 them: its subject bucket answers membership, and the few dozen predicate
@@ -16,7 +17,10 @@ before the scan, which positions of a candidate it compares, which it binds
 and which must repeat a variable; nested quoted patterns are read the same
 way, one level down. One cache holds canonical
 order: each bucket, and the whole graph under the key ``None``, is sorted
-once, on first use, and kept until a write touches it.
+once, on first use, and kept until the next write, which drops the whole
+cache at once. The entity reads of ``schema`` and the vocabulary check of
+``validation`` go through the unordered reads, so little is cached between
+the writes of a simulation.
 """
 
 from __future__ import annotations
@@ -78,8 +82,8 @@ class Graph:
             self._by_object[triple.object] = {triple}
         else:
             bucket.add(triple)
-        if self._order:  # empty while a graph is loaded, so loading hashes no keys
-            self._forget_order(triple)
+        if self._order:  # rarely filled between two writes
+            self._order.clear()
         return True
 
     def remove(self, triple: Triple) -> bool:
@@ -97,15 +101,8 @@ class Graph:
             if not bucket:
                 del index[key]
         if self._order:
-            self._forget_order(triple)
+            self._order.clear()
         return True
-
-    def _forget_order(self, triple: Triple) -> None:
-        order = self._order
-        order.pop(None, None)
-        order.pop((0, triple.subject), None)
-        order.pop((1, triple.predicate), None)
-        order.pop((2, triple.object), None)
 
     def __contains__(self, triple: object) -> bool:
         return isinstance(triple, Triple) and triple in self._by_subject.get(triple.subject, ())
@@ -124,6 +121,17 @@ class Graph:
         """All triples in no set order, as a new list that later writes
         leave unchanged: for callers that sort by other means, or not at all."""
         return [t for bucket in self._by_predicate.values() for t in bucket]
+
+    def about(self, position: int, term: Term) -> tuple[Triple, ...]:
+        """The triples that hold ``term`` at ``position`` (0, 1, 2 being
+        subject, predicate, object), in no set order, as a tuple that later
+        writes leave unchanged: one index bucket, read without sorting."""
+        return tuple((self._by_subject, self._by_predicate, self._by_object)[position].get(term, ()))
+
+    def keys(self, position: int) -> list[Term]:
+        """The distinct terms at ``position`` (as in ``about``), in no set
+        order, as a new list."""
+        return list((self._by_subject, self._by_predicate, self._by_object)[position])
 
     def copy(self) -> "Graph":
         g = Graph()

@@ -25,15 +25,17 @@ Semantics in brief:
 * Arithmetic: +,-,* on integers stay integer, any decimal operand makes the
   result decimal, / always yields decimal. A decimal result no decimal
   literal can hold (infinite, or from an integer too large for a float) is
-  a type error; integers are exact at any size. Timesteps admit
+  a type error. Integers are exact up to the digits Python writes as text
+  (``sys.get_int_max_str_digits()``, 4,300 by default); an integer or
+  timestep result with more is a type error too. Timesteps admit
   instant+duration (timestep +/- integer -> timestep) and instant
   difference (timestep - timestep -> integer); anything else with a
   timestep is a type error, which keeps clock values from leaking into
   ordinary arithmetic.
 * Aggregates (SUM, AVG) group rows by the projected plain variables, or by
   the explicit GROUP BY variable. SUM of integers is an integer, AVG is
-  always decimal, and a decimal total or mean out of range is a type
-  error, as in arithmetic. Aggregating non-numbers is a type error. Zero
+  always decimal, and a total or mean out of range is a type error, as in
+  arithmetic. Aggregating non-numbers is a type error. Zero
   WHERE rows means zero groups, hence an empty table.
 * Rows are sorted by their canonical serialized form; ORDER BY applies the
   requested key first, descending if asked, ties broken by serialized form.
@@ -48,6 +50,7 @@ import csv
 import io
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -169,6 +172,20 @@ def _decimal(op: str, compute, *operands) -> Literal:
     return Literal(value, DECIMAL)
 
 
+# An int of smaller magnitude has fewer than 640 digits, the least limit that
+# ``sys.set_int_max_str_digits`` allows other than none: each integer result
+# is compared with it, and only a longer one has its digits counted.
+_SHORT = 1 << 2126
+
+
+def _check_digits(op: str, value: int) -> None:
+    """Raise a type error if the integer (or timestep) result ``value`` has
+    more digits than ``sys.get_int_max_str_digits()``: it has no text form."""
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(value) >= 10**limit:
+        raise QueryTypeError(f"{op}: the result has more than {limit} digits")
+
+
 def _clock(op: str, lv: int, lk: str, rv: int, rk: str) -> Literal:
     """Arithmetic with a timestep operand: instant plus or minus duration,
     and instant minus instant; nothing else."""
@@ -177,13 +194,15 @@ def _clock(op: str, lv: int, lk: str, rv: int, rk: str) -> Literal:
     elif op == "+" and {lk, rk} == {TIMESTEP, INTEGER}:
         value = lv + rv
     elif op == "-" and lk == TIMESTEP and rk == TIMESTEP:
-        return Literal(lv - rv, INTEGER)
+        return Literal(lv - rv, INTEGER)  # no longer than the later instant
     elif op == "/":
         raise QueryTypeError("cannot divide timesteps")
     else:
         raise QueryTypeError(f"cannot apply {op} to {lk} and {rk}")
-    if value < 0:
-        raise QueryTypeError(f"timestep arithmetic went negative ({value})")
+    if not 0 <= value < _SHORT:
+        if value < 0:
+            raise QueryTypeError(f"timestep arithmetic went negative ({value})")
+        _check_digits(op, value)
     return Literal(value, TIMESTEP)
 
 
@@ -207,7 +226,10 @@ def _arith(op: str):
             if rv == 0:
                 raise QueryTypeError("division by zero")
         elif lk == INTEGER and rk == INTEGER:
-            return Literal(compute(lv, rv), INTEGER)
+            value = compute(lv, rv)
+            if not -_SHORT < value < _SHORT:
+                _check_digits(op, value)
+            return Literal(value, INTEGER)
         return _decimal(op, compute, lv, rv)
 
     return apply
@@ -379,7 +401,12 @@ def _aggregate(func: str, values: list[Term]) -> Literal:
     numbers = [v.value for v in values]
     if func == "AVG":
         return _decimal(func, lambda: sum(numbers) / len(numbers))
-    return _decimal(func, sum, numbers) if any_decimal else Literal(sum(numbers), INTEGER)
+    if any_decimal:
+        return _decimal(func, sum, numbers)
+    total = sum(numbers)
+    if not -_SHORT < total < _SHORT:
+        _check_digits(func, total)
+    return Literal(total, INTEGER)
 
 
 # -- joins ---------------------------------------------------------------------

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import vocab as v
 from .graph import Graph
@@ -51,9 +52,8 @@ from .terms import (
     Literal,
     Quoted,
     Triple,
-    TriplePattern,
-    Variable,
     format_term,
+    format_triple,
     integer,
 )
 
@@ -224,7 +224,17 @@ class _TierField(Field):
         return tier_iri(Iri(view.kind), value)
 
 
-_P, _O = Variable("p"), Variable("o")
+def _grouped(triples, side: str) -> dict:
+    """The terms at ``side`` ("subject" or "object") of ``triples``, per
+    predicate, in the canonical order of their triples. Only a predicate
+    with two or more triples is sorted: ``triples`` comes unordered from an
+    index bucket, and sorting each group by the same key as ``Graph.match``
+    gives the order that ``match`` would have given."""
+    groups: dict = {}
+    for t in triples:
+        groups.setdefault(t.predicate, []).append(t)
+    get = attrgetter(side)
+    return {p: [get(t) for t in (sorted(g, key=format_triple) if len(g) > 1 else g)] for p, g in groups.items()}
 
 
 def _delta(gone: list, added: list, old: list, new: list) -> None:
@@ -253,9 +263,8 @@ class Shape:
         triples: the attribute values (None where unreadable) and a (field,
         error) pair per broken rule, led by (None, error) for a node without
         its classes. ``given`` attributes, such as a record's owner, are not read."""
-        objects: dict = {}
-        for row in graph.match(TriplePattern(subject, _P, _O)):
-            objects.setdefault(row["p"], []).append(row["o"])
+        objects = _grouped(graph.about(0, subject), "object")
+        subjects = None  # of the triples into ``subject``, read for the first inward field
         if isinstance(self.key, str):
             values = {self.key: subject.name}
         else:
@@ -274,7 +283,12 @@ class Shape:
         for f in self.fields:
             if f.attr in given:
                 continue
-            terms = graph.subjects(f.predicate, subject) if f.inward else objects.get(f.predicate, ())
+            if f.inward:
+                if subjects is None:
+                    subjects = _grouped(graph.about(2, subject), "subject")
+                terms = subjects.get(f.predicate, ())
+            else:
+                terms = objects.get(f.predicate, ())
             try:
                 value = f.read(subject, terms, cls)
             except MissingEntityError as exc:

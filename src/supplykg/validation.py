@@ -13,9 +13,11 @@ and never stops the report. Each node and each record is read once; the
 checks that span entities take a node's class, tier and saturation from
 that read: vocabulary, node classes, the OEM's suppliers, record owners,
 capacity against saturation, tier links and bill-of-materials cycles.
-No check sorts the graph: the vocabulary walk reads an unordered snapshot,
-and record links and bill-of-materials edges come from their predicates'
-index lookups.
+No check sorts the graph. The vocabulary check reads the index keys, not
+every triple: each distinct predicate, each ``rdf:type`` object and each
+distinct quoted term, nested ones included, is checked once. Entities are
+read from their unordered index buckets, and record links and
+bill-of-materials edges come from their predicates' index lookups.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from . import schema
 from . import vocab as v
 from .graph import Graph
-from .terms import Iri, Quoted, TriplePattern, Variable
+from .terms import Iri, Quoted, Triple, TriplePattern, Variable
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,31 +51,33 @@ class _Report:
 
 
 def _check_vocabulary(graph, report, allow_unknown):
-    def walk(triple):
-        if triple.predicate not in v.KNOWN_PREDICATES:
-            report.error(
-                "unknown-predicate",
-                triple.predicate.name,
-                f"predicate {triple.predicate.name} is not in the vocabulary",
-            )
-        if (
-            triple.predicate == v.RDF_TYPE
-            and isinstance(triple.object, Iri)
-            and triple.object not in v.KNOWN_CLASSES
-        ):
-            report.warning(
-                "unknown-class",
-                triple.object.name,
-                f"class {triple.object.name} is not in the vocabulary",
-            )
-        for part in (triple.subject, triple.object):
-            if isinstance(part, Quoted):
-                walk(part.triple)
+    """Report each predicate and ``rdf:type`` class outside the vocabulary,
+    also inside quoted triples. The findings are a set, so each distinct
+    term is checked once: the predicate index's keys, the objects of the
+    ``rdf:type`` bucket, and every quoted term the subject and object
+    indexes hold, with the quoted triples nested in them."""
+
+    def check(predicate, obj):
+        if predicate not in v.KNOWN_PREDICATES:
+            report.error("unknown-predicate", predicate.name, f"predicate {predicate.name} is not in the vocabulary")
+        if predicate == v.RDF_TYPE and isinstance(obj, Iri) and obj not in v.KNOWN_CLASSES:
+            report.warning("unknown-class", obj.name, f"class {obj.name} is not in the vocabulary")
 
     if allow_unknown:
         return
-    for t in graph.snapshot():  # the findings are sorted at the end
-        walk(t)
+    for predicate in graph.keys(1):
+        check(predicate, None)
+    for t in graph.about(1, v.RDF_TYPE):
+        check(t.predicate, t.object)
+    seen = {term for position in (0, 2) for term in graph.keys(position) if isinstance(term, Quoted)}
+    quoted = list(seen)
+    while quoted:
+        t = quoted.pop().triple
+        check(t.predicate, t.object)
+        for part in (t.subject, t.object):
+            if isinstance(part, Quoted) and part not in seen:
+                seen.add(part)
+                quoted.append(part)
 
 
 def _node_code(field, problem, kind):
@@ -195,17 +199,17 @@ def _check_topology(graph, nodes, report):
         for kind in (v.SUPPLIER, v.CUSTOMER)
     )
     for s, t in sup.items():
-        if t == 1 and oem not in graph.objects(s, v.HAS_OEM):
+        if t == 1 and Triple(s, v.HAS_OEM, oem) not in graph:
             report.error("missing-oem-link", s.name, "tier-1 supplier has no hasOEM link")
     for c, t in cust.items():
-        if t == 1 and c not in graph.objects(oem, v.OEM_HAS_NODE):
+        if t == 1 and Triple(oem, v.OEM_HAS_NODE, c) not in graph:
             report.error("missing-oem-link", c.name, "tier-1 customer has no OEMhasNode link")
 
     def coverage(members, pred, label):
         top = max(members.values(), default=0)
         covered = set()
         for a, t in members.items():
-            links = [b for b in graph.objects(a, pred) if isinstance(b, Iri)]
+            links = [x.object for x in graph.about(0, a) if x.predicate == pred and isinstance(x.object, Iri)]
             covered.update(links)
             for b in links:
                 if tier(b) is not None and tier(b) != t + 1:

@@ -172,12 +172,12 @@ def ref_expr(expr, binding, params):
             elif op == "-" and (lk, rk) == ("timestep", "integer"):
                 out = lv.value - rv.value
             elif op == "-" and (lk, rk) == ("timestep", "timestep"):
-                return Literal(lv.value - rv.value, "integer")
+                return _ref_integer(lv.value - rv.value)
             else:
                 raise QueryTypeError("bad timestep arithmetic")
             if out < 0:
                 raise QueryTypeError("negative timestep")
-            return Literal(out, "timestep")
+            return _ref_integer(out, "timestep")
         if op == "+":
             compute = lambda: lv.value + rv.value  # noqa: E731
         elif op == "-":
@@ -186,8 +186,19 @@ def ref_expr(expr, binding, params):
             compute = lambda: lv.value * rv.value  # noqa: E731
         if "decimal" in (lk, rk):
             return _ref_decimal(compute)
-        return Literal(compute(), "integer")
+        return _ref_integer(compute())
     raise TypeError(expr)
+
+
+def _ref_integer(value, datatype="integer"):
+    """An integer or timestep result. One that ``str`` cannot write, for
+    having more digits than Python allows, is a type error: no literal
+    text holds it."""
+    try:
+        str(value)
+    except ValueError:
+        raise QueryTypeError("too many digits") from None
+    return Literal(value, datatype)
 
 
 def _ref_decimal(compute):
@@ -327,7 +338,7 @@ def _ref_agg_expr(expr, group, params):
         if expr.func == "SUM":
             if any_dec:
                 return _ref_decimal(lambda: sum(values))
-            return Literal(int(sum(values)), "integer")
+            return _ref_integer(int(sum(values)))
         return _ref_decimal(lambda: sum(values) / len(values))
     if isinstance(expr, ast.Binary):
         left = _ref_agg_expr(expr.left, group, params)

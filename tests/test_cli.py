@@ -564,8 +564,18 @@ def test_pattern_no_triple_can_satisfy_gives_header_only(graph_file, tmp_path, c
         ("1e300", "SELECT ?x WHERE { ?s :b ?x . FILTER (?x * ?x > 1) }", 0, "x\n", ""),
         ("1e300", "SELECT ?x WHERE { ?s :b ?x . FILTER (?x / 0 > 1) }", 0, "x\n", ""),
         ("1e300", "SELECT (?x * ?x AS ?y) WHERE { ?s :b ?x . }", 2, "", "error: *: the result is out of the range of a decimal\n"),
+        ("1" * 2200, "SELECT ?x WHERE { ?s :b ?x . FILTER (?x * ?x > 1) }", 0, "x\n", ""),
+        ("1" * 2200, "SELECT (?x * ?x AS ?y) WHERE { ?s :b ?x . }", 2, "", "error: *: the result has more than 4300 digits\n"),
     ],
-    ids=["filter-int-times-decimal", "avg-of-a-long-int", "filter-decimal-square", "filter-divide-by-zero", "projected-square"],
+    ids=[
+        "filter-int-times-decimal",
+        "avg-of-a-long-int",
+        "filter-decimal-square",
+        "filter-divide-by-zero",
+        "projected-square",
+        "filter-long-int-square",
+        "projected-long-int-square",
+    ],
 )
 def test_query_arithmetic_out_of_range(tmp_path, capsys, value, text, code, out, err):
     """A FILTER whose arithmetic leaves the range of a decimal drops the row,

@@ -132,10 +132,20 @@ _triples = st.one_of(_plain, st.builds(lambda i, p, o: Triple(Quoted(i), p, o), 
 
 def assert_reads(g, content, universe):
     """Every read of ``g`` but ``match`` agrees with the model set ``content``:
-    the length, the snapshot, membership of each triple of ``universe``, and
-    removing one that is absent, which must change nothing."""
+    the length, the snapshot, each index's terms and buckets, membership of
+    each triple of ``universe``, and removing one that is absent, which must
+    change nothing."""
     assert len(g) == len(content)
     assert set(g.snapshot()) == content
+    for position in range(3):
+        buckets = {}
+        for x in content:
+            buckets.setdefault((x.subject, x.predicate, x.object)[position], set()).add(x)
+        keys = g.keys(position)
+        assert len(keys) == len(buckets) and set(keys) == set(buckets)
+        for term in {(x.subject, x.predicate, x.object)[position] for x in universe}:
+            bucket = g.about(position, term)
+            assert len(bucket) == len(buckets.get(term, ())) and set(bucket) == buckets.get(term, set())
     for x in universe:
         assert (x in g) is (x in content)
         if x not in content:
@@ -305,9 +315,11 @@ def _scaled(k):
 
 def test_candidates_scanned_per_order_stay_flat_in_scale(monkeypatch):
     """Near-linear scaling as a counted contract: the candidates that
-    ``Graph._candidates`` returns per order must not grow by more than half
-    from k=1 (136 orders) to k=4 (2,128), for each stage below. The counts
-    are deterministic, so the test cannot flake.
+    ``Graph._candidates`` returns, with the triples of each unordered bucket
+    read (``about``) and the terms of each index read (``keys``), per order
+    must not grow by more than half from k=1 (136 orders) to k=4 (2,128),
+    for each stage below. The counts are deterministic, so the test cannot
+    flake.
 
     - the customer totals query on the generated graph. Its last step is
       ground once ``?c`` and ``?o`` are bound, and costs one membership
@@ -315,19 +327,22 @@ def test_candidates_scanned_per_order_stay_flat_in_scale(monkeypatch):
       customer's orders;
     - ``validate`` and ``build_report(t=0)`` on the simulated graph."""
     scanned = [0]
-    candidates = Graph._candidates
 
-    def counted(self, pattern):
-        found = candidates(self, pattern)
-        scanned[0] += len(found)
-        return found
+    def counted(read):
+        def wrapper(self, *args):
+            found = read(self, *args)
+            scanned[0] += len(found)
+            return found
+
+        return wrapper
 
     def count(stage):
         scanned[0] = 0
         stage()
         return scanned[0]
 
-    monkeypatch.setattr(Graph, "_candidates", counted)
+    for name in ("_candidates", "about", "keys"):
+        monkeypatch.setattr(Graph, name, counted(getattr(Graph, name)))
     query = parse_query(_CUSTOMER_TOTALS)
     per_order = {}
     for k in (1, 4):

@@ -10,9 +10,14 @@ on the result through ``cli.main``. Whatever the mutation:
 - a command that exits 2 leaves its ``--out`` and ``--final-graph`` files as
   they were.
 
-This guards every change that rewrites the store under its readers. Run it
-with ``--hypothesis-show-statistics`` to see the mutations drawn and the
-exit codes they met."""
+This guards every change that rewrites the store under its readers. It
+draws 80 examples, or as many as the environment variable
+``SUPPLYKG_MUTATION_EXAMPLES`` says: run it with 1,500 on a change that
+rewrites the store, and with ``--hypothesis-show-statistics`` to see the
+mutations drawn and the exit codes they met::
+
+    SUPPLYKG_MUTATION_EXAMPLES=1500 PYTHONPATH=src python -m pytest tests/test_mutations.py
+"""
 
 import functools
 import io
@@ -96,7 +101,11 @@ def _read(path):
         return handle.read()
 
 
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=int(os.environ.get("SUPPLYKG_MUTATION_EXAMPLES", "80")),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 @given(st.sampled_from(sorted(PRESETS)), st.integers(0, 3), st.data())
 def test_cli_contracts_hold_on_mutated_graphs(preset, seed, data):
     triples = list(_generated(preset, seed))

@@ -157,6 +157,7 @@ def test_division_yields_decimal_and_by_zero_errors():
 
 _BIG = integer(int("1" * 400))  # 400 digits: no float holds it
 _HUGE = decimal(1e300)  # its square overflows
+_LONG = integer(int("1" * 2200))  # its square has more digits than Python writes (4,300)
 
 
 @pytest.mark.parametrize(
@@ -167,6 +168,7 @@ _HUGE = decimal(1e300)  # its square overflows
         (_BIG, "?x + 0.5 > 0"),
         (_HUGE, "?x * ?x > 0"),
         (_HUGE, "?x / 0.5e-300 > 0"),
+        (_LONG, "?x * ?x > 0"),
     ],
 )
 def test_a_filter_that_overflows_drops_the_row(value, condition):
@@ -186,6 +188,9 @@ def test_a_filter_that_overflows_drops_the_row(value, condition):
         (_BIG, "SELECT (SUM(?x) + 0.5 AS ?m) WHERE { ?s :b ?x . }", r"\+: the result is out of the range"),
         (_HUGE, "SELECT (?x * ?x AS ?y) WHERE { ?s :b ?x . }", r"\*: the result is out of the range of a decimal"),
         (decimal(1e308), "SELECT (SUM(?x) AS ?m) WHERE { ?s :b ?x . }", "SUM: the result is out of the range"),
+        (_LONG, "SELECT (?x * ?x AS ?y) WHERE { ?s :b ?x . }", r"\*: the result has more than 4300 digits"),
+        (integer(int("9" * 4300)), "SELECT (SUM(?x) AS ?m) WHERE { ?s :b ?x . }", "SUM: the result has more than 4300 digits"),
+        (timestep(int("9" * 4300)), "SELECT (?x + 1 AS ?y) WHERE { ?s :b ?x . }", r"\+: the result has more than 4300 digits"),
     ],
 )
 def test_an_overflow_in_a_projection_or_aggregate_is_a_type_error(value, text, message):
@@ -200,6 +205,19 @@ def test_integer_arithmetic_beyond_float_range_stays_exact():
     assert evaluate(q, g).rows == ((Iri("a"), integer(_BIG.value**2 - 1)), (Iri("c"), integer(0)))
     q = parse_query("SELECT (SUM(?x) AS ?total) WHERE { ?s :b ?x . }")
     assert evaluate(q, g).rows == ((integer(_BIG.value + 1),),)
+
+
+def test_an_integer_result_is_exact_up_to_the_digit_limit():
+    """The longest integer Python writes as text (4,300 digits, sign aside)
+    is a result; one digit more is a type error, in a filter as in a
+    projection. ``?x * -10`` has 4,300 digits at ``:a`` and 4,301 at ``:c``."""
+    g = Graph([tr("a", "b", integer(10**4299 - 1)), tr("c", "b", integer(10**4299))])
+    q = parse_query("SELECT ?s WHERE { ?s :b ?x . FILTER (?x * -10 < 0) }")
+    assert evaluate(q, g).rows == ((Iri("a"),),)
+    q = parse_query("SELECT (?x * -10 AS ?y) WHERE { ?s :b ?x . FILTER (?s = :a) }")
+    assert evaluate(q, g).rows == ((integer(10 - 10**4300),),)
+    with pytest.raises(QueryTypeError, match="more than 4300 digits"):
+        evaluate(parse_query("SELECT (?x * -10 AS ?y) WHERE { ?s :b ?x . }"), g)
 
 
 def test_timestep_arithmetic_rules():

@@ -13,6 +13,7 @@ from supplykg.generator import automotive, dairy, generate
 from supplykg.query import evaluate, parse_query
 from supplykg.schema import (
     INVENTORY_SHAPE,
+    NODE_SHAPE,
     ORDER_SHAPE,
     SHAPES,
     MissingEntityError,
@@ -520,3 +521,48 @@ def test_changes_keep_what_a_tuple_field_keeps(dairy_graph):
         [Triple(s, v.HAS_COST, integer(cost + 1)), Triple(s, v.MANUFACTURES, Iri("C"))],
     )
     assert old.changes(old) == ([], [])
+
+
+class _CanonicalReads(Graph):
+    """A graph whose bucket reads give the triples in ``triples()`` order,
+    the order ``Graph.match`` gives: the reference for an entity read."""
+
+    def about(self, position, term):
+        return tuple(t for t in self.triples() if (t.subject, t.predicate, t.object)[position] == term)
+
+
+# Products of several name lengths and first characters, and a few literals:
+# the hash order of a bucket seldom is their canonical order.
+_PRODUCTS = st.sampled_from(["P1", "P10", "P2", "P9a", "Pa", "Q", "b_3", "m.x"]).map(Iri) | st.integers(0, 3).map(integer)
+_KPIS = st.tuples(st.sampled_from(v.KPI_PREDICATES), st.integers(-5, 105).map(integer))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    products=st.lists(_PRODUCTS, min_size=2, max_size=6, unique=True),
+    kpis=st.lists(_KPIS, min_size=2, max_size=7, unique=True),
+    kind=st.sampled_from([v.SUPPLIER, v.OEM, v.CUSTOMER]),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_an_entity_read_does_not_depend_on_insertion_order(products, kpis, kind, shuffle):
+    """``Shape.scan`` reads a subject's bucket unordered and sorts each
+    predicate's triples itself. A supplier with several products and a node
+    with several KPI values, inserted in shuffled order, read the same
+    values and problems as through buckets in canonical order."""
+    supplier, scored = Iri("S"), Iri("K")
+    triples = [Triple(supplier, v.MANUFACTURES, p) for p in products]
+    triples += [Triple(scored, kpi, value) for kpi, value in kpis]
+    for node_iri, cls in ((supplier, v.SUPPLIER), (scored, kind)):
+        triples += [
+            Triple(node_iri, v.RDF_TYPE, v.NODE),
+            Triple(node_iri, v.RDF_TYPE, cls),
+            Triple(node_iri, v.HAS_SATURATION, integer(5)),
+            Triple(node_iri, v.HAS_DELIVERY_TIME, integer(1)),
+        ]
+    shuffle.shuffle(triples)
+    graph, canonical = Graph(triples), _CanonicalReads(triples)
+    for node_iri in (supplier, scored):
+        values, problems = NODE_SHAPE.scan(graph, node_iri)
+        want_values, want_problems = NODE_SHAPE.scan(canonical, node_iri)
+        assert values == want_values
+        assert [(f, str(e), e.problem) for f, e in problems] == [(f, str(e), e.problem) for f, e in want_problems]

@@ -7,7 +7,7 @@ from supplykg import Graph, Iri, Quoted, Triple, boolean, integer, schema, strin
 from supplykg.fulfillment import Simulation
 from supplykg.generator import automotive, dairy, generate
 from supplykg.schema import CapacityView, MissingEntityError, capacity_records
-from supplykg.validation import validate
+from supplykg.validation import Violation, validate
 
 
 def tr(s, p, o):
@@ -60,6 +60,64 @@ def test_unknown_class_is_warning(automotive_graph):
     found = validate(automotive_graph)
     assert "unknown-class" in codes(found)
     assert "unknown-class" not in codes(errors(found))
+
+
+def q(s, p, o):
+    """The quoted triple ``s p o``; a str names an IRI."""
+    return Quoted(Triple(Iri(s) if isinstance(s, str) else s, Iri(p), Iri(o) if isinstance(o, str) else o))
+
+
+_ONE = integer(1)
+_UNKNOWN_P = Violation("unknown-predicate", "error", "madeUp", "predicate madeUp is not in the vocabulary")
+_UNKNOWN_C = Violation("unknown-class", "warning", "Widget", "class Widget is not in the vocabulary")
+
+
+@pytest.mark.parametrize(
+    "triples, expected",
+    [
+        # an unknown predicate only inside a quoted term, at depth 1 and 2
+        ([Triple(q("a", "madeUp", "b"), Iri("hasQuantity"), _ONE)], [_UNKNOWN_P]),
+        ([tr("a", "hasQuantity", q("b", "madeUp", "c"))], [_UNKNOWN_P]),
+        ([Triple(q(q("a", "madeUp", "b"), "hasQuantity", _ONE), Iri("hasQuantity"), _ONE)], [_UNKNOWN_P]),
+        ([tr("a", "hasQuantity", q("b", "hasQuantity", q("c", "madeUp", "d")))], [_UNKNOWN_P]),
+        # an unknown class only inside a quoted term, at depth 1 and 2
+        ([Triple(q("x", "rdf:type", "Widget"), Iri("hasQuantity"), _ONE)], [_UNKNOWN_C]),
+        ([tr("a", "hasQuantity", q("x", "rdf:type", "Widget"))], [_UNKNOWN_C]),
+        ([Triple(q(q("x", "rdf:type", "Widget"), "hasQuantity", _ONE), Iri("hasQuantity"), _ONE)], [_UNKNOWN_C]),
+        ([tr("a", "hasQuantity", q("b", "hasQuantity", q("x", "rdf:type", "Widget")))], [_UNKNOWN_C]),
+        # one quoted term that several triples share, on both sides, and
+        # the same unknown terms asserted too: one finding each
+        (
+            [
+                Triple(q("a", "madeUp", "Widget"), Iri("hasQuantity"), _ONE),
+                Triple(q("a", "madeUp", "Widget"), Iri("hasCost"), _ONE),
+                tr("b", "hasQuantity", q("a", "madeUp", "Widget")),
+                tr("c", "hasQuantity", q("d", "hasQuantity", q("a", "madeUp", "Widget"))),
+                tr("a", "madeUp", "Widget"),
+                tr("x", "rdf:type", "Widget"),
+                tr("y", "hasQuantity", q("x", "rdf:type", "Widget")),
+            ],
+            [_UNKNOWN_P, _UNKNOWN_C],
+        ),
+        # an rdf:type with a literal object names no class
+        ([tr("x", "rdf:type", string("Widget")), tr("a", "hasQuantity", q("x", "rdf:type", _ONE))], []),
+    ],
+    ids=[
+        "predicate-subject-1",
+        "predicate-object-1",
+        "predicate-subject-2",
+        "predicate-object-2",
+        "class-subject-1",
+        "class-object-1",
+        "class-subject-2",
+        "class-object-2",
+        "shared",
+        "literal-class",
+    ],
+)
+def test_vocabulary_findings_inside_quoted_terms(triples, expected):
+    found = [x for x in validate(Graph(triples)) if x.code in ("unknown-predicate", "unknown-class")]
+    assert found == expected
 
 
 # --- node invariants ---
