@@ -15,6 +15,12 @@ Semantics in brief:
   aggregates, of one group of rows) that know their operators, constants
   and parameter values, and ``Graph.match`` decides once per call how it
   reads each position of a pattern. Neither is kept past the call.
+* Numbers stay unboxed inside an expression: arithmetic, comparisons and
+  aggregates pass ``(value, datatype)`` pairs, so the due-orders filter
+  ``?dt - lt = t`` builds no literal per row. A literal is built only
+  where a value leaves the expression: a projected cell, an argument of
+  a function, a FILTER value that is not a boolean, an aggregate's
+  result, or an error message.
 * FILTER expressions see one candidate row at a time. An expression error
   inside a filter (type mismatch, division by zero, a result out of range)
   drops the row instead of aborting the query; errors in projection or
@@ -35,7 +41,9 @@ Semantics in brief:
 * Aggregates (SUM, AVG) group rows by the projected plain variables, or by
   the explicit GROUP BY variable. SUM of integers is an integer, AVG is
   always decimal, and a total or mean out of range is a type error, as in
-  arithmetic. Aggregating non-numbers is a type error. Zero
+  arithmetic. Aggregating non-numbers is a type error. Both add their
+  values in row order, left to right, so a decimal total is the same on
+  every Python (``sum`` adds floats with compensation since 3.12). Zero
   WHERE rows means zero groups, hence an empty table.
 * Rows are sorted by their canonical serialized form; ORDER BY applies the
   requested key first, descending if asked, ties broken by serialized form.
@@ -47,6 +55,7 @@ Semantics in brief:
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import operator
@@ -146,11 +155,26 @@ def _check_params(query: ast.Query, params: dict[str, Term]) -> None:
 # of one group of rows.
 Row = dict[str, Term]
 
+# A term as arithmetic, comparisons and aggregates take it: a literal is its
+# ``(value, datatype)`` pair, any other term ``(term, None)``. Numbers stay
+# pairs from their operands to the comparison or aggregate that reads them;
+# a ``Literal`` is built only where a term leaves the expression.
+Pair = tuple
+
 _NUMERIC = (INTEGER, DECIMAL, TIMESTEP)
 
 # Every comparison, logical operator and REGEX returns one of these two.
 _TRUE = Literal(True, BOOLEAN)
 _FALSE = Literal(False, BOOLEAN)
+
+
+def _unbox(term: Term) -> Pair:
+    return (term.value, term.datatype) if term.__class__ is Literal else (term, None)
+
+
+def _box(pair: Pair) -> Term:
+    value, kind = pair
+    return value if kind is None else Literal(value, kind)
 
 
 def _expect_bool(term: Term, where: str) -> bool:
@@ -159,7 +183,7 @@ def _expect_bool(term: Term, where: str) -> bool:
     raise QueryTypeError(f"{where}: expected a boolean, got {format_term(term)}")
 
 
-def _decimal(op: str, compute, *operands) -> Literal:
+def _decimal(op: str, compute, *operands) -> float:
     """The decimal result of ``compute(*operands)``. One no decimal can
     hold, infinite or from an integer too large for a float, is a type
     error."""
@@ -169,7 +193,7 @@ def _decimal(op: str, compute, *operands) -> Literal:
         value = math.inf
     if not math.isfinite(value):
         raise QueryTypeError(f"{op}: the result is out of the range of a decimal")
-    return Literal(value, DECIMAL)
+    return value
 
 
 # An int of smaller magnitude has fewer than 640 digits, the least limit that
@@ -178,15 +202,18 @@ def _decimal(op: str, compute, *operands) -> Literal:
 _SHORT = 1 << 2126
 
 
-def _check_digits(op: str, value: int) -> None:
-    """Raise a type error if the integer (or timestep) result ``value`` has
-    more digits than ``sys.get_int_max_str_digits()``: it has no text form."""
-    limit = sys.get_int_max_str_digits()
-    if limit and abs(value) >= 10**limit:
-        raise QueryTypeError(f"{op}: the result has more than {limit} digits")
+def _integer(op: str, value: int) -> int:
+    """``value``, an integer or timestep result, unless it has more digits
+    than ``sys.get_int_max_str_digits()``: then it has no text form, and
+    that is a type error."""
+    if not -_SHORT < value < _SHORT:
+        limit = sys.get_int_max_str_digits()
+        if limit and abs(value) >= 10**limit:
+            raise QueryTypeError(f"{op}: the result has more than {limit} digits")
+    return value
 
 
-def _clock(op: str, lv: int, lk: str, rv: int, rk: str) -> Literal:
+def _clock(op: str, lv: int, lk: str, rv: int, rk: str) -> Pair:
     """Arithmetic with a timestep operand: instant plus or minus duration,
     and instant minus instant; nothing else."""
     if op == "-" and lk == TIMESTEP and rk == INTEGER:
@@ -194,7 +221,7 @@ def _clock(op: str, lv: int, lk: str, rv: int, rk: str) -> Literal:
     elif op == "+" and {lk, rk} == {TIMESTEP, INTEGER}:
         value = lv + rv
     elif op == "-" and lk == TIMESTEP and rk == TIMESTEP:
-        return Literal(lv - rv, INTEGER)  # no longer than the later instant
+        return lv - rv, INTEGER  # no longer than the later instant
     elif op == "/":
         raise QueryTypeError("cannot divide timesteps")
     else:
@@ -202,35 +229,31 @@ def _clock(op: str, lv: int, lk: str, rv: int, rk: str) -> Literal:
     if not 0 <= value < _SHORT:
         if value < 0:
             raise QueryTypeError(f"timestep arithmetic went negative ({value})")
-        _check_digits(op, value)
-    return Literal(value, TIMESTEP)
+        _integer(op, value)
+    return value, TIMESTEP
 
 
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _arith(op: str):
-    """The function that applies arithmetic operator ``op`` to two terms."""
+    """The function that applies arithmetic operator ``op`` to two pairs."""
     compute = _ARITHMETIC[op]
     divide = op == "/"
 
-    def apply(left: Term, right: Term) -> Literal:
-        lk = left.datatype if left.__class__ is Literal else None
-        rk = right.datatype if right.__class__ is Literal else None
+    def apply(left: Pair, right: Pair) -> Pair:
+        lv, lk = left
+        rv, rk = right
         if lk not in _NUMERIC or rk not in _NUMERIC:
-            raise QueryTypeError(f"{op}: expected a number, got {format_term(right if lk in _NUMERIC else left)}")
-        lv, rv = left.value, right.value
+            raise QueryTypeError(f"{op}: expected a number, got {format_term(_box(right if lk in _NUMERIC else left))}")
         if lk == TIMESTEP or rk == TIMESTEP:
             return _clock(op, lv, lk, rv, rk)
         if divide:
             if rv == 0:
                 raise QueryTypeError("division by zero")
         elif lk == INTEGER and rk == INTEGER:
-            value = compute(lv, rv)
-            if not -_SHORT < value < _SHORT:
-                _check_digits(op, value)
-            return Literal(value, INTEGER)
-        return _decimal(op, compute, lv, rv)
+            return _integer(op, compute(lv, rv)), INTEGER
+        return _decimal(op, compute, lv, rv), DECIMAL
 
     return apply
 
@@ -239,16 +262,13 @@ def _equality(negate: bool):
     """``=`` (or ``!=`` when ``negate``): numbers by value, anything else
     by term equality."""
 
-    def apply(left: Term, right: Term) -> Literal:
-        if (
-            left.__class__ is Literal
-            and right.__class__ is Literal
-            and left.datatype in _NUMERIC
-            and right.datatype in _NUMERIC
-        ):
-            same = left.value == right.value
+    def apply(left: Pair, right: Pair) -> Literal:
+        lv, lk = left
+        rv, rk = right
+        if lk in _NUMERIC and rk in _NUMERIC:
+            same = lv == rv
         else:
-            same = left == right
+            same = lk == rk and lv == rv
         return _FALSE if same is negate else _TRUE
 
     return apply
@@ -258,12 +278,11 @@ def _ordering(op: str):
     """An ordering comparison: defined for two numbers or two strings."""
     test = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}[op]
 
-    def apply(left: Term, right: Term) -> Literal:
-        if left.__class__ is Literal and right.__class__ is Literal:
-            lk, rk = left.datatype, right.datatype
-            if (lk in _NUMERIC and rk in _NUMERIC) or (lk == STRING and rk == STRING):
-                return _TRUE if test(left.value, right.value) else _FALSE
-        raise QueryTypeError(f"cannot order {format_term(left)} against {format_term(right)}")
+    def apply(left: Pair, right: Pair) -> Literal:
+        lk, rk = left[1], right[1]
+        if (lk in _NUMERIC and rk in _NUMERIC) or (lk == STRING and rk == STRING):
+            return _TRUE if test(left[0], right[0]) else _FALSE
+        raise QueryTypeError(f"cannot order {format_term(_box(left))} against {format_term(_box(right))}")
 
     return apply
 
@@ -274,17 +293,6 @@ def _logic(op: str):
     if op == "&&":
         return lambda left, right: _TRUE if _expect_bool(left, op) and _expect_bool(right, op) else _FALSE
     return lambda left, right: _TRUE if _expect_bool(left, op) or _expect_bool(right, op) else _FALSE
-
-
-def _binary(op: str):
-    """The function that applies binary operator ``op`` to two terms."""
-    if op in ("=", "!="):
-        return _equality(op == "!=")
-    if op in ("<", "<=", ">", ">="):
-        return _ordering(op)
-    if op in ("&&", "||"):
-        return _logic(op)
-    return _arith(op)
 
 
 def _regex_match(value: str, pattern: str) -> bool:
@@ -326,9 +334,21 @@ def _constant(expr: ast.Expr, params: dict[str, Term]) -> Term | None:
     return None
 
 
-def _compile(expr: ast.Expr, params: dict[str, Term]) -> Callable[[Row], Term]:
-    """``expr`` as a function of one row. The operators, constants and
-    parameter values are looked up here, once per evaluation."""
+def _on_group(expr: ast.Expr) -> bool:
+    """Whether a projection with aggregates evaluates ``expr`` on the whole
+    group: aggregates, operators, and functions with an aggregate below
+    them, all of which evaluate every operand. Anything else is evaluated
+    against the group's first row, whose key bindings the group shares."""
+    return isinstance(expr, (ast.Binary, ast.Aggregate)) or (isinstance(expr, ast.Call) and ast.has_aggregate(expr))
+
+
+def _compile(expr: ast.Expr, params: dict[str, Term], grouped: bool = False) -> Callable[[Row], Term]:
+    """``expr`` as a function of one row, or with ``grouped`` of one group
+    of rows. The operators, constants and parameter values are looked up
+    here, once per evaluation."""
+    if grouped and not _on_group(expr):
+        row_fn = _compile(expr, params)
+        return lambda group: row_fn(group[0])
     if isinstance(expr, ast.VarRef):
         name = expr.name
 
@@ -343,70 +363,114 @@ def _compile(expr: ast.Expr, params: dict[str, Term]) -> Callable[[Row], Term]:
     if term is not None:
         return lambda row: term
     if isinstance(expr, ast.Binary):
-        op, left, right = expr.op, _compile(expr.left, params), _compile(expr.right, params)
-        if op == "&&":
-            return lambda row: _TRUE if _expect_bool(left(row), op) and _expect_bool(right(row), op) else _FALSE
-        if op == "||":
+        op = expr.op
+        if op in ("&&", "||"):
+            left, right = _compile(expr.left, params, grouped), _compile(expr.right, params, grouped)
+            if grouped:
+                apply = _logic(op)
+                return lambda group: apply(left(group), right(group))
+            if op == "&&":
+                return lambda row: _TRUE if _expect_bool(left(row), op) and _expect_bool(right(row), op) else _FALSE
             return lambda row: _TRUE if _expect_bool(left(row), op) or _expect_bool(right(row), op) else _FALSE
-        apply = _binary(op)
-        # a constant operand is passed as it is, not through a function
-        right_term, left_term = _constant(expr.right, params), _constant(expr.left, params)
-        if right_term is not None:
-            return lambda row: apply(left(row), right_term)
-        if left_term is not None:
-            return lambda row: apply(left_term, right(row))
-        return lambda row: apply(left(row), right(row))
+        if op in ("=", "!="):
+            return _operands(_equality(op == "!="), expr, params, grouped)
+        if op in ast.COMPARISONS:
+            return _operands(_ordering(op), expr, params, grouped)
     if isinstance(expr, ast.Call):
-        args = [_compile(a, params) for a in expr.args]
-        if expr.func == "IF":
+        args = [_compile(a, params, grouped) for a in expr.args]
+        if expr.func == "IF" and not grouped:
             cond, then, other = args
             return lambda row: (then if _expect_bool(cond(row), "IF") else other)(row)
         apply = _FUNCTIONS[expr.func]
         return lambda row: apply(*[arg(row) for arg in args])
-    if isinstance(expr, ast.Aggregate):
+    if isinstance(expr, ast.Aggregate) and not grouped:
 
         def misplaced(row: Row) -> Term:
             raise QueryEvalError("aggregate outside aggregation context")
 
         return misplaced
+    if isinstance(expr, (ast.Binary, ast.Aggregate)):  # a number, boxed as it leaves
+        number = _compile_number(expr, params, grouped)
+        return lambda row: Literal(*number(row))
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _compile_group(expr: ast.Expr, params: dict[str, Term]) -> Callable[[list[Row]], Term]:
-    """A projection expression as a function of one group of rows:
-    aggregates see every row, the rest is evaluated against the group's
-    first row, whose key bindings the whole group shares. Operators and
-    functions with an aggregate below them evaluate all their operands."""
-    if isinstance(expr, ast.Aggregate):
-        func, arg = expr.func, _compile(expr.arg, params)
+def _compile_number(expr: ast.Expr, params: dict[str, Term], grouped: bool = False) -> Callable[[Row], Pair]:
+    """``expr`` as a function of one row (or group) that returns the pair of
+    its value. Arithmetic and aggregates build no term."""
+    if grouped and not _on_group(expr):
+        row_fn = _compile_number(expr, params)
+        return lambda group: row_fn(group[0])
+    if isinstance(expr, ast.VarRef):
+        name = expr.name
+
+        def variable(row: Row) -> Pair:
+            try:
+                term = row[name]
+            except KeyError:
+                raise UnboundVariableError(f"unbound variable ?{name}") from None
+            return (term.value, term.datatype) if term.__class__ is Literal else (term, None)
+
+        return variable
+    term = _constant(expr, params)
+    if term is not None:
+        pair = _unbox(term)
+        return lambda row: pair
+    if isinstance(expr, ast.Binary) and expr.op in _ARITHMETIC:
+        return _operands(_arith(expr.op), expr, params, grouped)
+    if isinstance(expr, ast.Aggregate) and grouped:
+        func, arg = expr.func, _compile_number(expr.arg, params)
         return lambda group: _aggregate(func, [arg(row) for row in group])
-    if isinstance(expr, ast.Binary):
-        apply = _binary(expr.op)
-        left, right = _compile_group(expr.left, params), _compile_group(expr.right, params)
-        return lambda group: apply(left(group), right(group))
-    if isinstance(expr, ast.Call) and ast.has_aggregate(expr):
-        apply = _FUNCTIONS[expr.func]
-        args = [_compile_group(a, params) for a in expr.args]
-        return lambda group: apply(*[a(group) for a in args])
-    row_fn = _compile(expr, params)
-    return lambda group: row_fn(group[0])
+    boxed = _compile(expr, params, grouped)
+    return lambda row: _unbox(boxed(row))
 
 
-def _aggregate(func: str, values: list[Term]) -> Literal:
+def _operands(apply, expr: ast.Binary, params: dict[str, Term], grouped: bool):
+    """``apply`` to the pairs of ``expr``'s operands, evaluated left to
+    right. A constant operand is passed as it is, not through a function."""
+    left, right = _compile_number(expr.left, params, grouped), _compile_number(expr.right, params, grouped)
+    right_term, left_term = _constant(expr.right, params), _constant(expr.left, params)
+    if right_term is not None:
+        right_pair = _unbox(right_term)
+        if isinstance(expr.left, ast.VarRef) and not grouped:
+            # the commonest shape, ``?dt - lt``: the variable is read here,
+            # a call less per row than through its own function
+            name = expr.left.name
+
+            def variable_constant(row: Row) -> Pair:
+                try:
+                    term = row[name]
+                except KeyError:
+                    raise UnboundVariableError(f"unbound variable ?{name}") from None
+                return apply((term.value, term.datatype) if term.__class__ is Literal else (term, None), right_pair)
+
+            return variable_constant
+        return lambda row: apply(left(row), right_pair)
+    if left_term is not None:
+        left_pair = _unbox(left_term)
+        return lambda row: apply(left_pair, right(row))
+    return lambda row: apply(left(row), right(row))
+
+
+def _sum(numbers: list) -> int | float:
+    """The numbers added in row order, left to right. ``sum`` adds floats
+    with compensation since Python 3.12, which changes the last digits of
+    a total from one Python version to the next."""
+    return functools.reduce(operator.add, numbers, 0)
+
+
+def _aggregate(func: str, values: list[Pair]) -> Pair:
     any_decimal = False
-    for v in values:
-        if v.__class__ is not Literal or v.datatype not in _NUMERIC:
-            raise QueryTypeError(f"{func}: expected a number, got {format_term(v)}")
-        any_decimal = any_decimal or v.datatype == DECIMAL
-    numbers = [v.value for v in values]
+    for value, kind in values:
+        if kind not in _NUMERIC:
+            raise QueryTypeError(f"{func}: expected a number, got {format_term(_box((value, kind)))}")
+        any_decimal = any_decimal or kind == DECIMAL
+    numbers = [value for value, _ in values]
     if func == "AVG":
-        return _decimal(func, lambda: sum(numbers) / len(numbers))
+        return _decimal(func, lambda: _sum(numbers) / len(numbers)), DECIMAL
     if any_decimal:
-        return _decimal(func, sum, numbers)
-    total = sum(numbers)
-    if not -_SHORT < total < _SHORT:
-        _check_digits(func, total)
-    return Literal(total, INTEGER)
+        return _decimal(func, _sum, numbers), DECIMAL
+    return _integer(func, _sum(numbers)), INTEGER
 
 
 # -- joins ---------------------------------------------------------------------
@@ -485,7 +549,7 @@ def evaluate(query: ast.SelectQuery, graph: Graph, params: dict[str, Term] | Non
             compiled = [_compile(i.expr, params) for i in items]
             produced = [(r, tuple([f(r) for f in compiled])) for r in rows]
         else:
-            compiled = [_compile_group(i.expr, params) for i in items]
+            compiled = [_compile(i.expr, params, grouped=True) for i in items]
             if query.group_by is not None:
                 key_vars = [query.group_by]
             else:

@@ -8,7 +8,8 @@ Parameters stand in pattern positions, quoted patterns and predicates
 included, and are now and then bound to a literal, so subjects and
 predicates no triple can hold get tried. They stand as operands in filter
 and projection expressions too, bound to a timestep or an integer, as in
-the due-orders filter ``?dt - lt = t``. Decimals come in quarters and in
+the due-orders filter ``?dt - lt = t``, whose shape is also drawn
+mirrored and with arithmetic on both sides. Decimals come in quarters and in
 tenths, whose sums depend on the order of their terms, so a row-order
 error shows; a few integers are too large for a float. All randomness
 flows from SplitMix64, so a given seed always produces the same cases.
@@ -213,9 +214,19 @@ def _random_arith(rng: SplitMix64, b: _CaseBuilder, depth: int = 0) -> ast.Expr:
 
 def _due_shape(rng: SplitMix64, b: _CaseBuilder) -> ast.Expr:
     """The due-orders filter's shape, ``?dt - lt = t``, with its operators
-    drawn and its variable one in object position if there is one."""
+    drawn and its variable one in object position if there is one. The
+    other side is now and then arithmetic too, or a constant of any kind,
+    and half the time the sides are swapped: ``t = ?dt - lt``."""
     shifted = ast.Binary(rng.choice(["-", "-", "+", "/"]), ast.VarRef(rng.choice(b.values or b.vars)), b.param("integer"))
-    return ast.Binary(rng.choice(list(ast.COMPARISONS)), shifted, b.param("timestep"))
+    roll = rng.randint(0, 3)
+    if roll < 2:
+        other = b.param("timestep")
+    elif roll == 2:
+        other = ast.Binary(rng.choice(["+", "-", "*"]), ast.VarRef(rng.choice(b.values or b.vars)), b.param("integer"))
+    else:
+        other = ast.Const(_random_literal(rng))
+    op = rng.choice(list(ast.COMPARISONS))
+    return ast.Binary(op, shifted, other) if rng.randint(0, 1) == 0 else ast.Binary(op, other, shifted)
 
 
 def _random_bool_expr(rng: SplitMix64, b: _CaseBuilder, depth: int = 0) -> ast.Expr:
@@ -309,13 +320,21 @@ def random_filter_select(rng: SplitMix64, graph: Graph) -> tuple[ast.SelectQuery
     graph, numbers of every kind among them, goes through the filter's
     arithmetic and comparisons. One time in three the query sums and
     averages the costs, in tenths, that pass the filter instead: their
-    sums depend on the order of the rows."""
+    sums depend on the order of the rows. Half of those totals add
+    ``?o - lt`` or ``?o * 2`` rather than ``?o``."""
     b = _CaseBuilder(rng, graph, rng)
     b.vars, b.values = ["s", "o"], ["o"]
     filters = (_due_shape(rng, b) if rng.randint(0, 1) == 0 else _random_bool_expr(rng, b),)
     if rng.randint(0, 2) > 0:
         return ast.SelectQuery(None, (TriplePattern(Variable("s"), Variable("p"), Variable("o")),), filters), b.params
-    totals = tuple(ast.ProjItem(ast.Aggregate(func, ast.VarRef("o")), func.lower()) for func in ("SUM", "AVG"))
+    roll = rng.randint(0, 3)
+    if roll == 0:
+        summed = ast.Binary("-", ast.VarRef("o"), b.param("integer"))
+    elif roll == 1:
+        summed = ast.Binary("*", ast.VarRef("o"), ast.Const(Literal(2, "integer")))
+    else:
+        summed = ast.VarRef("o")
+    totals = tuple(ast.ProjItem(ast.Aggregate(func, summed), func.lower()) for func in ("SUM", "AVG"))
     return ast.SelectQuery(totals, (TriplePattern(Variable("s"), Iri("hasCost"), Variable("o")),), filters), b.params
 
 

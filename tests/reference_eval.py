@@ -337,9 +337,9 @@ def _ref_agg_expr(expr, group, params):
             any_dec = any_dec or v.datatype == "decimal"
         if expr.func == "SUM":
             if any_dec:
-                return _ref_decimal(lambda: sum(values))
-            return _ref_integer(int(sum(values)))
-        return _ref_decimal(lambda: sum(values) / len(values))
+                return _ref_decimal(lambda: _ref_sum(values))
+            return _ref_integer(int(_ref_sum(values)))
+        return _ref_decimal(lambda: _ref_sum(values) / len(values))
     if isinstance(expr, ast.Binary):
         left = _ref_agg_expr(expr.left, group, params)
         right = _ref_agg_expr(expr.right, group, params)
@@ -348,6 +348,15 @@ def _ref_agg_expr(expr, group, params):
         args = tuple(ast.Const(_ref_agg_expr(a, group, params)) for a in expr.args)
         return ref_expr(ast.Call(expr.func, args), {}, params)
     return ref_expr(expr, group[0], params)
+
+
+def _ref_sum(values):
+    """Row order, left to right, as documented: not ``sum``, which adds
+    floats with compensation since Python 3.12."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
 
 
 def ref_update(query, graph, params=None):

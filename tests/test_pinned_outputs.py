@@ -4,12 +4,16 @@ pinned by SHA-256 digest.
 A change that is meant to keep every output byte-identical must leave
 these digests alone. A change that alters an output on purpose updates the
 digest here and says why.
+
+The file also runs without pytest, to check the digests on any Python:
+``PYTHONPATH=src python tests/test_pinned_outputs.py`` prints one line per
+output and exits 1 if any digest differs.
 """
 
 import hashlib
+import sys
+import tempfile
 from pathlib import Path
-
-import pytest
 
 from supplykg.cli import main
 
@@ -47,21 +51,59 @@ def digests(paths):
     return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
 
 
-@pytest.mark.parametrize("preset", sorted(PINNED))
-def test_pipeline_outputs_match_pinned_digests(tmp_path, preset):
+def run(*argv):
+    code = main(list(argv))
+    if code != 0:
+        raise RuntimeError(f"supplykg {' '.join(argv)} exited {code}")
+
+
+def pipeline_digests(tmp_path, preset):
     horizon, pinned = PINNED[preset]
     paths = {name: tmp_path / name.replace(" ", "_") for name in pinned}
-    assert main(["generate", "--preset", preset, "--seed", "3", "--out", str(paths["generate"])]) == 0
-    assert main([
+    run("generate", "--preset", preset, "--seed", "3", "--out", str(paths["generate"]))
+    run(
         "simulate", "--graph", str(paths["generate"]), "--horizon", str(horizon),
         "--out", str(paths["simulate"]), "--final-graph", str(paths["final graph"]),
-    ]) == 0
-    assert main(["report", "--graph", str(paths["final graph"]), "--t", "0", "--out", str(paths["report"])]) == 0
-    assert digests(paths) == pinned
+    )
+    run("report", "--graph", str(paths["final graph"]), "--t", "0", "--out", str(paths["report"]))
+    return digests(paths)
+
+
+def sweep_digests(tmp_path):
+    paths = {name: tmp_path / name for name in SWEEP}
+    run("sweep", "--scenarios", str(SCENARIOS), "--out", str(paths["sweep"]), "--plot", str(paths["plot"]))
+    return digests(paths)
+
+
+def pytest_generate_tests(metafunc):
+    # parametrized through pytest's hook, so that the module imports without pytest
+    if "preset" in metafunc.fixturenames:
+        metafunc.parametrize("preset", sorted(PINNED))
+
+
+def test_pipeline_outputs_match_pinned_digests(tmp_path, preset):
+    assert pipeline_digests(tmp_path, preset) == PINNED[preset][1]
 
 
 def test_sweep_outputs_match_pinned_digests(tmp_path):
-    paths = {name: tmp_path / name for name in SWEEP}
-    code = main(["sweep", "--scenarios", str(SCENARIOS), "--out", str(paths["sweep"]), "--plot", str(paths["plot"])])
-    assert code == 0
-    assert digests(paths) == SWEEP
+    assert sweep_digests(tmp_path) == SWEEP
+
+
+def check_all() -> int:
+    """Compare every output with its pin, printing one line each; 1 if any differs."""
+    checks = [(f"{preset} ", lambda d, p=preset: pipeline_digests(d, p), PINNED[preset][1]) for preset in sorted(PINNED)]
+    checks.append(("", sweep_digests, SWEEP))
+    mismatches = 0
+    for label, compute, pinned in checks:
+        with tempfile.TemporaryDirectory() as tmp:
+            got = compute(Path(tmp))
+        for name, digest in pinned.items():
+            same = got[name] == digest
+            mismatches += not same
+            print(f"{'ok' if same else 'MISMATCH'} {label}{name} {got[name]}")
+    print(f"Python {sys.version.split()[0]}: {mismatches} mismatch(es)")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(check_all())

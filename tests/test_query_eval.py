@@ -1,6 +1,7 @@
 import pytest
 
 from supplykg.graph import Graph
+from supplykg.query import ast
 from supplykg.query import (
     MissingParameterError,
     QueryTypeError,
@@ -13,6 +14,8 @@ from supplykg.terms import (
     Iri,
     Quoted,
     Triple,
+    TriplePattern,
+    Variable,
     boolean,
     decimal,
     integer,
@@ -334,3 +337,127 @@ def test_csv_output_shape():
     q = parse_query("SELECT ?k WHERE { ?n :hasKpi ?k . }")
     csv_text = evaluate(q, g).to_csv()
     assert csv_text == 'k\n"tricky, ""cell"""\n'
+
+
+def test_sum_and_avg_add_decimals_in_row_order():
+    """Left to right, ``1e16 + 1.0`` rounds back to ``1e16``, so the total
+    is 0.0; compensated summation (``math.fsum``, and ``sum`` since Python
+    3.12) gives 1.0. The rows come in canonical order: :a, :b, :c."""
+    g = Graph([tr("a", "v", decimal(1e16)), tr("b", "v", decimal(1.0)), tr("c", "v", decimal(-1e16))])
+    q = parse_query("SELECT (SUM(?x) AS ?total) (AVG(?x) AS ?mean) WHERE { ?n :v ?x . }")
+    assert evaluate(q, g).rows == ((decimal(0.0), decimal(0.0)),)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "SELECT ?o WHERE { ?o :hasDeliveryTime ?dt . FILTER (?dt - lt = t) . }",
+        "SELECT ?o WHERE { ?o :hasDeliveryTime ?dt . FILTER (t = ?dt - lt) . }",
+        "SELECT (SUM(?dt - lt) AS ?total) (AVG(100 * (?dt - t) / 7) AS ?mean) WHERE { ?o :hasDeliveryTime ?dt . }",
+    ],
+)
+def test_arithmetic_builds_no_literal_per_row(monkeypatch, text):
+    """Numbers stay unboxed from a row's value to the comparison or the
+    aggregate: the literals built do not grow with the rows."""
+    from supplykg.terms import Literal
+
+    q = parse_query(text, params=["lt", "t"])
+    params = {"lt": integer(2), "t": timestep(3)}
+    built = []
+    post_init = Literal.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    counts = []
+    for rows in (40, 400):
+        g = Graph([tr(f"Order{i}", "hasDeliveryTime", timestep(2 + i % 7)) for i in range(rows)])
+        built.clear()
+        monkeypatch.setattr(Literal, "__post_init__", counting)
+        table = evaluate(q, g, params)
+        monkeypatch.setattr(Literal, "__post_init__", post_init)
+        assert table.rows
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
+# error kind -> (the expression E over ?x and ?y, :a's values that make it
+# fail, :b's values that do not, the message)
+_ARITHMETIC_ERRORS = {
+    "non-number on the left": ("?x + ?y", (string("text"), integer(1)), (integer(1), integer(1)), '+: expected a number, got "text"'),
+    "non-number on the right": ("?x - ?y", (integer(1), Iri("n")), (integer(3), integer(2)), "-: expected a number, got :n"),
+    "division by zero": ("?x / ?y", (integer(1), integer(0)), (integer(1), integer(2)), "division by zero"),
+    "negative timestep": ("?x - ?y", (timestep(2), integer(5)), (timestep(9), integer(5)), "timestep arithmetic went negative (-3)"),
+    "timestep times integer": ("?x * ?y", (timestep(2), integer(2)), (integer(2), integer(2)), "cannot apply * to timestep and integer"),
+    "decimal out of range": ("?x * ?y", (decimal(1e300), decimal(1e300)), (decimal(2.0), decimal(3.0)), "*: the result is out of the range of a decimal"),
+    "digit limit": ("?x * ?y", (integer(10**2200), integer(10**2200)), (integer(2), integer(3)), "*: the result has more than 4300 digits"),
+}
+
+# where E is evaluated: a projection, a comparison, an aggregate, an
+# aggregate in a comparison
+_CONTEXTS = ["(E AS ?v)", "((E) != -1 AS ?v)", "(SUM(E) AS ?v)", "(AVG(E) AS ?v)", "(SUM(E) > -1 AS ?v)"]
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("kind", sorted(_ARITHMETIC_ERRORS))
+def test_arithmetic_errors_keep_their_messages(kind, depth):
+    """Each arithmetic error, directly below (depth 1) or one operator below
+    (depth 2) a comparison, an aggregate or a projection, raises its own
+    message; a FILTER drops the row it fails on and keeps the others."""
+    expr, failing, passing, message = _ARITHMETIC_ERRORS[kind]
+    if depth == 2:
+        expr = f"0 + ({expr})"
+    g = Graph()
+    for subject, (x, y) in (("a", failing), ("b", passing)):
+        g.insert(tr(subject, "x", x))
+        g.insert(tr(subject, "y", y))
+    where = "WHERE { ?s :x ?x . ?s :y ?y . }"
+    for context in _CONTEXTS:
+        with pytest.raises(QueryTypeError) as raised:
+            evaluate(parse_query(f"SELECT {context.replace('E', expr)} {where}"), g)
+        assert str(raised.value) == message
+    q = parse_query(f"SELECT ?s WHERE {{ ?s :x ?x . ?s :y ?y . FILTER (({expr}) != -1) }}")
+    assert evaluate(q, g).rows == ((Iri("b"),),)
+
+
+@pytest.mark.parametrize(
+    "condition, kept",
+    [("?x + 1 = ?t", ()), ("?x + 1 != ?t", ((Iri("a"),),)), ("?t = ?x + 1", ()), ("?t != ?x + 1", ((Iri("a"),),))],
+)
+def test_a_number_against_a_non_number(condition, kept):
+    """``=`` is false and ``!=`` true between a number and a non-number;
+    an ordering is a type error that names both terms."""
+    g = Graph([tr("a", "x", integer(1)), tr("a", "t", string("2"))])
+    where = "WHERE { ?s :x ?x . ?s :t ?t . }"
+    assert evaluate(parse_query(f"SELECT ?s {where[:-1]} FILTER ({condition}) }}"), g).rows == kept
+    with pytest.raises(QueryTypeError, match='^cannot order 2 against "2"$'):
+        evaluate(parse_query(f"SELECT (?x + 1 < ?t AS ?v) {where}"), g)
+    with pytest.raises(QueryTypeError, match='^cannot order "2" against 2$'):
+        evaluate(parse_query(f"SELECT (?t >= ?x + 1 AS ?v) {where}"), g)
+
+
+_NOPE, _ONE = ast.VarRef("nope"), ast.Const(integer(1))
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        _NOPE,
+        ast.Binary("+", _NOPE, _ONE),
+        ast.Binary("+", _ONE, _NOPE),
+        ast.Binary("=", _NOPE, _ONE),
+        ast.Binary("<", _ONE, _NOPE),
+        ast.Binary("*", _NOPE, ast.VarRef("x")),
+    ],
+)
+def test_an_unbound_variable_in_an_expression(expr):
+    """A projection that reads a variable no pattern binds raises; a FILTER
+    drops the row. The parser rejects such a query, so it is built here."""
+    g = Graph([tr("a", "b", integer(1))])
+    patterns = (TriplePattern(Variable("s"), Iri("b"), Variable("x")),)
+    projected = ast.SelectQuery((ast.ProjItem(expr, "v"),), patterns, ())
+    with pytest.raises(UnboundVariableError, match=r"^unbound variable \?nope$"):
+        evaluate(projected, g)
+    filtered = ast.SelectQuery(None, patterns, (ast.Binary("!=", expr, ast.Const(integer(0))),))
+    assert evaluate(filtered, g).rows == ()
