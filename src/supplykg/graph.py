@@ -1,11 +1,11 @@
 """In-memory triple store with subject/predicate/object indices.
 
-Set semantics: inserting a triple twice is a no-op. Iteration and pattern
-matching are deterministic, ordered by each triple's canonical text form, so
-two graphs with equal content always behave identically regardless of
-insertion history. ``snapshot``, ``about`` (one index bucket) and ``keys``
-(one index's terms) are the unordered reads, for callers whose result does
-not depend on order or that sort only what they need.
+Set semantics: inserting a triple twice is a no-op. The store keeps no
+order. ``triples()``, iteration, ``subjects`` and ``objects`` sort what they
+read by each triple's canonical text form, regardless of insertion history.
+``match``, ``snapshot``, ``about`` (one index bucket) and ``keys`` (one
+index's terms) are unordered, for callers whose result does not depend on
+order or that sort only what they need.
 
 Each triple lives only in its three index buckets, with no triple set beside
 them: its subject bucket answers membership, and the few dozen predicate
@@ -15,18 +15,13 @@ earlier join step narrows the scan like a constant would, and a pattern bound
 in all three positions is one membership test. It decides once per call,
 before the scan, which positions of a candidate it compares, which it binds
 and which must repeat a variable; nested quoted patterns are read the same
-way, one level down. One cache holds canonical
-order: each bucket, and the whole graph under the key ``None``, is sorted
-once, on first use, and kept until the next write, which drops the whole
-cache at once. The entity reads of ``schema`` and the vocabulary check of
-``validation`` go through the unordered reads, so little is cached between
-the writes of a simulation.
+way, one level down.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .terms import (
     Iri,
@@ -35,25 +30,20 @@ from .terms import (
     Triple,
     TriplePattern,
     Variable,
+    format_term,
     format_triple,
     substitute,
     to_ground,
 )
 
 
-_ANY = TriplePattern(Variable("s"), Variable("p"), Variable("o"))
-
-
 class Graph:
-    __slots__ = ("_by_subject", "_by_predicate", "_by_object", "_order")
+    __slots__ = ("_by_subject", "_by_predicate", "_by_object")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._by_subject: dict[Term, set[Triple]] = {}
         self._by_predicate: dict[Iri, set[Triple]] = {}
         self._by_object: dict[Term, set[Triple]] = {}
-        # (position, key) -> that index bucket in canonical order, position
-        # 0, 1, 2 being subject, predicate, object; None -> every triple
-        self._order: dict[tuple[int, Term] | None, list[Triple]] = {}
         for t in triples:
             self.insert(t)
 
@@ -82,8 +72,6 @@ class Graph:
             self._by_object[triple.object] = {triple}
         else:
             bucket.add(triple)
-        if self._order:  # rarely filled between two writes
-            self._order.clear()
         return True
 
     def remove(self, triple: Triple) -> bool:
@@ -100,8 +88,6 @@ class Graph:
             bucket.discard(triple)
             if not bucket:
                 del index[key]
-        if self._order:
-            self._order.clear()
         return True
 
     def __contains__(self, triple: object) -> bool:
@@ -111,11 +97,11 @@ class Graph:
         return sum(map(len, self._by_predicate.values()))
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._candidates(_ANY))
+        return iter(self.triples())
 
     def triples(self) -> list[Triple]:
         """All triples in canonical order, as a new list the caller may change."""
-        return list(self._candidates(_ANY))
+        return sorted(self.snapshot(), key=format_triple)
 
     def snapshot(self) -> list[Triple]:
         """All triples in no set order, as a new list that later writes
@@ -138,26 +124,23 @@ class Graph:
         g._by_subject = {k: set(v) for k, v in self._by_subject.items()}
         g._by_predicate = {k: set(v) for k, v in self._by_predicate.items()}
         g._by_object = {k: set(v) for k, v in self._by_object.items()}
-        # the cached lists are never mutated, only dropped, so both graphs
-        # can hold them until their own writes drop them
-        g._order = dict(self._order)
         return g
 
     # -- matching -----------------------------------------------------------
 
-    def _candidates(self, pattern: TriplePattern) -> list[Triple]:
-        """A canonically ordered superset of the pattern's matches: the
-        smallest index bucket of a ground position (a quoted pattern that
-        spells a ground triple counts as ground), or every triple if no
-        position is ground. A position no bucket is keyed by, such as a
-        literal subject, has no candidates. A pattern ground in all three
+    def _candidates(self, pattern: TriplePattern) -> Collection[Triple]:
+        """An unordered superset of the pattern's matches, to read before the
+        next write: the smallest index bucket of a ground position (a quoted
+        pattern that spells a ground triple counts as ground), itself, or every
+        triple if no position is ground. A position no bucket is keyed by, such
+        as a literal subject, has no candidates. A pattern ground in all three
         positions is one membership test in the bucket picked."""
-        key, best = None, None
+        best = None
         bound = []
-        for pos, term, index in (
-            (0, pattern.subject, self._by_subject),
-            (1, pattern.predicate, self._by_predicate),
-            (2, pattern.object, self._by_object),
+        for term, index in (
+            (pattern.subject, self._by_subject),
+            (pattern.predicate, self._by_predicate),
+            (pattern.object, self._by_object),
         ):
             if isinstance(term, Variable):
                 continue
@@ -170,21 +153,18 @@ class Graph:
             if bucket is None:
                 return []
             if best is None or len(bucket) < len(best):
-                key, best = (pos, term), bucket
+                best = bucket
             bound.append(term)
         if len(bound) == 3:
             triple = Triple(*bound)
             return [triple] if triple in best else []
-        ordered = self._order.get(key)
-        if ordered is None:
-            ordered = self._order[key] = sorted(self.snapshot() if best is None else best, key=format_triple)
-        return ordered
+        return self.snapshot() if best is None else best
 
     def match(self, pattern: TriplePattern, bindings: dict[str, Term] | None = None) -> list[dict[str, Term]]:
-        """All solutions of a pattern against the graph, in canonical triple
-        order, each a new dict from variable name to term that the caller
-        may keep. Prior bindings constrain the variables they mention, and
-        the index lookup uses them: a bound variable narrows like a constant."""
+        """All solutions of a pattern against the graph, in no set order,
+        each a new dict from variable name to term that the caller may
+        keep. Prior bindings constrain the variables they mention, and the
+        index lookup uses them: a bound variable narrows like a constant."""
         if not isinstance(pattern, TriplePattern):
             raise TypeError(f"match expects a TriplePattern, got {pattern!r}")
         if bindings is None:
@@ -214,14 +194,15 @@ class Graph:
         return [{**bindings, **{n: r(t) for n, r in zip(names, reads)}} for t in found]
 
     def subjects(self, predicate: Iri, obj: Term) -> list[Term]:
-        """Subjects s such that (s, predicate, obj) holds, canonical order."""
+        """Subjects s such that (s, predicate, obj) holds, canonical order:
+        sorting s by its text sorts the triples' lines (see ``query.eval``)."""
         rows = self.match(TriplePattern(Variable("s"), predicate, obj))
-        return [r["s"] for r in rows]
+        return sorted([r["s"] for r in rows], key=format_term)
 
     def objects(self, subject: Term, predicate: Iri) -> list[Term]:
         """Objects o such that (subject, predicate, o) holds, canonical order."""
         rows = self.match(TriplePattern(subject, predicate, Variable("o")))
-        return [r["o"] for r in rows]
+        return sorted([r["o"] for r in rows], key=format_term)
 
 
 _GET = {attr: attrgetter(attr) for attr in ("subject", "predicate", "object")}

@@ -2,14 +2,13 @@
 
 Semantics in brief:
 
-* WHERE is a conjunctive join of patterns, evaluated left to right against
-  the graph's canonical triple order, so results are deterministic. Each
-  step hands every row so far to ``Graph.match`` as its bindings; variables
-  the row binds narrow the index lookup like constants, so a step scans the
-  smallest index bucket its bound positions allow, not the whole bucket of
-  the pattern's predicate. Parameters are substituted into each pattern
-  first. A pattern no triple can satisfy, such as one with a literal
-  subject, matches nothing.
+* WHERE is a conjunctive join of patterns, evaluated left to right, its rows
+  sorted once, after the filters, into canonical order. Each step hands every
+  row so far to ``Graph.match`` as its bindings; variables the row binds
+  narrow the index lookup like constants, so a step scans the smallest index
+  bucket its bound positions allow, not the whole bucket of the pattern's
+  predicate. Parameters are substituted into each pattern first. A pattern
+  no triple can satisfy, such as one with a literal subject, matches nothing.
 * Each evaluation compiles its FILTER, projection and aggregate
   expressions once, into functions of one row (or, for an item with
   aggregates, of one group of rows) that know their operators, constants
@@ -80,6 +79,7 @@ from ..terms import (
     Triple,
     TriplePattern,
     Variable,
+    format_predicate,
     format_term,
     substitute,
 )
@@ -482,9 +482,9 @@ def _solve(
     graph: Graph,
     params: dict[str, Term],
 ) -> list[Row]:
-    """The rows of the WHERE group: each pattern's matches under each row so
-    far, then the filters. ``Graph.match`` returns each row as a new plain
-    dict, and the next join step and every later stage only read it."""
+    """The rows of the WHERE group in nested-loop canonical order: each
+    pattern's matches under each row so far, then the filters, then one sort.
+    ``Graph.match`` returns each row as a new plain dict, which no stage changes."""
     tests = [_compile(f, params) for f in filters]
     rows: list[Row] = [{}]
     for pattern in patterns:
@@ -496,7 +496,7 @@ def _solve(
         if not rows:
             return []
     if not tests:
-        return rows
+        return sorted(rows, key=_line_order(patterns))
     kept = []
     for row in rows:
         try:
@@ -508,7 +508,26 @@ def _solve(
                 kept.append(row)
         except QueryEvalError:
             pass  # errors in filters drop the row
-    return kept
+    return sorted(kept, key=_line_order(patterns))
+
+
+def _line_order(patterns: tuple[TriplePattern, ...]) -> Callable[[Row], tuple[str, ...]]:
+    """The key that sorts rows as their matched triples' lines: each variable's
+    text in first-appearance order, spelled as where it first stands (``a``
+    for ``rdf:type`` as a predicate). Constants are the same in every row, and
+    no term's text is a proper prefix of another's followed by a space."""
+    spelled: dict[str, Callable[[Term], str]] = {}
+
+    def walk(p: TriplePattern) -> None:
+        for spell, term in ((format_term, p.subject), (format_predicate, p.predicate), (format_term, p.object)):
+            if term.__class__ is TriplePattern:
+                walk(term)
+            elif term.__class__ is Variable:
+                spelled.setdefault(term.name, spell)
+
+    for pattern in patterns:
+        walk(pattern)
+    return lambda row: tuple([spell(row[name]) for name, spell in spelled.items()])
 
 
 # -- aggregation and projection --------------------------------------------------

@@ -286,7 +286,7 @@ def format_term(term) -> str:
         return "?" + term.name
     if isinstance(term, (Quoted, TriplePattern)):
         t = term.triple if isinstance(term, Quoted) else term
-        return f"<< {format_term(t.subject)} {_format_predicate(t.predicate)} {format_term(t.object)} >>"
+        return f"<< {format_term(t.subject)} {format_predicate(t.predicate)} {format_term(t.object)} >>"
     if isinstance(term, Literal):
         dt, v = term.datatype, term.value
         if dt == INTEGER:
@@ -304,7 +304,7 @@ def format_term(term) -> str:
     raise TypeError(f"not a term: {term!r}")
 
 
-def _format_predicate(p) -> str:
+def format_predicate(p) -> str:
     # rdf:type gets the customary shorthand
     if isinstance(p, Iri) and p.name == "rdf:type":
         return "a"
@@ -313,7 +313,7 @@ def _format_predicate(p) -> str:
 
 def format_triple(t: Triple | TriplePattern) -> str:
     """Canonical line of a triple, or of a triple pattern in query text."""
-    return f"{format_term(t.subject)} {_format_predicate(t.predicate)} {format_term(t.object)} ."
+    return f"{format_term(t.subject)} {format_predicate(t.predicate)} {format_term(t.object)} ."
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from . import schema
 from . import vocab as v
 from .graph import Graph
-from .terms import Iri, Quoted, Triple, TriplePattern, Variable
+from .terms import Iri, Quoted, Triple, format_triple
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,8 +122,8 @@ def _check_nodes(graph, nodes, report):
 
 def _links(graph, predicate):
     """The (subject, object) IRI pairs of ``predicate`` in canonical order: a quoted triple links nothing."""
-    rows = graph.match(TriplePattern(Variable("s"), predicate, Variable("o")))
-    return [(r["s"], r["o"]) for r in rows if isinstance(r["s"], Iri) and isinstance(r["o"], Iri)]
+    triples = sorted(graph.about(1, predicate), key=format_triple)
+    return [(t.subject, t.object) for t in triples if isinstance(t.subject, Iri) and isinstance(t.object, Iri)]
 
 
 _RECORDS = (schema.CAPACITY_SHAPE, schema.INVENTORY_SHAPE)

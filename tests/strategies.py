@@ -3,11 +3,12 @@ full-scan oracle that ``Graph.match`` is checked against: plain
 unification of a pattern with each triple, one position at a time."""
 
 import string as _string
+from collections import Counter
 
 from hypothesis import strategies as st
 
 from supplykg.graph import Graph
-from supplykg.terms import Iri, Literal, PatternTerm, Quoted, Term, Triple, TriplePattern, Variable, format_triple
+from supplykg.terms import Iri, Literal, PatternTerm, Quoted, Term, Triple, TriplePattern, Variable
 
 _name_head = _string.ascii_letters + "_"
 _name_tail = _name_head + _string.digits + ".:-"
@@ -88,16 +89,22 @@ def unify(pattern: TriplePattern, triple: Triple, bindings: dict[str, Term] | No
     return None
 
 
+def solutions(rows):
+    """Rows as a multiset, each row the tuple of its items: ``Graph.match``
+    returns its rows in no set order, but the order of a row's keys counts."""
+    return Counter(tuple(row.items()) for row in rows)
+
+
 def full_scan(pattern, triples, bindings=None):
-    """What ``Graph.match`` must return over ``triples``: every solution,
-    found by unifying the pattern with each triple in canonical order."""
-    return [b for x in sorted(set(triples), key=format_triple) if (b := unify(pattern, x, bindings)) is not None]
+    """What ``Graph.match`` must return over ``triples``, as ``solutions``:
+    every solution, found by unifying the pattern with each triple."""
+    return solutions(b for x in set(triples) if (b := unify(pattern, x, bindings)) is not None)
 
 
 def probes(triple):
     """One pattern per position of the triple, the others left open, so that
     each of the three index buckets the triple sits in gets read, and one
-    with every position open, which reads the whole graph's order."""
+    with every position open, which reads the whole graph."""
     s, p, o = Variable("s"), Variable("p"), Variable("o")
     return [
         TriplePattern(triple.subject, p, o),

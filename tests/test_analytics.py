@@ -20,6 +20,7 @@ from supplykg.analytics import (
     scenario_plot_data,
 )
 from supplykg import graph as graph_module
+from supplykg.query import eval as eval_module
 from supplykg.fulfillment import Simulation
 from supplykg.generator import automotive, dairy, generate
 from supplykg.schema import load_graph
@@ -203,9 +204,10 @@ def test_report_without_timestep_skips_utilization_block(simulated_automotive):
 @pytest.mark.parametrize("preset", [automotive, dairy])
 def test_report_formats_each_triple_at_most_once(preset, tmp_path, monkeypatch):
     """Complexity guard: the report's joins read index buckets narrowed by
-    their row bindings, and each bucket's order is sorted once and cached,
-    so building the report formats fewer triples than the graph holds.
-    Re-sorting a bucket per joined row costs tens of calls per triple."""
+    their row bindings, and each query sorts only the rows it keeps, once,
+    so building the report formats fewer terms and triples for sort keys
+    than the graph holds triples. Sorting a bucket per joined row costs
+    tens of calls per triple."""
     config = preset()
     graph = generate(config)
     Simulation(graph).run(config.horizon)
@@ -214,14 +216,19 @@ def test_report_formats_each_triple_at_most_once(preset, tmp_path, monkeypatch):
     loaded = load_graph(path)
 
     calls = 0
-    real = graph_module.format_triple
 
-    def counting(triple):
-        nonlocal calls
-        calls += 1
-        return real(triple)
+    def counting(real):
+        def count(x):
+            nonlocal calls
+            calls += 1
+            return real(x)
 
-    monkeypatch.setattr(graph_module, "format_triple", counting)
+        return count
+
+    sort_keys = {graph_module: ("format_term", "format_triple"), eval_module: ("format_term", "format_predicate")}
+    for module, names in sort_keys.items():
+        for name in names:
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
     build_report(loaded, 0)
     assert 0 < calls <= len(loaded)
 

@@ -11,13 +11,20 @@ output and exits 1 if any digest differs.
 """
 
 import hashlib
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 from supplykg.cli import main
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios" / "automotive_sweep.cfg"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios" / "automotive_sweep.cfg"
+
+# The graph keeps its triples in sets, whose order follows the string hash
+# seed; a test run has one seed, so these are checked in a process of their own.
+HASH_SEEDS = ["1", "12345"]
 
 # preset -> (horizon, {output: digest}) for seed 3
 PINNED = {
@@ -79,6 +86,8 @@ def pytest_generate_tests(metafunc):
     # parametrized through pytest's hook, so that the module imports without pytest
     if "preset" in metafunc.fixturenames:
         metafunc.parametrize("preset", sorted(PINNED))
+    if "hash_seed" in metafunc.fixturenames:
+        metafunc.parametrize("hash_seed", HASH_SEEDS)
 
 
 def test_pipeline_outputs_match_pinned_digests(tmp_path, preset):
@@ -87,6 +96,15 @@ def test_pipeline_outputs_match_pinned_digests(tmp_path, preset):
 
 def test_sweep_outputs_match_pinned_digests(tmp_path):
     assert sweep_digests(tmp_path) == SWEEP
+
+
+def test_outputs_match_pinned_digests_under_other_hash_seeds(hash_seed):
+    """No order of the store's sets leaks into an output: the digests hold
+    under another string hash seed too."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def check_all() -> int:

@@ -348,6 +348,15 @@ def test_sum_and_avg_add_decimals_in_row_order():
     assert evaluate(q, g).rows == ((decimal(0.0), decimal(0.0)),)
 
 
+def test_rows_come_in_line_order_with_rdf_type_spelled_a():
+    """A predicate variable's value sorts as its line spells it: ``a`` for
+    ``rdf:type``, after ``:b`` and ``:zeta``. Spelled ``:rdf:type`` it would
+    come between them, and the total would be 1.0."""
+    g = Graph([tr("s", "b", decimal(1e16)), tr("s", "zeta", decimal(1.0)), tr("s", "rdf:type", decimal(-1e16))])
+    q = parse_query("SELECT (SUM(?o) AS ?t) WHERE { :s ?p ?o . }")
+    assert evaluate(q, g).rows == ((decimal(0.0),),)
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -337,6 +337,14 @@ def test_bom_cycles_report_their_paths_in_visiting_order():
         ("C", "bill of materials contains a cycle: A -> B -> C -> A"),
         ("D", "bill of materials contains a cycle: B -> D -> B"),
     ]
+    # the children are visited in canonical order, B before C, so each
+    # cycle is found from B; from C it would read C -> B -> C
+    g = Graph()
+    for i in range(8):
+        for parent, child in [("A", "B"), ("A", "C"), ("B", "C"), ("C", "B")]:
+            g.insert(tr(f"{parent}{i}", "needsProduct", f"{child}{i}"))
+    cycles = [(x.subject, x.message) for x in validate(g) if x.code == "bom-cycle"]
+    assert cycles == [(f"C{i}", f"bill of materials contains a cycle: B{i} -> C{i} -> B{i}") for i in range(8)]
 
 
 def test_violations_are_sorted_and_deduped(automotive_graph):
