@@ -14,16 +14,21 @@ Semantics in brief:
   aggregates, of one group of rows) that know their operators, constants
   and parameter values, and ``Graph.match`` decides once per call how it
   reads each position of a pattern. Neither is kept past the call.
-* Numbers stay unboxed inside an expression: arithmetic, comparisons and
-  aggregates pass ``(value, datatype)`` pairs, so the due-orders filter
+* Every expression compiles to one form: a function that returns the
+  ``(value, datatype)`` pair of its value, or ``(term, None)`` for an IRI
+  or a quoted triple. Booleans are pairs too, and operators, functions
+  and aggregates take and return pairs, so the due-orders filter
   ``?dt - lt = t`` builds no literal per row. A literal is built only
-  where a value leaves the expression: a projected cell, an argument of
-  a function, a FILTER value that is not a boolean, an aggregate's
-  result, or an error message.
+  where a value leaves the expression: a projected cell or an error
+  message.
 * FILTER expressions see one candidate row at a time. An expression error
   inside a filter (type mismatch, division by zero, a result out of range)
   drops the row instead of aborting the query; errors in projection or
   aggregate expressions raise.
+* In a FILTER or a projection without aggregates, ``&&``, ``||`` and
+  ``IF`` evaluate only the operands that decide them. In a projection item
+  with aggregates every operand is evaluated, so an error in any of them
+  raises.
 * Numeric comparisons cross the integer/decimal/timestep tower by value;
   `=` on anything non-numeric is structural term equality. Ordering (<, <=,
   >, >=) is defined for numeric pairs and string pairs only.
@@ -105,19 +110,20 @@ class MissingParameterError(QueryEvalError):
 # -- result table -------------------------------------------------------------
 
 
-def display_form(term: Term) -> str:
-    """Human-facing cell text, and the string the query function str()
-    yields: literals show their bare value, IRIs and quoted triples keep
-    their canonical spelling."""
-    if isinstance(term, Literal):
-        if term.datatype == BOOLEAN:
-            return "True" if term.value else "False"
-        if term.datatype == STRING:
-            return term.value
-        if term.datatype == DECIMAL:
-            return repr(term.value)
-        return str(term.value)
-    return format_term(term)
+def _display(pair: Pair) -> str:
+    """Human-facing text of the term whose pair is ``pair``: a CSV cell, and
+    the string the query function str() yields. Literals show their bare
+    value, IRIs and quoted triples keep their canonical spelling."""
+    value, kind = pair
+    if kind is None:
+        return format_term(value)
+    if kind == BOOLEAN:
+        return "True" if value else "False"
+    if kind == STRING:
+        return value
+    if kind == DECIMAL:
+        return repr(value)
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,7 @@ class ResultTable:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)
         for row in self.rows:
-            writer.writerow([display_form(c) for c in row])
+            writer.writerow([_display(_unbox(c)) for c in row])
         return buf.getvalue()
 
     def single_value(self) -> Term:
@@ -155,17 +161,16 @@ def _check_params(query: ast.Query, params: dict[str, Term]) -> None:
 # of one group of rows.
 Row = dict[str, Term]
 
-# A term as arithmetic, comparisons and aggregates take it: a literal is its
-# ``(value, datatype)`` pair, any other term ``(term, None)``. Numbers stay
-# pairs from their operands to the comparison or aggregate that reads them;
-# a ``Literal`` is built only where a term leaves the expression.
+# What every compiled expression returns: a literal as its ``(value,
+# datatype)`` pair, any other term as ``(term, None)``. A ``Literal`` is
+# built only where a value leaves the expression.
 Pair = tuple
 
 _NUMERIC = (INTEGER, DECIMAL, TIMESTEP)
 
 # Every comparison, logical operator and REGEX returns one of these two.
-_TRUE = Literal(True, BOOLEAN)
-_FALSE = Literal(False, BOOLEAN)
+_TRUE = (True, BOOLEAN)
+_FALSE = (False, BOOLEAN)
 
 
 def _unbox(term: Term) -> Pair:
@@ -177,10 +182,10 @@ def _box(pair: Pair) -> Term:
     return value if kind is None else Literal(value, kind)
 
 
-def _expect_bool(term: Term, where: str) -> bool:
-    if term.__class__ is Literal and term.datatype == BOOLEAN:
-        return term.value
-    raise QueryTypeError(f"{where}: expected a boolean, got {format_term(term)}")
+def _truth(pair: Pair, where: str) -> bool:
+    if pair[1] == BOOLEAN:
+        return pair[0]
+    raise QueryTypeError(f"{where}: expected a boolean, got {format_term(_box(pair))}")
 
 
 def _decimal(op: str, compute, *operands) -> float:
@@ -233,12 +238,8 @@ def _clock(op: str, lv: int, lk: str, rv: int, rk: str) -> Pair:
     return value, TIMESTEP
 
 
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-
-def _arith(op: str):
+def _arithmetic(op: str, compute):
     """The function that applies arithmetic operator ``op`` to two pairs."""
-    compute = _ARITHMETIC[op]
     divide = op == "/"
 
     def apply(left: Pair, right: Pair) -> Pair:
@@ -262,7 +263,7 @@ def _equality(negate: bool):
     """``=`` (or ``!=`` when ``negate``): numbers by value, anything else
     by term equality."""
 
-    def apply(left: Pair, right: Pair) -> Literal:
+    def apply(left: Pair, right: Pair) -> Pair:
         lv, lk = left
         rv, rk = right
         if lk in _NUMERIC and rk in _NUMERIC:
@@ -274,11 +275,10 @@ def _equality(negate: bool):
     return apply
 
 
-def _ordering(op: str):
+def _ordering(test):
     """An ordering comparison: defined for two numbers or two strings."""
-    test = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}[op]
 
-    def apply(left: Pair, right: Pair) -> Literal:
+    def apply(left: Pair, right: Pair) -> Pair:
         lk, rk = left[1], right[1]
         if (lk in _NUMERIC and rk in _NUMERIC) or (lk == STRING and rk == STRING):
             return _TRUE if test(left[0], right[0]) else _FALSE
@@ -287,12 +287,23 @@ def _ordering(op: str):
     return apply
 
 
-def _logic(op: str):
-    """``&&`` or ``||`` on two evaluated operands, for aggregate projections:
-    the right one is not type-checked when the left decides."""
-    if op == "&&":
-        return lambda left, right: _TRUE if _expect_bool(left, op) and _expect_bool(right, op) else _FALSE
-    return lambda left, right: _TRUE if _expect_bool(left, op) or _expect_bool(right, op) else _FALSE
+# binary operator -> the function of its operands' pairs. ``&&`` and ``||``
+# here take both operands evaluated, as an item with aggregates evaluates
+# them; in a row they short-circuit (``_compile``).
+_OPERATORS = {
+    "+": _arithmetic("+", operator.add),
+    "-": _arithmetic("-", operator.sub),
+    "*": _arithmetic("*", operator.mul),
+    "/": _arithmetic("/", operator.truediv),
+    "=": _equality(False),
+    "!=": _equality(True),
+    "<": _ordering(operator.lt),
+    "<=": _ordering(operator.le),
+    ">": _ordering(operator.gt),
+    ">=": _ordering(operator.ge),
+    "&&": lambda left, right: _TRUE if _truth(left, "&&") and _truth(right, "&&") else _FALSE,
+    "||": lambda left, right: _TRUE if _truth(left, "||") or _truth(right, "||") else _FALSE,
+}
 
 
 def _regex_match(value: str, pattern: str) -> bool:
@@ -310,18 +321,20 @@ def _regex_match(value: str, pattern: str) -> bool:
     return core in value
 
 
-def _regex(value: Term, pattern: Term) -> Literal:
-    for t in (value, pattern):
-        if not (t.__class__ is Literal and t.datatype == STRING):
-            raise QueryTypeError(f"REGEX: expected strings, got {format_term(t)}")
-    return _TRUE if _regex_match(value.value, pattern.value) else _FALSE
+def _regex(value: Pair, pattern: Pair) -> Pair:
+    for pair in (value, pattern):
+        if pair[1] != STRING:
+            raise QueryTypeError(f"REGEX: expected strings, got {format_term(_box(pair))}")
+    return _TRUE if _regex_match(value[0], pattern[0]) else _FALSE
 
 
-# function name -> the function of its evaluated arguments
+# function name -> the function of its arguments' pairs. IF here takes all
+# three evaluated, as an item with aggregates evaluates them; in a row it
+# evaluates only the branch it picks (``_compile``).
 _FUNCTIONS = {
-    "IF": lambda cond, then, other: then if _expect_bool(cond, "IF") else other,
+    "IF": lambda cond, then, other: then if _truth(cond, "IF") else other,
     "REGEX": _regex,
-    "STR": lambda term: Literal(display_form(term), STRING),
+    "STR": lambda pair: (_display(pair), STRING),
 }
 
 
@@ -342,64 +355,12 @@ def _on_group(expr: ast.Expr) -> bool:
     return isinstance(expr, (ast.Binary, ast.Aggregate)) or (isinstance(expr, ast.Call) and ast.has_aggregate(expr))
 
 
-def _compile(expr: ast.Expr, params: dict[str, Term], grouped: bool = False) -> Callable[[Row], Term]:
+def _compile(expr: ast.Expr, params: dict[str, Term], grouped: bool = False) -> Callable[[Row], Pair]:
     """``expr`` as a function of one row, or with ``grouped`` of one group
-    of rows. The operators, constants and parameter values are looked up
-    here, once per evaluation."""
+    of rows, that returns the pair of its value. The operators, constants
+    and parameter values are looked up here, once per evaluation."""
     if grouped and not _on_group(expr):
         row_fn = _compile(expr, params)
-        return lambda group: row_fn(group[0])
-    if isinstance(expr, ast.VarRef):
-        name = expr.name
-
-        def variable(row: Row) -> Term:
-            try:
-                return row[name]
-            except KeyError:
-                raise UnboundVariableError(f"unbound variable ?{name}") from None
-
-        return variable
-    term = _constant(expr, params)
-    if term is not None:
-        return lambda row: term
-    if isinstance(expr, ast.Binary):
-        op = expr.op
-        if op in ("&&", "||"):
-            left, right = _compile(expr.left, params, grouped), _compile(expr.right, params, grouped)
-            if grouped:
-                apply = _logic(op)
-                return lambda group: apply(left(group), right(group))
-            if op == "&&":
-                return lambda row: _TRUE if _expect_bool(left(row), op) and _expect_bool(right(row), op) else _FALSE
-            return lambda row: _TRUE if _expect_bool(left(row), op) or _expect_bool(right(row), op) else _FALSE
-        if op in ("=", "!="):
-            return _operands(_equality(op == "!="), expr, params, grouped)
-        if op in ast.COMPARISONS:
-            return _operands(_ordering(op), expr, params, grouped)
-    if isinstance(expr, ast.Call):
-        args = [_compile(a, params, grouped) for a in expr.args]
-        if expr.func == "IF" and not grouped:
-            cond, then, other = args
-            return lambda row: (then if _expect_bool(cond(row), "IF") else other)(row)
-        apply = _FUNCTIONS[expr.func]
-        return lambda row: apply(*[arg(row) for arg in args])
-    if isinstance(expr, ast.Aggregate) and not grouped:
-
-        def misplaced(row: Row) -> Term:
-            raise QueryEvalError("aggregate outside aggregation context")
-
-        return misplaced
-    if isinstance(expr, (ast.Binary, ast.Aggregate)):  # a number, boxed as it leaves
-        number = _compile_number(expr, params, grouped)
-        return lambda row: Literal(*number(row))
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-def _compile_number(expr: ast.Expr, params: dict[str, Term], grouped: bool = False) -> Callable[[Row], Pair]:
-    """``expr`` as a function of one row (or group) that returns the pair of
-    its value. Arithmetic and aggregates build no term."""
-    if grouped and not _on_group(expr):
-        row_fn = _compile_number(expr, params)
         return lambda group: row_fn(group[0])
     if isinstance(expr, ast.VarRef):
         name = expr.name
@@ -416,19 +377,41 @@ def _compile_number(expr: ast.Expr, params: dict[str, Term], grouped: bool = Fal
     if term is not None:
         pair = _unbox(term)
         return lambda row: pair
-    if isinstance(expr, ast.Binary) and expr.op in _ARITHMETIC:
-        return _operands(_arith(expr.op), expr, params, grouped)
-    if isinstance(expr, ast.Aggregate) and grouped:
-        func, arg = expr.func, _compile_number(expr.arg, params)
-        return lambda group: _aggregate(func, [arg(row) for row in group])
-    boxed = _compile(expr, params, grouped)
-    return lambda row: _unbox(boxed(row))
+    # In a row, ``&&``, ``||`` and IF evaluate only the operands that decide
+    # them, as a FILTER needs; in a group every operand is evaluated, so an
+    # error in any of them raises (``tests/reference_eval.py``).
+    if isinstance(expr, ast.Binary):
+        op = expr.op
+        if op in ("&&", "||") and not grouped:
+            left, right = _compile(expr.left, params), _compile(expr.right, params)
+            if op == "&&":
+                return lambda row: _TRUE if _truth(left(row), op) and _truth(right(row), op) else _FALSE
+            return lambda row: _TRUE if _truth(left(row), op) or _truth(right(row), op) else _FALSE
+        return _operands(_OPERATORS[op], expr, params, grouped)
+    if isinstance(expr, ast.Call):
+        args = [_compile(a, params, grouped) for a in expr.args]
+        if expr.func == "IF" and not grouped:
+            cond, then, other = args
+            return lambda row: (then if _truth(cond(row), "IF") else other)(row)
+        apply = _FUNCTIONS[expr.func]
+        return lambda row: apply(*[arg(row) for arg in args])
+    if isinstance(expr, ast.Aggregate):
+        if grouped:
+            func, arg = expr.func, _compile(expr.arg, params)
+            return lambda group: _aggregate(func, [arg(row) for row in group])
+
+        def misplaced(row: Row) -> Pair:
+            raise QueryEvalError("aggregate outside aggregation context")
+
+        return misplaced
+    raise TypeError(f"not an expression: {expr!r}")
 
 
 def _operands(apply, expr: ast.Binary, params: dict[str, Term], grouped: bool):
     """``apply`` to the pairs of ``expr``'s operands, evaluated left to
-    right. A constant operand is passed as it is, not through a function."""
-    left, right = _compile_number(expr.left, params, grouped), _compile_number(expr.right, params, grouped)
+    right. A constant operand is passed as it is, not through a function:
+    the due filter ``?dt - lt = t``, run on every row of a pass, then makes
+    no call for ``lt`` or ``t``."""
     right_term, left_term = _constant(expr.right, params), _constant(expr.left, params)
     if right_term is not None:
         right_pair = _unbox(right_term)
@@ -445,10 +428,13 @@ def _operands(apply, expr: ast.Binary, params: dict[str, Term], grouped: bool):
                 return apply((term.value, term.datatype) if term.__class__ is Literal else (term, None), right_pair)
 
             return variable_constant
+        left = _compile(expr.left, params, grouped)
         return lambda row: apply(left(row), right_pair)
+    right = _compile(expr.right, params, grouped)
     if left_term is not None:
         left_pair = _unbox(left_term)
         return lambda row: apply(left_pair, right(row))
+    left = _compile(expr.left, params, grouped)
     return lambda row: apply(left(row), right(row))
 
 
@@ -495,20 +481,20 @@ def _solve(
         rows = next_rows
         if not rows:
             return []
-    if not tests:
-        return sorted(rows, key=_line_order(patterns))
-    kept = []
-    for row in rows:
-        try:
-            for test in tests:
-                value = test(row)
-                if value is _FALSE or (value is not _TRUE and not _expect_bool(value, "FILTER")):
-                    break
-            else:
-                kept.append(row)
-        except QueryEvalError:
-            pass  # errors in filters drop the row
-    return sorted(kept, key=_line_order(patterns))
+    if tests:
+        kept = []
+        for row in rows:
+            try:
+                for test in tests:
+                    value = test(row)
+                    if value is _FALSE or (value is not _TRUE and not _truth(value, "FILTER")):
+                        break
+                else:
+                    kept.append(row)
+            except QueryEvalError:
+                pass  # errors in filters drop the row
+        rows = kept
+    return sorted(rows, key=_line_order(patterns)) if len(rows) > 1 else rows
 
 
 def _line_order(patterns: tuple[TriplePattern, ...]) -> Callable[[Row], tuple[str, ...]]:
@@ -566,7 +552,7 @@ def evaluate(query: ast.SelectQuery, graph: Graph, params: dict[str, Term] | Non
         columns = tuple(_column_name(i) for i in items)
         if not any(ast.has_aggregate(i.expr) for i in items):
             compiled = [_compile(i.expr, params) for i in items]
-            produced = [(r, tuple([f(r) for f in compiled])) for r in rows]
+            produced = [(r, tuple([_box(f(r)) for f in compiled])) for r in rows]
         else:
             compiled = [_compile(i.expr, params, grouped=True) for i in items]
             if query.group_by is not None:
@@ -577,7 +563,7 @@ def evaluate(query: ast.SelectQuery, graph: Graph, params: dict[str, Term] | Non
             for r in rows:
                 key = tuple(r[v] for v in key_vars)
                 groups.setdefault(key, []).append(r)
-            produced = [(group[0], tuple([f(group) for f in compiled])) for group in groups.values()]
+            produced = [(group[0], tuple([_box(f(group)) for f in compiled])) for group in groups.values()]
 
     produced.sort(key=lambda br: _row_sort_key(br[1]))
     if query.order_by is not None:

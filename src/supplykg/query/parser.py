@@ -35,7 +35,6 @@ grouping and must match an explicit GROUP BY when one is given.
 
 from __future__ import annotations
 
-import sys
 from typing import Iterable, Optional, Union
 
 from ..terms import (
@@ -48,6 +47,7 @@ from ..terms import (
     Quoted,
     TriplePattern,
     Variable,
+    number_literal,
     to_ground,
     typed_literal,
 )
@@ -286,18 +286,8 @@ class _Parser:
             else:
                 raise self.fail("expected a literal")
         try:
-            return Literal(int(text), "integer")
-        except ValueError:
-            if text.lstrip("+-").isdigit():  # more digits than int() reads
-                digits = len(text.lstrip("+-"))
-                raise QuerySyntaxError(
-                    f"integer literal has {digits} digits, more than the {sys.get_int_max_str_digits()} allowed",
-                    tok.line,
-                    tok.col,
-                ) from None
-        try:
-            return Literal(float(text), "decimal")
-        except MalformedTermError as exc:  # a number no decimal can hold, such as 1e999
+            return number_literal(text)
+        except MalformedTermError as exc:  # too many digits, or no decimal holds it, such as 1e999
             raise QuerySyntaxError(str(exc), tok.line, tok.col) from None
 
     # -- expressions ---------------------------------------------------------

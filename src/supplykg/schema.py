@@ -228,8 +228,8 @@ def _grouped(triples, side: str) -> dict:
     """The terms at ``side`` ("subject" or "object") of ``triples``, per
     predicate, in the canonical order of their triples. Only a predicate
     with two or more triples is sorted: ``triples`` comes unordered from an
-    index bucket, and sorting each group by the same key as ``Graph.match``
-    gives the order that ``match`` would have given."""
+    index bucket, and sorting each group by ``format_triple`` gives the
+    order of the triples' lines in the serialized graph."""
     groups: dict = {}
     for t in triples:
         groups.setdefault(t.predicate, []).append(t)

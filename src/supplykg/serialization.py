@@ -37,12 +37,9 @@ same error and line number.
 from __future__ import annotations
 
 import re
-import sys
 
 from .graph import Graph
 from .terms import (
-    DECIMAL,
-    INTEGER,
     IRI_CHAR,
     IRI_NAME,
     MAX_QUOTE_DEPTH,
@@ -54,6 +51,7 @@ from .terms import (
     Term,
     Triple,
     format_triple,
+    number_literal,
     typed_literal,
     unescape_string,
 )
@@ -91,7 +89,6 @@ _TOKEN = re.compile(
     """,
     re.VERBOSE,
 )
-_INTEGRAL = re.compile(r"[+-]?\d+")
 
 
 def _tokenize_line(text: str, line: int) -> list[tuple[str, str, str | None]]:
@@ -126,24 +123,12 @@ def _token_term(terms: dict, kind: str, text: str, tag: str | None) -> Term:
             body = unescape_string(text[1:-1])
             term = Literal(body, STRING) if tag is None else typed_literal(body, tag)
         elif kind == "number":
-            term = _integer(text) if _INTEGRAL.fullmatch(text) else Literal(float(text), DECIMAL)
+            term = number_literal(text)
         else:  # iri, or kw: a bare "a"
             name = "rdf:type" if text in ("a", "rdf:type") else text[1:]
             term = terms.setdefault(":" + name, Iri(name))
         terms[key] = term
     return term
-
-
-def _integer(text: str) -> Literal:
-    """The integer literal of a number token. Raises ``MalformedTermError``
-    on one with more digits than Python reads (4,300 unless set otherwise)."""
-    try:
-        return Literal(int(text), INTEGER)
-    except ValueError:
-        digits = len(text.lstrip("+-"))
-        raise MalformedTermError(
-            f"integer literal has {digits} digits, more than the {sys.get_int_max_str_digits()} allowed"
-        ) from None
 
 
 def _quote(quoted: dict, s, p, o) -> Quoted:

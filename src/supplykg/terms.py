@@ -13,18 +13,20 @@ the package.
 in a field that takes no part in equality or ``repr``; the graph's set and
 index lookups then never re-hash a triple's parts. Both pickle by their
 parts, so a loaded term hashes afresh under the loading process's string
-hash seed. ``Iri`` and ``Literal`` hash on demand: queries build and drop
-many literals (filter arithmetic), and an eager hash would double the cost
-of building one. One load of graph text builds one ``Iri`` or ``Literal``
-per distinct token, from the items of a per-load word table, and one
-``Quoted`` per distinct quoted triple, from a per-load table keyed on its
-parts.
+hash seed. ``Iri`` and ``Literal`` hash on demand: an eager hash would
+double the cost of building one, and the literals a query builds for its
+result cells are seldom hashed. One load of graph text builds one ``Iri``
+or ``Literal`` per distinct token, from the items of a per-load word table,
+and one ``Quoted`` per distinct quoted triple, from a per-load table keyed
+on its parts. A bare number in graph or query text means what
+``number_literal`` says.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -140,6 +142,25 @@ def typed_literal(body: str, tag: str) -> Literal:
     except (KeyError, ValueError):
         raise MalformedTermError(f"bad {tag} literal {body!r}") from None
     raise MalformedTermError(f"unknown datatype tag ^^{tag}")
+
+
+_INTEGRAL = re.compile(r"[+-]?\d+")
+
+
+def number_literal(text: str) -> Literal:
+    """The literal a bare number spells: an integer when it is all digits
+    after its sign, else a decimal. Raises ``MalformedTermError`` on an
+    integer with more digits than Python reads (4,300 unless set
+    otherwise) or a decimal too large for a float, such as ``1e999``."""
+    if not _INTEGRAL.fullmatch(text):
+        return Literal(float(text), DECIMAL)
+    try:
+        return Literal(int(text), INTEGER)
+    except ValueError:
+        digits = len(text.lstrip("+-"))
+        raise MalformedTermError(
+            f"integer literal has {digits} digits, more than the {sys.get_int_max_str_digits()} allowed"
+        ) from None
 
 
 @dataclass(frozen=True, slots=True)

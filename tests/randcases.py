@@ -9,10 +9,13 @@ included, and are now and then bound to a literal, so subjects and
 predicates no triple can hold get tried. They stand as operands in filter
 and projection expressions too, bound to a timestep or an integer, as in
 the due-orders filter ``?dt - lt = t``, whose shape is also drawn
-mirrored and with arithmetic on both sides. Decimals come in quarters and in
-tenths, whose sums depend on the order of their terms, so a row-order
-error shows; a few integers are too large for a float. All randomness
-flows from SplitMix64, so a given seed always produces the same cases.
+mirrored and with arithmetic on both sides. Projection items are drawn
+as arithmetic, boolean expressions and calls, and items with aggregates
+nested in arithmetic, comparisons, ``&&``/``||``, IF and STR, whose every
+operand is evaluated. Decimals come in quarters and in tenths, whose sums
+depend on the order of their terms, so a row-order error shows; a few
+integers are too large for a float. All randomness flows from SplitMix64,
+so a given seed always produces the same cases.
 """
 
 from __future__ import annotations
@@ -252,6 +255,45 @@ def _random_bool_expr(rng: SplitMix64, b: _CaseBuilder, depth: int = 0) -> ast.E
     )
 
 
+def _random_call(rng: SplitMix64, b: _CaseBuilder) -> ast.Expr:
+    """STR of an operand, or IF between two drawn arithmetic expressions."""
+    if rng.randint(0, 1) == 0:
+        return ast.Call("STR", (_random_operand(rng, b),))
+    return ast.Call("IF", (_random_bool_expr(rng, b, 1), _random_arith(rng, b), _random_arith(rng, b)))
+
+
+def _random_grouped_expr(rng: SplitMix64, b: _CaseBuilder, depth: int = 0) -> ast.Expr:
+    """A projection item with aggregates: SUM or AVG of drawn arithmetic,
+    or one nested in arithmetic, a comparison, ``&&``/``||``, IF or STR
+    beside an operand without aggregates, on either side. Such an item
+    evaluates every operand, so an error in the operand of ``&&``, ``||``
+    or IF that does not decide it still raises."""
+    roll = rng.randint(0, 9)
+    if roll < 2 + 5 * depth:  # a nested item is mostly a plain aggregate
+        # half of them SUM(1) or AVG(1), which never fail
+        summed = _random_arith(rng, b) if rng.randint(0, 1) > 0 else ast.Const(Literal(1, "integer"))
+        return ast.Aggregate(rng.choice(["SUM", "AVG"]), summed)
+    inner = _random_grouped_expr(rng, b, depth + 1)
+    if roll < 4:
+        op = rng.choice(["+", "-", "*", "/"] if roll == 2 else list(ast.COMPARISONS))
+        other = _random_arith(rng, b)
+        return ast.Binary(op, inner, other) if rng.randint(0, 1) == 0 else ast.Binary(op, other, inner)
+    if roll < 7:
+        compared = ast.Binary(rng.choice(list(ast.COMPARISONS)), inner, _random_arith(rng, b))
+        other = _random_bool_expr(rng, b, 1)
+        op = rng.choice(["&&", "||"])
+        return ast.Binary(op, compared, other) if rng.randint(0, 1) == 0 else ast.Binary(op, other, compared)
+    if roll < 9:
+        if rng.randint(0, 1) == 0:
+            compared = ast.Binary(rng.choice(list(ast.COMPARISONS)), inner, _random_arith(rng, b))
+            return ast.Call("IF", (compared, _random_arith(rng, b), _random_arith(rng, b)))
+        branches = (inner, _random_arith(rng, b)) if rng.randint(0, 1) == 0 else (_random_arith(rng, b), inner)
+        return ast.Call("IF", (_random_bool_expr(rng, b, 1), *branches))
+    if rng.randint(0, 1) == 0:
+        return ast.Call("STR", (inner,))
+    return ast.Call("REGEX", (ast.Call("STR", (inner,)), ast.Const(Literal(rng.choice(["^-", "5", ".5$"]), "string"))))
+
+
 # -- whole queries -----------------------------------------------------------------
 
 
@@ -294,18 +336,20 @@ def random_select(
         keys = [v for v in b.vars if rng.randint(0, 1) == 0]
         items = [ast.ProjItem(ast.VarRef(v), None) for v in keys]
         for _ in range(rng.randint(1, 2)):
-            func = rng.choice(["SUM", "AVG"])
-            items.append(
-                ast.ProjItem(ast.Aggregate(func, _random_arith(rng, b)), f"agg{len(items)}")
-            )
+            items.append(ast.ProjItem(_random_grouped_expr(rng, b), f"agg{len(items)}"))
         if len(keys) == 1 and rng.randint(0, 1) == 0:
             group_by = keys[0]
         projection = tuple(items)
     else:
         picked = [v for v in b.vars if rng.randint(0, 2) > 0] or b.vars[:1]
         items = [ast.ProjItem(ast.VarRef(v), None) for v in picked]
-        if rng.randint(0, 9) < 3:
+        roll = rng.randint(0, 9)
+        if roll < 3:
             items.append(ast.ProjItem(_random_arith(rng, b), f"x{len(items)}"))
+        elif roll < 5:
+            items.append(ast.ProjItem(_random_bool_expr(rng, b), f"x{len(items)}"))
+        elif roll < 6:
+            items.append(ast.ProjItem(_random_call(rng, b), f"x{len(items)}"))
         projection = tuple(items)
 
     order_by = None
@@ -336,6 +380,19 @@ def random_filter_select(rng: SplitMix64, graph: Graph) -> tuple[ast.SelectQuery
         summed = ast.VarRef("o")
     totals = tuple(ast.ProjItem(ast.Aggregate(func, summed), func.lower()) for func in ("SUM", "AVG"))
     return ast.SelectQuery(totals, (TriplePattern(Variable("s"), Iri("hasCost"), Variable("o")),), filters), b.params
+
+
+def random_grouped_select(rng: SplitMix64, graph: Graph) -> tuple[ast.SelectQuery, dict[str, Term]]:
+    """``SELECT ?s (E AS ?e) WHERE { ?s :hasCost ?o . } GROUP BY ?s`` with
+    E a drawn item with aggregates. Each subject's costs are a group, so
+    every group has rows and an aggregate of the costs succeeds; an operand
+    beside the aggregates reads the group's first row, where arithmetic on
+    ``?s`` fails. The operand of ``&&``, ``||`` or IF that does not decide
+    it then fails often enough to tell evaluating it from skipping it."""
+    b = _CaseBuilder(rng, graph, rng)
+    b.vars, b.values = ["s", "o"], ["o"]
+    items = (ast.ProjItem(ast.VarRef("s"), None), ast.ProjItem(_random_grouped_expr(rng, b), "e"))
+    return ast.SelectQuery(items, (TriplePattern(Variable("s"), Iri("hasCost"), Variable("o")),), (), "s"), b.params
 
 
 def random_insert(
@@ -410,6 +467,7 @@ def run_differential_sweep(num_graphs: int = 110, seed: int = 20260816, queries_
     rng = SplitMix64(seed)
     param_rng = SplitMix64(seed + 1)
     filter_rng = SplitMix64(seed + 2)
+    grouped_rng = SplitMix64(seed + 3)
     stats = {
         "graphs": 0,
         "selects": 0,
@@ -421,6 +479,7 @@ def run_differential_sweep(num_graphs: int = 110, seed: int = 20260816, queries_
         "literal_subject_or_predicate_params": 0,
         "expression_params": 0,
         "filter_selects": 0,
+        "grouped_selects": 0,
     }
     for size in _graph_sizes(rng, num_graphs):
         graph = random_graph(rng, size)
@@ -430,6 +489,8 @@ def run_differential_sweep(num_graphs: int = 110, seed: int = 20260816, queries_
             _check_select(*random_select(rng, graph, param_rng), graph, stats)
         _check_select(*random_filter_select(filter_rng, graph), graph, stats)
         stats["filter_selects"] += 1
+        _check_select(*random_grouped_select(grouped_rng, graph), graph, stats)
+        stats["grouped_selects"] += 1
         # one insert-where case per graph
         query, params = random_insert(rng, graph, param_rng)
         reparsed = parse_query(print_query(query), params)

@@ -470,3 +470,26 @@ def test_an_unbound_variable_in_an_expression(expr):
         evaluate(projected, g)
     filtered = ast.SelectQuery(None, patterns, (ast.Binary("!=", expr, ast.Const(integer(0))),))
     assert evaluate(filtered, g).rows == ()
+
+
+@pytest.mark.parametrize(
+    "expr, value",
+    [("(Q < 0) && X", boolean(False)), ("(Q > 0) || X", boolean(True)), ("IF(Q > 0, 1, X)", integer(1))],
+)
+def test_and_or_if_skip_an_operand_in_a_row_but_not_in_a_group(expr, value):
+    """In a row, ``&&``, ``||`` and IF evaluate only the operands that decide
+    them, so ``?c + 1 > 0`` in the operand that does not decide is never
+    reached. In an item with aggregates every operand is evaluated, so it
+    raises; an operand that is evaluated but does not decide is not
+    type-checked."""
+    g = Graph([tr("c", "makes", "o"), tr("o", "hasQuantity", integer(5))])
+    where = "WHERE { ?c :makes ?o . ?o :hasQuantity ?q . }"
+
+    def query(q, x, grouped):
+        item = expr.replace("Q", q).replace("X", x)
+        return parse_query(f"SELECT ?c ({item} AS ?b) {where}" + (" GROUP BY ?c" if grouped else ""))
+
+    assert evaluate(query("?q", "(?c + 1 > 0)", False), g).rows == ((Iri("c"), value),)
+    with pytest.raises(QueryTypeError, match=r"^\+: expected a number, got :c$"):
+        evaluate(query("SUM(?q)", "(?c + 1 > 0)", True), g)
+    assert evaluate(query("SUM(?q)", "?c", True), g).rows == ((Iri("c"), value),)

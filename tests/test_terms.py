@@ -30,6 +30,7 @@ from supplykg.terms import (
     format_term,
     format_triple,
     integer,
+    number_literal,
     string,
     substitute,
     timestep,
@@ -120,6 +121,20 @@ def test_rdf_type_shorthand():
     assert format_triple(t) == ":OEM1 a :OEM ."
     # but rdf:type outside predicate position keeps the prefixed spelling
     assert format_term(Iri("rdf:type")) == ":rdf:type"
+
+
+def test_number_literal_is_the_one_rule_for_bare_numbers():
+    """All digits after a sign is an integer, anything else a decimal; an
+    integer too long to read and a decimal no float holds are malformed."""
+    assert number_literal("-0042") == integer(-42)
+    assert number_literal("+7") == integer(7)
+    assert number_literal("1.50") == decimal(1.5)
+    assert number_literal("-0.0") == decimal(-0.0)
+    assert number_literal("2e3") == decimal(2000.0)
+    with pytest.raises(MalformedTermError, match=r"^integer literal has 4301 digits, more than the 4300 allowed$"):
+        number_literal("-" + "9" * 4301)
+    with pytest.raises(MalformedTermError, match=r"^bad decimal literal value: inf$"):
+        number_literal("1e999")
 
 
 def test_unify_binds_and_checks_consistency():
