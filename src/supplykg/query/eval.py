@@ -20,7 +20,7 @@ Semantics in brief:
   and aggregates take and return pairs, so the due-orders filter
   ``?dt - lt = t`` builds no literal per row. A literal is built only
   where a value leaves the expression: a projected cell or an error
-  message.
+  message. A projected plain variable's cell is the row's own term.
 * FILTER expressions see one candidate row at a time. An expression error
   inside a filter (type mismatch, division by zero, a result out of range)
   drops the row instead of aborting the query; errors in projection or
@@ -544,32 +544,44 @@ def evaluate(query: ast.SelectQuery, graph: Graph, params: dict[str, Term] | Non
 
     # produced: (representative binding, projected cells) per output row; the
     # binding carries ORDER BY values for variables that are not projected
-    if query.projection is None:
-        columns = tuple(query.pattern_variables())
-        produced = [(r, tuple(r[v] for v in columns)) for r in rows]
+    items = query.projection
+    if items is None:
+        items = tuple(ast.ProjItem(ast.VarRef(name)) for name in query.pattern_variables())
+    columns = tuple(_column_name(i) for i in items)
+    grouped = any(ast.has_aggregate(i.expr) for i in items)
+    compiled = [_cell(i.expr, params, grouped) for i in items]
+    if not grouped:
+        produced = [(r, tuple([f(r) for f in compiled])) for r in rows]
     else:
-        items = query.projection
-        columns = tuple(_column_name(i) for i in items)
-        if not any(ast.has_aggregate(i.expr) for i in items):
-            compiled = [_compile(i.expr, params) for i in items]
-            produced = [(r, tuple([_box(f(r)) for f in compiled])) for r in rows]
+        if query.group_by is not None:
+            key_vars = [query.group_by]
         else:
-            compiled = [_compile(i.expr, params, grouped=True) for i in items]
-            if query.group_by is not None:
-                key_vars = [query.group_by]
-            else:
-                key_vars = [i.expr.name for i in items if isinstance(i.expr, ast.VarRef)]
-            groups: dict[tuple, list[dict[str, Term]]] = {}
-            for r in rows:
-                key = tuple(r[v] for v in key_vars)
-                groups.setdefault(key, []).append(r)
-            produced = [(group[0], tuple([_box(f(group)) for f in compiled])) for group in groups.values()]
+            key_vars = [i.expr.name for i in items if isinstance(i.expr, ast.VarRef)]
+        groups: dict[tuple, list[dict[str, Term]]] = {}
+        for r in rows:
+            key = tuple(r[v] for v in key_vars)
+            groups.setdefault(key, []).append(r)
+        produced = [(group[0], tuple([f(group) for f in compiled])) for group in groups.values()]
 
     produced.sort(key=lambda br: _row_sort_key(br[1]))
     if query.order_by is not None:
         var, descending = query.order_by
         produced.sort(key=lambda br: _order_key(br[0][var]), reverse=descending)
     return ResultTable(columns, tuple(cells for _, cells in produced))
+
+
+def _cell(expr: ast.Expr, params: dict[str, Term], grouped: bool) -> Callable:
+    """A projection item as a function of one row, or with ``grouped`` of
+    one group, that gives its cell. A plain variable's cell is the row's own
+    term (a grouping key's, the group's first row's), not a literal boxed
+    again from its pair; ``value`` raises for a row that does not bind it."""
+    value = _compile(expr, params, grouped)
+    if not isinstance(expr, ast.VarRef):
+        return lambda row: _box(value(row))
+    name = expr.name
+    if grouped:
+        return lambda group: group[0][name] if name in group[0] else value(group)
+    return lambda row: row[name] if name in row else value(row)
 
 
 def _column_name(item: ast.ProjItem) -> str:

@@ -359,15 +359,15 @@ def substitute(
     return TriplePattern(sub(pattern.subject), sub(pattern.predicate), sub(pattern.object))
 
 
-def to_ground(pattern: TriplePattern) -> Triple | None:
-    """The ground Triple a pattern with no variables or parameters spells,
-    or None if it has some or no triple can hold its terms."""
+def to_ground(pattern: TriplePattern, bindings: dict[str, Term] | None = None) -> Triple | None:
+    """The ground Triple a pattern spells, its variables read from ``bindings``,
+    or None if one is unbound, it has parameters or no triple holds its terms."""
 
     def conv(t: PatternTerm):
         if isinstance(t, Variable):
-            return None
+            return None if bindings is None else bindings.get(t.name)
         if isinstance(t, TriplePattern):
-            g = to_ground(t)
+            g = to_ground(t, bindings)
             return Quoted(g) if g is not None else None
         return t
 

@@ -95,14 +95,17 @@ class _CaseBuilder:
         self.param_rng = param_rng
         self.graph = graph
         self.vars: list[str] = []
+        self.seeds: dict[str, Term] = {}  # each variable's term in the triple it was drawn from
         self.counter = 0
         self.params: dict[str, Term] = {}
         self.values: list[str] = []  # variables in object position, where numbers are
 
-    def fresh_var(self) -> Variable:
+    def fresh_var(self, seed: Term | None = None) -> Variable:
         name = f"v{self.counter}"
         self.counter += 1
         self.vars.append(name)
+        if seed is not None:
+            self.seeds[name] = seed
         return Variable(name)
 
     def _maybe_param(self, term):
@@ -143,14 +146,14 @@ class _CaseBuilder:
                 )
             )
         if roll < 5:
-            return self.fresh_var()
+            return self.fresh_var(term)
         if roll < 7 and self.vars and self.rng.randint(0, 1) == 0:
             return Variable(self.rng.choice(self.vars))
         return self._maybe_param(term)
 
     def _abstract_predicate(self, predicate: Iri):
         if self.rng.randint(0, 9) < 3:
-            return self.fresh_var()
+            return self.fresh_var(predicate)
         return self._maybe_param(predicate)
 
     def seed_pattern(self, anchored: bool) -> TriplePattern:
@@ -170,16 +173,29 @@ class _CaseBuilder:
         return p
 
     def join_pattern(self) -> TriplePattern:
-        """Pattern that shares an existing variable, so joins stay bounded."""
+        """Pattern that shares an existing variable, so joins stay bounded.
+        Its triple is drawn from those that hold the variable's seed value,
+        the term it was drawn from, at the shared slot: the subject or
+        object slot drawn, else the other one, else (a predicate's) the
+        predicate. So most joins return rows, and the bound rows that narrow
+        the second step get compared. If no triple holds it, any is drawn."""
         triples = self.graph.triples()
         if not triples or not self.vars:
             return self.seed_pattern(anchored=True)
-        base = self.rng.choice(triples)
         shared = Variable(self.rng.choice(self.vars))
-        slot = self.rng.randint(0, 1)
+        seed = self.seeds.get(shared.name)
+        drawn = 2 * self.rng.randint(0, 1)
+        for slot in (drawn, 2 - drawn, 1):
+            held = [x for x in triples if (x.subject, x.predicate, x.object)[slot] == seed]
+            if held:
+                break
+        else:
+            slot, held = drawn, triples
+        base = self.rng.choice(held)
         subject = shared if slot == 0 else self._abstract(base.subject)
-        obj = shared if slot == 1 else self._abstract(base.object)
-        return TriplePattern(subject, self._abstract_predicate(base.predicate), obj)
+        predicate = shared if slot == 1 else self._abstract_predicate(base.predicate)
+        obj = shared if slot == 2 else self._abstract(base.object)
+        return TriplePattern(subject, predicate, obj)
 
 
 def rng_choice_pred(rng: SplitMix64) -> Iri:

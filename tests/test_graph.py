@@ -192,11 +192,15 @@ def test_index_coherence_under_churn(triples, removal_picks):
 
 # Pattern positions share two variable names so repeats (?x :p ?x) occur;
 # quoted patterns put variables inside << >>.
+# A literal subject or predicate is allowed in a pattern, at the top level
+# and nested, and matches nothing.
 _vars = st.sampled_from([Variable("x"), Variable("y")])
-_plain_pattern = st.builds(TriplePattern, st.one_of(_iris, _vars), st.one_of(_iris, _vars), st.one_of(_objects, _vars))
-_subject_pos = st.one_of(_iris, _vars, _plain_pattern, _plain.map(Quoted))
+_literals = st.one_of(st.integers(-3, 3).map(integer), st.sampled_from(["x", "y"]).map(string))
+_predicate_pos = st.one_of(_iris, _vars, _literals)
+_plain_pattern = st.builds(TriplePattern, st.one_of(_iris, _vars, _literals), _predicate_pos, st.one_of(_objects, _vars))
+_subject_pos = st.one_of(_iris, _vars, _literals, _plain_pattern, _plain.map(Quoted))
 _object_pos = st.one_of(_objects, _vars, _plain_pattern)
-_patterns = st.builds(TriplePattern, _subject_pos, st.one_of(_iris, _vars), _object_pos)
+_patterns = st.builds(TriplePattern, _subject_pos, _predicate_pos, _object_pos)
 # Bound values include literals, which are ill-typed for a subject or
 # predicate variable, and quoted triples; "z" occurs in no pattern.
 _bindings = st.one_of(
@@ -239,6 +243,10 @@ def test_match_reads_repeats_and_nested_positions(pat, bindings, expected):
 @example(_QUOTED, *_READINGS[0][:2])
 @example(_QUOTED, *_READINGS[1][:2])
 @example(_QUOTED, *_READINGS[3][:2])
+# bound in all three positions, by constants or a binding: the smallest
+# bucket holds two triples, of which the pattern spells one
+@example(_QUOTED, TriplePattern(Iri("a"), Iri("p"), Iri("b")), None)
+@example(_QUOTED, TriplePattern(_X, Iri("p"), Iri("b")), {"x": Iri("a")})
 def test_match_agrees_with_full_scan(triples, pat, bindings):
     g = Graph(triples)
     assert solutions(g.match(pat, bindings)) == full_scan(pat, triples, bindings)
@@ -306,6 +314,27 @@ def test_match_after_churn_on_a_graph_and_its_copy(initial, ops):
 _CUSTOMER_TOTALS = (
     "SELECT ?c (SUM(?q) AS ?total) WHERE { ?o :hasQuantity ?q . ?c :makes ?o . ?c a :Customer . } GROUP BY ?c"
 )
+
+
+def test_match_reads_each_pattern_once(monkeypatch):
+    """``Graph.match`` reads a pattern in one walk and builds no narrowed
+    copy of it for the rows it is matched under: evaluating the customer
+    totals query builds at most one ``TriplePattern`` per query pattern
+    (its parameters substituted)."""
+    graph = generate(automotive())
+    query = parse_query(_CUSTOMER_TOTALS)
+    built = [0]
+    post_init = TriplePattern.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(TriplePattern, "__post_init__", counting)
+    table = evaluate(query, graph)
+    monkeypatch.setattr(TriplePattern, "__post_init__", post_init)
+    assert table.rows
+    assert built[0] <= len(query.patterns) == 3
 
 
 def _scaled(k):

@@ -391,6 +391,37 @@ def test_arithmetic_builds_no_literal_per_row(monkeypatch, text):
     assert counts[0] == counts[1]
 
 
+def test_projected_variables_build_no_literal(monkeypatch):
+    """A projected plain variable's cell is the row's own term, not a new
+    literal boxed from its pair. Joining the automotive graph's orders to
+    their quantities builds none for its 136 rows. Grouped by due step, the
+    key builds none, and each group's ``SUM(1)`` cell builds one."""
+    from supplykg.generator import automotive, generate
+    from supplykg.terms import Literal
+
+    graph = generate(automotive())
+    built = []
+    post_init = Literal.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    def run(text):
+        q = parse_query(text)
+        built.clear()
+        monkeypatch.setattr(Literal, "__post_init__", counting)
+        table = evaluate(q, graph)
+        monkeypatch.setattr(Literal, "__post_init__", post_init)
+        return table
+
+    table = run("SELECT ?o ?q WHERE { ?o :hasQuantity ?q . ?c :makes ?o . }")
+    assert len(table.rows) == 136 and built == []
+    table = run("SELECT ?dt (SUM(1) AS ?n) WHERE { ?o :hasDeliveryTime ?dt . ?c :makes ?o . } GROUP BY ?dt")
+    assert len(table.rows) > 1 and len(built) == len(table.rows)
+    assert sum(n.value for _, n in table.rows) == 136
+
+
 # error kind -> (the expression E over ?x and ?y, :a's values that make it
 # fail, :b's values that do not, the message)
 _ARITHMETIC_ERRORS = {

@@ -178,6 +178,11 @@ def test_substitute_and_to_ground():
     assert literal_subject == TriplePattern(integer(9), Iri("p"), integer(1))
     assert to_ground(literal_subject) is None
     assert Graph([Triple(Iri("a"), Iri("p"), integer(1))]).match(literal_subject) == []
+    # to_ground reads variables from bindings the same way, building no pattern
+    assert to_ground(pat, {"s": Iri("a")}) is None
+    assert to_ground(pat, {"s": Iri("a"), "o": integer(1)}) == to_ground(full)
+    assert to_ground(nested, {"s": Iri("a")}) == g
+    assert to_ground(pat, {"s": integer(9), "o": integer(1)}) is None
 
 
 def test_parameters_are_pattern_terms():
