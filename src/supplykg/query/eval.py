@@ -9,6 +9,19 @@ Semantics in brief:
   bucket its bound positions allow, not the whole bucket of the pattern's
   predicate. Parameters are substituted into each pattern first. A pattern
   no triple can satisfy, such as one with a literal subject, matches nothing.
+* An equality FILTER ``?v - c = k`` or ``?v + c = k`` (either side of the
+  ``=`` first), with ``c`` and ``k`` integer or timestep constants or
+  parameters, is solved for ``?v`` when ``?v`` stands once in the patterns,
+  at a pattern's top-level object. That step binds ``?v`` to each term
+  equal by value to the solution ``s`` (the integer, the timestep when
+  ``s >= 0``, the decimal, and ``-0.0`` beside ``0.0``) and matches once
+  per term, instead of scanning every object: the due-orders lookup
+  ``?o :hasDeliveryTime ?dt . FILTER (?dt - lt = t)`` reads the orders
+  that are due, not all orders. Decimal arithmetic rounds, so the probe is
+  taken only where no other decimal can round onto ``k``: the signed shift
+  (``c``, or ``-c`` for ``+``) and ``k`` have no opposite signs, and ``|s|``
+  is below 2**53. Every filter still runs on the rows found, so the rows
+  are the same as a scan's.
 * Each evaluation compiles its FILTER, projection and aggregate
   expressions once, into functions of one row (or, for an item with
   aggregates, of one group of rows) that know their operators, constants
@@ -64,6 +77,7 @@ import io
 import math
 import operator
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -410,8 +424,8 @@ def _compile(expr: ast.Expr, params: dict[str, Term], grouped: bool = False) -> 
 def _operands(apply, expr: ast.Binary, params: dict[str, Term], grouped: bool):
     """``apply`` to the pairs of ``expr``'s operands, evaluated left to
     right. A constant operand is passed as it is, not through a function:
-    the due filter ``?dt - lt = t``, run on every row of a pass, then makes
-    no call for ``lt`` or ``t``."""
+    a filter such as ``?dt - lt = t``, run on every row a step finds, then
+    makes no call for ``lt`` or ``t``."""
     right_term, left_term = _constant(expr.right, params), _constant(expr.left, params)
     if right_term is not None:
         right_pair = _unbox(right_term)
@@ -470,14 +484,25 @@ def _solve(
 ) -> list[Row]:
     """The rows of the WHERE group in nested-loop canonical order: each
     pattern's matches under each row so far, then the filters, then one sort.
-    ``Graph.match`` returns each row as a new plain dict, which no stage changes."""
+    A pattern whose object variable an equality filter solves (``_probes``)
+    is matched once per probe term, with the variable bound to it, instead
+    of once. ``Graph.match`` returns each row as a new plain dict, which no
+    stage changes."""
     tests = [_compile(f, params) for f in filters]
+    probes = _probes(patterns, filters, params)
     rows: list[Row] = [{}]
     for pattern in patterns:
-        pattern = substitute(pattern, {}, params)
+        pattern = substitute(pattern, params)
+        obj = pattern.object
+        terms = probes.get(obj.name) if obj.__class__ is Variable else None
         next_rows: list[Row] = []
-        for row in rows:
-            next_rows += graph.match(pattern, row)
+        if terms is None:
+            for row in rows:
+                next_rows += graph.match(pattern, row)
+        else:
+            for row in rows:
+                for term in terms:
+                    next_rows += graph.match(pattern, {**row, obj.name: term})
         rows = next_rows
         if not rows:
             return []
@@ -497,22 +522,90 @@ def _solve(
     return sorted(rows, key=_line_order(patterns)) if len(rows) > 1 else rows
 
 
+# At 2**53 and beyond, a decimal next to a solution may round onto it.
+_EXACT = 2**53
+
+
+def _probes(
+    patterns: tuple[TriplePattern, ...], filters: tuple[ast.Expr, ...], params: dict[str, Term]
+) -> dict[str, list[Literal]]:
+    """Variable name -> the terms to match it as, one ``Graph.match`` each,
+    for each variable that an equality filter solves (``_solved``) and that
+    stands once in the patterns. ``_solve`` probes where that one place is a
+    pattern's top-level object; a row the probes do not find fails the
+    filter. The terms are every term equal to the solution by value."""
+    probes: dict[str, list[Literal]] = {}
+    for f in filters:
+        solved = _solved(f, params)
+        if solved is not None and solved[0] not in probes:
+            name, s = solved
+            terms = [Literal(s, INTEGER), Literal(float(s), DECIMAL)]
+            if s >= 0:
+                terms.append(Literal(s, TIMESTEP))
+            if s == 0:
+                terms.append(Literal(-0.0, DECIMAL))  # a term apart from 0.0
+            probes[name] = terms
+    if probes:
+        counts = Counter(name for pattern in patterns for _, name in _variables(pattern))
+        probes = {name: terms for name, terms in probes.items() if counts[name] == 1}
+    return probes
+
+
+def _solved(expr: ast.Expr, params: dict[str, Term]) -> tuple[str, int] | None:
+    """``(v, s)`` when ``expr`` is ``?v - c = k`` or ``?v + c = k``, either
+    side of the ``=`` first, and a row passes it only if ``?v`` equals
+    ``s = k + c`` (``k - c`` for ``+``) by value; else None. That holds when:
+
+    - ``c`` and ``k`` are integer or timestep constants or parameters, whose
+      arithmetic is exact;
+    - the signed shift (``c``, or ``-c`` for ``+``) and ``k`` have no
+      opposite signs: ``1e-18 - -1 = 1`` holds, as the sum rounds;
+    - ``|s|`` is below 2**53, which bounds ``|c|`` too once the signs
+      agree: ``9007199254740994.0 - 1 = 2**53`` holds.
+
+    Within these bounds a decimal rounds onto ``k`` only if it is ``s``."""
+    if not (isinstance(expr, ast.Binary) and expr.op == "="):
+        return None
+    for shifted, other in ((expr.left, expr.right), (expr.right, expr.left)):
+        if isinstance(shifted, ast.Binary) and shifted.op in ("-", "+") and isinstance(shifted.left, ast.VarRef):
+            c, k = _whole(shifted.right, params), _whole(other, params)
+            if c is not None and k is not None:
+                shift = c if shifted.op == "-" else -c
+                if shift * k >= 0 and abs(k + shift) < _EXACT:
+                    return shifted.left.name, k + shift
+    return None
+
+
+def _whole(expr: ast.Expr, params: dict[str, Term]) -> int | None:
+    """The value of an integer or timestep constant or parameter, else None."""
+    term = _constant(expr, params)
+    return term.value if term.__class__ is Literal and term.datatype in (INTEGER, TIMESTEP) else None
+
+
+def _variables(pattern: TriplePattern):
+    """Each variable occurrence of ``pattern``, nested ones included, in
+    order: the function that spells a term where it stands (``a`` for
+    ``rdf:type`` as a predicate), and its name."""
+    for spell, term in (
+        (format_term, pattern.subject),
+        (format_predicate, pattern.predicate),
+        (format_term, pattern.object),
+    ):
+        if term.__class__ is TriplePattern:
+            yield from _variables(term)
+        elif term.__class__ is Variable:
+            yield spell, term.name
+
+
 def _line_order(patterns: tuple[TriplePattern, ...]) -> Callable[[Row], tuple[str, ...]]:
     """The key that sorts rows as their matched triples' lines: each variable's
     text in first-appearance order, spelled as where it first stands (``a``
     for ``rdf:type`` as a predicate). Constants are the same in every row, and
     no term's text is a proper prefix of another's followed by a space."""
     spelled: dict[str, Callable[[Term], str]] = {}
-
-    def walk(p: TriplePattern) -> None:
-        for spell, term in ((format_term, p.subject), (format_predicate, p.predicate), (format_term, p.object)):
-            if term.__class__ is TriplePattern:
-                walk(term)
-            elif term.__class__ is Variable:
-                spelled.setdefault(term.name, spell)
-
     for pattern in patterns:
-        walk(pattern)
+        for spell, name in _variables(pattern):
+            spelled.setdefault(name, spell)
     return lambda row: tuple([spell(row[name]) for name, spell in spelled.items()])
 
 

@@ -341,18 +341,15 @@ def format_triple(t: Triple | TriplePattern) -> str:
 # patterns
 
 
-def substitute(
-    pattern: TriplePattern, bindings: dict[str, Term], params: dict[str, Term] | None = None
-) -> TriplePattern:
-    """Replace bound variables in a pattern, and parameters with their values
-    in ``params``; the rest stay."""
+def substitute(pattern: TriplePattern, params: dict[str, Term]) -> TriplePattern:
+    """Replace parameters in a pattern with their values in ``params``; the
+    rest stay. Variables are read from bindings by ``to_ground`` and
+    ``Graph.match``, not substituted."""
 
     def sub(t: PatternTerm) -> PatternTerm:
-        if isinstance(t, Variable):
-            return bindings.get(t.name, t)
         if isinstance(t, TriplePattern):
             return TriplePattern(sub(t.subject), sub(t.predicate), sub(t.object))
-        if params is not None and isinstance(t, ParamRef):
+        if isinstance(t, ParamRef):
             return params.get(t.name, t)
         return t
 

@@ -9,7 +9,11 @@ included, and are now and then bound to a literal, so subjects and
 predicates no triple can hold get tried. They stand as operands in filter
 and projection expressions too, bound to a timestep or an integer, as in
 the due-orders filter ``?dt - lt = t``, whose shape is also drawn
-mirrored and with arithmetic on both sides. Projection items are drawn
+mirrored and with arithmetic on both sides; each graph also gets a few
+selects of exactly the shape the engine solves into index probes.
+Numbers of every kind stand as delivery times, among them the decimals a
+probe could miss: both zeros, values that vanish beside an integer, and
+one that rounds onto 2**53 + 1. Projection items are drawn
 as arithmetic, boolean expressions and calls, and items with aggregates
 nested in arithmetic, comparisons, ``&&``/``||``, IF and STR, whose every
 operand is evaluated. Decimals come in quarters and in tenths, whose sums
@@ -37,9 +41,15 @@ _PREDICATES = [Iri(f"p{i}") for i in range(5)] + [
 ]
 _STRINGS = ["True", "False", "alpha", "beta", "Responsiveness: 85", ""]
 
+# Decimals where a solved equality filter could miss a row: the two zeros,
+# values that vanish beside an integer, and one that rounds onto 2**53 + 1.
+_EDGE_DECIMALS = [0.0, -0.0, 1e-18, -1e-18, 5e-324, 9007199254740994.0]
+
 
 def _random_literal(rng: SplitMix64) -> Literal:
-    kind = rng.randint(0, 4)
+    kind = rng.randint(0, 5)
+    if kind == 5:
+        return Literal(rng.choice(_EDGE_DECIMALS), "decimal")
     if kind == 0:
         return Literal(rng.randint(-5, 20) * 10 ** (400 * (rng.randint(0, 3) == 0)), "integer")
     if kind == 1:
@@ -61,8 +71,8 @@ def random_graph(rng: SplitMix64, size: int) -> Graph:
             subject = rng.choice(_IRIS)
         predicate = rng.choice(_PREDICATES)
         roll = rng.randint(0, 9)
-        if predicate.name == "hasDeliveryTime":  # a due step, as orders have
-            obj = Literal(rng.randint(0, 15), "timestep")
+        if predicate.name == "hasDeliveryTime":  # a due step, as orders have, or any literal
+            obj = Literal(rng.randint(0, 15), "timestep") if roll < 6 else _random_literal(rng)
         elif predicate.name == "hasCost":  # tenths, whose sums are not exact
             obj = Literal(rng.randint(1, 99) / 10.0, "decimal")
         elif roll < 4:
@@ -117,12 +127,21 @@ class _CaseBuilder:
         self.params[name] = term if self.param_rng.randint(0, 2) > 0 else _random_literal(self.param_rng)
         return ParamRef(name)
 
-    def param(self, kind: str) -> ParamRef:
-        """A new parameter, bound to a drawn timestep or integer."""
+    def param(self, kind: str, value: int | None = None) -> ParamRef:
+        """A new parameter, bound to a timestep or integer: ``value``, or
+        one drawn."""
         name = f"k{len(self.params)}"
-        low, high = (0, 15) if kind == "timestep" else (-3, 12)
-        self.params[name] = Literal(self.param_rng.randint(low, high), kind)
+        if value is None:
+            low, high = (0, 15) if kind == "timestep" else (-3, 12)
+            value = self.param_rng.randint(low, high)
+        self.params[name] = Literal(value, kind)
         return ParamRef(name)
+
+    def step_param(self, high: int = 15) -> ParamRef:
+        """A new parameter bound to a timestep from 0 to ``high`` or, one
+        time in eight, 2**53, past which decimals round."""
+        value = 2**53 if self.param_rng.randint(0, 7) == 0 else self.param_rng.randint(0, high)
+        return self.param("timestep", value)
 
     def operand_param(self, operand: ast.Expr) -> ast.Expr:
         """The operand, or now and then a parameter bound to a timestep or
@@ -233,18 +252,19 @@ def _random_arith(rng: SplitMix64, b: _CaseBuilder, depth: int = 0) -> ast.Expr:
 
 def _due_shape(rng: SplitMix64, b: _CaseBuilder) -> ast.Expr:
     """The due-orders filter's shape, ``?dt - lt = t``, with its operators
-    drawn and its variable one in object position if there is one. The
-    other side is now and then arithmetic too, or a constant of any kind,
-    and half the time the sides are swapped: ``t = ?dt - lt``."""
+    drawn (``=`` half the time) and its variable one in object position if
+    there is one. The other side is now and then arithmetic too, or a
+    constant of any kind, and half the time the sides are swapped:
+    ``t = ?dt - lt``."""
     shifted = ast.Binary(rng.choice(["-", "-", "+", "/"]), ast.VarRef(rng.choice(b.values or b.vars)), b.param("integer"))
     roll = rng.randint(0, 3)
     if roll < 2:
-        other = b.param("timestep")
+        other = b.step_param()
     elif roll == 2:
         other = ast.Binary(rng.choice(["+", "-", "*"]), ast.VarRef(rng.choice(b.values or b.vars)), b.param("integer"))
     else:
         other = ast.Const(_random_literal(rng))
-    op = rng.choice(list(ast.COMPARISONS))
+    op = "=" if rng.randint(0, 1) == 0 else rng.choice(list(ast.COMPARISONS))
     return ast.Binary(op, shifted, other) if rng.randint(0, 1) == 0 else ast.Binary(op, other, shifted)
 
 
@@ -398,6 +418,27 @@ def random_filter_select(rng: SplitMix64, graph: Graph) -> tuple[ast.SelectQuery
     return ast.SelectQuery(totals, (TriplePattern(Variable("s"), Iri("hasCost"), Variable("o")),), filters), b.params
 
 
+# due selects drawn per graph: few of the other draws are a filter the engine
+# solves into probes, and fewer still meet the edge decimals
+DUE_SELECTS = 3
+
+
+def random_due_select(rng: SplitMix64, graph: Graph) -> tuple[ast.SelectQuery, dict[str, Term]]:
+    """``SELECT * WHERE { ?s ?p ?o . FILTER (?o - lt = t) . }``, or with
+    ``+``, either side of the ``=`` first: the shape the engine solves into
+    probes of the object index. Every object of the graph, of every kind,
+    meets the filter, so a probe that misses a term the filter keeps shows.
+    ``lt`` is from -1 to 1 and ``t`` mostly from 0 to 2: they often meet,
+    so the filter is solved to 0, or to ``t`` against a shift of either
+    sign, where the edge decimals round onto ``t``."""
+    b = _CaseBuilder(rng, graph, rng)
+    lt, t = b.param("integer", rng.randint(-1, 1)), b.step_param(2)
+    shifted = ast.Binary(rng.choice(["-", "+"]), ast.VarRef("o"), lt)
+    equal = ast.Binary("=", shifted, t) if rng.randint(0, 1) == 0 else ast.Binary("=", t, shifted)
+    patterns = (TriplePattern(Variable("s"), Variable("p"), Variable("o")),)
+    return ast.SelectQuery(None, patterns, (equal,)), b.params
+
+
 def random_grouped_select(rng: SplitMix64, graph: Graph) -> tuple[ast.SelectQuery, dict[str, Term]]:
     """``SELECT ?s (E AS ?e) WHERE { ?s :hasCost ?o . } GROUP BY ?s`` with
     E a drawn item with aggregates. Each subject's costs are a group, so
@@ -484,6 +525,7 @@ def run_differential_sweep(num_graphs: int = 110, seed: int = 20260816, queries_
     param_rng = SplitMix64(seed + 1)
     filter_rng = SplitMix64(seed + 2)
     grouped_rng = SplitMix64(seed + 3)
+    due_rng = SplitMix64(seed + 4)
     stats = {
         "graphs": 0,
         "selects": 0,
@@ -496,6 +538,7 @@ def run_differential_sweep(num_graphs: int = 110, seed: int = 20260816, queries_
         "expression_params": 0,
         "filter_selects": 0,
         "grouped_selects": 0,
+        "due_selects": 0,
     }
     for size in _graph_sizes(rng, num_graphs):
         graph = random_graph(rng, size)
@@ -505,6 +548,9 @@ def run_differential_sweep(num_graphs: int = 110, seed: int = 20260816, queries_
             _check_select(*random_select(rng, graph, param_rng), graph, stats)
         _check_select(*random_filter_select(filter_rng, graph), graph, stats)
         stats["filter_selects"] += 1
+        for _ in range(DUE_SELECTS):
+            _check_select(*random_due_select(due_rng, graph), graph, stats)
+            stats["due_selects"] += 1
         _check_select(*random_grouped_select(grouped_rng, graph), graph, stats)
         stats["grouped_selects"] += 1
         # one insert-where case per graph

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from supplykg import schema
 from supplykg import vocab as v
 from supplykg.analytics import build_report
 from supplykg.fulfillment import Simulation
@@ -19,6 +20,7 @@ from supplykg.terms import (
     format_triple,
     integer,
     string,
+    timestep,
 )
 from supplykg.validation import validate
 
@@ -314,6 +316,7 @@ def test_match_after_churn_on_a_graph_and_its_copy(initial, ops):
 _CUSTOMER_TOTALS = (
     "SELECT ?c (SUM(?q) AS ?total) WHERE { ?o :hasQuantity ?q . ?c :makes ?o . ?c a :Customer . } GROUP BY ?c"
 )
+_DUE = "SELECT ?o WHERE { ?o :hasDeliveryTime ?dt . FILTER (?dt - lt = t) . }"
 
 
 def test_match_reads_each_pattern_once(monkeypatch):
@@ -361,7 +364,16 @@ def test_candidates_scanned_per_order_stay_flat_in_scale(monkeypatch):
       ground once ``?c`` and ``?o`` are bound, and costs one membership
       test; scanning the customer's bucket instead grows with the
       customer's orders;
-    - ``validate`` and ``build_report(t=0)`` on the simulated graph."""
+    - ``validate`` and ``build_report(t=0)`` on the simulated graph;
+    - the due lookups ``?o :hasDeliveryTime ?dt . FILTER (?dt - lt = t)``
+      for every step t of the horizon, with ``lt`` the OEM's lead time, on
+      the simulated graph. A scan of every delivery time costs orders ×
+      horizon, which is flat per order, so these also have an absolute
+      bound: at most 10 candidates per order at each scale (a scan reads
+      about 200).
+
+    The due lookups' filter is solved into index probes, so they read
+    about 7 and 6 candidates per order."""
     scanned = [0]
 
     def counted(read):
@@ -380,6 +392,7 @@ def test_candidates_scanned_per_order_stay_flat_in_scale(monkeypatch):
     for name in ("_candidates", "about", "keys"):
         monkeypatch.setattr(Graph, name, counted(getattr(Graph, name)))
     query = parse_query(_CUSTOMER_TOTALS)
+    due = parse_query(_DUE, params=["lt", "t"])
     per_order = {}
     for k in (1, 4):
         config = _scaled(k)
@@ -389,7 +402,12 @@ def test_candidates_scanned_per_order_stay_flat_in_scale(monkeypatch):
         Simulation(graph).run(config.horizon)
         counts["validate"] = count(lambda: validate(graph))
         counts["build_report"] = count(lambda: build_report(graph, t=0))
+        lead = integer(schema.node(graph, schema.the_oem(graph)).delivery_time)
+        counts["due lookups"] = count(
+            lambda: [evaluate(due, graph, {"lt": lead, "t": timestep(t)}) for t in range(config.horizon)]
+        )
         for stage, n in counts.items():
             per_order.setdefault(stage, []).append(n / orders)
     for stage, (small, large) in per_order.items():
         assert large <= 1.5 * small, (stage, per_order)
+    assert max(per_order["due lookups"]) <= 10, per_order

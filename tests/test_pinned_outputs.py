@@ -1,5 +1,6 @@
 """Same seed, same bytes: the command outputs for one seed of each preset,
-pinned by SHA-256 digest.
+and the due-orders query's tables on one final graph, pinned by SHA-256
+digest.
 
 A change that is meant to keep every output byte-identical must leave
 these digests alone. A change that alters an output on purpose updates the
@@ -17,7 +18,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+from supplykg import schema
 from supplykg.cli import main
+from supplykg.query import evaluate, parse_query
+from supplykg.serialization import parse_graph_file
+from supplykg.terms import integer, timestep
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios" / "automotive_sweep.cfg"
@@ -26,7 +31,8 @@ SCENARIOS = ROOT / "scenarios" / "automotive_sweep.cfg"
 # seed; a test run has one seed, so these are checked in a process of their own.
 HASH_SEEDS = ["1", "12345"]
 
-# preset -> (horizon, {output: digest}) for seed 3
+# preset -> (horizon, {output: digest}) for seed 3; "due orders" is the CSV of
+# the due-orders query on the final graph for every step, one after another
 PINNED = {
     "automotive": (
         178,
@@ -35,6 +41,7 @@ PINNED = {
             "simulate": "9caf26606ca64faaf86e3e56d14cb12734811e27d8f785e1a0e1f79abdf1ea5a",
             "final graph": "7490f785aa3dca28c20d35bfabdabd11c9de98c726bd102b8d525409cdd11bde",
             "report": "32009ed9f9875b2c84e8455d30d8b37712d5d064a441ea73859e8633105ea2f3",
+            "due orders": "2101ff67ad7d380a594179ece7a05f6599b95975b52691fb6dceef34832d1348",
         },
     ),
     "dairy": (
@@ -73,7 +80,21 @@ def pipeline_digests(tmp_path, preset):
         "--out", str(paths["simulate"]), "--final-graph", str(paths["final graph"]),
     )
     run("report", "--graph", str(paths["final graph"]), "--t", "0", "--out", str(paths["report"]))
+    if "due orders" in paths:
+        paths["due orders"].write_text(due_orders(paths["final graph"], horizon))
     return digests(paths)
+
+
+DUE = "SELECT ?o WHERE { ?o :hasDeliveryTime ?dt . FILTER (?dt - lt = t) . }"
+
+
+def due_orders(graph_path, horizon):
+    """The due-orders query's CSV for t = 0 .. horizon - 1, with ``lt`` the
+    OEM's lead time, one table after another."""
+    graph = parse_graph_file(str(graph_path))
+    lead = integer(schema.node(graph, schema.the_oem(graph)).delivery_time)
+    query = parse_query(DUE, params=["lt", "t"])
+    return "".join(evaluate(query, graph, {"lt": lead, "t": timestep(t)}).to_csv() for t in range(horizon))
 
 
 def sweep_digests(tmp_path):

@@ -18,6 +18,7 @@ from supplykg.terms import (
     Variable,
     boolean,
     decimal,
+    format_term,
     integer,
     string,
     timestep,
@@ -524,3 +525,35 @@ def test_and_or_if_skip_an_operand_in_a_row_but_not_in_a_group(expr, value):
     with pytest.raises(QueryTypeError, match=r"^\+: expected a number, got :c$"):
         evaluate(query("SUM(?q)", "(?c + 1 > 0)", True), g)
     assert evaluate(query("SUM(?q)", "?c", True), g).rows == ((Iri("c"), value),)
+
+
+_DELIVERY_TIMES = [
+    decimal(1e-18), decimal(-1e-18), decimal(5e-324), decimal(-0.0), decimal(0.0), integer(0), timestep(0),
+    integer(1), decimal(1.0), timestep(1), string("1"), boolean(True),
+    decimal(9007199254740992.0), decimal(9007199254740994.0), integer(2**53 + 1), timestep(2**53 + 1),
+]
+
+
+@pytest.mark.parametrize("side", ["?dt {op} lt = t", "t = ?dt {op} lt"])
+@pytest.mark.parametrize(
+    "op, t, lt, kept",
+    [
+        # a shift against the sign of t: decimals near 0 round onto 1
+        ("-", timestep(1), integer(-1), ['"0"^^timestep', "-0.0", "-1e-18", "0", "0.0", "1e-18", "5e-324"]),
+        ("+", timestep(1), integer(1), ['"0"^^timestep', "-0.0", "-1e-18", "0", "0.0", "1e-18", "5e-324"]),
+        # past 2**53 a decimal rounds onto t + 1
+        ("-", timestep(2**53), integer(1), ['"9007199254740993"^^timestep', "9007199254740993", "9007199254740994.0"]),
+        # zero is three terms by value, and -0.0 a fourth
+        ("-", timestep(0), integer(0), ['"0"^^timestep', "-0.0", "0", "0.0"]),
+        ("-", integer(0), integer(0), ['"0"^^timestep', "-0.0", "0", "0.0"]),
+        ("+", timestep(1), integer(0), ['"1"^^timestep', "1", "1.0"]),
+        ("-", integer(-1), integer(0), []),
+    ],
+)
+def test_the_due_filter_keeps_every_term_equal_by_value(side, op, t, lt, kept):
+    """``?dt - lt = t`` keeps every delivery time that satisfies it by
+    value, whether its filter is solved into probes of the object index or
+    run on every row: a probe must not miss a decimal that rounds onto t."""
+    g = Graph([tr(f"Order{i}", "hasDeliveryTime", value) for i, value in enumerate(_DELIVERY_TIMES)])
+    q = parse_query(f"SELECT ?dt WHERE {{ ?o :hasDeliveryTime ?dt . FILTER ({side.format(op=op)}) . }}", ["lt", "t"])
+    assert [format_term(row[0]) for row in evaluate(q, g, {"t": t, "lt": lt}).rows] == kept

@@ -164,25 +164,24 @@ def test_unify_quoted_pattern_reaches_inside():
 
 def test_substitute_and_to_ground():
     pat = TriplePattern(Variable("s"), Iri("p"), Variable("o"))
-    half = substitute(pat, {"s": Iri("a")})
-    assert half == TriplePattern(Iri("a"), Iri("p"), Variable("o"))
-    assert to_ground(half) is None
-    full = substitute(half, {"o": integer(1)})
-    assert to_ground(full) == Triple(Iri("a"), Iri("p"), integer(1))
+    # substitute replaces parameters only; to_ground reads variables from bindings
+    assert substitute(pat, {"s": Iri("a")}) == pat
+    assert to_ground(pat) is None
+    assert to_ground(pat, {"s": Iri("a")}) is None
+    full = to_ground(pat, {"s": Iri("a"), "o": integer(1)})
+    assert full == Triple(Iri("a"), Iri("p"), integer(1))
     # nested pattern becomes a quoted term when ground
     nested = TriplePattern(TriplePattern(Variable("s"), Iri("p"), Iri("o")), Iri("q"), integer(2))
-    g = to_ground(substitute(nested, {"s": Iri("a")}))
+    assert to_ground(nested) is None
+    g = to_ground(nested, {"s": Iri("a")})
     assert g == Triple(Quoted(Triple(Iri("a"), Iri("p"), Iri("o"))), Iri("q"), integer(2))
-    # a literal subject builds a pattern that matches nothing
-    literal_subject = substitute(pat, {"s": integer(9), "o": integer(1)})
-    assert literal_subject == TriplePattern(integer(9), Iri("p"), integer(1))
+    # a literal subject, written or bound, spells no triple and matches nothing
+    literal_subject = TriplePattern(integer(9), Iri("p"), integer(1))
     assert to_ground(literal_subject) is None
-    assert Graph([Triple(Iri("a"), Iri("p"), integer(1))]).match(literal_subject) == []
-    # to_ground reads variables from bindings the same way, building no pattern
-    assert to_ground(pat, {"s": Iri("a")}) is None
-    assert to_ground(pat, {"s": Iri("a"), "o": integer(1)}) == to_ground(full)
-    assert to_ground(nested, {"s": Iri("a")}) == g
     assert to_ground(pat, {"s": integer(9), "o": integer(1)}) is None
+    assert Graph([full]).match(literal_subject) == []
+    assert Graph([full]).match(pat, {"s": integer(9), "o": integer(1)}) == []
+    assert Graph([full]).match(pat, {"s": Iri("a"), "o": integer(1)}) == [{"s": Iri("a"), "o": integer(1)}]
 
 
 def test_parameters_are_pattern_terms():
@@ -194,9 +193,12 @@ def test_parameters_are_pattern_terms():
     assert format_triple(pat) == "n p << ?s :q o >> ."
     assert pat.variables() == ["s"]
     assert substitute(pat, {}) == pat  # without values, parameters stay
-    bound = substitute(pat, {"s": Iri("a")}, {"n": Iri("b"), "p": Iri("rdf:type"), "o": integer(1)})
-    assert format_triple(bound) == ":b a << :a :q 1 >> ."
-    assert to_ground(bound) == Triple(Iri("b"), Iri("rdf:type"), Quoted(Triple(Iri("a"), Iri("q"), integer(1))))
+    bound = substitute(pat, {"n": Iri("b"), "p": Iri("rdf:type"), "o": integer(1)})
+    assert format_triple(bound) == ":b a << ?s :q 1 >> ."  # variables stay
+    assert to_ground(bound) is None
+    assert to_ground(bound, {"s": Iri("a")}) == Triple(
+        Iri("b"), Iri("rdf:type"), Quoted(Triple(Iri("a"), Iri("q"), integer(1)))
+    )
 
 
 def test_variables_first_appearance_order():
