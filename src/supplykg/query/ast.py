@@ -10,6 +10,7 @@ parse(print(q)) == q is a meaningful equality.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -98,12 +99,22 @@ class SelectQuery:
                     seen.append(v)
         return seen
 
+    @functools.cached_property
+    def param_names(self) -> frozenset[str]:
+        """``query_params(self)``, worked out once per query."""
+        return frozenset(query_params(self))
+
 
 @dataclass(frozen=True)
 class InsertWhereQuery:
     template: tuple[TriplePattern, ...]
     patterns: tuple[TriplePattern, ...]
     filters: tuple[Expr, ...] = ()
+
+    @functools.cached_property
+    def param_names(self) -> frozenset[str]:
+        """``query_params(self)``, worked out once per query."""
+        return frozenset(query_params(self))
 
 
 Query = Union[SelectQuery, InsertWhereQuery]

@@ -11,17 +11,19 @@ Semantics in brief:
   no triple can satisfy, such as one with a literal subject, matches nothing.
 * An equality FILTER ``?v - c = k`` or ``?v + c = k`` (either side of the
   ``=`` first), with ``c`` and ``k`` integer or timestep constants or
-  parameters, is solved for ``?v`` when ``?v`` stands once in the patterns,
-  at a pattern's top-level object. That step binds ``?v`` to each term
-  equal by value to the solution ``s`` (the integer, the timestep when
-  ``s >= 0``, the decimal, and ``-0.0`` beside ``0.0``) and matches once
-  per term, instead of scanning every object: the due-orders lookup
+  parameters, is solved for ``?v`` when a pattern names ``?v``. The join
+  then starts with ``?v`` bound to each term equal by value to the
+  solution ``s`` (the integer, the timestep when ``s >= 0``, the decimal,
+  and ``-0.0`` beside ``0.0``), one row per term, instead of with one empty
+  row, and every pattern reads only the triples that hold such a term,
+  wherever ``?v`` stands: the due-orders lookup
   ``?o :hasDeliveryTime ?dt . FILTER (?dt - lt = t)`` reads the orders
-  that are due, not all orders. Decimal arithmetic rounds, so the probe is
-  taken only where no other decimal can round onto ``k``: the signed shift
-  (``c``, or ``-c`` for ``+``) and ``k`` have no opposite signs, and ``|s|``
-  is below 2**53. Every filter still runs on the rows found, so the rows
-  are the same as a scan's.
+  that are due, not all orders. Decimal arithmetic rounds, so a filter is
+  solved only where no other decimal can round onto ``k``: the signed
+  shift (``c``, or ``-c`` for ``+``) and ``k`` have no opposite signs, and
+  ``|s|`` is below 2**53. The WHERE clause is a conjunction and every
+  filter still runs on the rows found, so the rows are the same as a
+  scan's.
 * Each evaluation compiles its FILTER, projection and aggregate
   expressions once, into functions of one row (or, for an item with
   aggregates, of one group of rows) that know their operators, constants
@@ -77,7 +79,6 @@ import io
 import math
 import operator
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -163,7 +164,7 @@ class ResultTable:
 
 
 def _check_params(query: ast.Query, params: dict[str, Term]) -> None:
-    missing = sorted(ast.query_params(query) - set(params))
+    missing = sorted(query.param_names - params.keys())
     if missing:
         raise MissingParameterError(f"no value for parameter(s): {', '.join(missing)}")
 
@@ -384,7 +385,7 @@ def _compile(expr: ast.Expr, params: dict[str, Term], grouped: bool = False) -> 
                 term = row[name]
             except KeyError:
                 raise UnboundVariableError(f"unbound variable ?{name}") from None
-            return (term.value, term.datatype) if term.__class__ is Literal else (term, None)
+            return _unbox(term)
 
         return variable
     term = _constant(expr, params)
@@ -401,7 +402,8 @@ def _compile(expr: ast.Expr, params: dict[str, Term], grouped: bool = False) -> 
             if op == "&&":
                 return lambda row: _TRUE if _truth(left(row), op) and _truth(right(row), op) else _FALSE
             return lambda row: _TRUE if _truth(left(row), op) or _truth(right(row), op) else _FALSE
-        return _operands(_OPERATORS[op], expr, params, grouped)
+        apply, left, right = _OPERATORS[op], _compile(expr.left, params, grouped), _compile(expr.right, params, grouped)
+        return lambda row: apply(left(row), right(row))
     if isinstance(expr, ast.Call):
         args = [_compile(a, params, grouped) for a in expr.args]
         if expr.func == "IF" and not grouped:
@@ -419,37 +421,6 @@ def _compile(expr: ast.Expr, params: dict[str, Term], grouped: bool = False) -> 
 
         return misplaced
     raise TypeError(f"not an expression: {expr!r}")
-
-
-def _operands(apply, expr: ast.Binary, params: dict[str, Term], grouped: bool):
-    """``apply`` to the pairs of ``expr``'s operands, evaluated left to
-    right. A constant operand is passed as it is, not through a function:
-    a filter such as ``?dt - lt = t``, run on every row a step finds, then
-    makes no call for ``lt`` or ``t``."""
-    right_term, left_term = _constant(expr.right, params), _constant(expr.left, params)
-    if right_term is not None:
-        right_pair = _unbox(right_term)
-        if isinstance(expr.left, ast.VarRef) and not grouped:
-            # the commonest shape, ``?dt - lt``: the variable is read here,
-            # a call less per row than through its own function
-            name = expr.left.name
-
-            def variable_constant(row: Row) -> Pair:
-                try:
-                    term = row[name]
-                except KeyError:
-                    raise UnboundVariableError(f"unbound variable ?{name}") from None
-                return apply((term.value, term.datatype) if term.__class__ is Literal else (term, None), right_pair)
-
-            return variable_constant
-        left = _compile(expr.left, params, grouped)
-        return lambda row: apply(left(row), right_pair)
-    right = _compile(expr.right, params, grouped)
-    if left_term is not None:
-        left_pair = _unbox(left_term)
-        return lambda row: apply(left_pair, right(row))
-    left = _compile(expr.left, params, grouped)
-    return lambda row: apply(left(row), right(row))
 
 
 def _sum(numbers: list) -> int | float:
@@ -484,25 +455,19 @@ def _solve(
 ) -> list[Row]:
     """The rows of the WHERE group in nested-loop canonical order: each
     pattern's matches under each row so far, then the filters, then one sort.
-    A pattern whose object variable an equality filter solves (``_probes``)
-    is matched once per probe term, with the variable bound to it, instead
-    of once. ``Graph.match`` returns each row as a new plain dict, which no
-    stage changes."""
+    The first pattern is matched under one row per combination of the terms
+    that ``_probes`` gives each solved variable, or under one empty row.
+    ``Graph.match`` returns each row as a new plain dict, which no stage
+    changes."""
     tests = [_compile(f, params) for f in filters]
-    probes = _probes(patterns, filters, params)
     rows: list[Row] = [{}]
+    for name, terms in _probes(patterns, filters, params).items():
+        rows = [{**row, name: term} for row in rows for term in terms]
     for pattern in patterns:
         pattern = substitute(pattern, params)
-        obj = pattern.object
-        terms = probes.get(obj.name) if obj.__class__ is Variable else None
         next_rows: list[Row] = []
-        if terms is None:
-            for row in rows:
-                next_rows += graph.match(pattern, row)
-        else:
-            for row in rows:
-                for term in terms:
-                    next_rows += graph.match(pattern, {**row, obj.name: term})
+        for row in rows:
+            next_rows += graph.match(pattern, row)
         rows = next_rows
         if not rows:
             return []
@@ -511,8 +476,7 @@ def _solve(
         for row in rows:
             try:
                 for test in tests:
-                    value = test(row)
-                    if value is _FALSE or (value is not _TRUE and not _truth(value, "FILTER")):
+                    if not _truth(test(row), "FILTER"):
                         break
                 else:
                     kept.append(row)
@@ -529,15 +493,17 @@ _EXACT = 2**53
 def _probes(
     patterns: tuple[TriplePattern, ...], filters: tuple[ast.Expr, ...], params: dict[str, Term]
 ) -> dict[str, list[Literal]]:
-    """Variable name -> the terms to match it as, one ``Graph.match`` each,
-    for each variable that an equality filter solves (``_solved``) and that
-    stands once in the patterns. ``_solve`` probes where that one place is a
-    pattern's top-level object; a row the probes do not find fails the
-    filter. The terms are every term equal to the solution by value."""
+    """Variable name -> the terms ``_solve`` binds it to before the first
+    pattern, for each variable that an equality filter solves (``_solved``)
+    and some pattern names: every term equal to the solution by value, so a
+    row that binds the variable to any other term fails the filter. A
+    variable no pattern names stays unbound, and the filter that reads it
+    drops every row."""
+    named = {name for pattern in patterns for _, name in _variables(pattern)}
     probes: dict[str, list[Literal]] = {}
     for f in filters:
         solved = _solved(f, params)
-        if solved is not None and solved[0] not in probes:
+        if solved is not None and solved[0] in named and solved[0] not in probes:
             name, s = solved
             terms = [Literal(s, INTEGER), Literal(float(s), DECIMAL)]
             if s >= 0:
@@ -545,9 +511,6 @@ def _probes(
             if s == 0:
                 terms.append(Literal(-0.0, DECIMAL))  # a term apart from 0.0
             probes[name] = terms
-    if probes:
-        counts = Counter(name for pattern in patterns for _, name in _variables(pattern))
-        probes = {name: terms for name, terms in probes.items() if counts[name] == 1}
     return probes
 
 

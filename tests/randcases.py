@@ -6,11 +6,15 @@ exercised too, and finally compares the indexed engine against the
 brute-force reference on every case, both given the same parameter values.
 Parameters stand in pattern positions, quoted patterns and predicates
 included, and are now and then bound to a literal, so subjects and
-predicates no triple can hold get tried. They stand as operands in filter
+predicates no triple can hold get tried; but the first pattern of a join
+always matches the triple it is drawn from, so the join can return rows.
+They stand as operands in filter
 and projection expressions too, bound to a timestep or an integer, as in
 the due-orders filter ``?dt - lt = t``, whose shape is also drawn
 mirrored and with arithmetic on both sides; each graph also gets a few
-selects of exactly the shape the engine solves into index probes.
+selects of exactly the shape the engine solves into index probes, some
+joined to a second pattern that names the solved variable again or has
+one of its own.
 Numbers of every kind stand as delivery times, among them the decimals a
 probe could miss: both zeros, values that vanish beside an integer, and
 one that rounds onto 2**53 + 1. Projection items are drawn
@@ -118,13 +122,15 @@ class _CaseBuilder:
             self.seeds[name] = seed
         return Variable(name)
 
-    def _maybe_param(self, term):
-        """The term, or now and then a parameter bound to it or, so that
-        literal subjects and predicates get tried, to a random literal."""
+    def _maybe_param(self, term, exact: bool = False):
+        """The term, or now and then a parameter bound to it or, unless
+        ``exact``, so that literal subjects and predicates get tried, to a
+        random literal."""
         if self.param_rng.randint(0, 3) > 0:
             return term
         name = f"k{len(self.params)}"
-        self.params[name] = term if self.param_rng.randint(0, 2) > 0 else _random_literal(self.param_rng)
+        wild = not exact and self.param_rng.randint(0, 2) == 0
+        self.params[name] = _random_literal(self.param_rng) if wild else term
         return ParamRef(name)
 
     def param(self, kind: str, value: int | None = None) -> ParamRef:
@@ -151,41 +157,45 @@ class _CaseBuilder:
             return operand
         return self.param("timestep" if self.param_rng.randint(0, 1) == 0 else "integer")
 
-    def _abstract(self, term, may_nest: bool = True):
+    def _abstract(self, term, may_nest: bool = True, exact: bool = False):
         """Turn a ground term into a pattern position: variable, constant,
-        parameter, or (for quoted terms) a nested pattern."""
+        parameter, or (for quoted terms) a nested pattern. With ``exact``
+        the position still matches ``term``: a variable stands again only
+        where its seed stands, and a parameter is bound to ``term``."""
         roll = self.rng.randint(0, 9)
         if isinstance(term, Quoted) and may_nest and roll < 5:
             inner = term.triple
             return _quoted(
                 TriplePattern(
-                    self._abstract(inner.subject, may_nest=False),
-                    self._abstract_predicate(inner.predicate),
-                    self._abstract(inner.object, may_nest=False),
+                    self._abstract(inner.subject, False, exact),
+                    self._abstract_predicate(inner.predicate, exact),
+                    self._abstract(inner.object, False, exact),
                 )
             )
         if roll < 5:
             return self.fresh_var(term)
-        if roll < 7 and self.vars and self.rng.randint(0, 1) == 0:
-            return Variable(self.rng.choice(self.vars))
-        return self._maybe_param(term)
+        again = [v for v in self.vars if not exact or self.seeds.get(v) == term]
+        if roll < 7 and again and self.rng.randint(0, 1) == 0:
+            return Variable(self.rng.choice(again))
+        return self._maybe_param(term, exact)
 
-    def _abstract_predicate(self, predicate: Iri):
+    def _abstract_predicate(self, predicate: Iri, exact: bool = False):
         if self.rng.randint(0, 9) < 3:
             return self.fresh_var(predicate)
-        return self._maybe_param(predicate)
+        return self._maybe_param(predicate, exact)
 
-    def seed_pattern(self, anchored: bool) -> TriplePattern:
-        """Pattern derived from a concrete triple so it usually matches.
+    def seed_pattern(self, anchored: bool, exact: bool = False) -> TriplePattern:
+        """Pattern derived from a concrete triple so it usually matches, and
+        with ``exact`` (the first pattern of a join) always matches.
         anchored=True keeps at least one constant position."""
         triples = self.graph.triples()
         if not triples:
             return TriplePattern(self.fresh_var(), rng_choice_pred(self.rng), self.fresh_var())
         base = self.rng.choice(triples)
         p = TriplePattern(
-            self._abstract(base.subject),
-            self._abstract_predicate(base.predicate),
-            self._abstract(base.object),
+            self._abstract(base.subject, exact=exact),
+            self._abstract_predicate(base.predicate, exact),
+            self._abstract(base.object, exact=exact),
         )
         if anchored and not _has_constant(p):
             return TriplePattern(base.subject, p.predicate, p.object)
@@ -351,7 +361,7 @@ def random_select(
     b = _CaseBuilder(rng, graph, param_rng)
     big = len(graph) > 100
     n_patterns = rng.randint(1, 2 if big else 3)
-    patterns = [b.seed_pattern(anchored=big)]
+    patterns = [b.seed_pattern(anchored=big, exact=n_patterns > 1)]
     for _ in range(n_patterns - 1):
         patterns.append(b.join_pattern())
     # anchoring may have dropped a freshly minted variable; trust the patterns
@@ -419,24 +429,50 @@ def random_filter_select(rng: SplitMix64, graph: Graph) -> tuple[ast.SelectQuery
 
 
 # due selects drawn per graph: few of the other draws are a filter the engine
-# solves into probes, and fewer still meet the edge decimals
-DUE_SELECTS = 3
+# solves into probes, and fewer still meet the edge decimals or a second
+# solved variable
+DUE_SELECTS = 5
 
 
 def random_due_select(rng: SplitMix64, graph: Graph) -> tuple[ast.SelectQuery, dict[str, Term]]:
     """``SELECT * WHERE { ?s ?p ?o . FILTER (?o - lt = t) . }``, or with
-    ``+``, either side of the ``=`` first: the shape the engine solves into
-    probes of the object index. Every object of the graph, of every kind,
-    meets the filter, so a probe that misses a term the filter keeps shows.
-    ``lt`` is from -1 to 1 and ``t`` mostly from 0 to 2: they often meet,
-    so the filter is solved to 0, or to ``t`` against a shift of either
-    sign, where the edge decimals round onto ``t``."""
+    ``+``, either side of the ``=`` first: the filter the engine solves
+    into probe terms that ``?o`` is bound to before the first pattern.
+    Every object of the graph, of every kind, meets the filter, so a probe
+    that misses a term the filter keeps shows. ``lt`` is from -1 to 1 and
+    ``t`` mostly from 0 to 2: they often meet, so the filter is solved to
+    0, or to ``t`` against a shift of either sign, where the edge decimals
+    round onto ``t``. On a graph of at most 300 triples (the reference
+    joins by scanning every triple per row), half of the selects join a
+    second pattern ``?o ?q ?x``, where ``?o`` stands again at a subject,
+    ``<< ?r ?q ?o >> ?w ?x``, where it stands again inside a quoted
+    pattern, or ``?s ?q ?x``. The last always, and the others half the
+    time, filter ``?x`` the same way with the same ``lt`` and ``t``: two
+    solved variables, whose probe terms the join starts from in every
+    combination."""
     b = _CaseBuilder(rng, graph, rng)
     lt, t = b.param("integer", rng.randint(-1, 1)), b.step_param(2)
-    shifted = ast.Binary(rng.choice(["-", "+"]), ast.VarRef("o"), lt)
-    equal = ast.Binary("=", shifted, t) if rng.randint(0, 1) == 0 else ast.Binary("=", t, shifted)
-    patterns = (TriplePattern(Variable("s"), Variable("p"), Variable("o")),)
-    return ast.SelectQuery(None, patterns, (equal,)), b.params
+    patterns = [TriplePattern(Variable("s"), Variable("p"), Variable("o"))]
+    filters = [_due_filter(rng, "o", lt, t)]
+    if len(graph) <= 300 and rng.randint(0, 1) == 0:
+        roll = rng.randint(0, 2)
+        if roll == 0:
+            patterns.append(TriplePattern(Variable("o"), Variable("q"), Variable("x")))
+        elif roll == 1:
+            quoted = TriplePattern(Variable("r"), Variable("q"), Variable("o"))
+            patterns.append(TriplePattern(quoted, Variable("w"), Variable("x")))
+        else:
+            patterns.append(TriplePattern(Variable("s"), Variable("q"), Variable("x")))
+        if roll == 2 or rng.randint(0, 1) == 0:
+            filters.append(_due_filter(rng, "x", lt, t))
+    return ast.SelectQuery(None, tuple(patterns), tuple(filters)), b.params
+
+
+def _due_filter(rng: SplitMix64, name: str, lt: ParamRef, t: ParamRef) -> ast.Expr:
+    """``?name - lt = t`` or ``?name + lt = t``, either side of the ``=``
+    first."""
+    shifted = ast.Binary(rng.choice(["-", "+"]), ast.VarRef(name), lt)
+    return ast.Binary("=", shifted, t) if rng.randint(0, 1) == 0 else ast.Binary("=", t, shifted)
 
 
 def random_grouped_select(rng: SplitMix64, graph: Graph) -> tuple[ast.SelectQuery, dict[str, Term]]:

@@ -534,10 +534,8 @@ _DELIVERY_TIMES = [
 ]
 
 
-@pytest.mark.parametrize("side", ["?dt {op} lt = t", "t = ?dt {op} lt"])
-@pytest.mark.parametrize(
-    "op, t, lt, kept",
-    [
+# op, t, lt, and the delivery times that ``?dt op lt = t`` keeps
+_DUE_CASES = [
         # a shift against the sign of t: decimals near 0 round onto 1
         ("-", timestep(1), integer(-1), ['"0"^^timestep', "-0.0", "-1e-18", "0", "0.0", "1e-18", "5e-324"]),
         ("+", timestep(1), integer(1), ['"0"^^timestep', "-0.0", "-1e-18", "0", "0.0", "1e-18", "5e-324"]),
@@ -548,12 +546,57 @@ _DELIVERY_TIMES = [
         ("-", integer(0), integer(0), ['"0"^^timestep', "-0.0", "0", "0.0"]),
         ("+", timestep(1), integer(0), ['"1"^^timestep', "1", "1.0"]),
         ("-", integer(-1), integer(0), []),
-    ],
-)
+]
+_SIDES = ["?dt {op} lt = t", "t = ?dt {op} lt"]
+
+
+def _due_times(where, side, op, t, lt):
+    """The delivery times ``SELECT ?dt WHERE { where }`` keeps, with
+    ``{due}`` in ``where`` the filter ``side`` on ``?dt`` and ``{due2}`` the
+    same filter on ``?dt2``. Each order has one delivery time and one
+    quoted statement of it."""
+    stated = [tr(f"Order{i}", "hasDeliveryTime", value) for i, value in enumerate(_DELIVERY_TIMES)]
+    g = Graph(stated + [Triple(Quoted(x), Iri("source"), Iri("erp")) for x in stated])
+    due = side.format(op=op)
+    q = parse_query(f"SELECT ?dt WHERE {{ {where.format(due=due, due2=due.replace('?dt', '?dt2'))} }}", ["lt", "t"])
+    return [format_term(row[0]) for row in evaluate(q, g, {"t": t, "lt": lt}).rows]
+
+
+@pytest.mark.parametrize("side", _SIDES)
+@pytest.mark.parametrize("op, t, lt, kept", _DUE_CASES)
 def test_the_due_filter_keeps_every_term_equal_by_value(side, op, t, lt, kept):
     """``?dt - lt = t`` keeps every delivery time that satisfies it by
     value, whether its filter is solved into probes of the object index or
     run on every row: a probe must not miss a decimal that rounds onto t."""
-    g = Graph([tr(f"Order{i}", "hasDeliveryTime", value) for i, value in enumerate(_DELIVERY_TIMES)])
-    q = parse_query(f"SELECT ?dt WHERE {{ ?o :hasDeliveryTime ?dt . FILTER ({side.format(op=op)}) . }}", ["lt", "t"])
-    assert [format_term(row[0]) for row in evaluate(q, g, {"t": t, "lt": lt}).rows] == kept
+    assert _due_times("?o :hasDeliveryTime ?dt . FILTER ({due}) .", side, op, t, lt) == kept
+
+
+@pytest.mark.parametrize(
+    "where",
+    [
+        # ?dt twice, once inside a quoted pattern
+        "?o :hasDeliveryTime ?dt . << ?o :hasDeliveryTime ?dt >> :source :erp . FILTER ({due}) .",
+        # ?dt only in the second pattern
+        "<< ?o :hasDeliveryTime ?x >> :source :erp . ?o :hasDeliveryTime ?dt . FILTER ({due}) .",
+        # ?dt only inside a quoted pattern
+        "<< ?o :hasDeliveryTime ?dt >> :source :erp . FILTER ({due}) .",
+        # two solved variables, bound to the same term in each row
+        "?o :hasDeliveryTime ?dt . << ?o :hasDeliveryTime ?dt2 >> :source :erp . FILTER ({due}) . FILTER ({due2}) .",
+    ],
+)
+@pytest.mark.parametrize("side", _SIDES)
+@pytest.mark.parametrize("op, t, lt, kept", _DUE_CASES)
+def test_the_due_filter_keeps_the_same_terms_wherever_its_variable_stands(where, side, op, t, lt, kept):
+    """The solved variable narrows the join wherever a pattern names it,
+    and the rows kept are those the one-pattern lookup keeps."""
+    assert _due_times(where, side, op, t, lt) == kept
+
+
+def test_a_due_filter_on_a_variable_no_pattern_binds_drops_every_row():
+    """The filter reads an unbound variable, so it drops every row: the
+    variable it solves is not bound to its probe terms. The parser rejects
+    such a query, so it is built here."""
+    g = Graph([tr("Order1", "hasDeliveryTime", timestep(5))])
+    due = ast.Binary("=", ast.Binary("-", ast.VarRef("x"), ast.ParamRef("lt")), ast.ParamRef("t"))
+    q = ast.SelectQuery(None, (TriplePattern(Variable("o"), Iri("hasDeliveryTime"), Variable("dt")),), (due,))
+    assert evaluate(q, g, {"t": timestep(5), "lt": integer(0)}).rows == ()
