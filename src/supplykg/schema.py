@@ -3,11 +3,12 @@
 The graph store itself is schema-free. This module is where the package's
 domain conventions live:
 
-* ``load_graph`` / ``normalize`` rewrite legacy predicate aliases to the
-  canonical vocabulary and fold unit-suffixed quantity strings ("10m",
-  "100 unit") into plain integers, so downstream code sees one spelling.
-  ``load_graph`` parses into one graph and ``normalize`` rewrites it in
-  place, replacing only the triples whose canonical form differs.
+* ``normalize`` is the one rule for canonical spelling, one triple at a
+  time: it rewrites legacy predicate aliases to the canonical vocabulary
+  and folds unit-suffixed quantity strings ("10m", "100 unit") into plain
+  integers, so downstream code sees one spelling. ``load_graph`` parses a
+  file and inserts each line's triple as ``normalize`` spells it, in one
+  pass.
 * Each view dataclass (``NodeView``, ``OrderView``, ``CapacityView``,
   ``InventoryView``, ``PlanLine``, ``BomEdge``) has one ``Shape``, in the
   spirit of a SHACL node shape, and the shapes hold every value rule. A
@@ -42,7 +43,7 @@ from operator import attrgetter
 
 from . import vocab as v
 from .graph import Graph
-from .serialization import parse_graph_file
+from .serialization import parse_triples
 from .terms import (
     BOOLEAN,
     INTEGER,
@@ -50,11 +51,12 @@ from .terms import (
     TIMESTEP,
     Iri,
     Literal,
+    MalformedTermError,
     Quoted,
     Triple,
     format_term,
     format_triple,
-    integer,
+    number_literal,
 )
 
 
@@ -72,47 +74,39 @@ _UNIT_RE = re.compile(r"^(\d+)\s*(" + "|".join(v.QUANTITY_UNITS) + r")$")
 _QUANTITY_PREDICATES = {v.HAS_QUANTITY, v.NEEDS_QUANTITY}
 
 
-def _fold_units(predicate, obj):
-    if predicate in _QUANTITY_PREDICATES and isinstance(obj, Literal) and obj.datatype == STRING:
-        m = _UNIT_RE.match(obj.value)
-        if m:
-            return integer(int(m.group(1)))
-    return obj
-
-
 def _rewrite(term):
     if isinstance(term, Quoted):
-        inner = _normalize_triple(term.triple)
+        inner = normalize(term.triple)
         return term if inner is term.triple else Quoted(inner)
     return term
 
 
-def _normalize_triple(t: Triple) -> Triple:
-    """``t`` in the canonical vocabulary: ``t`` itself when it already is."""
+def normalize(t: Triple) -> Triple:
+    """``t`` in the canonical vocabulary, or ``t`` itself when it already
+    is: an alias predicate becomes the name it stands for, also inside
+    quoted terms, and a unit-suffixed quantity string ("10m", "100 unit")
+    becomes the integer its digits spell. An alias IRI at a subject or
+    object stays as written. Raises ``MalformedTermError``, naming the
+    triple's subject and predicate, on digits too many to read."""
     pred = v.ALIASES.get(t.predicate, t.predicate)
-    s, o = _rewrite(t.subject), _fold_units(pred, _rewrite(t.object))
+    s, o = _rewrite(t.subject), _rewrite(t.object)
+    m = pred in _QUANTITY_PREDICATES and isinstance(o, Literal) and o.datatype == STRING and _UNIT_RE.match(o.value)
+    if m:
+        try:
+            o = number_literal(m.group(1))
+        except MalformedTermError as exc:
+            raise MalformedTermError(f"{_name(t.subject)} {t.predicate.name}: {exc}") from None
     if s is t.subject and pred is t.predicate and o is t.object:
         return t
     return Triple(s, pred, o)
 
 
-def normalize(graph: Graph) -> Graph:
-    """Fold alias predicates and unit-suffixed quantities in place, and
-    return the same graph: a triple whose canonical form differs is replaced
-    by it, the rest stay. The loop walks an unsorted ``snapshot()``, which
-    its own writes leave unchanged; the result does not depend on its order."""
-    for t in graph.snapshot():
-        canonical = _normalize_triple(t)
-        if canonical is not t:
-            graph.remove(t)
-            graph.insert(canonical)
-    return graph
-
-
 def load_graph(path) -> Graph:
-    """Parse a graph file into one graph and normalize it in place to the
-    canonical vocabulary."""
-    return normalize(parse_graph_file(path))
+    """Read a graph file into one graph in the canonical vocabulary: each
+    line's triple is inserted once, as ``normalize`` spells it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return Graph(map(normalize, parse_triples(text)))
 
 
 # What a value of each kind is called in a message: ``Iri`` or a literal datatype.

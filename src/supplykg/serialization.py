@@ -20,13 +20,16 @@ and both lexical cases for booleans; serialization always emits the canonical
 spelling above, so serialize(parse(serialize(g))) is byte-identical to
 serialize(g).
 
-One ``parse_graph`` call keeps three tables, which live only for that call,
-so nothing a load builds outlives the graph it returns. The word table maps
-each distinct whitespace-separated word to its items, each a mark (``<<``,
-``>>``, ``.``) or the term built for one token, a string with its ``^^tag``;
-the term table builds one ``Iri`` or ``Literal`` per distinct token, and the
-quoted table one ``Quoted`` per distinct quoted triple. A line whose items
-are ``S P O .``, ``<< s p o >> P O .`` or ``S P << s p o >> .`` is built
+``parse_triples`` yields the triple of each line in line order, as
+written, and ``parse_graph`` collects them into a graph. The format knows
+no vocabulary: ``schema.load_graph`` rewrites legacy names as it inserts
+each triple. One ``parse_triples`` pass keeps three tables, which are
+freed when the pass ends. The word table maps each distinct
+whitespace-separated word to its items, each a mark (``<<``, ``>>``, ``.``)
+or the term built for one token, a string with its ``^^tag``; the term
+table builds one ``Iri`` or ``Literal`` per distinct token, and the quoted
+table one ``Quoted`` per distinct quoted triple. A line whose items are
+``S P O .``, ``<< s p o >> P O .`` or ``S P << s p o >> .`` is built
 straight from them. Every other line is tokenized whole and parsed by the
 recursive line parser, the one source of error messages: a deeper nesting,
 a malformed line, or a word that does not scan alone, such as a piece of a
@@ -37,6 +40,7 @@ same error and line number.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .graph import Graph
 from .terms import (
@@ -235,11 +239,10 @@ class _LineParser:
         return self.built(Triple, s, p, o)
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse serialized graph text. Blank lines and ``#`` comment lines are
-    allowed on input (never produced on output)."""
-    g = Graph()
-    insert = g.insert
+def parse_triples(text: str) -> Iterator[Triple]:
+    """The triple of each line of serialized graph text, in line order.
+    Blank lines and ``#`` comment lines are allowed on input (never produced
+    on output). A bad line raises ``GraphParseError`` when it is reached."""
     words: dict = {}  # word -> its items, () if it does not scan alone
     terms: dict = {}
     quoted: dict = {}
@@ -258,15 +261,15 @@ def parse_graph(text: str) -> Graph:
         else:
             triple = _direct(items, quoted)
             if triple is not None:
-                insert(triple)
+                yield triple
                 continue
-        insert(_LineParser(_tokenize_line(line, lineno), lineno, terms, quoted).triple())
-    return g
+        yield _LineParser(_tokenize_line(line, lineno), lineno, terms, quoted).triple()
 
 
-def parse_graph_file(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+def parse_graph(text: str) -> Graph:
+    """Parse serialized graph text into a graph, as written: no spelling is
+    rewritten."""
+    return Graph(parse_triples(text))
 
 
 def parse_term(text: str) -> Term:

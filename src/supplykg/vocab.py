@@ -1,8 +1,9 @@
 """Vocabulary: the predicate and class names the supply-chain graphs use.
 
 Everything here is an IRI local name. ALIASES maps legacy spellings that
-appear in the wild onto the canonical names; schema.load_graph applies them
-on ingest so the rest of the package only ever sees canonical vocabulary.
+appear in the wild onto the canonical names; schema.normalize applies them
+to each triple schema.load_graph reads, so the rest of the package only
+ever sees canonical vocabulary.
 """
 
 from __future__ import annotations

@@ -444,12 +444,12 @@ def random_due_select(rng: SplitMix64, graph: Graph) -> tuple[ast.SelectQuery, d
     0, or to ``t`` against a shift of either sign, where the edge decimals
     round onto ``t``. On a graph of at most 300 triples (the reference
     joins by scanning every triple per row), half of the selects join a
-    second pattern ``?o ?q ?x``, where ``?o`` stands again at a subject,
-    ``<< ?r ?q ?o >> ?w ?x``, where it stands again inside a quoted
-    pattern, or ``?s ?q ?x``. The last always, and the others half the
-    time, filter ``?x`` the same way with the same ``lt`` and ``t``: two
-    solved variables, whose probe terms the join starts from in every
-    combination."""
+    second pattern ``?y ?q ?o``, where ``?o`` stands again at an object, so
+    the triple it came from matches again, ``<< ?r ?q ?o >> ?w ?x``, where
+    it stands again inside a quoted pattern, or ``?s ?q ?x``. The last
+    always, and the quoted one half the time, filter ``?x`` the same way
+    with the same ``lt`` and ``t``: two solved variables, whose probe terms
+    the join starts from in every combination."""
     b = _CaseBuilder(rng, graph, rng)
     lt, t = b.param("integer", rng.randint(-1, 1)), b.step_param(2)
     patterns = [TriplePattern(Variable("s"), Variable("p"), Variable("o"))]
@@ -457,13 +457,13 @@ def random_due_select(rng: SplitMix64, graph: Graph) -> tuple[ast.SelectQuery, d
     if len(graph) <= 300 and rng.randint(0, 1) == 0:
         roll = rng.randint(0, 2)
         if roll == 0:
-            patterns.append(TriplePattern(Variable("o"), Variable("q"), Variable("x")))
+            patterns.append(TriplePattern(Variable("y"), Variable("q"), Variable("o")))
         elif roll == 1:
             quoted = TriplePattern(Variable("r"), Variable("q"), Variable("o"))
             patterns.append(TriplePattern(quoted, Variable("w"), Variable("x")))
         else:
             patterns.append(TriplePattern(Variable("s"), Variable("q"), Variable("x")))
-        if roll == 2 or rng.randint(0, 1) == 0:
+        if roll == 2 or (roll == 1 and rng.randint(0, 1) == 0):
             filters.append(_due_filter(rng, "x", lt, t))
     return ast.SelectQuery(None, tuple(patterns), tuple(filters)), b.params
 

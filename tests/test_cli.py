@@ -675,13 +675,50 @@ def test_validate_reports_errors(graph_file, tmp_path, capsys):
 # --- export ---
 
 def test_export_normalizes_legacy_forms(tmp_path, capsys):
+    """Alias predicates, also in nested quoted triples, and unit-suffixed
+    quantities get their canonical spelling; an alias IRI at a subject or
+    object, and a quantity string without a number, stay as written."""
     old = tmp_path / "old.nt"
-    old.write_text(':A :hasLeadTime 4 .\n:Inv1 :hasQuantity "10m" .\n')
+    old.write_text(
+        ":A :hasLeadTime 4 .\n"
+        ':Inv1 :hasQuantity "7m" .\n'
+        ':Inv2 :hasQuantity "3 units" .\n'
+        ':Inv3 :hasQuantity "plenty" .\n'
+        ':Inv4 :hasQuantity "100 unit" .\n'
+        ':Inv5 :hasComponentQuantity "12m" .\n'
+        '<< :Car :needsComponent :Wheel >> :hasComponentQuantity "3 units" .\n'
+        '<< << :Car :needsComponent :Wheel >> :hasLeadTime 2 >> :hasComponentQuantity "7m" .\n'
+        ":X :y << << :Car :needsComponent :hasLeadTime >> :hasComponentQuantity 5 >> .\n"
+        ":hasLeadTime :hasLeadTime :needsComponent .\n"
+        ":needsComponent a :hasComponentQuantity .\n"
+        ":Car :needsProduct :Wheel .\n"
+        ":A :hasDeliveryTime 4 .\n"
+        ":Inv1 :hasQuantity 7 .\n"
+    )
     assert run("export", "--graph", str(old)) == 0
-    out = capsys.readouterr().out
-    assert ":A :hasDeliveryTime 4 .\n" in out
-    assert ":Inv1 :hasQuantity 10 .\n" in out
-    assert "hasLeadTime" not in out
+    assert capsys.readouterr().out == (
+        ":A :hasDeliveryTime 4 .\n"
+        ":Car :needsProduct :Wheel .\n"
+        ":Inv1 :hasQuantity 7 .\n"
+        ":Inv2 :hasQuantity 3 .\n"
+        ':Inv3 :hasQuantity "plenty" .\n'
+        ":Inv4 :hasQuantity 100 .\n"
+        ":Inv5 :needsQuantity 12 .\n"
+        ":X :y << << :Car :needsProduct :hasLeadTime >> :needsQuantity 5 >> .\n"
+        ":hasLeadTime :hasDeliveryTime :needsComponent .\n"
+        ":needsComponent a :hasComponentQuantity .\n"
+        "<< :Car :needsProduct :Wheel >> :needsQuantity 3 .\n"
+        "<< << :Car :needsProduct :Wheel >> :hasDeliveryTime 2 >> :needsQuantity 7 .\n"
+    )
+
+
+def test_export_quantity_with_too_many_digits_exits_2(tmp_path, capsys):
+    graph = tmp_path / "long.nt"
+    graph.write_text(f':Inv1 :hasQuantity "{"9" * 5000}m" .\n')
+    assert run("export", "--graph", str(graph)) == 2
+    err = capsys.readouterr().err
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: Inv1 hasQuantity: integer literal has 5000 digits, more than the {limit} allowed\n"
 
 
 @pytest.mark.parametrize("lines", [":a :p 0.0 .\n:a :p -0.0 .\n", ":a :p -0.0 .\n:a :p 0.0 .\n"])

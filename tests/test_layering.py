@@ -1,6 +1,7 @@
 """The simulator, generator, validator and schema readers run without the
-query engine: importing them loads no ``supplykg.query`` module. And no
-module imports a name it does not use."""
+query engine: importing them loads no ``supplykg.query`` module. The text
+format runs without the vocabulary. And no module imports a name it does
+not use."""
 
 import ast
 import os
@@ -13,11 +14,13 @@ import supplykg
 SRC = Path(supplykg.__file__).resolve().parent.parent
 
 
-def test_core_modules_do_not_load_the_query_engine():
+def _loaded_after(imports: str, prefixes: tuple[str, ...]) -> str:
+    """The printed sorted list of ``supplykg`` modules starting with one of
+    ``prefixes`` that a fresh interpreter has loaded after ``imports``."""
     code = (
         "import sys\n"
-        "import supplykg.fulfillment, supplykg.generator, supplykg.validation, supplykg.schema\n"
-        "print(sorted(m for m in sys.modules if m.startswith('supplykg.query')))\n"
+        f"import {imports}\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -27,7 +30,18 @@ def test_core_modules_do_not_load_the_query_engine():
         timeout=60,
         check=True,
     )
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_core_modules_do_not_load_the_query_engine():
+    core = "supplykg.fulfillment, supplykg.generator, supplykg.validation, supplykg.schema"
+    assert _loaded_after(core, ("supplykg.query",)) == "[]\n"
+
+
+def test_the_text_format_knows_no_vocabulary():
+    """The parser and serializer load neither the vocabulary nor the schema:
+    the canonical spelling of legacy names is applied by ``schema.load_graph``."""
+    assert _loaded_after("supplykg.serialization", ("supplykg.vocab", "supplykg.schema")) == "[]\n"
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -21,7 +21,7 @@ from pathlib import Path
 from supplykg import schema
 from supplykg.cli import main
 from supplykg.query import evaluate, parse_query
-from supplykg.serialization import parse_graph_file
+from supplykg.serialization import parse_graph
 from supplykg.terms import integer, timestep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,7 +91,7 @@ DUE = "SELECT ?o WHERE { ?o :hasDeliveryTime ?dt . FILTER (?dt - lt = t) . }"
 def due_orders(graph_path, horizon):
     """The due-orders query's CSV for t = 0 .. horizon - 1, with ``lt`` the
     OEM's lead time, one table after another."""
-    graph = parse_graph_file(str(graph_path))
+    graph = parse_graph(graph_path.read_text(encoding="utf-8"))
     lead = integer(schema.node(graph, schema.the_oem(graph)).delivery_time)
     query = parse_query(DUE, params=["lt", "t"])
     return "".join(evaluate(query, graph, {"lt": lead, "t": timestep(t)}).to_csv() for t in range(horizon))

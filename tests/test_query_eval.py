@@ -592,6 +592,16 @@ def test_the_due_filter_keeps_the_same_terms_wherever_its_variable_stands(where,
     assert _due_times(where, side, op, t, lt) == kept
 
 
+@pytest.mark.parametrize("side", _SIDES)
+@pytest.mark.parametrize("op, t, lt, kept", _DUE_CASES)
+def test_two_solved_variables_meet_in_every_combination(side, op, t, lt, kept):
+    """Two solved variables of patterns that share no variable: the join
+    starts from every pair of their probe terms, so each delivery time kept
+    meets each one kept, not only the one at the same place in the list."""
+    where = "?o :hasDeliveryTime ?dt . ?o2 :hasDeliveryTime ?dt2 . FILTER ({due}) . FILTER ({due2}) ."
+    assert _due_times(where, side, op, t, lt) == [dt for dt in kept for _ in kept]
+
+
 def test_a_due_filter_on_a_variable_no_pattern_binds_drops_every_row():
     """The filter reads an unbound variable, so it drops every row: the
     variable it solves is not bound to its probe terms. The parser rejects

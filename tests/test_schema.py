@@ -19,7 +19,6 @@ from supplykg.schema import (
     MissingEntityError,
     holds,
     _TierField,
-    _normalize_triple,
     bom,
     capacity_by_step,
     capacity_records,
@@ -63,52 +62,36 @@ def triples_by_subject(graph):
 # --- normalization ---
 
 def test_normalize_rewrites_legacy_predicates():
-    g = Graph()
-    g.insert(tr("A", "hasLeadTime", integer(4)))
-    g.insert(tr("Car", "needsComponent", "Wheel"))
-    n = normalize(g)
-    assert n.objects(Iri("A"), v.HAS_DELIVERY_TIME) == [integer(4)]
-    assert n.objects(Iri("Car"), v.NEEDS_PRODUCT) == [Iri("Wheel")]
-    assert "hasLeadTime" not in serialize(n)
+    assert normalize(tr("A", "hasLeadTime", integer(4))) == Triple(Iri("A"), v.HAS_DELIVERY_TIME, integer(4))
+    assert normalize(tr("Car", "needsComponent", "Wheel")) == Triple(Iri("Car"), v.NEEDS_PRODUCT, Iri("Wheel"))
 
 
 def test_normalize_rewrites_inside_quoted_terms():
-    g = Graph()
     inner = Triple(Iri("Car"), Iri("needsComponent"), Iri("Wheel"))
-    g.insert(Triple(Quoted(inner), Iri("hasComponentQuantity"), integer(4)))
-    n = normalize(g)
     want = Triple(
         Quoted(Triple(Iri("Car"), v.NEEDS_PRODUCT, Iri("Wheel"))),
         v.NEEDS_QUANTITY,
         integer(4),
     )
-    assert want in n
+    assert normalize(Triple(Quoted(inner), Iri("hasComponentQuantity"), integer(4))) == want
 
 
 def test_normalize_folds_quantity_units():
-    g = Graph()
-    g.insert(tr("Inv1", "hasQuantity", string("10m")))
-    g.insert(tr("Inv2", "hasQuantity", string("100 unit")))
-    g.insert(tr("Inv3", "hasQuantity", string("7 units")))
-    n = normalize(g)
-    assert n.objects(Iri("Inv1"), v.HAS_QUANTITY) == [integer(10)]
-    assert n.objects(Iri("Inv2"), v.HAS_QUANTITY) == [integer(100)]
-    assert n.objects(Iri("Inv3"), v.HAS_QUANTITY) == [integer(7)]
+    assert normalize(tr("Inv1", "hasQuantity", string("10m"))).object == integer(10)
+    assert normalize(tr("Inv2", "hasQuantity", string("100 unit"))).object == integer(100)
+    assert normalize(tr("Inv3", "hasQuantity", string("7 units"))).object == integer(7)
 
 
 def test_normalize_leaves_other_strings_alone():
-    g = Graph()
-    g.insert(tr("N", "hasTransportMode", string("road")))
-    g.insert(tr("N", "hasQuantity", string("plenty")))
-    n = normalize(g)
-    assert n.objects(Iri("N"), v.HAS_TRANSPORT_MODE) == [string("road")]
-    assert n.objects(Iri("N"), v.HAS_QUANTITY) == [string("plenty")]
+    for triple in (tr("N", "hasTransportMode", string("road")), tr("N", "hasQuantity", string("plenty"))):
+        assert normalize(triple) is triple
 
 
 # Graphs that mix legacy spellings with their canonical twins: the alias
 # predicates (also inside quoted terms) next to the names they stand for,
-# and unit-suffixed quantity strings next to plain integers.
-_legacy_iris = st.sampled_from([Iri(n) for n in ("A", "B", "Wheel")])
+# and unit-suffixed quantity strings next to plain integers. An alias IRI
+# also stands at subjects and objects, where it stays as written.
+_legacy_iris = st.sampled_from([Iri(n) for n in ("A", "B", "Wheel")] + list(v.ALIASES))
 _legacy_predicates = st.sampled_from(
     [*v.ALIASES, *v.ALIASES.values(), v.HAS_QUANTITY, v.HAS_TRANSPORT_MODE]
 )
@@ -126,32 +109,39 @@ _legacy_triples = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_legacy_triples, max_size=20))
-def test_normalize_rewrites_in_place(triples):
-    g = Graph(triples)
-    before = g.triples()
-    assert normalize(g) is g
-    expected = sorted({_normalize_triple(t) for t in before}, key=format_triple)
-    assert g.triples() == expected
-    for t in before:
-        canonical = _normalize_triple(t)
-        if canonical != t:
-            for p in probes(t) + probes(canonical):
-                assert solutions(g.match(p)) == full_scan(p, expected)
-
-
-def test_load_graph_inserts_each_line_once(tmp_path, monkeypatch):
-    path = tmp_path / "g.nt"
-    path.write_text(serialize(generate(dairy())))
-    inserts = []
-    insert = Graph.insert
-
-    def counted_insert(self, triple):
-        inserts.append(triple)
-        return insert(self, triple)
-
-    monkeypatch.setattr(Graph, "insert", counted_insert)
+def test_load_graph_holds_each_triple_as_normalize_spells_it(tmp_path_factory, triples):
+    path = tmp_path_factory.mktemp("legacy") / "g.nt"
+    path.write_text(serialize(Graph(triples)))
     graph = load_graph(str(path))
-    assert len(inserts) == len(graph) == len(path.read_text().splitlines())
+    expected = sorted({normalize(t) for t in triples}, key=format_triple)
+    assert graph.triples() == expected
+    for t in triples:
+        for p in probes(t) + probes(normalize(t)):
+            assert solutions(graph.match(p)) == full_scan(p, expected)
+
+
+_LEGACY_FILE = (
+    ":A :hasLeadTime 4 .\n"
+    ':Inv1 :hasQuantity "10m" .\n'
+    ':Inv2 :hasQuantity "plenty" .\n'
+    '<< :Car :needsComponent :Wheel >> :hasComponentQuantity "3 units" .\n'
+    ":hasLeadTime :hasComponentQuantity :needsComponent .\n"
+)
+
+
+@pytest.mark.parametrize("legacy", [False, True], ids=["canonical", "legacy"])
+def test_load_graph_inserts_each_line_once(tmp_path, monkeypatch, legacy):
+    """One pass: an insert per line, as ``normalize`` spells it, and no
+    remove or whole-graph read, whatever the spelling of the file."""
+    path = tmp_path / "g.nt"
+    path.write_text(_LEGACY_FILE if legacy else serialize(generate(dairy())))
+    calls = {"insert": [], "remove": [], "snapshot": []}
+    for name, made in calls.items():
+        method = getattr(Graph, name)
+        monkeypatch.setattr(Graph, name, lambda self, *args, m=method, c=made: c.append(args) or m(self, *args))
+    graph = load_graph(str(path))
+    assert len(calls["insert"]) == len(graph) == len(path.read_text().splitlines())
+    assert calls["remove"] == calls["snapshot"] == []
 
 
 # --- node views ---
