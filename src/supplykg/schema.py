@@ -69,7 +69,9 @@ class MissingEntityError(ValueError):
         self.problem = problem
 
 
-_UNIT_RE = re.compile(r"^(\d+)\s*(" + "|".join(v.QUANTITY_UNITS) + r")$")
+# ASCII digits, optional spaces and a unit, the whole string: ``fullmatch``,
+# since ``$`` also matches before a final newline and ``\d`` any Unicode digit
+_UNIT_RE = re.compile(r"([0-9]+)\s*(" + "|".join(v.QUANTITY_UNITS) + r")")
 
 _QUANTITY_PREDICATES = {v.HAS_QUANTITY, v.NEEDS_QUANTITY}
 
@@ -90,7 +92,7 @@ def normalize(t: Triple) -> Triple:
     triple's subject and predicate, on digits too many to read."""
     pred = v.ALIASES.get(t.predicate, t.predicate)
     s, o = _rewrite(t.subject), _rewrite(t.object)
-    m = pred in _QUANTITY_PREDICATES and isinstance(o, Literal) and o.datatype == STRING and _UNIT_RE.match(o.value)
+    m = pred in _QUANTITY_PREDICATES and isinstance(o, Literal) and o.datatype == STRING and _UNIT_RE.fullmatch(o.value)
     if m:
         try:
             o = number_literal(m.group(1))
@@ -103,10 +105,19 @@ def normalize(t: Triple) -> Triple:
 
 def load_graph(path) -> Graph:
     """Read a graph file into one graph in the canonical vocabulary: each
-    line's triple is inserted once, as ``normalize`` spells it."""
+    line's triple is inserted once, as ``normalize`` spells it. A triple
+    ``normalize`` rejects is a ``GraphParseError`` at its line."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return Graph(map(normalize, parse_triples(text)))
+    graph = Graph()
+    triples = parse_triples(text)
+    for t in triples:
+        try:
+            t = normalize(t)
+        except MalformedTermError as exc:
+            triples.throw(exc)
+        graph.insert(t)
+    return graph
 
 
 # What a value of each kind is called in a message: ``Iri`` or a literal datatype.

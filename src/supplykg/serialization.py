@@ -27,8 +27,10 @@ each triple. One ``parse_triples`` pass keeps three tables, which are
 freed when the pass ends. The word table maps each distinct
 whitespace-separated word to its items, each a mark (``<<``, ``>>``, ``.``)
 or the term built for one token, a string with its ``^^tag``; the term
-table builds one ``Iri`` or ``Literal`` per distinct token, and the quoted
-table one ``Quoted`` per distinct quoted triple. A line whose items are
+table holds one term per distinct token, a ``Literal`` built for the load
+or the ``Iri`` of its name, which is the process's one object for that name
+whatever the load, and the quoted table one ``Quoted`` per distinct quoted
+triple. A line whose items are
 ``S P O .``, ``<< s p o >> P O .`` or ``S P << s p o >> .`` is built
 straight from them. Every other line is tokenized whole and parsed by the
 recursive line parser, the one source of error messages: a deeper nesting,
@@ -118,8 +120,9 @@ def _token_term(terms: dict, kind: str, text: str, tag: str | None) -> Term:
     ``terms`` or built and kept there, so that a load builds one object per
     distinct token: an IRI or number is keyed on its text, a string on its
     text and tag. The spellings of rdf:type (``a``, ``rdf:type``,
-    ``:rdf:type``) share one. Raises ``MalformedTermError`` on a value no
-    literal can hold, or an integer too long to read."""
+    ``:rdf:type``) share one, as every IRI of one name does. Raises
+    ``MalformedTermError`` on a value no literal can hold, or an integer
+    too long to read."""
     key = (text, tag) if kind == "string" else text
     term = terms.get(key)
     if term is None:
@@ -129,8 +132,7 @@ def _token_term(terms: dict, kind: str, text: str, tag: str | None) -> Term:
         elif kind == "number":
             term = number_literal(text)
         else:  # iri, or kw: a bare "a"
-            name = "rdf:type" if text in ("a", "rdf:type") else text[1:]
-            term = terms.setdefault(":" + name, Iri(name))
+            term = Iri("rdf:type" if text in ("a", "rdf:type") else text[1:])
         terms[key] = term
     return term
 
@@ -242,7 +244,10 @@ class _LineParser:
 def parse_triples(text: str) -> Iterator[Triple]:
     """The triple of each line of serialized graph text, in line order.
     Blank lines and ``#`` comment lines are allowed on input (never produced
-    on output). A bad line raises ``GraphParseError`` when it is reached."""
+    on output). A bad line raises ``GraphParseError`` when it is reached,
+    and so does a ``MalformedTermError`` thrown into the generator at a
+    yield, at the line of the triple just yielded: a caller that rejects
+    the triple gets the line's error."""
     words: dict = {}  # word -> its items, () if it does not scan alone
     terms: dict = {}
     quoted: dict = {}
@@ -250,6 +255,7 @@ def parse_triples(text: str) -> Iterator[Triple]:
         line = raw.strip()
         if not line or line[0] == "#":
             continue
+        triple = None
         items = []
         for word in line.split():
             got = words.get(word)
@@ -260,10 +266,12 @@ def parse_triples(text: str) -> Iterator[Triple]:
             items += got
         else:
             triple = _direct(items, quoted)
-            if triple is not None:
-                yield triple
-                continue
-        yield _LineParser(_tokenize_line(line, lineno), lineno, terms, quoted).triple()
+        if triple is None:
+            triple = _LineParser(_tokenize_line(line, lineno), lineno, terms, quoted).triple()
+        try:
+            yield triple
+        except MalformedTermError as exc:
+            raise GraphParseError(str(exc), lineno) from None
 
 
 def parse_graph(text: str) -> Graph:

@@ -9,17 +9,22 @@ immutable and hashable, and every term has a canonical text form
 (``format_term``) which doubles as the deterministic sort key used across
 the package.
 
-``Triple`` and ``Quoted`` compute their hash once, when built, and keep it
-in a field that takes no part in equality or ``repr``; the graph's set and
-index lookups then never re-hash a triple's parts. Both pickle by their
-parts, so a loaded term hashes afresh under the loading process's string
-hash seed. ``Iri`` and ``Literal`` hash on demand: an eager hash would
-double the cost of building one, and the literals a query builds for its
-result cells are seldom hashed. One load of graph text builds one ``Iri``
-or ``Literal`` per distinct token, from the items of a per-load word table,
-and one ``Quoted`` per distinct quoted triple, from a per-load table keyed
-on its parts. A bare number in graph or query text means what
-``number_literal`` says.
+IRIs are interned: ``Iri(name)`` returns the process's one object for that
+name, and checks the name only when it first builds it. Two IRIs are equal
+exactly when their names are, so an IRI's equality is identity and its hash
+``object``'s, both run in C; a set of IRIs therefore iterates in an order
+that follows addresses, and every output sorts what it reads. An ``Iri``
+copies and pickles by its name, so a loaded one is the loading process's
+object. ``Triple`` and ``Quoted`` compute their hash once, when built, and
+keep it in a field that takes no part in equality or ``repr``; the graph's
+set and index lookups then never re-hash a triple's parts. Both pickle by
+their parts, so a loaded term hashes afresh in the loading process.
+``Literal`` hashes on demand: an eager hash would double the cost of
+building one, and the literals a query builds for its result cells are
+seldom hashed. One load of graph text builds one ``Literal`` per distinct
+token, from the items of a per-load word table, and one ``Quoted`` per
+distinct quoted triple, from a per-load table keyed on its parts. A bare
+number in graph or query text means what ``number_literal`` says.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Union
 
 # literal datatypes
@@ -66,13 +71,38 @@ class MalformedTermError(ValueError):
     """Raised when a term or triple is constructed with invalid parts."""
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
-    name: str
+# name -> its one Iri object
+_IRIS: dict[str, "Iri"] = {}
 
-    def __post_init__(self) -> None:
-        if not _IRI_NAME.fullmatch(self.name):
-            raise MalformedTermError(f"invalid IRI name: {self.name!r}")
+
+class Iri:
+    """A named resource, interned: ``Iri(name)`` is the process's one object
+    for that name, so identity is equality (see the module docstring)."""
+
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str) -> "Iri":
+        iri = _IRIS.get(name)
+        if iri is None:
+            if not _IRI_NAME.fullmatch(name):
+                raise MalformedTermError(f"invalid IRI name: {name!r}")
+            iri = object.__new__(cls)
+            object.__setattr__(iri, "name", name)
+            # of two threads that race on one name, both get the first object stored
+            iri = _IRIS.setdefault(name, iri)
+        return iri
+
+    def __setattr__(self, attr, value):
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+
+    def __repr__(self) -> str:
+        return f"Iri(name={self.name!r})"
+
+    def __reduce__(self):
+        return Iri, (self.name,)
 
 
 @dataclass(frozen=True, slots=True)

@@ -686,6 +686,7 @@ def test_export_normalizes_legacy_forms(tmp_path, capsys):
         ':Inv3 :hasQuantity "plenty" .\n'
         ':Inv4 :hasQuantity "100 unit" .\n'
         ':Inv5 :hasComponentQuantity "12m" .\n'
+        ':Inv6 :hasQuantity "10m\\n" .\n'
         '<< :Car :needsComponent :Wheel >> :hasComponentQuantity "3 units" .\n'
         '<< << :Car :needsComponent :Wheel >> :hasLeadTime 2 >> :hasComponentQuantity "7m" .\n'
         ":X :y << << :Car :needsComponent :hasLeadTime >> :hasComponentQuantity 5 >> .\n"
@@ -704,6 +705,7 @@ def test_export_normalizes_legacy_forms(tmp_path, capsys):
         ':Inv3 :hasQuantity "plenty" .\n'
         ":Inv4 :hasQuantity 100 .\n"
         ":Inv5 :needsQuantity 12 .\n"
+        ':Inv6 :hasQuantity "10m\\n" .\n'
         ":X :y << << :Car :needsProduct :hasLeadTime >> :needsQuantity 5 >> .\n"
         ":hasLeadTime :hasDeliveryTime :needsComponent .\n"
         ":needsComponent a :hasComponentQuantity .\n"
@@ -714,11 +716,11 @@ def test_export_normalizes_legacy_forms(tmp_path, capsys):
 
 def test_export_quantity_with_too_many_digits_exits_2(tmp_path, capsys):
     graph = tmp_path / "long.nt"
-    graph.write_text(f':Inv1 :hasQuantity "{"9" * 5000}m" .\n')
+    graph.write_text(f':Inv0 :hasQuantity "7m" .\n\n:Inv1 :hasQuantity "{"9" * 5000}m" .\n')
     assert run("export", "--graph", str(graph)) == 2
     err = capsys.readouterr().err
     limit = sys.get_int_max_str_digits()
-    assert err == f"error: Inv1 hasQuantity: integer literal has 5000 digits, more than the {limit} allowed\n"
+    assert err == f"error: line 3: Inv1 hasQuantity: integer literal has 5000 digits, more than the {limit} allowed\n"
 
 
 @pytest.mark.parametrize("lines", [":a :p 0.0 .\n:a :p -0.0 .\n", ":a :p -0.0 .\n:a :p 0.0 .\n"])

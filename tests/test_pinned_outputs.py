@@ -128,6 +128,40 @@ def test_outputs_match_pinned_digests_under_other_hash_seeds(hash_seed):
     assert done.returncode == 0, done.stdout + done.stderr
 
 
+# Run before the checks in a process of its own. An IRI hashes by identity,
+# so a set of IRIs iterates in an order that follows their addresses, which
+# stay the same from run to run under one hash seed. Holes freed in shuffled
+# order, and a few thousand throwaway IRIs made in shuffled order, put every
+# later IRI at another address than a plain run gives it.
+_SHUFFLE_ADDRESSES = """
+import random, runpy, sys
+from supplykg.terms import Iri
+
+class Pad:  # the size of an Iri
+    __slots__ = ("name",)
+
+rng = random.Random(sys.argv[1])
+pads = [Pad() for _ in range(4000)]
+names = [f"Throwaway{i}" for i in range(4000)]
+rng.shuffle(names)
+throwaway = [Iri(name) for name in names]
+rng.shuffle(pads)
+del pads[::2]
+sys.argv = sys.argv[2:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def test_outputs_match_pinned_digests_with_iris_at_other_addresses():
+    """No order of a set of IRIs leaks into an output: the digests hold when
+    the IRIs a run makes sit at shuffled addresses."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-c", _SHUFFLE_ADDRESSES, "1", __file__]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
 def check_all() -> int:
     """Compare every output with its pin, printing one line each; 1 if any differs."""
     checks = [(f"{preset} ", lambda d, p=preset: pipeline_digests(d, p), PINNED[preset][1]) for preset in sorted(PINNED)]

@@ -83,7 +83,13 @@ def test_normalize_folds_quantity_units():
 
 
 def test_normalize_leaves_other_strings_alone():
-    for triple in (tr("N", "hasTransportMode", string("road")), tr("N", "hasQuantity", string("plenty"))):
+    # a unit after a final newline, or a non-ASCII digit, is no quantity spelling
+    for triple in (
+        tr("N", "hasTransportMode", string("road")),
+        tr("N", "hasQuantity", string("plenty")),
+        tr("N", "hasQuantity", string("10m\n")),
+        tr("N", "hasQuantity", string("\u0663m")),
+    ):
         assert normalize(triple) is triple
 
 

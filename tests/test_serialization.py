@@ -190,8 +190,8 @@ def test_serialized_lines_are_sorted(g):
     assert len(lines) == len(g)
 
 
-def _leaves(graph):
-    """Every IRI and literal object the graph's triples hold, quoted ones too."""
+def _terms(graph):
+    """Every term the graph's triples hold, and the terms inside quoted ones."""
     out = []
     todo = list(graph.triples())
     while todo:
@@ -199,8 +199,7 @@ def _leaves(graph):
         for term in (t.subject, t.predicate, t.object):
             if isinstance(term, Quoted):
                 todo.append(term.triple)
-            else:
-                out.append(term)
+            out.append(term)
     return out
 
 
@@ -213,14 +212,20 @@ _SHARED_TERMS = (
 @settings(max_examples=100, deadline=None)
 @given(graphs)
 def test_one_term_object_per_distinct_term_in_a_load(g):
-    """Within one parse, terms with the same canonical text are one object,
-    and two parses of one text share no term object."""
+    """Within one parse, terms with the same canonical text are one object.
+    Two parses of one text share no literal or quoted term, and every IRI,
+    since an IRI is the one object of its name."""
     text = serialize(g) + _SHARED_TERMS
     first, second = parse_graph(text), parse_graph(text)
     by_text = {}
-    for term in _leaves(first):
+    for term in _terms(first):
         assert by_text.setdefault((type(term), format_term(term)), term) is term
-    assert not {id(t) for t in _leaves(first)} & {id(t) for t in _leaves(second)}
+
+    def ids(graph, iris):
+        return {id(t) for t in _terms(graph) if isinstance(t, Iri) == iris}
+
+    assert not ids(first, iris=False) & ids(second, iris=False)
+    assert ids(first, iris=True) == ids(second, iris=True)
     assert first.triples() == second.triples()
 
 

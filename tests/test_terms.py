@@ -1,5 +1,8 @@
+import copy
 import dataclasses
 import os
+import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,8 @@ from hypothesis import strategies as st
 from strategies import literals, unify
 
 import supplykg
+from supplykg import terms
+from supplykg.cli import main
 from supplykg.graph import Graph
 from supplykg.terms import (
     BOOLEAN,
@@ -242,22 +247,72 @@ def test_triple_and_quoted_hash_contract():
         Quoted([])
 
 
+def test_an_iri_is_the_one_object_for_its_name():
+    """``Iri(name)`` returns one object per name, so equality is identity;
+    it stays frozen, and copying or pickling gives the same object back."""
+    iri = Iri("Node1.1")
+    assert Iri("Node1.1") is iri and Iri("Node" + "1.1") is iri
+    assert Iri("Node1.2") is not iri and Iri("Node1.2") != iri
+    assert repr(iri) == "Iri(name='Node1.1')"
+    assert copy.copy(iri) is iri and copy.deepcopy(iri) is iri
+    assert pickle.loads(pickle.dumps(iri)) is iri
+    triple = Triple(iri, Iri("p"), Iri("o"))
+    assert copy.deepcopy(triple).subject is iri and pickle.loads(pickle.dumps(triple)).subject is iri
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        iri.name = "Node1.2"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del iri.name
+    assert iri.name == "Node1.1"
+    for bad in ("", "has space", "9starts.with.digit", "trailing.dot."):
+        for _ in range(2):  # a rejected name is not kept, and fails again
+            with pytest.raises(MalformedTermError, match=re.escape(f"invalid IRI name: {bad!r}")):
+                Iri(bad)
+
+
+class _CountingPattern:
+    """Stands in for a compiled pattern and counts its ``fullmatch`` calls."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def fullmatch(self, text):
+        self.calls += 1
+        return self.pattern.fullmatch(text)
+
+
+def test_a_run_checks_each_distinct_iri_name_once(tmp_path, monkeypatch):
+    """An IRI name is checked when its one object is built, not at every
+    ``Iri(name)``: the dairy preset's generate and simulate check exactly as
+    many names as they add to the intern table."""
+    counting = _CountingPattern(terms._IRI_NAME)
+    monkeypatch.setattr(terms, "_IRI_NAME", counting)
+    before = len(terms._IRIS)
+    graph = tmp_path / "dairy.kg"
+    assert main(["generate", "--preset", "dairy", "--seed", "29", "--out", str(graph)]) == 0
+    simulate = ["simulate", "--graph", str(graph), "--horizon", "60", "--out", str(tmp_path / "sim.json")]
+    assert main([*simulate, "--final-graph", str(tmp_path / "final.kg")]) == 0
+    assert counting.calls == len(terms._IRIS) - before
+
+
 _PICKLE_CODE = """
 import pickle, sys
 from supplykg.terms import Iri, Quoted, Triple, integer
 inner = Triple(Iri("s"), Iri("p"), integer(1))
-fresh = [inner, Quoted(inner), Triple(Quoted(inner), Iri("p"), Iri("o"))]
+fresh = [inner, Quoted(inner), Triple(Quoted(inner), Iri("p"), Iri("o")), Iri("o")]
 if sys.argv[1] == "dump":
     sys.stdout.write(pickle.dumps(fresh).hex())
 else:
     loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
     print([(a == b, a in {b}, hash(a) == hash(b)) for a, b in zip(loaded, fresh)])
+    print(loaded[3] is fresh[3], loaded[0].subject is fresh[0].subject)
 """
 
 
 def test_a_pickled_triple_hashes_afresh_under_another_seed():
     """A pickled Triple or Quoted carries its parts, not its cached hash: a
-    process with another string hash seed finds it in a set of fresh terms."""
+    process with another string hash seed finds it in a set of fresh terms.
+    A pickled Iri loads as the loading process's one object for its name."""
     src = str(Path(supplykg.__file__).resolve().parent.parent)
 
     def run(seed, mode, stdin=""):
@@ -268,7 +323,7 @@ def test_a_pickled_triple_hashes_afresh_under_another_seed():
         )
         return done.stdout
 
-    assert run("2", "load", run("1", "dump")) == "[(True, True, True), (True, True, True), (True, True, True)]\n"
+    assert run("2", "load", run("1", "dump")) == "[" + ", ".join(["(True, True, True)"] * 4) + "]\nTrue True\n"
 
 
 # Literals whose values compare equal across datatypes or signs: signed
